@@ -106,6 +106,7 @@ class Algebra:
     def to_json(self) -> dict:
         f = self.field
         return {
+            "name": self.name,
             "dim": self.dim,
             "basis": list(self.basis_labels),
             "scalars": f.mode,

@@ -60,19 +60,22 @@ def _bundled_names():
 
 
 def _load_json_source(value, what):
-    """Resolve a CLI file argument: real path first, then bundled data."""
+    """Resolve a CLI file argument: real path first, then bundled data.
+    The JSON top level must be an object."""
     path = Path(value)
     if path.is_file():
-        with open(path) as fh:
-            data = json.load(fh)
-        return data, path.stem
-    found = _bundled(value)
-    if found is not None:
-        data = json.loads(found.read_text())
-        return data, Path(found.name).stem
-    raise InputError(
-        f"cannot find {what} {value!r}: neither a file nor bundled data",
-        available=_bundled_names())
+        data, stem = json.loads(path.read_text()), path.stem
+    else:
+        found = _bundled(value)
+        if found is None:
+            raise InputError(
+                f"cannot find {what} {value!r}: neither a file nor bundled data",
+                available=_bundled_names())
+        data, stem = json.loads(found.read_text()), Path(found.name).stem
+    if not isinstance(data, dict):
+        raise InputError(f"{what} {value!r} must hold a JSON object, "
+                         f"not {type(data).__name__}")
+    return data, stem
 
 
 def _algebra_arg(value, scalar_mode):
@@ -407,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gv-grid", type=int, default=32)
     p.add_argument("--budget", type=float, default=300.0,
                    help="time budget in seconds")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker hint; the suite currently runs in-process")
     add_output_flags(p)
     p.set_defaults(handler=_cmd_selftest)
 

@@ -19,7 +19,8 @@ the positive scalings, this is a similarity of complexes: kernels map to
 kernels, so the weighted Betti numbers cannot move with tau.  The sweep
 verifies that, and also exhibits the isomorphism: the diagonal map
 T = diag(e^{-tau phi_(k)}) pairs tau = 0 harmonics with deformed
-harmonics through a full-rank matrix U = Q_tau^H T Q_0.
+harmonics through a full-rank matrix U = Q_tau^H T Q_0.  Each tau's
+deformed model is built once and the tau = 0 harmonics once per sweep.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import exactla
 from .errors import BadWeights, LeafTooSmall, ShapeMismatch
-from .hodge import CochainComplex, betti_numbers, laplacians, make_complex
+from .hodge import CochainComplex, betti_numbers, make_complex
 
 
 @dataclass
@@ -235,16 +237,16 @@ def phi_per_degree(leaf: Leaf, vertex_values) -> list:
             for cells in leaf.cell_vertices]
 
 
-def witten_leaf_complex(leaf: Leaf, vertex_values, tau) -> CochainComplex:
-    """One deformed leaf complex; tau = 0 reproduces the differentials
-    bit for bit because every scale factor is exactly exp(0) = 1."""
+def witten_leaf_complex(leaf: Leaf, per_degree, tau) -> CochainComplex:
+    """One deformed leaf complex from the per-degree weights of
+    phi_per_degree; tau = 0 reproduces the differentials bit for bit
+    because every scale factor is exactly exp(0) = 1."""
     tau = float(tau)
-    per_deg = phi_per_degree(leaf, vertex_values)
     cx = leaf.complex
     diffs = []
     for k, d in enumerate(cx.diffs):
-        row = np.exp(-tau * per_deg[k + 1]).reshape(-1, 1)
-        col = np.exp(tau * per_deg[k]).reshape(1, -1)
+        row = np.exp(-tau * per_degree[k + 1]).reshape(-1, 1)
+        col = np.exp(tau * per_degree[k]).reshape(1, -1)
         diffs.append(row * d * col)
     return make_complex(cx.dims, diffs, cx.grams,
                         name=f"{cx.name}@tau={tau}", tol=1e-9)
@@ -255,12 +257,22 @@ class DeformedModel:
     model: FoliatedModel
     tau: float
     complexes: list    # one per transversal sample
+    per_degree: list   # per sample: phi_per_degree of its leaf function
 
 
 def witten_complex(model: FoliatedModel, phi, tau) -> DeformedModel:
-    cxs = [witten_leaf_complex(model.leaf, phi_vertex_values(model, phi, v), tau)
-           for v in model.transversal]
-    return DeformedModel(model=model, tau=float(tau), complexes=cxs)
+    per_degree = [phi_per_degree(model.leaf, phi_vertex_values(model, phi, v))
+                  for v in model.transversal]
+    cxs = [witten_leaf_complex(model.leaf, weights, tau) for weights in per_degree]
+    return DeformedModel(model=model, tau=float(tau), complexes=cxs,
+                         per_degree=per_degree)
+
+
+def _weighted_betti(deformed: DeformedModel, rel_tol) -> np.ndarray:
+    out = np.zeros(deformed.model.top + 1)
+    for cx, w in zip(deformed.complexes, deformed.model.weights):
+        out += w * np.array(betti_numbers(cx, rel_tol), dtype=float)
+    return out
 
 
 def tangential_betti(model: FoliatedModel, phi=None, tau=0.0, rel_tol=1e-8) -> list:
@@ -268,49 +280,29 @@ def tangential_betti(model: FoliatedModel, phi=None, tau=0.0, rel_tol=1e-8) -> l
     if phi is None or tau == 0.0:
         per_leaf = betti_numbers(model.leaf.complex, rel_tol)
         return [float(b) for b in per_leaf]    # weights sum to 1
-    deformed = witten_complex(model, phi, tau)
-    out = np.zeros(model.top + 1)
-    for cx, w in zip(deformed.complexes, model.weights):
-        out += w * np.array(betti_numbers(cx, rel_tol), dtype=float)
-    return [float(b) for b in out]
+    return [float(b) for b in _weighted_betti(witten_complex(model, phi, tau), rel_tol)]
 
 
 def harmonic_basis(cx: CochainComplex, k, rel_tol=1e-8) -> np.ndarray:
     """Basis of Ker Delta_k, orthonormal for the Gram inner product."""
-    lap = laplacians(cx)[k]
-    if lap.shape[0] == 0:
-        return np.zeros((0, 0), complex)
-    import scipy.linalg
-    L = scipy.linalg.cholesky(cx.grams[k], lower=True)
-    linv = scipy.linalg.solve_triangular(L, np.eye(lap.shape[0], dtype=complex),
-                                         lower=True)
-    S = L.conj().T @ lap @ linv.conj().T
-    S = (S + S.conj().T) / 2
-    eigs, vecs = np.linalg.eigh(S)
-    scale = max(1.0, float(eigs.max()))
-    kernel = vecs[:, eigs < rel_tol * scale]
-    return linv.conj().T @ kernel
+    frame = cx.frame(k)
+    return frame.chol_inv.conj().T @ frame.harmonic_vectors(rel_tol)
 
 
-def intertwiner_ranks(model: FoliatedModel, phi, tau, rel_tol=1e-8):
+def intertwiner_ranks(deformed: DeformedModel, base, rel_tol=1e-8):
     """Per sample and degree: rank of U = Q_tau^H T Q_0 pairing the
-    undeformed harmonics with the deformed ones through the diagonal
-    conjugating map.  Full rank exhibits the kernel isomorphism."""
-    from . import exactla
-    base = [harmonic_basis(model.leaf.complex, k, rel_tol)
-            for k in range(model.top + 1)]
-    deformed = witten_complex(model, phi, tau)
+    undeformed harmonics ``base`` (harmonic_basis of the leaf, one per
+    degree) with the deformed ones through the diagonal conjugating map.
+    Full rank exhibits the kernel isomorphism."""
     table = []
-    for v, cx in zip(model.transversal, deformed.complexes):
-        per_deg = phi_per_degree(model.leaf, phi_vertex_values(model, phi, v))
+    for cx, per_deg in zip(deformed.complexes, deformed.per_degree):
         row = []
-        for k in range(model.top + 1):
-            q0 = base[k]
+        for k, q0 in enumerate(base):
             if q0.shape[1] == 0:
                 row.append(0)
                 continue
             qt = harmonic_basis(cx, k, rel_tol)
-            t = np.exp(-float(tau) * per_deg[k]).reshape(-1, 1)
+            t = np.exp(-deformed.tau * per_deg[k]).reshape(-1, 1)
             pairing = qt.conj().T @ cx.grams[k] @ (t * q0)
             row.append(exactla.rank(pairing, 1e-8))
         table.append(row)
@@ -322,26 +314,24 @@ def witten_betti_sweep(model: FoliatedModel, phi, taus, rel_tol=1e-8) -> dict:
     match tau = 0, the intertwiner ranks, and at tau = 0 bit-identity of
     the deformed differentials with the originals."""
     taus = [float(t) for t in taus]
-    base = tangential_betti(model, rel_tol=rel_tol)
-    base_int = betti_numbers(model.leaf.complex, rel_tol)
-    euler_ranks = model.leaf.complex.euler_characteristic()
+    leaf = model.leaf.complex
+    base_int = betti_numbers(leaf, rel_tol)
+    base = [float(b) for b in base_int]    # weights sum to 1
+    base_q = [harmonic_basis(leaf, k, rel_tol) for k in range(model.top + 1)]
+    euler_ranks = leaf.euler_characteristic()
     euler_betti = sum((-1) ** k * b for k, b in enumerate(base))
     rows = []
     all_ok = abs(euler_betti - euler_ranks) <= 1e-8
     for tau in taus:
         deformed = witten_complex(model, phi, tau)
-        betti = np.zeros(model.top + 1)
-        bit_identical = True
-        for cx, w in zip(deformed.complexes, model.weights):
-            if tau == 0.0:
-                for d0, dt in zip(model.leaf.complex.diffs, cx.diffs):
-                    if not np.array_equal(d0, dt):
-                        bit_identical = False
-            betti += w * np.array(betti_numbers(cx, rel_tol), dtype=float)
-        ranks = intertwiner_ranks(model, phi, tau, rel_tol)
+        betti = _weighted_betti(deformed, rel_tol)
+        bit_identical = tau != 0.0 or all(
+            np.array_equal(d0, dt)
+            for cx in deformed.complexes for d0, dt in zip(leaf.diffs, cx.diffs))
+        ranks = intertwiner_ranks(deformed, base_q, rel_tol)
         matches = bool(np.allclose(betti, base, rtol=0, atol=1e-8))
         ranks_ok = all(tuple(row) == tuple(base_int) for row in ranks)
-        ok = matches and ranks_ok and (tau != 0.0 or bit_identical)
+        ok = matches and ranks_ok and bit_identical
         row = {"tau": tau,
                "betti": [float(b) for b in betti],
                "matches_base": matches,
@@ -353,7 +343,7 @@ def witten_betti_sweep(model: FoliatedModel, phi, taus, rel_tol=1e-8) -> dict:
         all_ok = all_ok and ok
         rows.append(row)
     return {"model": model.name,
-            "leaf": model.leaf.complex.name,
+            "leaf": leaf.name,
             "phi": phi if isinstance(phi, str) else getattr(phi, "__name__", "custom"),
             "weights": [float(w) for w in model.weights],
             "transversal": [float(v) for v in model.transversal],

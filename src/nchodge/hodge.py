@@ -10,6 +10,8 @@ The Laplacian is self-adjoint for the Gram product but not Hermitian as a
 raw matrix, so spectra are computed after a Cholesky change of frame:
 ``G = L L^H`` turns the Gram product into the standard one via
 ``u = L^H v``, and ``S = L^H Delta L^{-H}`` is honestly Hermitian PSD.
+Each complex builds this frame once per degree, on first use, and keeps
+it for as long as the complex lives; every spectral consumer reads it.
 
 Betti numbers are computed two independent ways (harmonic kernel
 dimension vs rank--nullity of the differentials) and must agree.
@@ -31,12 +33,35 @@ from . import exactla
 from .errors import BadGram, NegativeEigenvalue, NotAComplex
 
 
+@dataclass(frozen=True)
+class HodgeFrame:
+    """Degree-k Cholesky frame: ``G = L L^H`` (``chol``), its inverse, the
+    Laplacian, ``S = L^H Delta L^{-H}`` symmetrized, and the ascending
+    ``eigvalsh`` spectrum of ``S``.  Arrays are read-only."""
+
+    laplacian: np.ndarray
+    chol: np.ndarray
+    chol_inv: np.ndarray
+    sym: np.ndarray
+    eigvals: np.ndarray
+
+    def harmonic_vectors(self, rel_tol):
+        """Orthonormal basis (in the symmetric frame) of the near-kernel
+        of ``S``, cut at ``rel_tol`` times the spectral scale."""
+        eigs, vecs = np.linalg.eigh(self.sym)
+        scale = max(1.0, float(eigs.max())) if eigs.size else 1.0
+        return vecs[:, eigs < rel_tol * scale]
+
+
 @dataclass
 class CochainComplex:
+    """Assumed immutable once built: its Hodge frames are cached on it."""
+
     dims: tuple
     diffs: list          # D_k, k = 0..m-1, shape (dims[k+1], dims[k])
     grams: list          # G_k, k = 0..m, Hermitian positive definite
     name: str = "complex"
+    _frames: list = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def top(self):
@@ -44,6 +69,13 @@ class CochainComplex:
 
     def euler_characteristic(self):
         return int(sum((-1) ** k * n for k, n in enumerate(self.dims)))
+
+    def frame(self, k) -> HodgeFrame:
+        """The degree-k Hodge frame; all degrees are built on first use."""
+        if self._frames is None:
+            self._frames = [_build_frame(self, j, lap)
+                            for j, lap in enumerate(laplacians(self))]
+        return self._frames[k]
 
 
 def _entry_to_complex(entry):
@@ -82,6 +114,8 @@ def make_complex(dims, diffs, grams=None, name="complex",
         if d.shape != (dims[k + 1], dims[k]):
             raise NotAComplex(
                 f"differential {k} has shape {d.shape}, expected {(dims[k + 1], dims[k])}")
+        if not np.all(np.isfinite(d)):
+            raise NotAComplex(f"differential {k} has non-finite entries", degree=k)
         mats.append(d)
     gs = []
     if grams is None:
@@ -100,6 +134,8 @@ def make_complex(dims, diffs, grams=None, name="complex",
             g = np.asarray(g, dtype=complex)
             if g.shape != (n, n):
                 raise BadGram(f"Gram at degree {k} has shape {g.shape}, expected {(n, n)}")
+        if not np.all(np.isfinite(g)):
+            raise BadGram(f"Gram at degree {k} has non-finite entries", degree=k)
         gs.append(g)
     cx = CochainComplex(dims=dims, diffs=mats, grams=gs, name=str(name))
     if check:
@@ -193,42 +229,37 @@ def laplacians(cx: CochainComplex) -> list:
     return out
 
 
-def _sym_frame(cx: CochainComplex, k, lap=None):
-    """Cholesky frame at degree k: returns (L, S) with G = L L^H and
-    S = L^H Delta L^{-H} Hermitian PSD."""
-    if lap is None:
-        lap = laplacians(cx)[k]
+def _build_frame(cx: CochainComplex, k, lap) -> HodgeFrame:
     n = cx.dims[k]
-    if n == 0:
-        return np.zeros((0, 0), complex), np.zeros((0, 0), complex)
-    L = scipy.linalg.cholesky(cx.grams[k], lower=True)
-    linv = scipy.linalg.solve_triangular(L, np.eye(n, dtype=complex), lower=True)
-    S = L.conj().T @ lap @ linv.conj().T
-    herm = exactla.max_abs(S - S.conj().T)
-    if herm > 1e-8 * max(1.0, exactla.max_abs(S)):
-        raise BadGram(f"symmetrized Laplacian at degree {k} is not Hermitian",
-                      degree=k, residual=herm)
-    return L, (S + S.conj().T) / 2
+    L = linv = S = np.zeros((0, 0), complex)
+    eigs = np.zeros(0)
+    if n:
+        L = scipy.linalg.cholesky(cx.grams[k], lower=True)
+        linv = scipy.linalg.solve_triangular(L, np.eye(n, dtype=complex), lower=True)
+        S = L.conj().T @ lap @ linv.conj().T
+        herm = exactla.max_abs(S - S.conj().T)
+        if herm > 1e-8 * max(1.0, exactla.max_abs(S)):
+            raise BadGram(f"symmetrized Laplacian at degree {k} is not Hermitian",
+                          degree=k, residual=herm)
+        S = (S + S.conj().T) / 2
+        eigs = np.linalg.eigvalsh(S)
+    for arr in (lap, L, linv, S, eigs):
+        arr.setflags(write=False)
+    return HodgeFrame(laplacian=lap, chol=L, chol_inv=linv, sym=S, eigvals=eigs)
 
 
 def laplacian_spectra(cx: CochainComplex) -> list:
     """Ascending real eigenvalues of each degree's Laplacian."""
-    laps = laplacians(cx)
-    out = []
-    for k in range(cx.top + 1):
-        _, S = _sym_frame(cx, k, laps[k])
-        out.append(np.linalg.eigvalsh(S) if S.size else np.zeros(0))
-    return out
+    return [cx.frame(k).eigvals for k in range(cx.top + 1)]
 
 
 def betti_numbers(cx: CochainComplex, rel_tol=1e-9):
     """Betti numbers by two routes that must agree: dimension of the
     near-kernel of the Laplacian, and rank--nullity of the differentials."""
-    spectra = laplacian_spectra(cx)
     ranks = [exactla.rank(d, rel_tol) for d in cx.diffs]
     out = []
     for k in range(cx.top + 1):
-        eigs = spectra[k]
+        eigs = cx.frame(k).eigvals
         scale = max(1.0, float(eigs.max())) if eigs.size else 1.0
         harmonic = int(np.sum(eigs < rel_tol * scale))
         r_out = ranks[k] if k < cx.top else 0
@@ -248,11 +279,10 @@ def decompose(cx: CochainComplex, k, v, rel_tol=1e-9):
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.shape[0] != cx.dims[k]:
         raise NotAComplex(f"cochain length {v.shape[0]} != dim {cx.dims[k]} at degree {k}")
-    L, S = _sym_frame(cx, k)
+    frame = cx.frame(k)
+    L = frame.chol
     u = L.conj().T @ v
-    eigs, vecs = np.linalg.eigh(S)
-    scale = max(1.0, float(eigs.max())) if eigs.size else 1.0
-    hvecs = vecs[:, eigs < rel_tol * scale]
+    hvecs = frame.harmonic_vectors(rel_tol)
     proj_h = hvecs @ (hvecs.conj().T @ u)
     proj_e = np.zeros_like(u)
     if k >= 1 and cx.dims[k - 1]:
@@ -261,30 +291,37 @@ def decompose(cx: CochainComplex, k, v, rel_tol=1e-9):
         proj_e = q @ (q.conj().T @ u)
     proj_c = np.zeros_like(u)
     if k < cx.top and cx.dims[k + 1]:
-        lup = scipy.linalg.cholesky(cx.grams[k + 1], lower=True)
+        lup = cx.frame(k + 1).chol
         N = scipy.linalg.solve_triangular(L, cx.diffs[k].conj().T @ lup, lower=True)
         q = scipy.linalg.orth(N, rcond=rel_tol)
         proj_c = q @ (q.conj().T @ u)
     resid = exactla.max_abs(proj_h + proj_e + proj_c - u)
     if resid > 1e-8 * max(1.0, exactla.max_abs(u)):
         raise AssertionError(f"Hodge pieces do not re-sum at degree {k} (residual {resid})")
+    # not frame.chol_inv: the two inverses differ in the last bits, and the
+    # selftest report prints residuals of these pieces
     linvh = np.linalg.inv(L.conj().T)
     return linvh @ proj_h, linvh @ proj_e, linvh @ proj_c
+
+
+def _nonzero_spectrum(eigs, rel_tol):
+    """Eigenvalues above the near-kernel cut; a negative one is an error."""
+    eigs = np.asarray(eigs, dtype=float)
+    if eigs.size == 0:
+        return eigs
+    scale = max(1.0, float(eigs.max()))
+    if np.any(eigs < -rel_tol * scale):
+        raise NegativeEigenvalue(
+            "Laplacian spectrum has a negative eigenvalue",
+            value=float(eigs.min()), cutoff=-rel_tol * scale)
+    return eigs[eigs > rel_tol * scale]
 
 
 def zeta_det(eigs, rel_tol=1e-10) -> float:
     """Regularized determinant: product of the eigenvalues above the
     near-kernel cut.  Empty or all-kernel spectra give 1.  Computed twice
     (plain product and exp of log-sum) and cross-checked."""
-    eigs = np.asarray(eigs, dtype=float)
-    if eigs.size == 0:
-        return 1.0
-    scale = max(1.0, float(eigs.max()))
-    if np.any(eigs < -rel_tol * scale):
-        raise NegativeEigenvalue(
-            "Laplacian spectrum has a negative eigenvalue",
-            value=float(eigs.min()), cutoff=-rel_tol * scale)
-    positive = eigs[eigs > rel_tol * scale]
+    positive = _nonzero_spectrum(eigs, rel_tol)
     if positive.size == 0:
         return 1.0
     direct = float(np.prod(positive))
@@ -296,15 +333,7 @@ def zeta_det(eigs, rel_tol=1e-10) -> float:
 
 
 def zeta_log_det(eigs, rel_tol=1e-10) -> float:
-    eigs = np.asarray(eigs, dtype=float)
-    if eigs.size == 0:
-        return 0.0
-    scale = max(1.0, float(eigs.max()))
-    if np.any(eigs < -rel_tol * scale):
-        raise NegativeEigenvalue(
-            "Laplacian spectrum has a negative eigenvalue",
-            value=float(eigs.min()), cutoff=-rel_tol * scale)
-    positive = eigs[eigs > rel_tol * scale]
+    positive = _nonzero_spectrum(eigs, rel_tol)
     return float(np.sum(np.log(positive))) if positive.size else 0.0
 
 

@@ -34,9 +34,8 @@ import numpy as np
 import scipy.linalg
 
 from . import exactla
-from .errors import (DegreeOutOfWindow, NonUnitRootEigenvalue,
-                     NumericalRankAmbiguous, PolynomialRelationViolated,
-                     SingularOnComplement)
+from .errors import (NonUnitRootEigenvalue, NumericalRankAmbiguous,
+                     PolynomialRelationViolated, SingularOnComplement)
 from .exactla import harmonic_crt_poly, karoubi_annihilator, matmul, to_complex
 from .forms import Form, FormsWindow, operator_matrices
 
@@ -320,10 +319,8 @@ def spectral_report(window: FormsWindow, degrees=None, *, cluster_tol=1e-8,
                                    "min_singular_on_complement": min_sing},
         }
         if 1 <= n <= n_max - 2:
-            up = window._spectral_cache.get(n + 1) or spectral_data(window, n + 1)
-            dn_ = window._spectral_cache.get(n - 1) or spectral_data(window, n - 1)
-            dP = matmul(D[n - 1], dn_.P)
-            bP = matmul(B[n + 1], up.P)
+            dP = matmul(D[n - 1], spectral_data(window, n - 1).P)
+            bP = matmul(B[n + 1], spectral_data(window, n + 1).P)
             span = _column_space_rank([dP, bP], rank_tol)
             contained = _column_space_rank([to_complex(Pp), np.concatenate(
                 [to_complex(dP), to_complex(bP)], axis=1)], rank_tol) == rank_pp

@@ -81,6 +81,8 @@ def test_json_roundtrip(tmp_path):
     assert b.dim == a.dim
     assert np.array_equal(b.structure, a.structure)
     assert np.array_equal(b.unit, a.unit)
+    assert b.name == a.name == "dual-numbers"
+    assert nc.load_algebra(nc.builtin_algebra("z3").to_json()).name == "z3"
 
 
 def test_scalar_mode_override_on_load(tmp_path):

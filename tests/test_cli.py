@@ -115,3 +115,25 @@ def test_selftest_quick(tmp_path, capsys):
     assert table.count("PASS") == 12
     rep = json.loads(out.read_text())
     assert rep["passed"] and len(rep["criteria"]) == 12
+
+
+@pytest.mark.parametrize("flag,command", [
+    ("--algebra", ["nc-report", "--nmax", "2"]),
+    ("--complex", ["hodge"]),
+    ("--model", ["witten-sweep"]),
+])
+def test_non_object_json_is_input_error(tmp_path, capsys, flag, command):
+    src = tmp_path / "list.json"
+    src.write_text("[1, 2]")
+    assert run(command + [flag, str(src)]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["code"] == "cli/InputError"
+
+
+def test_nan_differential_is_structured_error(tmp_path, capsys):
+    src = tmp_path / "nan.json"
+    src.write_text('{"dims": [2, 1], "differentials": [[[NaN, 1.0]]]}')
+    assert run(["hodge", "--complex", str(src)]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["code"] == "hodge-classical/NotAComplex"
+    assert payload["context"]["degree"] == 0

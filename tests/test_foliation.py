@@ -3,8 +3,9 @@ import pytest
 
 import nchodge as nc
 from nchodge.errors import BadWeights, LeafTooSmall, ShapeMismatch
-from nchodge.foliation import (builtin_model, intertwiner_ranks, load_model,
-                               make_model, model_to_json, phi_vertex_values,
+from nchodge.foliation import (builtin_model, harmonic_basis,
+                               intertwiner_ranks, load_model, make_model,
+                               model_to_json, phi_vertex_values,
                                witten_complex)
 
 
@@ -59,7 +60,8 @@ def test_witten_preserves_complex_property():
 
 def test_intertwiner_ranks_equal_betti():
     model = builtin_model("torus-leaves")
-    ranks = intertwiner_ranks(model, "cos-hv", 5.0)
+    base = [harmonic_basis(model.leaf.complex, k) for k in range(3)]
+    ranks = intertwiner_ranks(witten_complex(model, "cos-hv", 5.0), base)
     for per_leaf in ranks:
         assert per_leaf == [1, 2, 1]
 
@@ -97,3 +99,19 @@ def test_model_json_roundtrip(tmp_path):
     assert tuple(back.leaf.complex.dims) == tuple(model.leaf.complex.dims)
     assert np.allclose(back.weights, model.weights)
     assert np.allclose(back.transversal, model.transversal)
+
+
+def test_sweep_builds_each_deformed_leaf_once(monkeypatch):
+    from nchodge import foliation
+    built = []
+    original = foliation.witten_leaf_complex
+
+    def counting(*args, **kwargs):
+        built.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(foliation, "witten_leaf_complex", counting)
+    model = builtin_model("circle-leaves")
+    taus = (0.0, 1.0, 5.0)
+    assert nc.witten_betti_sweep(model, "cos-h", taus)["passed"]
+    assert len(built) == len(model.transversal) * len(taus) == 4 * len(taus)

@@ -85,6 +85,9 @@ def test_not_a_complex_rejected():
     d1 = np.array([[1.0]])
     with pytest.raises(NotAComplex):
         nc.make_complex((1, 1, 1), [d0, d1])
+    with pytest.raises(NotAComplex, match="differential 0") as exc:
+        nc.make_complex((2, 1), [np.array([[np.nan, 1.0]])])
+    assert exc.value.context["degree"] == 0
 
 
 def test_bad_gram_rejected():
@@ -93,6 +96,9 @@ def test_bad_gram_rejected():
         nc.make_complex((2, 1), [d0], [np.array([[1.0, 2.0], [0.0, 1.0]]), 1.0])
     with pytest.raises(BadGram):
         nc.make_complex((2, 1), [d0], [np.diag([1.0, -1.0]), 1.0])
+    with pytest.raises(BadGram, match="degree 1") as exc:
+        nc.make_complex((2, 1), [d0], [None, np.array([[np.inf]])])
+    assert exc.value.context["degree"] == 1
 
 
 def test_zeta_det_guards():
@@ -113,3 +119,39 @@ def test_complex_json_roundtrip(tmp_path):
     assert np.allclose(back.grams[0], cx.grams[0])
     assert nc.rs_torsion(back)["log_torsion"] == pytest.approx(
         nc.rs_torsion(cx)["log_torsion"], abs=1e-12)
+
+
+def _counting(monkeypatch, owner, attr):
+    calls = []
+    original = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        calls.append(attr)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, wrapper)
+    return calls
+
+
+def test_torsion_builds_each_frame_once(monkeypatch):
+    import scipy.linalg
+    from nchodge import hodge
+    cx = nc.twisted_circle_complex(8, -1.0)
+    laps = _counting(monkeypatch, hodge, "laplacians")
+    chols = _counting(monkeypatch, scipy.linalg, "cholesky")
+    eigs = _counting(monkeypatch, np.linalg, "eigvalsh")
+    nc.rs_torsion(cx)
+    nc.laplacian_spectra(cx)
+    assert len(laps) == 1
+    assert len(chols) == len(eigs) == cx.top + 1
+
+
+def test_frames_do_not_outlive_their_complex():
+    import gc
+    import weakref
+    cx = nc.twisted_circle_complex(8, -1.0)
+    ref = weakref.ref(cx.frame(0))
+    assert not ref().eigvals.flags.writeable
+    del cx
+    gc.collect()
+    assert ref() is None
