@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import exactla
-from .errors import (AssociativityViolation, DimMismatch, ShapeMismatch,
-                     UnitViolation)
+from .errors import (AssociativityViolation, DimMismatch, NonFiniteEntry,
+                     ShapeMismatch, UnitViolation)
 from .scalars import RATIONAL, ScalarField, field_for
 
 
@@ -68,9 +68,6 @@ class Algebra:
             vec = self.field.array(list(spec))
         return vec
 
-    def unit_element(self) -> np.ndarray:
-        return self.unit.copy()
-
     def _check_vec(self, x) -> np.ndarray:
         x = np.asarray(x)
         if x.shape != (self.dim,):
@@ -84,20 +81,6 @@ class Algebra:
                                self.structure.reshape(self.dim, self.dim * self.dim))
         tmp = np.dot(x, self._mul_flat).reshape(self.dim, self.dim)
         return np.dot(y, tmp)
-
-    def reduce(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates of x modulo the scalar line, in the complement basis."""
-        x = self._check_vec(x)
-        return np.dot(self.change_inv, x)[1:]
-
-    def section(self, r: np.ndarray) -> np.ndarray:
-        """The canonical representative in A of a reduced vector."""
-        r = np.asarray(r)
-        if r.shape != (self.dim - 1,):
-            raise DimMismatch(f"reduced vector has shape {r.shape}, expected ({self.dim - 1},)")
-        full = self.field.zeros((self.dim,))
-        full[1:] = r
-        return np.dot(self.change, full)
 
     def norm_mul(self, i: int, j: int) -> np.ndarray:
         """Product of unit-first basis vectors i and j, in unit-first coords."""
@@ -142,6 +125,12 @@ def make_algebra(dim, basis_labels, structure, unit, scalar_mode=RATIONAL, *,
     u = unit if isinstance(unit, np.ndarray) and unit.dtype == field.dtype else field.array(unit)
     if u.shape != (dim,):
         raise ShapeMismatch(f"unit has shape {u.shape}, expected ({dim},)")
+    if not field.exact:
+        for key, arr in (("unit", u), ("mul", c)):
+            bad = np.argwhere(~np.isfinite(exactla.to_complex(arr))).tolist()
+            if bad:
+                raise NonFiniteEntry(f"algebra {key} has a non-finite entry at {bad[0]}",
+                                     key=key, index=bad[0])
 
     if check:
         _check_unit(field, c, u, labels)
@@ -235,18 +224,24 @@ def load_algebra(source, scalar_mode=None) -> Algebra:
     # rational [num, den] pair is never misread as a float [re, im] pair
     stored_mode = data.get("scalars", RATIONAL)
     stored = field_for(stored_mode)
-    unit = stored.matrix_from_json(unit_json, (dim,))
-    mul = stored.matrix_from_json(mul_json, (dim, dim, dim))
     mode = scalar_mode or stored_mode
-    if mode != stored_mode:
-        field = field_for(mode)
-        if field.exact:
-            conv = np.vectorize(field.coerce, otypes=[object])
-            unit, mul = conv(unit), conv(mul)
-        else:
-            unit, mul = exactla.to_complex(unit), exactla.to_complex(mul)
+    field = field_for(mode)
+    unit = _parse_entries(stored, field, "unit", unit_json, (dim,))
+    mul = _parse_entries(stored, field, "mul", mul_json, (dim, dim, dim))
     return make_algebra(dim, basis, mul, unit, scalar_mode=mode,
                         name=data.get("name", default_name))
+
+
+def _parse_entries(stored, field, key, node, shape) -> np.ndarray:
+    """Parse one tensor in the stored mode, then convert it to ``field``."""
+    try:
+        arr = stored.matrix_from_json(node, shape)
+        if field is not stored:
+            arr = np.vectorize(field.coerce, otypes=[object])(arr) if field.exact \
+                else exactla.to_complex(arr)
+        return arr
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ShapeMismatch(f"algebra key {key!r} does not parse: {exc}", key=key) from None
 
 
 # -- stock algebras ------------------------------------------------------------

@@ -40,6 +40,10 @@ class UnitViolation(NCHodgeError):
     code = "algebra-core/UnitViolation"
 
 
+class NonFiniteEntry(NCHodgeError):
+    code = "algebra-core/NonFiniteEntry"
+
+
 # -- form windows ----------------------------------------------------------
 
 class WindowTooLarge(NCHodgeError):

@@ -8,7 +8,8 @@ element is stored as the index word ``(i0, ..., in)`` and the basis is
 ordered lexicographically in that word.  In the familiar notation the word
 is the form ``a0*da1*...*dan``.
 
-Operators on the window, one dense block per degree:
+Each operator and the product are defined once, on basis words; one loop
+extends them linearly to forms and to the dense blocks, one per degree:
 
 * ``d``      -- ``a0 da1..dan  ->  1 da0 da1..dan`` (dies when a0 = 1),
 * ``b``      -- Hochschild boundary
@@ -17,16 +18,18 @@ Operators on the window, one dense block per degree:
   ``(-1)^n (an, a0,..,a{n-1}) + (-1)^{n-1} (1, an*a0, a1,..,a{n-1})``,
   the identity on degree 0,
 * ``N``      -- multiplies degree n by n,
+* ``bd``, ``db`` -- b*d and d*b, formed once per degree below the top,
 * ``one_minus_k`` -- I - k; on degrees below the window top it equals
   bd + db (``window_identity_residuals`` reports the residual),
-* ``L``      -- the rescaled Laplacian  b(Nd) + (Nd)b, assembled from the
-  products bd and db, each formed once per degree.
+* ``L``      -- the rescaled Laplacian  b(Nd) + (Nd)b = (n+1) bd + n db.
 
 The product of forms follows the graded Leibniz pattern of moving the left
 factor's trailing differential across the right factor:
 
     (a0 da1..dan) * (a{n+1} da{n+2}..dam)
-        = sum_{i=0..n} (-1)^{n-i} (a0, .., a_i*a_{i+1}, .., am).
+        = sum_{i=0..n} (-1)^{n-i} (a0, .., a_i*a_{i+1}, .., am),
+
+expanded over the nonzero coefficient pairs of the factors (no table).
 
 Identities involving only degree-preserving operators hold on every window
 degree; identities that pass through ``d`` hold on degrees up to
@@ -154,7 +157,6 @@ class FormsWindow:
             self.bases.append(words)
             self.index.append({w: i for i, w in enumerate(words)})
         self._ops = None
-        self._prod_tables = {}
         self._spectral_cache = {}
 
     # -- bookkeeping -----------------------------------------------------------
@@ -256,44 +258,29 @@ class FormsWindow:
                     out.append((sign * cm, head + (m,) + tail))
         return out
 
-    # -- linear extensions ---------------------------------------------------------
+    # -- linear extension ----------------------------------------------------------
+
+    def _accumulate(self, m, terms):
+        """Degree-m vector: the sum of ``coeff * val`` at ``word`` over
+        ``terms``, an iterable of (coeff, [(val, word), ...]) pairs."""
+        vec = self.zero_vector(m)
+        target_index = self.index[m]
+        for coeff, expansion in terms:
+            for val, word in expansion:
+                vec[target_index[word]] += coeff * val
+        return vec
 
     def _apply_words(self, form, expand, shift, *, top=None):
         out = {}
         for n, vec in form.components.items():
             self.check_degree(n, top=top)
             m = n + shift
-            if m < 0:
-                continue
-            if m not in out:
-                out[m] = self.zero_vector(m)
-            target_index = self.index[m]
-            for col, coeff in enumerate(vec):
-                if coeff == 0:
-                    continue
-                for val, word in expand(self.bases[n][col]):
-                    out[m][target_index[word]] += coeff * val
+            if m >= 0:
+                words = self.bases[n]
+                out[m] = self._accumulate(m, ((coeff, expand(words[col]))
+                                              for col, coeff in enumerate(vec)
+                                              if coeff != 0))
         return Form(out)
-
-    def product_table(self, p, q) -> np.ndarray:
-        """Bilinear product as a (dims[p+q], dims[p]*dims[q]) matrix acting on
-        the flattened outer product of coefficient vectors."""
-        key = (p, q)
-        tbl = self._prod_tables.get(key)
-        if tbl is not None:
-            return tbl
-        self.check_degree(p + q)
-        rows, cols = self.degree_dims[p + q], self.degree_dims[p] * self.degree_dims[q]
-        tbl = self.field.zeros((rows, cols))
-        target_index = self.index[p + q]
-        nq = self.degree_dims[q]
-        for iu, wu in enumerate(self.bases[p]):
-            for iv, wv in enumerate(self.bases[q]):
-                col = iu * nq + iv
-                for val, word in self._mul_words(wu, wv):
-                    tbl[target_index[word], col] += val
-        self._prod_tables[key] = tbl
-        return tbl
 
 
 def build_window(algebra: Algebra, n_max: int, cap=None) -> FormsWindow:
@@ -319,26 +306,26 @@ def multiply_forms(window: FormsWindow, u: Form, v: Form) -> Form:
             f"product degree {degs_u[-1] + degs_v[-1]} exceeds window top {window.n_max}")
     out = {}
     for p in degs_u:
-        up = u.components[p]
+        up, left = u.components[p], window.bases[p]
         for q in degs_v:
-            vq = v.components[q]
-            tbl = window.product_table(p, q)
-            res = exactla.matmul(tbl, np.outer(up, vq).reshape(-1))
+            vq, right = v.components[q], window.bases[q]
+            pairs = ((ui * vj, window._mul_words(left[i], right[j]))
+                     for i, ui in enumerate(up) if ui != 0
+                     for j, vj in enumerate(vq) if vj != 0)
             m = p + q
+            res = window._accumulate(m, pairs)
             out[m] = out[m] + res if m in out else res
     return Form(out)
 
 
 def _assemble_blocks(window, expand, shift, degrees):
+    one = window.field.one
     blocks = {}
     for n in degrees:
         m = n + shift
-        rows, cols = window.degree_dims[m], window.degree_dims[n]
-        blk = window.field.zeros((rows, cols))
-        target_index = window.index[m]
+        blk = window.field.zeros((window.degree_dims[m], window.degree_dims[n]))
         for col, word in enumerate(window.bases[n]):
-            for val, out_word in expand(word):
-                blk[target_index[out_word], col] += val
+            blk[:, col] = window._accumulate(m, [(one, expand(word))])
         blocks[n] = blk
     return blocks
 
@@ -352,6 +339,11 @@ def operator_matrices(window: FormsWindow) -> dict:
     d_blocks = _assemble_blocks(window, window._d_word, +1, range(n_max))
     b_blocks = _assemble_blocks(window, window._b_word, -1, range(1, n_max + 1))
     k_blocks = _assemble_blocks(window, window._k_word, 0, range(n_max + 1))
+    # formed once; L, the identity residuals and the spectral report read
+    # them.  Not on the window top: db there serves one residual only, and
+    # forming it would slow every spectral run, which never needs it.
+    bd_blocks = {n: exactla.matmul(b_blocks[n + 1], d_blocks[n]) for n in range(n_max)}
+    db_blocks = {n: exactla.matmul(d_blocks[n - 1], b_blocks[n]) for n in range(1, n_max)}
 
     n_blocks, omk_blocks, l_blocks = {}, {}, {}
     for n in range(n_max + 1):
@@ -360,9 +352,9 @@ def operator_matrices(window: FormsWindow) -> dict:
         n_blocks[n] = eye * n if n else field.zeros((dim_n, dim_n))
         omk_blocks[n] = eye - k_blocks[n]
         if n < n_max:
-            lnd = exactla.matmul(b_blocks[n + 1], d_blocks[n]) * (n + 1)
+            lnd = bd_blocks[n] * (n + 1)
             if n >= 1:
-                lnd = lnd + exactla.matmul(d_blocks[n - 1], b_blocks[n]) * n
+                lnd = lnd + db_blocks[n] * n
             l_blocks[n] = lnd
 
     window._ops = {
@@ -371,6 +363,8 @@ def operator_matrices(window: FormsWindow) -> dict:
         "k": GradedOperator("k", 0, k_blocks),
         "N": GradedOperator("N", 0, n_blocks),
         "one_minus_k": GradedOperator("one_minus_k", 0, omk_blocks),
+        "bd": GradedOperator("bd", 0, bd_blocks),
+        "db": GradedOperator("db", 0, db_blocks),
         "L": GradedOperator("L", 0, l_blocks),
     }
     return window._ops
@@ -385,7 +379,7 @@ def window_identity_residuals(window: FormsWindow) -> dict:
     """
     ops = operator_matrices(window)
     D, B, K = ops["d"].blocks, ops["b"].blocks, ops["k"].blocks
-    OMK = ops["one_minus_k"].blocks
+    OMK, BD, DB = ops["one_minus_k"].blocks, ops["bd"].blocks, ops["db"].blocks
     n_max = window.n_max
     out = {}
 
@@ -398,9 +392,9 @@ def window_identity_residuals(window: FormsWindow) -> dict:
     for n in range(2, n_max + 1):
         record("b_squared", n, exactla.matmul(B[n - 1], B[n]))
     for n in range(n_max):
-        lap = exactla.matmul(B[n + 1], D[n])
+        lap = BD[n]
         if n >= 1:
-            lap = lap + exactla.matmul(D[n - 1], B[n])
+            lap = lap + DB[n]
         record("laplacian_is_one_minus_k", n, lap - OMK[n])
         record("kd_commute", n, exactla.matmul(K[n + 1], D[n]) - exactla.matmul(D[n], K[n]))
     for n in range(1, n_max + 1):
@@ -429,7 +423,8 @@ def window_identity_residuals(window: FormsWindow) -> dict:
             record("k_pow_n", n, kp[n] - eye - bknd)
         m = kp[n + 1] - eye
         if n >= 1:
-            m = m + exactla.matmul(D[n - 1], B[n])
+            # the only relation that needs db on the window top
+            m = m + (DB[n] if n < n_max else exactla.matmul(D[n - 1], B[n]))
         record("k_pow_n_plus_one", n, m)
         record("cyclic_annihilator", n, exactla.matmul(kp[n] - eye, kp[n + 1] - eye))
     return out

@@ -254,6 +254,7 @@ def spectral_report(window: FormsWindow, degrees=None, *, cluster_tol=1e-8,
     invariant the decomposition is supposed to satisfy."""
     ops = operator_matrices(window)
     D, B, K = ops["d"].blocks, ops["b"].blocks, ops["k"].blocks
+    BD, DB = ops["bd"].blocks, ops["db"].blocks
     n_max = window.n_max
     if degrees is None:
         degrees = range(n_max)
@@ -280,9 +281,9 @@ def spectral_report(window: FormsWindow, degrees=None, *, cluster_tol=1e-8,
             return {"exact_zero": bool(exactla.is_zero_matrix(mat)),
                     "max_abs": exactla.max_abs(mat)}
 
-        Xc = matmul(matmul(G, matmul(D[n - 1], B[n])), Pp) if n >= 1 \
+        Xc = matmul(matmul(G, DB[n]), Pp) if n >= 1 \
             else window.field.zeros((dim, dim))
-        Yc = matmul(matmul(G, matmul(B[n + 1], D[n])), Pp)
+        Yc = matmul(matmul(G, BD[n]), Pp)
         residuals = {
             "P_idempotent": res(matmul(P, P) - P),
             "P_commutes_k": res(matmul(P, K[n]) - matmul(K[n], P)),

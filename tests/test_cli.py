@@ -137,3 +137,35 @@ def test_nan_differential_is_structured_error(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err)
     assert payload["code"] == "hodge-classical/NotAComplex"
     assert payload["context"]["degree"] == 0
+
+
+def test_one_dimensional_algebra(tmp_path):
+    src = tmp_path / "one.json"
+    src.write_text('{"dim": 1, "basis": ["e"], "unit": [1], "mul": [[[1]]]}')
+    for command in ("nc-report", "spectral"):
+        out = tmp_path / f"{command}.json"
+        assert run([command, "--algebra", str(src), "--nmax", "3",
+                    "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["passed"] and rep["degree_dims"] == [1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("fields,scalar,code,key", [
+    ('"unit": [1, 0], "mul": 5', "rational", "ShapeMismatch", "mul"),
+    ('"unit": [[1, 0], 0], "mul": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]',
+     "rational", "ShapeMismatch", "unit"),
+    ('"unit": ["a", 0], "mul": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]',
+     "rational", "ShapeMismatch", "unit"),
+    ('"scalars": "float", "unit": [1, 0], '
+     '"mul": [[[1, 0], [0, 1]], [[0, 1], [NaN, 0]]]',
+     "float", "NonFiniteEntry", "mul"),
+])
+def test_malformed_algebra_is_structured_error(tmp_path, capsys, fields,
+                                               scalar, code, key):
+    src = tmp_path / "alg.json"
+    src.write_text('{"dim": 2, "basis": ["1", "x"], %s}' % fields)
+    assert run(["nc-report", "--algebra", str(src), "--nmax", "2",
+                "--scalar", scalar]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["code"] == "algebra-core/" + code
+    assert payload["context"]["key"] == key

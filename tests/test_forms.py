@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nchodge as nc
+from nchodge import exactla, spectral
 from nchodge.errors import DegreeOutOfWindow, WindowTooLarge
 from nchodge.forms import DEFAULT_DIM_CAP, dimension_cap
 
@@ -114,3 +115,64 @@ def test_float_window_residuals_small():
     res = nc.window_identity_residuals(w)
     worst = max(v for rows in res.values() for _, _, v in rows)
     assert worst < 1e-12
+
+
+def _random_form(w, rng, degree):
+    return nc.Form({degree: w.field.array(
+        [int(c) for c in rng.integers(-2, 3, w.degree_dims[degree])])})
+
+
+def test_form_operators_need_no_dense_matmul(monkeypatch):
+    w = nc.build_window(nc.builtin_algebra("z3"), 4)
+    nc.operator_matrices(w)
+
+    def refuse(a, b):
+        raise AssertionError("a form operator went through a dense matmul")
+
+    monkeypatch.setattr(exactla, "matmul", refuse)
+    rng = np.random.default_rng(3)
+    for p in range(w.n_max + 1):
+        u = _random_form(w, rng, p)
+        for q in range(w.n_max - p + 1):
+            nc.multiply_forms(w, u, _random_form(w, rng, q))
+        nc.apply_b(w, u)
+        nc.apply_k(w, u)
+        if p < w.n_max:
+            nc.apply_d(w, u)
+
+
+def test_bd_and_db_are_formed_once_per_degree(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return np.dot(a, b)
+
+    monkeypatch.setattr(exactla, "matmul", counting)
+    monkeypatch.setattr(spectral, "matmul", counting)
+    w = nc.build_window(nc.builtin_algebra("z3"), 3)
+    ops = nc.operator_matrices(w)
+    nc.window_identity_residuals(w)
+    nc.spectral_report(w)
+    D, B = ops["d"].blocks, ops["b"].blocks
+    for n in range(w.n_max):
+        assert sum(a is B[n + 1] and b is D[n] for a, b in calls) == 1, n
+    for n in range(1, w.n_max + 1):
+        assert sum(a is D[n - 1] and b is B[n] for a, b in calls) == 1, n
+
+
+@pytest.mark.parametrize("name,n_max", [("z3", 3), ("m2", 2)])
+def test_product_matches_algebra_and_unit(name, n_max):
+    alg = nc.builtin_algebra(name)
+    w = nc.build_window(alg, n_max)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        a, b = (alg.field.array([int(c) for c in rng.integers(-3, 4, alg.dim)])
+                for _ in range(2))
+        prod = nc.multiply_forms(w, w.form_from_element(a), w.form_from_element(b))
+        assert prod == w.form_from_element(alg.multiply(a, b))
+    one = w.form_from_element(alg.unit)
+    for n in range(n_max + 1):
+        u = _random_form(w, rng, n)
+        assert nc.multiply_forms(w, one, u) == u
+        assert nc.multiply_forms(w, u, one) == u
