@@ -79,8 +79,8 @@ class Algebra:
         if self._mul_flat is None:
             object.__setattr__(self, "_mul_flat",
                                self.structure.reshape(self.dim, self.dim * self.dim))
-        tmp = np.dot(x, self._mul_flat).reshape(self.dim, self.dim)
-        return np.dot(y, tmp)
+        tmp = exactla.matmul(x, self._mul_flat).reshape(self.dim, self.dim)
+        return exactla.matmul(y, tmp)
 
     def norm_mul(self, i: int, j: int) -> np.ndarray:
         """Product of unit-first basis vectors i and j, in unit-first coords."""
@@ -155,10 +155,10 @@ def make_algebra(dim, basis_labels, structure, unit, scalar_mode=RATIONAL, *,
     norm = field.zeros((dim, dim, dim))
     for a in range(dim):
         xa = change[:, a]
-        tmp = np.dot(xa, mul_flat).reshape(dim, dim)
+        tmp = exactla.matmul(xa, mul_flat).reshape(dim, dim)
         for b in range(dim):
-            prod = np.dot(change[:, b], tmp)
-            norm[a, b] = np.dot(change_inv, prod)
+            prod = exactla.matmul(change[:, b], tmp)
+            norm[a, b] = exactla.matmul(change_inv, prod)
 
     norm_labels = ("1",) + tuple(labels[i] for i in complement)
     return Algebra(dim=dim, basis_labels=labels, field=field, structure=c,
@@ -171,14 +171,14 @@ def _check_unit(field, c, u, labels):
     dim = len(u)
     tol = 0.0 if field.exact else 1e-12 * max(1.0, exactla.max_abs(c))
     mul_flat = c.reshape(dim, dim * dim)
-    left = np.dot(u, mul_flat).reshape(dim, dim)       # left[j] = u * e_j
+    left = exactla.matmul(u, mul_flat).reshape(dim, dim)   # left[j] = u * e_j
     for j in range(dim):
         ej = field.zeros((dim,))
         ej[j] = field.one
         if not exactla.is_zero_matrix(left[j] - ej, tol):
             raise UnitViolation(f"unit fails 1*{labels[j]} = {labels[j]}",
                                 side="left", index=j)
-        right = np.dot(u, np.dot(ej, mul_flat).reshape(dim, dim))
+        right = exactla.matmul(u, exactla.matmul(ej, mul_flat).reshape(dim, dim))
         if not exactla.is_zero_matrix(right - ej, tol):
             raise UnitViolation(f"unit fails {labels[j]}*1 = {labels[j]}",
                                 side="right", index=j)
@@ -187,13 +187,14 @@ def _check_unit(field, c, u, labels):
 def _check_associativity(field, c, labels):
     dim = c.shape[0]
     tol = 0.0 if field.exact else 1e-12 * max(1.0, exactla.max_abs(c)) ** 3
+    pairs = c.reshape(dim * dim, dim)   # row (j, k): e_j e_k
+    right = c.reshape(dim, dim * dim)   # row l: e_l e_k over k
     for i in range(dim):
+        lhs = exactla.matmul(c[i], right).reshape(dim, dim, dim)   # [j, k] = (e_i e_j) e_k
+        rhs = exactla.matmul(pairs, c[i]).reshape(dim, dim, dim)   # [j, k] = e_i (e_j e_k)
         for j in range(dim):
-            cij = c[i, j]                       # e_i e_j in coordinates
             for k in range(dim):
-                lhs = np.dot(cij, c[:, k, :])   # (e_i e_j) e_k
-                rhs = np.dot(c[j, k], c[i, :, :])   # e_i (e_j e_k)
-                diff = lhs - rhs
+                diff = lhs[j, k] - rhs[j, k]
                 if not exactla.is_zero_matrix(diff, tol):
                     coord = next(l for l in range(dim) if diff[l] != 0) \
                         if field.exact else int(np.argmax(np.abs(exactla.to_complex(diff))))

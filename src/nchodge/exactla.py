@@ -1,4 +1,4 @@
-"""Dense linear algebra over exact object matrices and complex floats.
+"""Linear algebra over exact object matrices and complex floats.
 
 Exact matrices are numpy object arrays with ``Fraction`` or
 ``GaussianRational`` entries; float matrices are ``complex128``.  The same
@@ -6,6 +6,13 @@ helpers accept both and dispatch on dtype: exact inputs go through
 fraction-preserving Gaussian elimination, float inputs through numpy's SVD
 based routines.  Ranks and kernels computed on exact input are therefore
 *exact* integers, which several invariants in this package rely on.
+
+The exact matrix product is driven by the nonzero entries: the operator
+blocks of a forms window are mostly zero, so only products of two nonzero
+entries are formed.  Each result entry has the type ``np.dot`` would give it
+(a zero no term reaches is a typed zero of the promoted entry type), so
+exact reports do not depend on which product ran.  Float products are
+``np.dot``.
 
 Also hosts the small dense polynomial arithmetic (Fraction coefficients,
 low-to-high lists) used to build annihilating-polynomial projections.
@@ -22,9 +29,46 @@ def is_exact(mat: np.ndarray) -> bool:
     return mat.dtype == object
 
 
+def _zero_of(values):
+    """A zero of the type that sums of products with ``values`` promote to
+    (int 0 for no values, as ``np.dot`` gives over an empty inner axis)."""
+    return sum(t(0) for t in set(map(type, values)))
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.dot supports object dtype; the @ operator does not.
-    return np.dot(a, b)
+    """Matrix product ``a b``; a 1-D operand gives a 1-D (or scalar) result.
+
+    For exact ``a`` and ``b``, each row of ``a`` walks its nonzero entries
+    ``a_ij`` and adds ``a_ij * b_jk`` over the nonzero entries of row j of
+    ``b``.  Float and mixed-dtype input goes to ``np.dot``.
+    """
+    if not (is_exact(a) and is_exact(b)) or a.ndim not in (1, 2) or b.ndim not in (1, 2):
+        return np.dot(a, b)
+    if a.ndim == 1:
+        return matmul(a[None, :], b)[0]
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"shapes {a.shape} and {b.shape} not aligned")
+    cols = b if b.ndim == 2 else b[:, None]
+    b_nonzero = [[(k, y) for k, y in enumerate(row) if y] for row in cols.tolist()]
+    b_zeros = [_zero_of(col) for col in cols.T.tolist()]
+    out = np.empty((a.shape[0], cols.shape[1]), dtype=object)
+    zero_rows = {}    # typed zeros of one output row, by the type of a's row zero
+    for i, row in enumerate(a.tolist()):
+        za = _zero_of(row)
+        zeros = zero_rows.get(type(za))
+        if zeros is None:
+            zeros = zero_rows[type(za)] = [za * zb for zb in b_zeros]
+        acc = {}
+        for j, x in enumerate(row):
+            if x:
+                for k, y in b_nonzero[j]:
+                    acc[k] = acc[k] + x * y if k in acc else x * y
+        out_row = list(zeros)
+        for k, s in acc.items():
+            # a zero term np.dot adds may promote the sum (int -> Fraction)
+            out_row[k] = s if type(s) is type(zeros[k]) else s + zeros[k]
+        out[i] = out_row
+    return out if b.ndim == 2 else out[:, 0]
 
 
 def to_complex(mat: np.ndarray) -> np.ndarray:
@@ -138,8 +182,10 @@ def solve_in_image(A: np.ndarray, b: np.ndarray, rel_tol: float = 1e-10):
     if A.size == 0:
         return False
     if is_exact(A) and is_exact(b):
+        # rref takes columns left to right, so b's columns carry a pivot
+        # exactly when rank([A | b]) > rank(A)
         stacked = np.concatenate([A, b.reshape(A.shape[0], -1)], axis=1)
-        return rank(stacked) == rank(A)
+        return all(c < A.shape[1] for c in rref(stacked)[1])
     Af, bf = to_complex(A), to_complex(b).reshape(A.shape[0], -1)
     x, *_ = np.linalg.lstsq(Af, bf, rcond=None)
     resid = Af @ x - bf

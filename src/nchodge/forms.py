@@ -184,7 +184,7 @@ class FormsWindow:
 
     def form_from_element(self, x) -> Form:
         """Degree-0 form from original-basis algebra coordinates."""
-        vec = np.dot(self.algebra.change_inv, self.algebra._check_vec(x))
+        vec = exactla.matmul(self.algebra.change_inv, self.algebra._check_vec(x))
         return Form({0: vec})
 
     # -- basis-word expansions ---------------------------------------------------

@@ -138,6 +138,8 @@ def _as_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, float) and float(value).is_integer():
         return Fraction(int(value))
+    if isinstance(value, complex) and value.imag == 0:
+        return _as_fraction(value.real)
     raise TypeError(f"cannot coerce {value!r} into an exact rational")
 
 

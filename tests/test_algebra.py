@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import nchodge as nc
-from nchodge.errors import AssociativityViolation, DimMismatch, UnitViolation
+from nchodge.errors import (AssociativityViolation, DimMismatch, ShapeMismatch,
+                            UnitViolation)
 
 
 def _basis_product(algebra, i, j):
@@ -55,11 +56,14 @@ def test_cyclic_group_algebra_is_commutative():
 
 def test_nonassociative_structure_rejected():
     # octonion-flavoured junk: tweak one structure constant of m2
-    m2 = nc.builtin_algebra("m2")
-    bad = m2.structure.copy()
-    bad[1, 2, 3] = Fraction(1)
-    with pytest.raises(AssociativityViolation):
-        nc.make_algebra(4, m2.basis_labels, bad, [1, 0, 0, 1])
+    for mode in ("rational", "gaussian", "float"):
+        m2 = nc.builtin_algebra("m2", mode)
+        bad = m2.structure.copy()
+        bad[1, 2, 3] = m2.field.one
+        with pytest.raises(AssociativityViolation) as exc:
+            nc.make_algebra(4, m2.basis_labels, bad, [1, 0, 0, 1], mode)
+        # the first failing triple in (i, j, k) order, its first bad coordinate
+        assert exc.value.context == {"triple": (0, 1, 2), "coordinate": 3}
 
 
 def test_bad_unit_rejected():
@@ -91,3 +95,15 @@ def test_scalar_mode_override_on_load(tmp_path):
     path.write_text(json.dumps(a.to_json()))
     b = nc.load_algebra(str(path), scalar_mode="float")
     assert not b.field.exact
+
+
+def test_float_stored_algebra_loads_as_rational():
+    stored = nc.builtin_algebra("dual-numbers", "float").to_json()
+    b = nc.load_algebra(stored, "rational")
+    a = nc.builtin_algebra("dual-numbers")
+    assert np.array_equal(b.structure, a.structure)
+    assert np.array_equal(b.unit, a.unit)
+    assert all(type(v) is Fraction for v in b.structure.reshape(-1))
+    stored["unit"] = [[1.0, 0.5], [0.0, 0.0]]
+    with pytest.raises(ShapeMismatch):
+        nc.load_algebra(stored, "rational")

@@ -159,6 +159,9 @@ def test_one_dimensional_algebra(tmp_path):
     ('"scalars": "float", "unit": [1, 0], '
      '"mul": [[[1, 0], [0, 1]], [[0, 1], [NaN, 0]]]',
      "float", "NonFiniteEntry", "mul"),
+    ('"scalars": "float", "unit": [[1, 1], 0], '
+     '"mul": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]',
+     "rational", "ShapeMismatch", "unit"),
 ])
 def test_malformed_algebra_is_structured_error(tmp_path, capsys, fields,
                                                scalar, code, key):

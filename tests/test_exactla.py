@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nchodge import exactla as xla
-from nchodge.scalars import field_for
+from nchodge.scalars import GaussianRational, field_for
 
 F = field_for("rational")
 
@@ -29,6 +29,99 @@ def test_solve_in_image():
     A = F.array([[1, 0], [0, 0]])
     assert xla.solve_in_image(A, F.array([[3], [0]]))
     assert not xla.solve_in_image(A, F.array([[0], [1]]))
+
+
+def test_solve_in_image_row_reduces_once(monkeypatch):
+    real_rref, calls = xla.rref, []
+
+    def counting(mat):
+        calls.append(mat.shape)
+        return real_rref(mat)
+
+    monkeypatch.setattr(xla, "rref", counting)
+    A = F.array([[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+    for b, inside in (([3, 6, 5], True), ([1, 0, 0], False)):
+        calls.clear()
+        assert xla.solve_in_image(A, F.array(b).reshape(-1, 1)) is inside
+        assert calls == [(3, 4)]
+
+
+def _random_exact(rng, shape, density, gaussian=False):
+    """Object matrix with about ``density`` nonzero Fraction (or Gaussian
+    rational) entries; the zeros are typed zeros of the same kind."""
+    zero = GaussianRational(0) if gaussian else Fraction(0)
+    out = np.full(shape, zero, dtype=object)
+    for idx in zip(*np.nonzero(rng.random(shape) < density)):
+        re = Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+        out[idx] = GaussianRational(re, int(rng.integers(-2, 3))) if gaussian else re
+    return out
+
+
+def _assert_matches_dot(a, b):
+    ref, got = np.asarray(np.dot(a, b)), np.asarray(xla.matmul(a, b))
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    for x, y in zip(ref.reshape(-1), got.reshape(-1)):
+        assert x == y and type(x) is type(y), (x, y)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("density", [0.1, 1.0])
+def test_matmul_matches_dot_reference(gaussian, density):
+    rng = np.random.default_rng(11)
+    for m, n, p in [(7, 9, 5), (1, 1, 1), (6, 6, 6)]:
+        a = _random_exact(rng, (m, n), density, gaussian)
+        b = _random_exact(rng, (n, p), density, gaussian)
+        a[m // 2, :] = a[0, 0] * 0         # all-zero row of a
+        b[:, p // 2] = b[0, 0] * 0         # all-zero column of b
+        b[n // 2, :] = b[0, 0] * 0         # all-zero row of b
+        _assert_matches_dot(a, b)
+        _assert_matches_dot(a, b[:, 0])    # 1-D right operand
+        _assert_matches_dot(a[0], b)       # 1-D left operand
+        _assert_matches_dot(a[0], b[:, 0])     # two 1-D operands: a scalar
+    # products between the two exact kinds promote like np.dot
+    _assert_matches_dot(_random_exact(rng, (4, 5), 0.5),
+                        _random_exact(rng, (5, 3), 0.5, gaussian=True))
+
+
+def test_matmul_zero_size_shapes():
+    rng = np.random.default_rng(12)
+    for (m, n), (n2, p) in [((0, 4), (4, 3)), ((3, 4), (4, 0)),
+                            ((3, 0), (0, 2)), ((0, 0), (0, 0))]:
+        _assert_matches_dot(_random_exact(rng, (m, n), 0.5),
+                            _random_exact(rng, (n2, p), 0.5))
+    # empty inner axis: np.dot fills with int 0, and so must matmul
+    _assert_matches_dot(np.full((2, 0), Fraction(1), dtype=object),
+                        np.full((0,), Fraction(1), dtype=object))
+
+
+def test_matmul_int_filled_operands():
+    rng = np.random.default_rng(13)
+    mat = F.array([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0]])
+    ker = xla.kernel_basis(mat)            # int 0 / int 1 and Fraction entries
+    assert {type(v) for v in ker.reshape(-1)} == {int, Fraction}
+    _assert_matches_dot(mat, ker)
+    _assert_matches_dot(ker.T, _random_exact(rng, (4, 3), 0.3))
+    _assert_matches_dot(ker.T, ker)
+    # an all-int operand meets a Fraction one only through its zero terms
+    ints = np.full((3, 4), 0, dtype=object)
+    ints[0, 1] = 2
+    _assert_matches_dot(ints, np.full((4, 2), 1, dtype=object))
+    _assert_matches_dot(ints, _random_exact(rng, (4, 2), 0.3))
+    _assert_matches_dot(np.full((2, 2), 0, dtype=object), F.eye(2))
+    # int terms next to a Fraction zero: np.dot's sum is a Fraction
+    mixed = np.array([[2, Fraction(0)], [0, 0]], dtype=object)
+    _assert_matches_dot(mixed, np.array([[3, 1], [Fraction(1), 0]], dtype=object))
+
+
+def test_matmul_float_and_mixed_input_use_dot():
+    rng = np.random.default_rng(14)
+    a = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    b = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    got = xla.matmul(a, b)
+    assert got.dtype == np.complex128 and np.array_equal(got, np.dot(a, b))
+    exact = _random_exact(rng, (4, 3), 0.5)
+    _assert_matches_dot(exact, b)          # mixed dtypes
+    _assert_matches_dot(exact[0], b)       # mixed dtypes, 1-D left
 
 
 def test_float_rank_uses_relative_threshold():
