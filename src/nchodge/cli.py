@@ -12,6 +12,7 @@ is still written so the failure can be inspected.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -234,7 +235,7 @@ def _cmd_witten_sweep(args):
     elif args.phi in PHI_PROFILES:
         phi = args.phi
     else:
-        raise InputError(f"unknown phi profile {args.phi!r}",
+        raise InputError(f"unknown phi profile {args.phi!r}", name=args.phi,
                          available=sorted(PHI_PROFILES) + ["random"])
     taus = _parse_taus(args.tau)
     rep = witten_betti_sweep(model, phi, taus, rel_tol=args.rel_tol)
@@ -249,9 +250,6 @@ def _cmd_witten_sweep(args):
 
 
 def _cmd_morse_scan(args):
-    if args.chart not in BUILTIN_CHARTS:
-        raise InputError(f"unknown chart {args.chart!r}",
-                         available=sorted(BUILTIN_CHARTS))
     rep = morse_scan(builtin_chart(args.chart), n_h=args.n_h, n_v=args.n_v,
                      tol=args.tol)
     rows = [{"index": f["index"], "h_mean": f["h_mean"], "h_min": f["h_min"],
@@ -416,9 +414,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building the parser takes milliseconds, a sizeable share of a small
+    # command; parse_args leaves it unchanged, so one serves every main call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report, ok, table = args.handler(args)
     except NCHodgeError as exc:

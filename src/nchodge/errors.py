@@ -110,5 +110,8 @@ class VanishingOmega(NCHodgeError):
 
 # -- command line ------------------------------------------------------------
 
-class InputError(NCHodgeError):
+class InputError(NCHodgeError, ValueError):
+    # also a ValueError, so callers that catch ValueError around a name
+    # lookup (leaf type, phi profile, model, chart, GV form, derivative)
+    # keep working
     code = "cli/InputError"

@@ -7,12 +7,15 @@ fraction-preserving Gaussian elimination, float inputs through numpy's SVD
 based routines.  Ranks and kernels computed on exact input are therefore
 *exact* integers, which several invariants in this package rely on.
 
-The exact matrix product is driven by the nonzero entries: the operator
-blocks of a forms window are mostly zero, so only products of two nonzero
-entries are formed.  Each result entry has the type ``np.dot`` would give it
-(a zero no term reaches is a typed zero of the promoted entry type), so
-exact reports do not depend on which product ran.  Float products are
-``np.dot``.
+Exact products, elimination and ``max_abs`` are driven by the nonzero
+entries: the operator blocks of a forms window are mostly zero, so only
+products of two nonzero entries are formed, and a row operation does
+arithmetic only at the nonzero entries of the pivot row.  The blocks stay
+dense object arrays.  Every result entry keeps the type the dense
+arithmetic (``np.dot``, a whole-row update) would give it: a zero position
+that no term reaches takes the typed zero of the promoted entry type from a
+small table keyed by entry types, so exact reports do not depend on which
+entries were skipped.  Float products are ``np.dot``.
 
 Also hosts the small dense polynomial arithmetic (Fraction coefficients,
 low-to-high lists) used to build annihilating-polynomial projections.
@@ -20,6 +23,7 @@ low-to-high lists) used to build annihilating-polynomial projections.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -29,10 +33,16 @@ def is_exact(mat: np.ndarray) -> bool:
     return mat.dtype == object
 
 
-def _zero_of(values):
-    """A zero of the type that sums of products with ``values`` promote to
-    (int 0 for no values, as ``np.dot`` gives over an empty inner axis)."""
-    return sum(t(0) for t in set(map(type, values)))
+@functools.cache
+def _typed_zero(types: frozenset):
+    """The zero that sums and products among entries of ``types`` promote to
+    (alike for int, Fraction and GaussianRational); int 0 for no types, as
+    ``np.dot`` gives over an empty inner axis.  A table keyed by the types."""
+    return sum(t(0) for t in types)
+
+
+def _types(values) -> frozenset:
+    return frozenset(map(type, values))
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -50,14 +60,14 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"shapes {a.shape} and {b.shape} not aligned")
     cols = b if b.ndim == 2 else b[:, None]
     b_nonzero = [[(k, y) for k, y in enumerate(row) if y] for row in cols.tolist()]
-    b_zeros = [_zero_of(col) for col in cols.T.tolist()]
+    b_types = [_types(col) for col in cols.T.tolist()]
     out = np.empty((a.shape[0], cols.shape[1]), dtype=object)
-    zero_rows = {}    # typed zeros of one output row, by the type of a's row zero
+    zero_rows = {}    # typed zeros of one output row, by the entry types of a's row
     for i, row in enumerate(a.tolist()):
-        za = _zero_of(row)
-        zeros = zero_rows.get(type(za))
+        a_types = _types(row)
+        zeros = zero_rows.get(a_types)
         if zeros is None:
-            zeros = zero_rows[type(za)] = [za * zb for zb in b_zeros]
+            zeros = zero_rows[a_types] = [_typed_zero(a_types | t) for t in b_types]
         acc = {}
         for j, x in enumerate(row):
             if x:
@@ -84,6 +94,11 @@ def to_complex(mat: np.ndarray) -> np.ndarray:
 def max_abs(mat: np.ndarray) -> float:
     if mat.size == 0:
         return 0.0
+    if is_exact(mat):
+        # zeros cannot raise the maximum.  np.abs, not abs(complex): their
+        # hypot can differ in the last bit
+        nonzero = [complex(v) for v in mat.reshape(-1) if v]
+        return float(np.max(np.abs(np.array(nonzero)))) if nonzero else 0.0
     return float(np.max(np.abs(to_complex(mat))))
 
 
@@ -95,31 +110,67 @@ def is_zero_matrix(mat: np.ndarray, tol: float = 0.0) -> bool:
     return max_abs(mat) <= tol
 
 
-def _inv_scalar(v):
-    return 1 / v if not isinstance(v, Fraction) else Fraction(1) / v
-
-
 def rref(mat: np.ndarray):
-    """Reduced row echelon form of an exact matrix.  Returns (R, pivot_cols)."""
-    a = mat.copy()
-    m, n = a.shape
+    """Reduced row echelon form of an exact matrix.  Returns (R, pivot_cols).
+
+    Row operations do arithmetic only at the nonzero entries of the pivot
+    row; R equals, entry and type, what the whole-row updates
+    ``row * (1 / pivot)`` and ``row - f * pivot_row`` give.
+    """
+    m, n = mat.shape
+    rows = mat.tolist()
+    types = [_types(row) for row in rows]
     pivots = []
     r = 0
     for c in range(n):
-        pr = next((i for i in range(r, m) if a[i, c] != 0), None)
+        pr = next((i for i in range(r, m) if rows[i][c]), None)
         if pr is None:
             continue
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        a[r, :] = a[r, :] * _inv_scalar(a[r, c])
-        for i in range(m):
-            if i != r and a[i, c] != 0:
-                a[i, :] = a[i, :] - a[i, c] * a[r, :]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        types[r], types[pr] = types[pr], types[r]
+        prow, ptypes = rows[r], types[r]
+        inv = Fraction(1) / prow[c]      # exact for an int pivot too
+        # columns left of c are zero in every row from r down
+        nonzero = [k for k, y in enumerate(prow[c:], c) if y]
+        for k in nonzero:
+            prow[k] = prow[k] * inv
+        ptypes = types[r] = _promote_zeros(prow, prow, inv, ptypes, ptypes)
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i == r or not f:
+                continue
+            for k in nonzero:
+                row[k] = row[k] - f * prow[k]
+            types[i] = _promote_zeros(row, prow, f, types[i], ptypes)
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return a, pivots
+    out = np.empty((m, n), dtype=object)
+    for i, row in enumerate(rows):
+        out[i] = row
+    return out, pivots
+
+
+def _promote_zeros(row, prow, f, row_types, prow_types):
+    """Finish the update of ``row`` by the scalar ``f`` and the pivot row
+    ``prow`` (``row * f`` when they are one row, else ``row - f * prow``)
+    at the zeros ``z`` of ``prow``.  There the update keeps each value
+    ``x`` but may promote its type, as an int entry next to Fraction pivots
+    is; the typed zero gives it the type of ``x - f * z``.  ``row_types``
+    and ``prow_types`` are entry types before the update; returns the row's
+    after it.
+    """
+    joined = type(_typed_zero(row_types | prow_types | {type(f)}))
+    if row_types == {joined}:
+        return row_types     # every entry already has the promoted type
+    for k, z in enumerate(prow):
+        if not z:
+            x = row[k]
+            zero = _typed_zero(frozenset((type(x), type(f), type(z))))
+            if type(zero) is not type(x):
+                row[k] = x + zero if x else zero
+    return _types(row)
 
 
 def rank(mat: np.ndarray, rel_tol: float = 1e-10) -> int:

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import exactla
-from .errors import BadWeights, LeafTooSmall, ShapeMismatch
+from .errors import BadWeights, InputError, LeafTooSmall, ShapeMismatch
 from .hodge import CochainComplex, betti_numbers, make_complex
 
 
@@ -128,9 +128,10 @@ def make_model(leaf_spec, transversal_spec, metric_scale=1.0,
     bare v values, weighted uniformly).  Weights must be positive and sum
     to 1."""
     kind = leaf_spec.get("type")
-    if kind not in _LEAF_BUILDERS:
-        raise ValueError(f"unknown leaf type {kind!r} (choose from "
-                         f"{sorted(_LEAF_BUILDERS)})")
+    if not isinstance(kind, str) or kind not in _LEAF_BUILDERS:
+        raise InputError(f"unknown leaf type {kind!r} (choose from "
+                         f"{sorted(_LEAF_BUILDERS)})",
+                         name=kind, available=sorted(_LEAF_BUILDERS))
     leaf = _LEAF_BUILDERS[kind](leaf_spec)
     if not transversal_spec:
         raise BadWeights("transversal needs at least one sample")
@@ -199,8 +200,9 @@ def resolve_phi(phi):
     try:
         return PHI_PROFILES[phi]
     except KeyError:
-        raise ValueError(f"unknown phi profile {phi!r} (choose from "
-                         f"{sorted(PHI_PROFILES)})") from None
+        raise InputError(f"unknown phi profile {phi!r} (choose from "
+                         f"{sorted(PHI_PROFILES)})",
+                         name=phi, available=sorted(PHI_PROFILES)) from None
 
 
 def random_smooth_phi(rng, modes=2, amplitude=1.0):
@@ -372,5 +374,6 @@ def builtin_model(name) -> FoliatedModel:
     try:
         return BUILTIN_MODELS[name]()
     except KeyError:
-        raise ValueError(f"unknown model {name!r} (choose from "
-                         f"{sorted(BUILTIN_MODELS)})") from None
+        raise InputError(f"unknown model {name!r} (choose from "
+                         f"{sorted(BUILTIN_MODELS)})",
+                         name=name, available=sorted(BUILTIN_MODELS)) from None

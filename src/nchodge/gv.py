@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridTooCoarse, NotIntegrable, VanishingOmega
+from .errors import GridTooCoarse, InputError, NotIntegrable, VanishingOmega
 
 COMPONENTS = ("x", "y", "z")
 AXIS = {"x": 0, "y": 1, "z": 2}
@@ -59,8 +59,9 @@ def _deriv(name):
     try:
         return _DERIVATIVES[name]
     except KeyError:
-        raise ValueError(f"unknown derivative scheme {name!r} (choose from "
-                         f"{sorted(_DERIVATIVES)})") from None
+        raise InputError(f"unknown derivative scheme {name!r} (choose from "
+                         f"{sorted(_DERIVATIVES)})",
+                         name=name, available=sorted(_DERIVATIVES)) from None
 
 
 def exterior_derivative(omega, derivative="spectral"):
@@ -151,7 +152,8 @@ def builtin_omega(name, n):
         return {"x": np.sin(2 * np.pi * zs), "y": zero, "z": one}
     if name == "x-dy":
         return {"x": zero, "y": xs, "z": one}
-    raise ValueError(f"unknown form {name!r} (choose from ['dz', 'sin-z', 'x-dy'])")
+    raise InputError(f"unknown form {name!r} (choose from ['dz', 'sin-z', 'x-dy'])",
+                     name=name, available=["dz", "sin-z", "x-dy"])
 
 
 def gv_report(name_or_fields, n=32, derivative="spectral", tol=1e-8,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse
+from .errors import GridTooCoarse, InputError
 
 
 @dataclass
@@ -62,8 +62,9 @@ def builtin_chart(name) -> LeafChart:
     try:
         return BUILTIN_CHARTS[name]
     except KeyError:
-        raise ValueError(f"unknown chart {name!r} (choose from "
-                         f"{sorted(BUILTIN_CHARTS)})") from None
+        raise InputError(f"unknown chart {name!r} (choose from "
+                         f"{sorted(BUILTIN_CHARTS)})",
+                         name=name, available=sorted(BUILTIN_CHARTS)) from None
 
 
 class _Derivatives:

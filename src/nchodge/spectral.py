@@ -87,12 +87,18 @@ def harmonic_projection(window: FormsWindow, degree: int, method: str = "auto",
     return SpectralData(degree=degree, P=P, P_perp=field.eye(dim) - P)
 
 
+def _eigvals(K: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvals(K) if K.size else np.array([])
+
+
 def eigenprojection_float(window: FormsWindow, degree: int,
-                          cluster_tol: float = 1e-8) -> np.ndarray:
+                          cluster_tol: float = 1e-8, eigs=None) -> np.ndarray:
     """Float spectral projector for eigenvalue 1, independent of the exact
-    route: sorted complex Schur form plus a Sylvester solve."""
+    route: sorted complex Schur form plus a Sylvester solve.  ``eigs`` are
+    the block's eigenvalues when the caller already has them."""
     K = to_complex(_k_block(window, degree))
-    eigs = np.linalg.eigvals(K) if K.size else np.array([])
+    if eigs is None:
+        eigs = _eigvals(K)
     gaps = np.abs(eigs - 1.0)
     ambiguous = (gaps > cluster_tol) & (gaps < 100 * cluster_tol)
     if np.any(ambiguous):
@@ -222,16 +228,19 @@ def admissible_roots(degree: int) -> np.ndarray:
     return np.array([np.exp(2j * np.pi * a) for a in sorted(angles)])
 
 
-def spectrum_report(window: FormsWindow, degree: int, root_tol: float = 1e-6):
+def spectrum_report(window: FormsWindow, degree: int, root_tol: float = 1e-6,
+                    eigs=None):
     """Eigenvalues of the rotation block clustered onto the admissible roots
-    of unity, as a list of (root, multiplicity) pairs."""
+    of unity, as a list of (root, multiplicity) pairs.  ``eigs`` are the
+    block's eigenvalues when the caller already has them."""
     window.check_degree(degree)
-    K = to_complex(_k_block(window, degree))
-    if K.size == 0:
+    if eigs is None:
+        eigs = _eigvals(to_complex(_k_block(window, degree)))
+    if eigs.size == 0:
         return []
     roots = admissible_roots(degree)
     counts = np.zeros(len(roots), dtype=int)
-    for lam in np.linalg.eigvals(K):
+    for lam in eigs:
         dists = np.abs(roots - lam)
         best = int(np.argmin(dists))
         if dists[best] > root_tol:
@@ -274,7 +283,8 @@ def spectral_report(window: FormsWindow, degrees=None, *, cluster_tol=1e-8,
         rank_pp = exactla.rank(Pp, rank_tol)
         rank_omk2 = exactla.rank(omk2, rank_tol)
 
-        eig_p = eigenprojection_float(window, n, cluster_tol)
+        eigs = _eigvals(to_complex(K[n]))
+        eig_p = eigenprojection_float(window, n, cluster_tol, eigs)
         crt_vs_eig = exactla.max_abs(to_complex(P) - eig_p)
 
         def res(mat):
@@ -301,7 +311,7 @@ def spectral_report(window: FormsWindow, degrees=None, *, cluster_tol=1e-8,
             "b_piece_in_image_b": bool(exactla.solve_in_image(B[n + 1], Yc)),
         }
         norm_on_p, min_sing = rescaled_laplacian_check(window, n, rank_tol)
-        spectrum = spectrum_report(window, n, root_tol)
+        spectrum = spectrum_report(window, n, root_tol, eigs)
 
         row = {
             "degree": n,

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from nchodge import cli
+from nchodge.errors import InputError
+from nchodge.foliation import builtin_model, resolve_phi
+from nchodge.gv import builtin_omega, gv_report
 
 
 def run(argv, capsys=None):
@@ -172,3 +175,63 @@ def test_malformed_algebra_is_structured_error(tmp_path, capsys, fields,
     payload = json.loads(capsys.readouterr().err)
     assert payload["code"] == "algebra-core/" + code
     assert payload["context"]["key"] == key
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    real_build, builds = cli.build_parser, []
+
+    def counting():
+        builds.append(1)
+        return real_build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting)
+    try:
+        reports = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in reports:
+            assert run(["nc-report", "--algebra", "z3", "--nmax", "2",
+                        "--out", str(out)]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["nc-report", "--algebra", "z3", "--bogus"])
+        assert exc.value.code == 1
+        assert len(builds) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize("argv,name,available", [
+    (["witten-sweep", "--model", "circle-leaves", "--phi", "bogus"],
+     "bogus", ["cos-h", "cos-hv", "zero", "random"]),
+    (["morse-scan", "--chart", "saddle"],
+     "saddle", ["constant", "cos-h", "cubic-bd"]),
+    (["witten-sweep", "--model", "{model}"], "sphere", ["circle", "torus"]),
+    (["witten-sweep", "--model", "{model}"], ["circle"], ["circle", "torus"]),
+])
+def test_unknown_name_is_structured_input_error(tmp_path, capsys, argv, name,
+                                                available):
+    # a model file whose leaf type is the bad name
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"leaf": {"type": name}, "transversal": [0.0]}))
+    assert run([a.format(model=model) for a in argv]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["code"] == "cli/InputError"
+    assert payload["context"] == {"name": name, "available": available}
+
+
+# The CLI checks these names itself before they reach the lookup (argparse
+# choices, builtin names, or a file path), so the lookups are called
+# directly; main emits exactly this report entry for any NCHodgeError.
+@pytest.mark.parametrize("lookup,name,available", [
+    (lambda: builtin_model("bogus"), "bogus", ["circle-leaves", "torus-leaves"]),
+    (lambda: resolve_phi("bogus"), "bogus", ["cos-h", "cos-hv", "zero"]),
+    (lambda: builtin_omega("bogus", 16), "bogus", ["dz", "sin-z", "x-dy"]),
+    (lambda: gv_report("dz", n=16, derivative="bogus"), "bogus",
+     ["central", "spectral"]),
+])
+def test_unknown_name_lookups_carry_name_and_choices(lookup, name, available):
+    with pytest.raises(InputError) as exc:
+        lookup()
+    entry = exc.value.report_entry()
+    assert entry["code"] == "cli/InputError"
+    assert entry["context"] == {"name": name, "available": available}

@@ -57,11 +57,16 @@ def _random_exact(rng, shape, density, gaussian=False):
     return out
 
 
-def _assert_matches_dot(a, b):
-    ref, got = np.asarray(np.dot(a, b)), np.asarray(xla.matmul(a, b))
+def _assert_same(ref, got):
+    """Same shape and dtype, and every entry equal and of the same type."""
+    ref, got = np.asarray(ref), np.asarray(got)
     assert got.shape == ref.shape and got.dtype == ref.dtype
     for x, y in zip(ref.reshape(-1), got.reshape(-1)):
         assert x == y and type(x) is type(y), (x, y)
+
+
+def _assert_matches_dot(a, b):
+    _assert_same(np.dot(a, b), xla.matmul(a, b))
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
@@ -122,6 +127,103 @@ def test_matmul_float_and_mixed_input_use_dot():
     exact = _random_exact(rng, (4, 3), 0.5)
     _assert_matches_dot(exact, b)          # mixed dtypes
     _assert_matches_dot(exact[0], b)       # mixed dtypes, 1-D left
+
+
+def _dense_rref(mat):
+    """Reference elimination: every row update runs over the whole row."""
+    a = mat.copy()
+    m, n = a.shape
+    pivots, r = [], 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if a[i, c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        a[r, :] = a[r, :] * (Fraction(1) / a[r, c])
+        for i in range(m):
+            if i != r and a[i, c] != 0:
+                a[i, :] = a[i, :] - a[i, c] * a[r, :]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return a, pivots
+
+
+def _random_typed(rng, shape, density, kinds):
+    """Object matrix whose entries (zeros too) each take a kind drawn from
+    ``kinds``: "int", "fraction" or "gaussian"."""
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        value = int(rng.integers(-4, 5)) if rng.random() < density else 0
+        kind = kinds[int(rng.integers(len(kinds)))]
+        if kind == "int":
+            out[idx] = value
+        elif kind == "fraction":
+            out[idx] = Fraction(value, int(rng.integers(1, 4)))
+        else:
+            out[idx] = GaussianRational(Fraction(value, int(rng.integers(1, 3))),
+                                        int(rng.integers(-1, 2)) if value else 0)
+    return out
+
+
+def _assert_rref_matches_dense(mat):
+    ref, ref_pivots = _dense_rref(mat)
+    got, pivots = xla.rref(mat)
+    assert pivots == ref_pivots
+    _assert_same(ref, got)
+
+
+@pytest.mark.parametrize("kinds", [("int",), ("fraction",), ("gaussian",),
+                                   ("int", "fraction"),
+                                   ("int", "fraction", "gaussian")])
+def test_rref_matches_dense_reference(kinds):
+    rng = np.random.default_rng(15)
+    for trial in range(60):
+        m, n = int(rng.integers(1, 7)), int(rng.integers(1, 8))
+        mat = _random_typed(rng, (m, n), rng.random(), kinds)
+        _assert_rref_matches_dense(mat)
+        # a repeated row: rank deficient, with non-pivot columns
+        _assert_rref_matches_dense(np.concatenate([mat, mat[:1]]))
+    for shape in [(0, 0), (0, 3), (3, 0)]:
+        _assert_rref_matches_dense(_random_typed(rng, shape, 0.5, kinds))
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_rref_of_inverse_augmented_matrix(gaussian):
+    # inverse() row-reduces [M | I] with an int identity half, whose entries
+    # the elimination promotes to M's type
+    rng = np.random.default_rng(16)
+    for n in (1, 3, 6):
+        mat = _random_exact(rng, (n, n), 0.3, gaussian)
+        for i in range(n):
+            mat[i, i] = mat[i, i] + 3
+        aug = np.full((n, 2 * n), 0, dtype=object)
+        aug[:, :n] = mat
+        for i in range(n):
+            aug[i, n + i] = 1
+        _assert_rref_matches_dense(aug)
+        _assert_same(_dense_rref(aug)[0][:, n:], xla.inverse(mat))
+
+
+def test_rref_int_pivots_stay_exact():
+    red, pivots = xla.rref(np.array([[2, 1], [1, 1], [3, 5]], dtype=object))
+    assert pivots == [0, 1]
+    _assert_same(F.array([[1, 0], [0, 1], [0, 0]]), red)     # Fractions, no floats
+    ker = xla.kernel_basis(np.array([[2, 1, 1]], dtype=object))
+    assert ker[0, 0] == Fraction(-1, 2) and type(ker[0, 0]) is Fraction
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_max_abs_exact_matches_numpy(gaussian):
+    rng = np.random.default_rng(17)
+    for shape, density in [((5, 7), 0.2), ((4, 4), 1.0), ((3, 3), 0.0), ((6,), 0.5)]:
+        mat = _random_exact(rng, shape, density, gaussian)
+        got = xla.max_abs(mat)
+        assert type(got) is float
+        assert got == float(np.max(np.abs(xla.to_complex(mat))))
+    assert xla.max_abs(np.empty((0, 4), dtype=object)) == 0.0
 
 
 def test_float_rank_uses_relative_threshold():

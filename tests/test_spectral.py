@@ -85,3 +85,17 @@ def test_spectral_report_passes_float_mode():
     rep = nc.spectral_report(w)
     assert rep["passed"]
     assert rep["scalars"] == "float"
+
+
+def test_report_takes_k_eigenvalues_once_per_degree(monkeypatch):
+    w = nc.build_window(nc.builtin_algebra("z3"), 3)
+    expected = nc.spectral_report(w)
+    real_eigvals, calls = np.linalg.eigvals, []
+
+    def counting(mat):
+        calls.append(mat.shape)
+        return real_eigvals(mat)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    assert nc.spectral_report(w) == expected
+    assert calls == [(d, d) for d in w.degree_dims[:3]]
