@@ -1,179 +1,376 @@
-"""Linear algebra over exact object matrices and complex floats.
+"""Linear algebra over exact scaled-integer matrices and complex floats.
 
-Exact matrices are numpy object arrays with ``Fraction`` or
-``GaussianRational`` entries; float matrices are ``complex128``.  The same
-helpers accept both and dispatch on dtype: exact inputs go through
-fraction-preserving Gaussian elimination, float inputs through numpy's SVD
-based routines.  Ranks and kernels computed on exact input are therefore
-*exact* integers, which several invariants in this package rely on.
+An exact matrix is a :class:`ScaledArray`: integer numpy arrays ``num``
+and ``im`` (the imaginary part over Q(i); ``None`` when it is zero, and then
+no imaginary arithmetic runs) over one Python-int denominator ``den > 0``,
+kept canonical: the gcd of ``den`` and every entry is 1.  Entries are int64
+while no step can overflow: a product while max|a| max|b| (inner dim)
+< 2**63, twice that with two imaginary parts; a sum while the rescaled
+operands stay below 2**63; an elimination step while its intermediates do.
+Past a bound the same numpy code runs on ``dtype=object`` Python ints, and
+a result that fits goes back to int64.
 
-Exact products, elimination and ``max_abs`` are driven by the nonzero
-entries: the operator blocks of a forms window are mostly zero, so only
-products of two nonzero entries are formed, and a row operation does
-arithmetic only at the nonzero entries of the pivot row.  The blocks stay
-dense object arrays.  Every result entry keeps the type the dense
-arithmetic (``np.dot``, a whole-row update) would give it: a zero position
-that no term reaches takes the typed zero of the promoted entry type from a
-small table keyed by entry types, so exact reports do not depend on which
-entries were skipped.  Float products are ``np.dot``.
+Elimination is fraction-free (Bareiss 1968, *Sylvester's identity and
+multistep integer-preserving Gaussian elimination*): a Gauss-Jordan pass
+whose row updates ``(p A_i - A_ic A_r) / p_prev`` divide exactly, every
+intermediate entry being a minor of the input.  Over Q(i) it runs on
+Gaussian integers, where the division is exact too.  Exact ranks are
+therefore exact integers, which several invariants rely on.
+
+Float matrices are ``complex128`` and go to numpy and LAPACK; every helper
+dispatches on its input.  Object arrays of int, Fraction and
+GaussianRational entries (algebra input, form vectors) enter through
+:func:`asexact` and leave through :func:`to_object`.
 
 Also hosts the small dense polynomial arithmetic (Fraction coefficients,
-low-to-high lists) used to build annihilating-polynomial projections.
+low-to-high lists) that gives P and G as polynomials in k.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
+from .scalars import GaussianRational
 
-def is_exact(mat: np.ndarray) -> bool:
+_LIMIT = 2 ** 63        # int64 holds magnitudes below this
+_FLOAT_EXACT = 2 ** 53  # and float64 holds integers below this exactly
+
+
+def _opt(fn, part, *args):
+    """``fn(part, *args)`` for an imaginary part that may be None (zero)."""
+    return None if part is None else fn(part, *args)
+
+
+class ScaledArray:
+    """Exact array ``(num + i im) / den`` in canonical form."""
+
+    __slots__ = ("num", "im", "den", "_bound")
+    __array_ufunc__ = None       # numpy operators defer to the reflected ones here
+    __hash__ = None
+    dtype = np.dtype(object)     # as np.asarray gives it: exact scalar entries
+
+    def __init__(self, num, im=None, den=1):
+        num, den = np.asarray(num), int(den)
+        im = np.asarray(im) if im is not None and np.any(im) else None
+        if den < 0:
+            num, im, den = -num, _opt(np.negative, im), -den
+        g = 1 if den == 1 else math.gcd(den, int(np.gcd.reduce(num, axis=None)))
+        if im is not None and g != 1:
+            g = math.gcd(g, int(np.gcd.reduce(im, axis=None)))
+        if g != 1:
+            num, im = _widen(num, im, g >= _LIMIT)       # a zero over a huge den
+            num, im, den = num // g, _opt(operator.floordiv, im, g), den // g
+        self.num, self.im, self.den, self._bound = num, im, den, None
+        if num.dtype != np.int64 or (im is not None and im.dtype != np.int64):
+            self.num, self.im = _widen(num, im, True, np.int64 if self.bound < _LIMIT else object)
+
+    @classmethod
+    def _of(cls, num, im, den):
+        """Wrap arrays that are already canonical."""
+        out = object.__new__(cls)
+        out.num, out.im, out.den, out._bound = num, im, den, None
+        return out
+
+    def _map(self, fn):
+        return ScaledArray._of(fn(self.num), _opt(fn, self.im), self.den)
+
+    @property
+    def bound(self) -> int:
+        """The largest numerator magnitude, real or imaginary (cached)."""
+        if self._bound is None:
+            self._bound = max(_absmax(self.num), _absmax(self.im))
+        return self._bound
+
+    shape = property(lambda self: self.num.shape)
+    ndim = property(lambda self: self.num.ndim)
+    size = property(lambda self: self.num.size)
+    T = property(lambda self: self._map(np.transpose))
+
+    def reshape(self, *shape):
+        return self._map(lambda a: a.reshape(*shape))
+
+    def __neg__(self):
+        return self._map(np.negative)
+
+    def __getitem__(self, key):
+        num, im = self.num[key], _opt(operator.getitem, self.im, key)
+        if np.ndim(num):
+            return ScaledArray(num, im, self.den)
+        re = Fraction(int(num), self.den)
+        return re if im is None else GaussianRational(re, Fraction(int(im), self.den))
+
+    def __array__(self, dtype=None, copy=None):
+        out = _values(self)
+        return out if dtype is None else out.astype(dtype)
+
+    def __repr__(self):
+        return f"ScaledArray({self.num!r}, im={self.im!r}, den={self.den})"
+
+    def __add__(self, other):
+        other = _operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        wide = max(self.bound, 1) * sa + max(other.bound, 1) * sb >= _LIMIT
+        (ar, ai), (br, bi) = _widen(self.num, self.im, wide), _widen(other.num, other.im, wide)
+        im = _plus(_opt(operator.mul, ai, sa), _opt(operator.mul, bi, sb))
+        return ScaledArray(ar * sa + br * sb, im, den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is NotImplemented else self + -other
+
+    def __rsub__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is NotImplemented else other + -self
+
+    def __mul__(self, other):
+        """Product with an int or Fraction scalar."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        c = Fraction(other)
+        re, im = _widen(self.num, self.im, max(self.bound, 1) * abs(c.numerator) >= _LIMIT)
+        return ScaledArray(re * c.numerator, _opt(operator.mul, im, c.numerator),
+                           self.den * c.denominator)
+
+    __rmul__ = __mul__
+
+    def __ne__(self, other):
+        """Elementwise, as numpy arrays compare."""
+        diff = self if isinstance(other, int) and other == 0 else self.__sub__(other)
+        if diff is NotImplemented:
+            return NotImplemented
+        return (diff.num != 0) | (_imag_or_zeros(diff) != 0)
+
+    def __eq__(self, other):
+        ne = self.__ne__(other)
+        return ne if ne is NotImplemented else ~ne
+
+    def to_json(self, gaussian=False):
+        """Nested lists of reduced ``[num, den]`` pairs, one per entry
+        (``[[re_num, re_den], [im_num, im_den]]`` when ``gaussian``), as
+        ``ScalarField.to_json`` writes each Fraction or GaussianRational."""
+        def pairs(num):
+            g = np.gcd(_widen(num, None, self.den >= _LIMIT)[0], self.den)
+            return np.stack([num // g, self.den // g], axis=-1)
+
+        out = pairs(self.num)
+        if gaussian:
+            out = np.stack([out, pairs(_imag_or_zeros(self))], axis=-2)
+        return out.tolist()
+
+
+def _absmax(a) -> int:
+    return int(np.abs(a).max()) if a is not None and a.size else 0
+
+
+def _plus(x, y):
+    return y if x is None else x if y is None else x + y
+
+
+def _widen(re, im, wide, dtype=object):
+    """(re, im) as ``dtype`` arrays when ``wide``."""
+    return (re.astype(dtype), _opt(np.ndarray.astype, im, dtype)) if wide else (re, im)
+
+
+def _imag_or_zeros(mat):
+    return np.zeros_like(mat.num) if mat.im is None else mat.im
+
+
+def _cprod(op, ar, ai, br, bi):
+    """The bilinear product ``op`` of ar + i ai and br + i bi as a (re, im)
+    pair; a None part is zero."""
+    if ai is None or bi is None:
+        return op(ar, br), _plus(_opt(op, ai, br), _opt(lambda b: op(ar, b), bi))
+    return op(ar, br) - op(ai, bi), op(ar, bi) + op(ai, br)
+
+
+def _operand(x):
+    if isinstance(x, (int, Fraction, GaussianRational)) or (
+            isinstance(x, np.ndarray) and x.dtype == object):
+        return from_object(x)
+    return x if isinstance(x, ScaledArray) else NotImplemented
+
+
+def is_exact(mat) -> bool:
     return mat.dtype == object
 
 
-@functools.cache
-def _typed_zero(types: frozenset):
-    """The zero that sums and products among entries of ``types`` promote to
-    (alike for int, Fraction and GaussianRational); int 0 for no types, as
-    ``np.dot`` gives over an empty inner axis.  A table keyed by the types."""
-    return sum(t(0) for t in types)
+def from_terms(shape, index, values) -> ScaledArray:
+    """The exact array of ``shape`` whose entry at each flat ``index`` is the
+    sum of the int, Fraction or GaussianRational ``values`` given for it."""
+    parts = [(v.re, v.im) if isinstance(v, GaussianRational) else (v, 0) for v in values]
+    den = math.lcm(*(x.denominator for pair in parts for x in pair))
+    ints = [[x.numerator * (den // x.denominator) for x in part] for part in zip(*parts)]
+    # a sum of len(values) terms stays below the largest term times their count
+    wide = max(map(abs, sum(ints, [])), default=0) * len(values) >= _LIMIT
+    out = [np.zeros(math.prod(shape), dtype=object if wide else np.int64) for _ in range(2)]
+    for arr, terms in zip(out, ints):
+        np.add.at(arr, index, np.array(terms, dtype=arr.dtype))
+    return ScaledArray(out[0].reshape(shape), out[1].reshape(shape), den)
 
 
-def _types(values) -> frozenset:
-    return frozenset(map(type, values))
+def from_object(arr) -> ScaledArray:
+    """The exact array of an object array (or scalar) of int, Fraction and
+    GaussianRational entries."""
+    arr = np.asarray(arr, dtype=object)
+    flat = arr.reshape(-1).tolist()
+    index = [i for i, v in enumerate(flat) if v]
+    return from_terms(arr.shape, index, [flat[i] for i in index])
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product ``a b``; a 1-D operand gives a 1-D (or scalar) result.
+def asexact(mat):
+    """``mat`` as a ScaledArray when it is exact; float input unchanged."""
+    return from_object(mat) if is_exact(mat) and not isinstance(mat, ScaledArray) else mat
 
-    For exact ``a`` and ``b``, each row of ``a`` walks its nonzero entries
-    ``a_ij`` and adds ``a_ij * b_jk`` over the nonzero entries of row j of
-    ``b``.  Float and mixed-dtype input goes to ``np.dot``.
+
+def to_object(mat, gaussian=False):
+    """Object array of Fraction entries (GaussianRational ones when
+    ``gaussian`` or when the value has an imaginary part) holding the value
+    of an exact array; other input is returned unchanged."""
+    return _values(mat, gaussian) if isinstance(mat, ScaledArray) else mat
+
+
+def _values(mat, gaussian=False):
+    vals = [Fraction(v, mat.den) for v in mat.num.reshape(-1).tolist()]
+    if gaussian or mat.im is not None:
+        ims = _imag_or_zeros(mat).reshape(-1).tolist()
+        vals = [GaussianRational(r, Fraction(i, mat.den)) for r, i in zip(vals, ims)]
+    out = np.empty(len(vals), dtype=object)
+    out[:] = vals
+    return out.reshape(mat.shape)
+
+
+def eye_like(mat):
+    """The identity matching square ``mat`` in size and kind."""
+    n = mat.shape[0]
+    return ScaledArray._of(np.eye(n, dtype=np.int64), None, 1) if is_exact(mat) \
+        else np.eye(n, dtype=np.complex128)
+
+
+def matmul(a, b):
+    """Matrix product ``a b``; a 1-D operand gives a 1-D (or 0-d) result.
+
+    Exact operands multiply their numerators with ``np.dot`` and their
+    denominators as Python ints.  Float and mixed input goes to ``np.dot``.
     """
-    if not (is_exact(a) and is_exact(b)) or a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        return np.dot(a, b)
-    if a.ndim == 1:
-        return matmul(a[None, :], b)[0]
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shapes {a.shape} and {b.shape} not aligned")
-    cols = b if b.ndim == 2 else b[:, None]
-    b_nonzero = [[(k, y) for k, y in enumerate(row) if y] for row in cols.tolist()]
-    b_types = [_types(col) for col in cols.T.tolist()]
-    out = np.empty((a.shape[0], cols.shape[1]), dtype=object)
-    zero_rows = {}    # typed zeros of one output row, by the entry types of a's row
-    for i, row in enumerate(a.tolist()):
-        a_types = _types(row)
-        zeros = zero_rows.get(a_types)
-        if zeros is None:
-            zeros = zero_rows[a_types] = [_typed_zero(a_types | t) for t in b_types]
-        acc = {}
-        for j, x in enumerate(row):
-            if x:
-                for k, y in b_nonzero[j]:
-                    acc[k] = acc[k] + x * y if k in acc else x * y
-        out_row = list(zeros)
-        for k, s in acc.items():
-            # a zero term np.dot adds may promote the sum (int -> Fraction)
-            out_row[k] = s if type(s) is type(zeros[k]) else s + zeros[k]
-        out[i] = out_row
-    return out if b.ndim == 2 else out[:, 0]
+    if not (is_exact(a) and is_exact(b)):
+        return np.dot(np.asarray(a), np.asarray(b))
+    a, b = asexact(a), asexact(b)
+    terms = 2 if a.im is not None and b.im is not None else 1
+    wide = terms * a.bound * b.bound * a.shape[-1] >= _LIMIT
+    re, im = _cprod(np.dot, *_widen(a.num, a.im, wide), *_widen(b.num, b.im, wide))
+    return ScaledArray(re, im, a.den * b.den)
 
 
-def to_complex(mat: np.ndarray) -> np.ndarray:
-    if mat.dtype != object:
+def _to_float(num, den, bound) -> np.ndarray:
+    """num / den correctly rounded to float64, as ``float(Fraction)`` is."""
+    if bound < _FLOAT_EXACT and den < _FLOAT_EXACT:
+        return num.astype(np.float64) / den     # one IEEE division: rounded once
+    return np.array([v / den for v in num.reshape(-1).tolist()],
+                    dtype=np.float64).reshape(num.shape)
+
+
+def to_complex(mat) -> np.ndarray:
+    if not is_exact(mat):
         return np.asarray(mat, dtype=np.complex128)
+    mat = asexact(mat)
     out = np.empty(mat.shape, dtype=np.complex128)
-    flat_in, flat_out = mat.reshape(-1), out.reshape(-1)
-    for i, v in enumerate(flat_in):
-        flat_out[i] = complex(v)
+    out.real = _to_float(mat.num, mat.den, mat.bound)
+    out.imag = 0.0 if mat.im is None else _to_float(mat.im, mat.den, mat.bound)
     return out
 
 
-def max_abs(mat: np.ndarray) -> float:
+def max_abs(mat) -> float:
     if mat.size == 0:
         return 0.0
     if is_exact(mat):
-        # zeros cannot raise the maximum.  np.abs, not abs(complex): their
-        # hypot can differ in the last bit
-        nonzero = [complex(v) for v in mat.reshape(-1) if v]
-        return float(np.max(np.abs(np.array(nonzero)))) if nonzero else 0.0
+        mat = asexact(mat)
+        if mat.im is None:
+            return mat.bound / mat.den      # Python int division: correctly rounded
+    # np.abs, not abs(complex): their hypot can differ in the last bit
     return float(np.max(np.abs(to_complex(mat))))
 
 
-def is_zero_matrix(mat: np.ndarray, tol: float = 0.0) -> bool:
+def is_zero_matrix(mat, tol: float = 0.0) -> bool:
     if mat.size == 0:
         return True
+    if isinstance(mat, ScaledArray):
+        return mat.im is None and not mat.num.any()
     if is_exact(mat):
-        return all(v == 0 for v in mat.reshape(-1))
+        return not any(mat.reshape(-1).tolist())
     return max_abs(mat) <= tol
 
 
-def rref(mat: np.ndarray):
-    """Reduced row echelon form of an exact matrix.  Returns (R, pivot_cols).
-
-    Row operations do arithmetic only at the nonzero entries of the pivot
-    row; R equals, entry and type, what the whole-row updates
-    ``row * (1 / pivot)`` and ``row - f * pivot_row`` give.
-    """
-    m, n = mat.shape
-    rows = mat.tolist()
-    types = [_types(row) for row in rows]
-    pivots = []
-    r = 0
+def _eliminate(re, im):
+    """Fraction-free Gauss-Jordan elimination of the Gaussian-integer matrix
+    ``re + i im``.  Returns (re, im, pivot columns, last pivot as a (real,
+    imaginary) pair); every pivot entry of the result equals the last
+    pivot, so dividing by it gives the reduced form."""
+    m, n = re.shape
+    re, im = re.copy(), _opt(np.copy, im)
+    prev, pivots = (1, None), []
     for c in range(n):
-        pr = next((i for i in range(r, m) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        types[r], types[pr] = types[pr], types[r]
-        prow, ptypes = rows[r], types[r]
-        inv = Fraction(1) / prow[c]      # exact for an int pivot too
-        # columns left of c are zero in every row from r down
-        nonzero = [k for k, y in enumerate(prow[c:], c) if y]
-        for k in nonzero:
-            prow[k] = prow[k] * inv
-        ptypes = types[r] = _promote_zeros(prow, prow, inv, ptypes, ptypes)
-        for i, row in enumerate(rows):
-            f = row[c]
-            if i == r or not f:
-                continue
-            for k in nonzero:
-                row[k] = row[k] - f * prow[k]
-            types[i] = _promote_zeros(row, prow, f, types[i], ptypes)
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == m:
             break
-    out = np.empty((m, n), dtype=object)
-    for i, row in enumerate(rows):
-        out[i] = row
-    return out, pivots
+        live = re[r:, c] != 0
+        hits = np.flatnonzero(live if im is None else live | (im[r:, c] != 0))
+        if not hits.size:
+            continue
+        for part in (re, im):
+            if part is not None:
+                part[[r, r + hits[0]]] = part[[r + hits[0], r]]
+        if re.dtype != object:
+            # p A_i - f A_r takes 2M^2 over Z; over Z[i] 4M^2, and the division
+            # multiplies it by a conjugate pivot of size M
+            top = max(_absmax(re), _absmax(im))
+            re, im = _widen(re, im, (2 * top ** 2 if im is None else 8 * top ** 3) >= _LIMIT)
+        def take(key):
+            return re[key], _opt(operator.getitem, im, key)
+
+        rest = np.arange(m) != r
+        piv = (int(re[r, c]), None if im is None else int(im[r, c]))
+        rows = _cprod(operator.mul, *piv, *take(rest))
+        elim = _cprod(operator.mul, *take((rest, c, None)), *take(r))
+        re[rest], new_im = _divide(rows[0] - elim[0], _plus(rows[1], _opt(np.negative, elim[1])),
+                                   prev)
+        if im is not None:
+            im[rest] = new_im
+        prev = piv
+        pivots.append(c)
+    return re, im, pivots, prev
 
 
-def _promote_zeros(row, prow, f, row_types, prow_types):
-    """Finish the update of ``row`` by the scalar ``f`` and the pivot row
-    ``prow`` (``row * f`` when they are one row, else ``row - f * prow``)
-    at the zeros ``z`` of ``prow``.  There the update keeps each value
-    ``x`` but may promote its type, as an int entry next to Fraction pivots
-    is; the typed zero gives it the type of ``x - f * z``.  ``row_types``
-    and ``prow_types`` are entry types before the update; returns the row's
-    after it.
-    """
-    joined = type(_typed_zero(row_types | prow_types | {type(f)}))
-    if row_types == {joined}:
-        return row_types     # every entry already has the promoted type
-    for k, z in enumerate(prow):
-        if not z:
-            x = row[k]
-            zero = _typed_zero(frozenset((type(x), type(f), type(z))))
-            if type(zero) is not type(x):
-                row[k] = x + zero if x else zero
-    return _types(row)
+def _divide(re, im, q):
+    """Exact quotient of the Gaussian-integer array re + i im by q = (real,
+    imaginary)."""
+    qr, qi = q
+    if not qi:
+        return re // qr, _opt(operator.floordiv, im, qr)
+    re, im = _cprod(operator.mul, re, im, qr, -qi)
+    return re // (qr * qr + qi * qi), im // (qr * qr + qi * qi)
 
 
-def rank(mat: np.ndarray, rel_tol: float = 1e-10) -> int:
+def rref(mat):
+    """Reduced row echelon form of an exact matrix.  Returns (R, pivot_cols)."""
+    mat = asexact(mat)
+    re, im, pivots, (pr, pi) = _eliminate(mat.num, mat.im)
+    if pi:      # R = A / p = A conj(p) / |p|^2
+        wide = 2 * max(_absmax(re), _absmax(im)) * max(abs(pr), abs(pi)) >= _LIMIT
+        (re, im), pr = _cprod(operator.mul, *_widen(re, im, wide), pr, -pi), pr * pr + pi * pi
+    return ScaledArray(re, im, pr), pivots
+
+
+def rank(mat, rel_tol: float = 1e-10) -> int:
     if mat.size == 0:
         return 0
     if is_exact(mat):
@@ -184,49 +381,23 @@ def rank(mat: np.ndarray, rel_tol: float = 1e-10) -> int:
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
-def kernel_basis(mat: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
-    """Columns spanning the right null space.  Exact basis for exact input,
-    orthonormal basis (from the SVD) for float input."""
-    m, n = mat.shape
-    if n == 0:
-        return np.full((0, 0), 0, dtype=object) if is_exact(mat) else np.zeros((0, 0), complex)
-    if is_exact(mat):
-        red, pivots = rref(mat)
-        free = [c for c in range(n) if c not in pivots]
-        out = np.full((n, len(free)), 0, dtype=object)
-        for j, fc in enumerate(free):
-            out[fc, j] = 1
-            for i, pc in enumerate(pivots):
-                out[pc, j] = -red[i, fc]
-        return out
-    a = to_complex(mat)
-    if m == 0:
-        return np.eye(n, dtype=complex)
-    u, s, vh = np.linalg.svd(a)
-    if s.size == 0 or s[0] == 0.0:
-        keep = n
-    else:
-        keep = n - int(np.count_nonzero(s > rel_tol * s[0]))
-    return vh.conj().T[:, n - keep:] if keep else np.zeros((n, 0), complex)
-
-
-def inverse(mat: np.ndarray) -> np.ndarray:
+def inverse(mat):
     if not is_exact(mat):
         return np.linalg.inv(to_complex(mat))
+    mat = asexact(mat)
     n = mat.shape[0]
     if mat.shape != (n, n):
         raise ValueError("inverse needs a square matrix")
-    aug = np.full((n, 2 * n), 0, dtype=object)
-    aug[:, :n] = mat
-    for i in range(n):
-        aug[i, n + i] = 1
-    red, pivots = rref(aug)
+    # [num | I] reduces to [I | num^-1], and mat^-1 = den num^-1
+    eye = np.eye(n, dtype=mat.num.dtype)
+    red, pivots = rref(ScaledArray(np.concatenate([mat.num, eye], axis=1),
+                                   np.concatenate([_imag_or_zeros(mat), 0 * eye], axis=1)))
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return red[:, n:]
+    return red[:, n:] * mat.den
 
 
-def solve_in_image(A: np.ndarray, b: np.ndarray, rel_tol: float = 1e-10):
+def solve_in_image(A, b, rel_tol: float = 1e-10):
     """Return True when every column of b lies in the column space of A."""
     if b.size == 0 or is_zero_matrix(b, tol=rel_tol * max(1.0, max_abs(b))):
         return True
@@ -234,8 +405,11 @@ def solve_in_image(A: np.ndarray, b: np.ndarray, rel_tol: float = 1e-10):
         return False
     if is_exact(A) and is_exact(b):
         # rref takes columns left to right, so b's columns carry a pivot
-        # exactly when rank([A | b]) > rank(A)
-        stacked = np.concatenate([A, b.reshape(A.shape[0], -1)], axis=1)
+        # exactly when rank([A | b]) > rank(A); the two denominators scale
+        # columns, which changes neither rank
+        A, b = asexact(A), asexact(b).reshape(A.shape[0], -1)
+        stacked = ScaledArray(*(np.concatenate(parts, axis=1) for parts in (
+            (A.num, b.num), (_imag_or_zeros(A), _imag_or_zeros(b)))))
         return all(c < A.shape[1] for c in rref(stacked)[1])
     Af, bf = to_complex(A), to_complex(b).reshape(A.shape[0], -1)
     x, *_ = np.linalg.lstsq(Af, bf, rcond=None)
@@ -243,20 +417,31 @@ def solve_in_image(A: np.ndarray, b: np.ndarray, rel_tol: float = 1e-10):
     return max_abs(resid) <= rel_tol * max(1.0, max_abs(bf))
 
 
-def eval_poly(coeffs, mat: np.ndarray) -> np.ndarray:
+def eval_poly(coeffs, mat):
     """Evaluate a polynomial (low-to-high Fraction coefficients) at a square
-    matrix, by Horner's rule."""
+    matrix, by Horner's rule.  On exact ``mat = K / d`` it runs on integers:
+    with coefficients ``R_i / D``, ``H <- H K + R_i d^(m-i) I`` from the top
+    degree m down ends at ``H = D d^m p(mat)``."""
     n = mat.shape[0]
-    exact = is_exact(mat)
-    cs = list(coeffs) if exact else [complex(float(c)) for c in coeffs]
-    if not cs:
-        cs = [0]
-    out = np.full((n, n), 0, dtype=object) if exact else np.zeros((n, n), complex)
-    for c in reversed(cs):
-        out = matmul(out, mat)
-        for i in range(n):
-            out[i, i] = out[i, i] + c
-    return out
+    if not is_exact(mat):
+        out = np.zeros((n, n), complex)
+        for c in reversed([complex(float(c)) for c in coeffs] or [0]):
+            out = matmul(out, mat)
+            for i in range(n):
+                out[i, i] = out[i, i] + c
+        return out
+    mat = asexact(mat)
+    cs = [Fraction(c) for c in coeffs] or [Fraction(0)]
+    scale, top = math.lcm(*(c.denominator for c in cs)), len(cs) - 1
+    k, h = (mat.num, mat.im), (np.zeros((n, n), dtype=mat.num.dtype), None)
+    for i in range(top, -1, -1):
+        c = cs[i].numerator * (scale // cs[i].denominator) * mat.den ** (top - i)
+        if h[0].dtype != object and (
+                2 * max(_absmax(h[0]), _absmax(h[1])) * mat.bound * n + abs(c) >= _LIMIT):
+            h, k = _widen(*h, True), _widen(*k, True)
+        h = _cprod(np.dot, *h, *k)
+        h[0].flat[::n + 1] += c
+    return ScaledArray(h[0], h[1], scale * mat.den ** top)
 
 
 # -- dense polynomials over the rationals -----------------------------------
@@ -345,11 +530,16 @@ def x_pow_minus_one(n: int):
     return out
 
 
+# The three polynomials below depend on the degree alone; they are formed
+# once per process and shared, so they are returned as tuples.
+
+@functools.cache
 def karoubi_annihilator(n: int):
     """(x**n - 1)(x**(n+1) - 1): annihilates the cyclic rotation in degree n >= 1."""
-    return poly_mul(x_pow_minus_one(n), x_pow_minus_one(n + 1))
+    return tuple(poly_mul(x_pow_minus_one(n), x_pow_minus_one(n + 1)))
 
 
+@functools.cache
 def harmonic_crt_poly(n: int):
     """Polynomial r with r = 1 mod (x-1)**2 and r = 0 mod q, where the degree-n
     annihilator factors as (x-1)**2 * q and q(1) = n(n+1) != 0.  Evaluating r at
@@ -365,5 +555,18 @@ def harmonic_crt_poly(n: int):
     g, u, v = poly_xgcd(sq, q)
     if poly_deg(g) != 0:
         raise AssertionError("(x-1)^2 and cofactor are not coprime")
-    r = poly_scale(poly_mul(v, q), 1 / g[0])
-    return r
+    return tuple(poly_scale(poly_mul(v, q), 1 / g[0]))
+
+
+@functools.cache
+def green_crt_poly(n: int):
+    """Polynomial s with s = 0 mod (x-1)**2 and s*(1-x) = 1 mod q, where q is
+    the cofactor of :func:`harmonic_crt_poly`.  Then s*(1-x) = 1 - r modulo
+    the degree-n annihilator, and s*r = 0 modulo it, so G = s(k) inverts
+    1-k on the complement of P = r(k) and vanishes on Im(P): the Green's
+    operator, exactly, with no matrix inverse."""
+    ann = karoubi_annihilator(n)
+    q, _ = poly_divmod(ann, [Fraction(1), Fraction(-2), Fraction(1)])
+    g, u, _ = poly_xgcd([Fraction(1), Fraction(-1)], q)     # u*(1-x) + v*q = g
+    one_minus_r = poly_sub([Fraction(1)], harmonic_crt_poly(n))
+    return tuple(poly_divmod(poly_mul(one_minus_r, poly_scale(u, 1 / g[0])), ann)[1])

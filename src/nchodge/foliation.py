@@ -127,6 +127,12 @@ def make_model(leaf_spec, transversal_spec, metric_scale=1.0,
     "ny": 8}.  transversal_spec: list of {"v": float, "weight": float} (or
     bare v values, weighted uniformly).  Weights must be positive and sum
     to 1."""
+    if not isinstance(leaf_spec, dict):
+        raise InputError(f"model 'leaf' must be an object, not "
+                         f"{type(leaf_spec).__name__}", key="leaf")
+    if not isinstance(transversal_spec, (list, tuple)):
+        raise InputError(f"model 'transversal' must be a list, not "
+                         f"{type(transversal_spec).__name__}", key="transversal")
     kind = leaf_spec.get("type")
     if not isinstance(kind, str) or kind not in _LEAF_BUILDERS:
         raise InputError(f"unknown leaf type {kind!r} (choose from "

@@ -9,7 +9,10 @@ ordered lexicographically in that word.  In the familiar notation the word
 is the form ``a0*da1*...*dan``.
 
 Each operator and the product are defined once, on basis words; one loop
-extends them linearly to forms and to the dense blocks, one per degree:
+extends them linearly to forms, and one assembles the blocks, one per
+degree.  Exact blocks go straight from the word expansions into
+scaled-integer arrays (``exactla.ScaledArray``); float blocks are
+``complex128``.  Form vectors are object arrays of the field's scalars.
 
 * ``d``      -- ``a0 da1..dan  ->  1 da0 da1..dan`` (dies when a0 = 1),
 * ``b``      -- Hochschild boundary
@@ -17,11 +20,11 @@ extends them linearly to forms and to the dense blocks, one per degree:
 * ``k``      -- cyclic rotation
   ``(-1)^n (an, a0,..,a{n-1}) + (-1)^{n-1} (1, an*a0, a1,..,a{n-1})``,
   the identity on degree 0,
-* ``N``      -- multiplies degree n by n,
 * ``bd``, ``db`` -- b*d and d*b, formed once per degree below the top,
 * ``one_minus_k`` -- I - k; on degrees below the window top it equals
   bd + db (``window_identity_residuals`` reports the residual),
-* ``L``      -- the rescaled Laplacian  b(Nd) + (Nd)b = (n+1) bd + n db.
+* ``L``      -- the rescaled Laplacian  b(Nd) + (Nd)b = (n+1) bd + n db,
+  where N multiplies degree n by n.
 
 The product of forms follows the graded Leibniz pattern of moving the left
 factor's trailing differential across the right factor:
@@ -29,7 +32,8 @@ factor's trailing differential across the right factor:
     (a0 da1..dan) * (a{n+1} da{n+2}..dam)
         = sum_{i=0..n} (-1)^{n-i} (a0, .., a_i*a_{i+1}, .., am),
 
-expanded over the nonzero coefficient pairs of the factors (no table).
+expanded over the nonzero coefficient pairs of the factors; the window
+keeps each pair of basis words' expansion once it is formed.
 
 Identities involving only degree-preserving operators hold on every window
 degree; identities that pass through ``d`` hold on degrees up to
@@ -47,6 +51,7 @@ import numpy as np
 from . import exactla
 from .algebra import Algebra
 from .errors import DegreeOutOfWindow, WindowTooLarge
+from .scalars import GAUSSIAN
 
 DEFAULT_DIM_CAP = 20000
 _CAP_ENV = "NCHODGE_CAP"
@@ -158,6 +163,7 @@ class FormsWindow:
             self.index.append({w: i for i, w in enumerate(words)})
         self._ops = None
         self._spectral_cache = {}
+        self._products = {}     # (left word, right word) -> _mul_words expansion
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -185,7 +191,7 @@ class FormsWindow:
     def form_from_element(self, x) -> Form:
         """Degree-0 form from original-basis algebra coordinates."""
         vec = exactla.matmul(self.algebra.change_inv, self.algebra._check_vec(x))
-        return Form({0: vec})
+        return Form({0: exactla.to_object(vec, self.field.mode == GAUSSIAN)})
 
     # -- basis-word expansions ---------------------------------------------------
 
@@ -237,6 +243,9 @@ class FormsWindow:
         return out
 
     def _mul_words(self, left, right):
+        out = self._products.get((left, right))
+        if out is not None:
+            return out
         n = len(left) - 1
         s = left + right
         one = self.field.one
@@ -256,6 +265,7 @@ class FormsWindow:
                 cm = prod[m]
                 if cm != 0:
                     out.append((sign * cm, head + (m,) + tail))
+        self._products[left, right] = out
         return out
 
     # -- linear extension ----------------------------------------------------------
@@ -310,8 +320,8 @@ def multiply_forms(window: FormsWindow, u: Form, v: Form) -> Form:
         for q in degs_v:
             vq, right = v.components[q], window.bases[q]
             pairs = ((ui * vj, window._mul_words(left[i], right[j]))
-                     for i, ui in enumerate(up) if ui != 0
-                     for j, vj in enumerate(vq) if vj != 0)
+                     for i, ui in enumerate(up) if ui
+                     for j, vj in enumerate(vq) if vj)
             m = p + q
             res = window._accumulate(m, pairs)
             out[m] = out[m] + res if m in out else res
@@ -319,14 +329,22 @@ def multiply_forms(window: FormsWindow, u: Form, v: Form) -> Form:
 
 
 def _assemble_blocks(window, expand, shift, degrees):
-    one = window.field.one
     blocks = {}
     for n in degrees:
         m = n + shift
-        blk = window.field.zeros((window.degree_dims[m], window.degree_dims[n]))
+        shape = (window.degree_dims[m], window.degree_dims[n])
+        target = window.index[m]
+        index, values = [], []
         for col, word in enumerate(window.bases[n]):
-            blk[:, col] = window._accumulate(m, [(one, expand(word))])
-        blocks[n] = blk
+            for val, image in expand(word):
+                index.append(target[image] * shape[1] + col)
+                values.append(val)
+        if window.field.exact:
+            blocks[n] = exactla.from_terms(shape, index, values)
+        else:
+            blk = np.zeros(shape, dtype=np.complex128)
+            np.add.at(blk.reshape(-1), index, values)
+            blocks[n] = blk
     return blocks
 
 
@@ -335,7 +353,6 @@ def operator_matrices(window: FormsWindow) -> dict:
     if window._ops is not None:
         return window._ops
     n_max = window.n_max
-    field = window.field
     d_blocks = _assemble_blocks(window, window._d_word, +1, range(n_max))
     b_blocks = _assemble_blocks(window, window._b_word, -1, range(1, n_max + 1))
     k_blocks = _assemble_blocks(window, window._k_word, 0, range(n_max + 1))
@@ -345,12 +362,9 @@ def operator_matrices(window: FormsWindow) -> dict:
     bd_blocks = {n: exactla.matmul(b_blocks[n + 1], d_blocks[n]) for n in range(n_max)}
     db_blocks = {n: exactla.matmul(d_blocks[n - 1], b_blocks[n]) for n in range(1, n_max)}
 
-    n_blocks, omk_blocks, l_blocks = {}, {}, {}
+    omk_blocks, l_blocks = {}, {}
     for n in range(n_max + 1):
-        dim_n = window.degree_dims[n]
-        eye = field.eye(dim_n)
-        n_blocks[n] = eye * n if n else field.zeros((dim_n, dim_n))
-        omk_blocks[n] = eye - k_blocks[n]
+        omk_blocks[n] = exactla.eye_like(k_blocks[n]) - k_blocks[n]
         if n < n_max:
             lnd = bd_blocks[n] * (n + 1)
             if n >= 1:
@@ -361,7 +375,6 @@ def operator_matrices(window: FormsWindow) -> dict:
         "d": GradedOperator("d", +1, d_blocks),
         "b": GradedOperator("b", -1, b_blocks),
         "k": GradedOperator("k", 0, k_blocks),
-        "N": GradedOperator("N", 0, n_blocks),
         "one_minus_k": GradedOperator("one_minus_k", 0, omk_blocks),
         "bd": GradedOperator("bd", 0, bd_blocks),
         "db": GradedOperator("db", 0, db_blocks),
@@ -402,16 +415,14 @@ def window_identity_residuals(window: FormsWindow) -> dict:
 
     # powers of k, reused across the degree-local relations
     for n in range(n_max + 1):
-        dim_n = window.degree_dims[n]
-        eye = window.field.eye(dim_n)
+        eye = exactla.eye_like(K[n])
         kp = {0: eye}
         p = eye
         for e in range(1, n + 2):
             p = exactla.matmul(p, K[n])
             kp[e] = p
         if n < n_max:
-            dim_up = window.degree_dims[n + 1]
-            eye_up = window.field.eye(dim_up)
+            eye_up = exactla.eye_like(K[n + 1])
             kup = eye_up
             for _ in range(n + 1):
                 kup = exactla.matmul(kup, K[n + 1])

@@ -56,9 +56,9 @@ def jsonable(obj):
 
 
 def make_report(kind, body: dict) -> dict:
-    out = {"schema": SCHEMA_VERSION, "kind": str(kind)}
-    out.update(jsonable(body))
-    return out
+    """The report dict: schema and kind, then the body as given.  Its values
+    are converted once, when the report is serialized."""
+    return {"schema": SCHEMA_VERSION, "kind": str(kind), **body}
 
 
 def json_bytes(report: dict) -> bytes:

@@ -1,19 +1,16 @@
 """Scalar arithmetic for the three supported coefficient modes.
 
-Every matrix in the package is a numpy array whose entries live in one of
-three modes:
-
-* ``rational``  -- exact :class:`fractions.Fraction` entries (object dtype),
-* ``gaussian``  -- exact Gaussian rationals ``a + b*i`` with rational parts
-  (object dtype),
+* ``rational``  -- exact :class:`fractions.Fraction` scalars,
+* ``gaussian``  -- exact Gaussian rationals ``a + b*i`` with rational parts,
 * ``float``     -- machine ``complex128``.
 
-The exact modes support addition, multiplication and division of nonzero
-elements with no rounding, so operator identities can be asserted with
-literal equality.  :class:`ScalarField` bundles what a mode needs: zero/one
-constants, coercion, JSON parsing and serialization ([num, den] pairs in the
-exact modes, [re, im] in float mode), and a complex "shadow" conversion used
-for norms and float cross-checks.
+``Fraction`` and :class:`GaussianRational` objects appear where scalars
+meet the outside: algebra input, JSON, and the object-array vectors of
+differential forms.  Exact operator blocks and spectral matrices are
+scaled-integer arrays (``exactla.ScaledArray``); float ones are
+``complex128``.  :class:`ScalarField` bundles what a mode needs: zero/one
+constants, coercion, and JSON parsing and serialization ([num, den] pairs
+in the exact modes, [re, im] in float mode).
 """
 
 from __future__ import annotations
@@ -93,20 +90,11 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
-    def __pos__(self):
-        return self
-
     def __eq__(self, other):
         o = self._wrap(other)
         if o is None:
             return NotImplemented
         return self.re == o.re and self.im == o.im
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return NotImplemented
-        return not eq
 
     def __hash__(self):
         if self.im == 0:
@@ -118,9 +106,6 @@ class GaussianRational:
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -208,10 +193,6 @@ class ScalarField:
         c = complex(value)
         return [c.real, c.imag]
 
-    @staticmethod
-    def to_complex(value) -> complex:
-        return complex(value)
-
     # -- array builders ------------------------------------------------------
 
     def zeros(self, shape) -> np.ndarray:
@@ -260,6 +241,8 @@ class ScalarField:
         return out
 
     def matrix_to_json(self, mat):
+        if hasattr(mat, "den"):     # an exact exactla.ScaledArray
+            return mat.to_json(self.mode == GAUSSIAN)
         # iterating an object array yields bare scalars, not 0-d arrays
         if not isinstance(mat, np.ndarray):
             return self.to_json(mat)

@@ -17,7 +17,14 @@ Two routes compute it:
 The Green's operator ``G`` inverts ``1 - k`` on the complement of the
 harmonic space and annihilates the harmonic space: since ``P`` commutes with
 ``k`` and ``1 - k`` is nilpotent on Im(P), the combination ``(1-k) + P`` is
-invertible and ``G = (1 - P) * ((1-k) + P)^{-1}``.
+invertible and ``G = (1 - P) * ((1-k) + P)^{-1}``.  Exactly, ``G`` is a
+polynomial in ``k`` as ``P`` is (Cuntz-Quillen 1995): ``G = s(k)`` with
+``s = 0`` mod ``(x-1)^2`` and ``s (1-x) = 1`` mod ``q``, evaluated by the
+same Horner rule on the integer block, with no matrix inverse.  Float
+windows invert ``(1-k) + P`` with LAPACK.
+
+Exact blocks, ``P``, ``P_perp`` and ``G`` are ``exactla.ScaledArray``
+values; :func:`hodge_split` converts the form vectors at its edges.
 
 ``G`` splits the complement into complementary idempotent pieces ``G d b``
 (image inside Im d) and ``G b d`` (image inside Im b), giving per-degree
@@ -36,8 +43,10 @@ import scipy.linalg
 from . import exactla
 from .errors import (NonUnitRootEigenvalue, NumericalRankAmbiguous,
                      PolynomialRelationViolated, SingularOnComplement)
-from .exactla import harmonic_crt_poly, karoubi_annihilator, matmul, to_complex
+from .exactla import (green_crt_poly, harmonic_crt_poly, karoubi_annihilator,
+                      matmul, to_complex)
 from .forms import Form, FormsWindow, operator_matrices
+from .scalars import GAUSSIAN
 
 
 @dataclass
@@ -59,11 +68,10 @@ def harmonic_projection(window: FormsWindow, degree: int, method: str = "auto",
     window.check_degree(degree, top=window.n_max - 1)
     field = window.field
     K = _k_block(window, degree)
-    dim = K.shape[0]
     if method == "auto":
         method = "crt" if field.exact else "eig"
     if degree == 0:
-        P = field.eye(dim)
+        P = exactla.eye_like(K)
     elif method == "crt":
         ann = karoubi_annihilator(degree)
         pk = exactla.eval_poly(ann, K)
@@ -84,7 +92,7 @@ def harmonic_projection(window: FormsWindow, degree: int, method: str = "auto",
     tol = 0.0 if field.exact else 1e-9 * max(1.0, exactla.max_abs(P)) ** 2
     if not exactla.is_zero_matrix(resid, tol):
         raise AssertionError(f"projection not idempotent at degree {degree}")
-    return SpectralData(degree=degree, P=P, P_perp=field.eye(dim) - P)
+    return SpectralData(degree=degree, P=P, P_perp=exactla.eye_like(P) - P)
 
 
 def _eigvals(K: np.ndarray) -> np.ndarray:
@@ -133,14 +141,18 @@ def greens_operator(window: FormsWindow, degree: int,
         data = harmonic_projection(window, degree)
     field = window.field
     K = _k_block(window, degree)
-    M = field.eye(K.shape[0]) - K
-    try:
-        ainv = exactla.inverse(M + data.P)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise SingularOnComplement(
-            f"1-k is singular on the complement at degree {degree}: {exc}",
-            degree=degree) from None
-    G = matmul(data.P_perp, ainv)
+    M = exactla.eye_like(K) - K
+    if not field.exact:
+        try:
+            G = matmul(data.P_perp, np.linalg.inv(M + data.P))
+        except np.linalg.LinAlgError as exc:
+            raise SingularOnComplement(
+                f"1-k is singular on the complement at degree {degree}: {exc}",
+                degree=degree) from None
+    elif degree:
+        G = exactla.eval_poly(green_crt_poly(degree), K)
+    else:
+        G = 0 * M       # k is the identity on degree 0
     resid = matmul(G, M) - data.P_perp
     tol = 0.0 if field.exact else 1e-9 * max(1.0, exactla.max_abs(G))
     if not exactla.is_zero_matrix(resid, tol):
@@ -175,12 +187,13 @@ def hodge_split(window: FormsWindow, form: Form, verify: bool = True):
     for n, vec in form.components.items():
         window.check_degree(n, top=window.n_max - 1)
         data = spectral_data(window, n)
+        vec = exactla.asexact(vec)
         rest = matmul(data.P_perp, vec)
         harm[n] = matmul(data.P, vec)
         if n >= 1:
             dn = matmul(data.G, matmul(D[n - 1], matmul(B[n], rest)))
         else:
-            dn = window.zero_vector(0)
+            dn = exactla.asexact(window.zero_vector(0))
         bn = matmul(data.G, matmul(B[n + 1], matmul(D[n], rest)))
         dpart[n], bpart[n] = dn, bn
         if verify:
@@ -194,7 +207,9 @@ def hodge_split(window: FormsWindow, form: Form, verify: bool = True):
                 raise AssertionError("degree-0 d-part must vanish")
             if not exactla.solve_in_image(B[n + 1], bn.reshape(-1, 1)):
                 raise AssertionError(f"b-part escapes Im(b) at degree {n}")
-    return Form(harm), Form(dpart), Form(bpart)
+    gaussian = field.mode == GAUSSIAN
+    return tuple(Form({n: exactla.to_object(v, gaussian) for n, v in part.items()})
+                 for part in (harm, dpart, bpart))
 
 
 def rescaled_laplacian_check(window: FormsWindow, degree: int,
@@ -275,8 +290,7 @@ def spectral_report(window: FormsWindow, degrees=None, *, cluster_tol=1e-8,
         data = spectral_data(window, n)
         P, Pp, G = data.P, data.P_perp, data.G
         dim = window.degree_dims[n]
-        eye = window.field.eye(dim)
-        omk = eye - K[n]
+        omk = exactla.eye_like(K[n]) - K[n]
         omk2 = matmul(omk, omk)
 
         rank_p = exactla.rank(P, rank_tol)
@@ -291,8 +305,7 @@ def spectral_report(window: FormsWindow, degrees=None, *, cluster_tol=1e-8,
             return {"exact_zero": bool(exactla.is_zero_matrix(mat)),
                     "max_abs": exactla.max_abs(mat)}
 
-        Xc = matmul(matmul(G, DB[n]), Pp) if n >= 1 \
-            else window.field.zeros((dim, dim))
+        Xc = matmul(matmul(G, DB[n]), Pp) if n >= 1 else exactla.eye_like(Pp) * 0
         Yc = matmul(matmul(G, BD[n]), Pp)
         residuals = {
             "P_idempotent": res(matmul(P, P) - P),

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nchodge import cli
+from nchodge import cli, reporting
 from nchodge.errors import InputError
 from nchodge.foliation import builtin_model, resolve_phi
 from nchodge.gv import builtin_omega, gv_report
@@ -235,3 +235,46 @@ def test_unknown_name_lookups_carry_name_and_choices(lookup, name, available):
     entry = exc.value.report_entry()
     assert entry["code"] == "cli/InputError"
     assert entry["context"] == {"name": name, "available": available}
+
+
+@pytest.mark.parametrize("model,key,got", [
+    ({"leaf": 5, "transversal": [0.0]}, "leaf", "int"),
+    ({"leaf": ["circle"], "transversal": [0.0]}, "leaf", "list"),
+    ({"leaf": {"type": "circle"}, "transversal": 0.5}, "transversal", "float"),
+    ({"leaf": {"type": "circle"}, "transversal": {"v": 0.0}}, "transversal", "dict"),
+])
+def test_malformed_model_parts_are_structured_errors(tmp_path, capsys, model, key, got):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert run(["witten-sweep", "--model", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["code"] == "cli/InputError"
+    assert payload["context"] == {"key": key}
+    assert got in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral", "--algebra", "z3", "--nmax", "2"],
+    ["nc-report", "--algebra", "dual-numbers", "--nmax", "3", "--scalar", "gaussian"],
+    ["torsion", "--complex", "circle_alpha_-1_N8.json"],
+    ["torsion", "--complex", "no-such-file.json"],      # the error payload
+])
+def test_each_report_is_walked_once(tmp_path, monkeypatch, capsys, argv):
+    real, depth, walks = reporting.jsonable, [0], []
+
+    def counting(obj):
+        if depth[0] == 0:
+            walks.append(type(obj).__name__)
+        depth[0] += 1
+        try:
+            return real(obj)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(reporting, "jsonable", counting)
+    out = tmp_path / "report.json"
+    run(argv + ["--out", str(out)])
+    capsys.readouterr()
+    assert walks == ["dict"]

@@ -1,18 +1,36 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
 
+import nchodge as nc
 from nchodge import exactla as xla
+from nchodge import spectral
 from nchodge.scalars import GaussianRational, field_for
 
 F = field_for("rational")
 
 
+def _kernel_basis(mat):
+    """Columns spanning the right null space, read off the exact rref."""
+    red, pivots = xla.rref(mat)
+    red = np.asarray(red)
+    free = [c for c in range(red.shape[1]) if c not in pivots]
+    out = np.full((red.shape[1], len(free)), Fraction(0), dtype=object)
+    for j, fc in enumerate(free):
+        out[fc, j] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            out[pc, j] = -red[i, fc]
+    return out
+
+
 def test_rank_and_kernel_exact():
     mat = F.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert xla.rank(mat) == 2
-    ker = xla.kernel_basis(mat)
+    ker = _kernel_basis(mat)
     assert ker.shape == (3, 1)
     assert xla.is_zero_matrix(xla.matmul(mat, ker))
 
@@ -58,11 +76,11 @@ def _random_exact(rng, shape, density, gaussian=False):
 
 
 def _assert_same(ref, got):
-    """Same shape and dtype, and every entry equal and of the same type."""
+    """Same shape and dtype, and every entry equal."""
     ref, got = np.asarray(ref), np.asarray(got)
     assert got.shape == ref.shape and got.dtype == ref.dtype
     for x, y in zip(ref.reshape(-1), got.reshape(-1)):
-        assert x == y and type(x) is type(y), (x, y)
+        assert x == y, (x, y)
 
 
 def _assert_matches_dot(a, b):
@@ -83,7 +101,7 @@ def test_matmul_matches_dot_reference(gaussian, density):
         _assert_matches_dot(a, b[:, 0])    # 1-D right operand
         _assert_matches_dot(a[0], b)       # 1-D left operand
         _assert_matches_dot(a[0], b[:, 0])     # two 1-D operands: a scalar
-    # products between the two exact kinds promote like np.dot
+    # products between the two exact kinds
     _assert_matches_dot(_random_exact(rng, (4, 5), 0.5),
                         _random_exact(rng, (5, 3), 0.5, gaussian=True))
 
@@ -94,7 +112,7 @@ def test_matmul_zero_size_shapes():
                             ((3, 0), (0, 2)), ((0, 0), (0, 0))]:
         _assert_matches_dot(_random_exact(rng, (m, n), 0.5),
                             _random_exact(rng, (n2, p), 0.5))
-    # empty inner axis: np.dot fills with int 0, and so must matmul
+    # empty inner axis: a zero result
     _assert_matches_dot(np.full((2, 0), Fraction(1), dtype=object),
                         np.full((0,), Fraction(1), dtype=object))
 
@@ -102,18 +120,18 @@ def test_matmul_zero_size_shapes():
 def test_matmul_int_filled_operands():
     rng = np.random.default_rng(13)
     mat = F.array([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0]])
-    ker = xla.kernel_basis(mat)            # int 0 / int 1 and Fraction entries
-    assert {type(v) for v in ker.reshape(-1)} == {int, Fraction}
+    ker = _kernel_basis(mat)
+    assert ker.shape == (4, 2) and xla.is_zero_matrix(xla.matmul(mat, ker))
     _assert_matches_dot(mat, ker)
     _assert_matches_dot(ker.T, _random_exact(rng, (4, 3), 0.3))
     _assert_matches_dot(ker.T, ker)
-    # an all-int operand meets a Fraction one only through its zero terms
+    # int-filled operands, alone and against Fraction ones
     ints = np.full((3, 4), 0, dtype=object)
     ints[0, 1] = 2
     _assert_matches_dot(ints, np.full((4, 2), 1, dtype=object))
     _assert_matches_dot(ints, _random_exact(rng, (4, 2), 0.3))
     _assert_matches_dot(np.full((2, 2), 0, dtype=object), F.eye(2))
-    # int terms next to a Fraction zero: np.dot's sum is a Fraction
+    # int terms next to a Fraction zero
     mixed = np.array([[2, Fraction(0)], [0, 0]], dtype=object)
     _assert_matches_dot(mixed, np.array([[3, 1], [Fraction(1), 0]], dtype=object))
 
@@ -192,8 +210,7 @@ def test_rref_matches_dense_reference(kinds):
 
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_rref_of_inverse_augmented_matrix(gaussian):
-    # inverse() row-reduces [M | I] with an int identity half, whose entries
-    # the elimination promotes to M's type
+    # inverse() row-reduces [M | I] with an int identity half
     rng = np.random.default_rng(16)
     for n in (1, 3, 6):
         mat = _random_exact(rng, (n, n), 0.3, gaussian)
@@ -211,7 +228,7 @@ def test_rref_int_pivots_stay_exact():
     red, pivots = xla.rref(np.array([[2, 1], [1, 1], [3, 5]], dtype=object))
     assert pivots == [0, 1]
     _assert_same(F.array([[1, 0], [0, 1], [0, 0]]), red)     # Fractions, no floats
-    ker = xla.kernel_basis(np.array([[2, 1, 1]], dtype=object))
+    ker = _kernel_basis(np.array([[2, 1, 1]], dtype=object))
     assert ker[0, 0] == Fraction(-1, 2) and type(ker[0, 0]) is Fraction
 
 
@@ -274,3 +291,184 @@ def test_eval_poly_matrix_horner():
     # p(x) = 1 + x on a nilpotent gives I + N
     out = xla.eval_poly([Fraction(1), Fraction(1)], mat)
     assert np.array_equal(out, F.array([[1, 1], [0, 1]]))
+
+
+# -- the scaled-integer kernel against independent oracles ----------------------
+#
+# sympy's DomainMatrix over QQ and QQ_I, np.dot on object arrays and the
+# whole-row _dense_rref above share no code with exactla.
+
+def _exact_entry(rng, gaussian, big):
+    scale = 2 ** 62 if big else 1
+    re = Fraction(int(rng.integers(-5, 6)) * scale + int(rng.integers(-2, 3)),
+                  int(rng.integers(1, 4)) * (scale if rng.random() < 0.3 else 1))
+    if not gaussian:
+        return re
+    return GaussianRational(re, Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 3))))
+
+
+def _random_matrix(rng, shape, gaussian=False, big=False, density=0.6):
+    out = np.full(shape, Fraction(0), dtype=object)
+    for idx in np.ndindex(*shape):
+        if rng.random() < density:
+            out[idx] = _exact_entry(rng, gaussian, big)
+    return out
+
+
+def _sympy(arr, gaussian):
+    def q(f):
+        f = Fraction(f)
+        return QQ(f.numerator, f.denominator)
+
+    def conv(v):
+        re, im = (v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
+        return QQ_I(q(re), q(im)) if gaussian else q(re)
+
+    arr = np.asarray(arr)
+    rows = [[conv(v) for v in row] for row in arr.tolist()]
+    return DomainMatrix(rows, arr.shape, QQ_I if gaussian else QQ)
+
+
+def _from_sympy(dm, gaussian):
+    def frac(x):
+        return Fraction(int(x.numerator), int(x.denominator))
+
+    rows = dm.to_list()
+    out = np.empty(dm.shape, dtype=object)
+    for idx in np.ndindex(*dm.shape):
+        x = rows[idx[0]][idx[1]]
+        out[idx] = GaussianRational(frac(x.x), frac(x.y)) if gaussian else frac(x)
+    return out
+
+
+def _assert_canonical(mat):
+    assert isinstance(mat, xla.ScaledArray)
+    assert type(mat.den) is int and mat.den > 0
+    ints = mat.num.reshape(-1).tolist()
+    if mat.im is not None:
+        assert mat.im.shape == mat.num.shape and mat.im.dtype == mat.num.dtype
+        assert any(mat.im.reshape(-1).tolist())        # None exactly when zero
+        ints += mat.im.reshape(-1).tolist()
+    assert math.gcd(mat.den, *ints) == 1
+    assert mat.num.dtype == (np.int64 if mat.bound < 2 ** 63 else object)
+
+
+def _assert_values(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    for x, y in zip(got.reshape(-1).tolist(), ref.reshape(-1).tolist()):
+        assert x == y, (x, y)
+
+
+_SHAPES = [(4, 5, 3), (1, 1, 1), (6, 6, 6), (0, 3, 2), (3, 0, 2), (3, 2, 0)]
+
+
+@pytest.mark.parametrize("big", [False, True])
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_kernel_matches_sympy_and_object_dot(gaussian, big):
+    rng = np.random.default_rng(21)
+    for m, n, p in _SHAPES:
+        a = _random_matrix(rng, (m, n), gaussian, big)
+        b = _random_matrix(rng, (n, p), gaussian, big)
+        got = xla.matmul(a, b)
+        _assert_canonical(got)
+        _assert_values(got, np.dot(a, b))
+        _assert_values(got, _from_sympy(_sympy(a, gaussian) * _sympy(b, gaussian), gaussian))
+        if p:       # a 1-D right operand
+            _assert_values(xla.matmul(a, b[:, 0]), np.dot(a, b[:, 0]))
+        for mat in (a, b, np.concatenate([a, a[:1]]) if m else a):
+            red, pivots = xla.rref(mat)
+            _assert_canonical(red)
+            ref, ref_pivots = _sympy(mat, gaussian).rref()
+            assert pivots == list(ref_pivots) == _dense_rref(mat)[1]
+            _assert_values(red, _from_sympy(ref, gaussian))
+            assert xla.rank(mat) == _sympy(mat, gaussian).rank()
+        if m and n:
+            inside = xla.matmul(a, _random_matrix(rng, (n, 2), gaussian, big))
+            outside = _random_matrix(rng, (m, 1), gaussian, big, density=1.0)
+            for rhs in (inside, outside):
+                stacked = _sympy(np.concatenate([a, rhs], axis=1), gaussian)
+                want = stacked.rank() == _sympy(a, gaussian).rank()
+                assert xla.solve_in_image(a, rhs) is want
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_eval_poly_matches_sympy_horner(gaussian):
+    rng = np.random.default_rng(22)
+    for n, big in [(0, False), (1, False), (4, False), (5, True)]:
+        mat = _random_matrix(rng, (n, n), gaussian, big)
+        coeffs = [Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 5))) for _ in range(6)]
+        got = xla.eval_poly(coeffs, mat)
+        _assert_canonical(got)
+        K = _sympy(mat, gaussian)
+        ref = DomainMatrix.zeros((n, n), K.domain)
+        for c in reversed(coeffs):
+            ref = ref * K + DomainMatrix.eye(n, K.domain) * K.domain.convert(QQ(c.numerator, c.denominator))
+        _assert_values(got, _from_sympy(ref, gaussian))
+    assert np.asarray(xla.eval_poly([], F.eye(2))).tolist() == [[0, 0], [0, 0]]
+
+
+def test_object_path_past_int64_and_back():
+    big = 2 ** 25
+    a = xla.asexact(np.array([[big, 1], [0, big]], dtype=object))
+    sq = xla.matmul(a, a)
+    assert sq.num.dtype == np.int64                   # bound 2^25 * 2^25 * 2
+    cube = xla.matmul(sq, a)                          # bound 2^50 * 2^25 * 2
+    _assert_canonical(cube)
+    assert cube.num.dtype == object
+    _assert_values(cube, np.dot(np.dot(np.asarray(a), np.asarray(a)), np.asarray(a)))
+    # a result that fits again goes back to int64
+    back = cube - cube + xla.eye_like(cube)
+    _assert_canonical(back)
+    assert back.num.dtype == np.int64 and back.den == 1
+    # zeros and scalars past the bound
+    zero = xla.matmul(xla.asexact(np.array([[Fraction(0)]], dtype=object)), cube[:1, :1])
+    tiny = xla.asexact(np.array([[Fraction(1, 2 ** 70)]], dtype=object))
+    _assert_canonical(tiny * 0)
+    _assert_canonical(xla.matmul(tiny - tiny, tiny))
+    _assert_canonical(zero * (2 ** 80))
+    _assert_values((tiny * (2 ** 80)) - 2 ** 10, [[0]])
+    # elimination past the bound: a 2x2 with 2^62 entries needs its own minors
+    huge = np.array([[2 ** 62, 3], [5, 2 ** 62 + 1]], dtype=object)
+    red, pivots = xla.rref(huge)
+    assert pivots == [0, 1] and np.asarray(red).tolist() == [[1, 0], [0, 1]]
+    inv = xla.inverse(huge)
+    _assert_canonical(inv)
+    _assert_values(xla.matmul(huge, inv), F.eye(2))
+
+
+def test_floats_of_large_entries_round_once():
+    vals = [Fraction(2 ** 60 + 1, 3), Fraction(-(2 ** 55) - 3, 2 ** 54 + 1), Fraction(1, 3)]
+    mat = np.array(vals, dtype=object)
+    got = xla.to_complex(mat)
+    assert got.tolist() == [complex(v) for v in vals]
+    assert xla.max_abs(mat) == max(abs(float(v)) for v in vals)
+    gauss = np.array([GaussianRational(v, -v) for v in vals], dtype=object)
+    assert xla.to_complex(gauss).tolist() == [complex(v) for v in gauss]
+    assert xla.max_abs(gauss) == float(np.max(np.abs(np.array([complex(v) for v in gauss]))))
+
+
+def _reference_inverse(mat):
+    n = mat.shape[0]
+    aug = np.full((n, 2 * n), Fraction(0), dtype=object)
+    aug[:, :n] = mat
+    for i in range(n):
+        aug[i, n + i] = Fraction(1)
+    red, pivots = _dense_rref(aug)
+    assert pivots[:n] == list(range(n))
+    return red[:, n:]
+
+
+@pytest.mark.parametrize("mode", ["rational", "gaussian"])
+@pytest.mark.parametrize("name,n_max", [("z3", 3), ("m2", 2)])
+def test_greens_polynomial_equals_inverse_route(name, n_max, mode):
+    w = nc.build_window(nc.builtin_algebra(name, mode), n_max)
+    K = nc.operator_matrices(w)["k"].blocks
+    for degree in range(n_max):
+        data = spectral.spectral_data(w, degree)
+        for mat in (data.P, data.P_perp, data.G):
+            _assert_canonical(mat)
+        P, k = np.asarray(data.P), np.asarray(K[degree])
+        eye = np.asarray(F.eye(P.shape[0]))
+        ref = np.dot(eye - P, _reference_inverse(eye - k + P))
+        _assert_values(data.G, ref)
