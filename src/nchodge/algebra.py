@@ -156,15 +156,15 @@ def make_algebra(dim, basis_labels, structure, unit, scalar_mode=RATIONAL, *,
         raise UnitViolation("unit cannot be pivoted into the basis",
                             unit=[str(v) for v in u])
 
-    # products of unit-first basis vectors, re-expressed in unit-first coords
-    mul_flat = cx.reshape(dim, dim * dim)
-    basis = exactla.asexact(change.T)
-    norm = field.zeros((dim, dim, dim))
-    for a in range(dim):
-        tmp = exactla.matmul(basis[a], mul_flat).reshape(dim, dim)
-        for b in range(dim):
-            prod = exactla.matmul(change_inv, exactla.matmul(basis[b], tmp))
-            norm[a, b] = exactla.to_object(prod, field.mode == GAUSSIAN)
+    # unit-first products in unit-first coords, norm[a, b, m] = sum_ijk C[i, a]
+    # C[j, b] c[i, j, k] Cinv[m, k], one axis per product; transposing an
+    # (x, y*z) reshape turns the axes (x, y, z) into (y, z, x)
+    ct = exactla.asexact(change).T
+    t = exactla.matmul(ct, cx.reshape(dim, dim * dim))               # (a, j, k)
+    t = exactla.matmul(t.reshape(dim * dim, dim), change_inv.T)      # (a, j, m)
+    t = exactla.matmul(ct, t.reshape(dim, dim * dim).T.reshape(dim, dim * dim))  # (b, m, a)
+    norm = exactla.to_object(t.reshape(dim * dim, dim).T.reshape(dim, dim, dim),
+                             field.mode == GAUSSIAN)
 
     norm_labels = ("1",) + tuple(labels[i] for i in complement)
     return Algebra(dim=dim, basis_labels=labels, field=field, structure=c,
@@ -229,6 +229,11 @@ def load_algebra(source, scalar_mode=None) -> Algebra:
         mul_json = data["mul"]
     except KeyError as exc:
         raise ShapeMismatch(f"algebra file is missing key {exc}") from None
+    except (TypeError, ValueError):
+        raise ShapeMismatch(f"algebra key 'dim' is not an integer: {data['dim']!r}",
+                            key="dim") from None
+    if not isinstance(basis, list):
+        raise ShapeMismatch(f"algebra key 'basis' is not a list: {basis!r}", key="basis")
     # parse with the mode the file was written in; convert afterwards, so a
     # rational [num, den] pair is never misread as a float [re, im] pair
     stored_mode = data.get("scalars", RATIONAL)

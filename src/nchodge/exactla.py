@@ -18,9 +18,10 @@ Gaussian integers, where the division is exact too.  Exact ranks are
 therefore exact integers, which several invariants rely on.
 
 Float matrices are ``complex128`` and go to numpy and LAPACK; every helper
-dispatches on its input.  Object arrays of int, Fraction and
-GaussianRational entries (algebra input, form vectors) enter through
-:func:`asexact` and leave through :func:`to_object`.
+dispatches on its input.  Exact form vectors are ScaledArrays as well.
+Object arrays of int, Fraction and GaussianRational entries (algebra input,
+forms given by their coefficients) enter through :func:`asexact` and leave
+through :func:`to_object`.
 
 Also hosts the small dense polynomial arithmetic (Fraction coefficients,
 low-to-high lists) that gives P and G as polynomials in k.
@@ -133,13 +134,15 @@ class ScaledArray:
         return NotImplemented if other is NotImplemented else other + -self
 
     def __mul__(self, other):
-        """Product with an int or Fraction scalar."""
-        if not isinstance(other, (int, Fraction)):
+        """Product with an int, Fraction or GaussianRational scalar."""
+        if not isinstance(other, (int, Fraction, GaussianRational)):
             return NotImplemented
-        c = Fraction(other)
-        re, im = _widen(self.num, self.im, max(self.bound, 1) * abs(c.numerator) >= _LIMIT)
-        return ScaledArray(re * c.numerator, _opt(operator.mul, im, c.numerator),
-                           self.den * c.denominator)
+        c = other if isinstance(other, GaussianRational) else GaussianRational(other)
+        den = math.lcm(c.re.denominator, c.im.denominator)
+        cr, ci = (x.numerator * (den // x.denominator) for x in (c.re, c.im))
+        wide = 2 * max(self.bound, 1) * max(abs(cr), abs(ci)) >= _LIMIT
+        re, im = _cprod(operator.mul, *_widen(self.num, self.im, wide), cr, ci or None)
+        return ScaledArray(re, im, self.den * den)
 
     __rmul__ = __mul__
 
@@ -169,7 +172,8 @@ class ScaledArray:
 
 
 def _absmax(a) -> int:
-    return int(np.abs(a).max()) if a is not None and a.size else 0
+    # a[None] is never 0-d: np.abs of a 0-d object array is a bare int
+    return int(np.abs(a[None]).max()) if a is not None and a.size else 0
 
 
 def _plus(x, y):
@@ -303,10 +307,9 @@ def max_abs(mat) -> float:
 def is_zero_matrix(mat, tol: float = 0.0) -> bool:
     if mat.size == 0:
         return True
-    if isinstance(mat, ScaledArray):
-        return mat.im is None and not mat.num.any()
     if is_exact(mat):
-        return not any(mat.reshape(-1).tolist())
+        mat = asexact(mat)
+        return mat.im is None and not mat.num.any()
     return max_abs(mat) <= tol
 
 

@@ -8,11 +8,11 @@ element is stored as the index word ``(i0, ..., in)`` and the basis is
 ordered lexicographically in that word.  In the familiar notation the word
 is the form ``a0*da1*...*dan``.
 
-Each operator and the product are defined once, on basis words; one loop
-extends them linearly to forms, and one assembles the blocks, one per
-degree.  Exact blocks go straight from the word expansions into
-scaled-integer arrays (``exactla.ScaledArray``); float blocks are
-``complex128``.  Form vectors are object arrays of the field's scalars.
+Each operator is defined once, on basis words, and assembled into one
+block per degree; the blocks are the only way operators act on forms, one
+matrix product per component.  Exact blocks and form vectors are
+scaled-integer arrays (``exactla.ScaledArray``); float ones are
+``complex128``.
 
 * ``d``      -- ``a0 da1..dan  ->  1 da0 da1..dan`` (dies when a0 = 1),
 * ``b``      -- Hochschild boundary
@@ -26,14 +26,16 @@ scaled-integer arrays (``exactla.ScaledArray``); float blocks are
 * ``L``      -- the rescaled Laplacian  b(Nd) + (Nd)b = (n+1) bd + n db,
   where N multiplies degree n by n.
 
-The product of forms follows the graded Leibniz pattern of moving the left
-factor's trailing differential across the right factor:
-
-    (a0 da1..dan) * (a{n+1} da{n+2}..dam)
-        = sum_{i=0..n} (-1)^{n-i} (a0, .., a_i*a_{i+1}, .., am),
-
-expanded over the nonzero coefficient pairs of the factors; the window
-keeps each pair of basis words' expansion once it is formed.
+The product needs only right multiplication by the basis (Cuntz-Quillen
+1995).  Write a degree-q form as ``v = sum_j e_j dv_j``; a form times
+``1 da1..daq`` just appends ``a1..aq`` to its words, so
+``u * v = sum_j (u * e_j)(1 dv_j)``, and by the graded Leibniz rule
+``(a0 da1..dan) * e_j = sum_{i<=n} (-1)^{n-i} (s0,..,s_i*s_{i+1},..,s{n+1})``
+over ``s = (a0, .., an, j)``.  The block ``R[p]`` of shape
+``(d*dims[p], dims[p])``, built per degree by the first product that needs
+it, holds a word's product with ``e_j`` at rows ``(image, j)``.  As
+``v.reshape(d, -1)`` lists ``v`` by leading index, the degree-(p+q)
+product is ``(R[p] u).reshape(-1, d) @ v.reshape(d, -1)``, flattened.
 
 Identities involving only degree-preserving operators hold on every window
 degree; identities that pass through ``d`` hold on degrees up to
@@ -51,7 +53,6 @@ import numpy as np
 from . import exactla
 from .algebra import Algebra
 from .errors import DegreeOutOfWindow, WindowTooLarge
-from .scalars import GAUSSIAN
 
 DEFAULT_DIM_CAP = 20000
 _CAP_ENV = "NCHODGE_CAP"
@@ -69,12 +70,15 @@ def dimension_cap() -> int:
 
 @dataclass
 class Form:
-    """Finitely supported graded vector: degree -> coefficient vector."""
+    """Finitely supported graded vector: degree -> coefficient vector.
+
+    Exact vectors are held as ``exactla.ScaledArray`` (object arrays of the
+    field's scalars are converted once, here); float ones are complex128."""
 
     components: dict
 
-    def degrees(self):
-        return sorted(self.components)
+    def __post_init__(self):
+        self.components = {n: exactla.asexact(v) for n, v in self.components.items()}
 
     def component(self, n, window=None):
         if n in self.components:
@@ -83,39 +87,25 @@ class Form:
             return window.zero_vector(n)
         raise KeyError(n)
 
-    def copy(self):
-        return Form({n: v.copy() for n, v in self.components.items()})
-
-    def _binary(self, other, op):
-        out = {}
-        for n in set(self.components) | set(other.components):
-            a, b = self.components.get(n), other.components.get(n)
-            if a is None:
-                out[n] = op(np.zeros_like(b), b)
-            elif b is None:
-                out[n] = op(a, np.zeros_like(a))
-            else:
-                out[n] = op(a, b)
+    def __add__(self, other):
+        out = dict(self.components)
+        for n, v in other.components.items():
+            out[n] = out[n] + v if n in out else v
         return Form(out)
 
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return self + -other
 
     def __neg__(self):
         return Form({n: -v for n, v in self.components.items()})
 
     def scale(self, c):
-        return Form({n: v * c for n, v in self.components.items()})
+        """Multiply by a scalar of the field (in float mode, by any number)."""
+        return Form({n: v * (c if exactla.is_exact(v) else complex(c))
+                     for n, v in self.components.items()})
 
     def is_zero(self, tol=0.0):
         return all(exactla.is_zero_matrix(v, tol) for v in self.components.values())
-
-    def max_abs(self) -> float:
-        vals = [exactla.max_abs(v) for v in self.components.values()]
-        return max(vals, default=0.0)
 
     def __eq__(self, other):
         if not isinstance(other, Form):
@@ -125,9 +115,7 @@ class Form:
 
 @dataclass
 class GradedOperator:
-    """Degree-homogeneous operator: one matrix block per source degree.
-
-    Missing blocks act as zero."""
+    """Degree-homogeneous operator: one matrix block per source degree."""
 
     name: str
     degree_shift: int
@@ -163,7 +151,7 @@ class FormsWindow:
             self.index.append({w: i for i, w in enumerate(words)})
         self._ops = None
         self._spectral_cache = {}
-        self._products = {}     # (left word, right word) -> _mul_words expansion
+        self._right = {}        # degree -> R block of multiply_forms
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -172,13 +160,14 @@ class FormsWindow:
         if not 0 <= n <= top:
             raise DegreeOutOfWindow(f"degree {n} outside window 0..{top}")
 
-    def zero_vector(self, n) -> np.ndarray:
+    def zero_vector(self, n):
         self.check_degree(n)
-        return self.field.zeros((self.degree_dims[n],))
+        return exactla.asexact(np.zeros(self.degree_dims[n], dtype=self.field.dtype))
 
     def basis_form(self, n, idx) -> Form:
-        vec = self.zero_vector(n)
-        vec[idx] = self.field.one
+        self.check_degree(n)
+        vec = np.zeros(self.degree_dims[n], dtype=self.field.dtype)
+        vec[idx] = 1
         return Form({n: vec})
 
     def word_label(self, word) -> str:
@@ -190,8 +179,7 @@ class FormsWindow:
 
     def form_from_element(self, x) -> Form:
         """Degree-0 form from original-basis algebra coordinates."""
-        vec = exactla.matmul(self.algebra.change_inv, self.algebra._check_vec(x))
-        return Form({0: exactla.to_object(vec, self.field.mode == GAUSSIAN)})
+        return Form({0: exactla.matmul(self.algebra.change_inv, self.algebra._check_vec(x))})
 
     # -- basis-word expansions ---------------------------------------------------
 
@@ -242,20 +230,17 @@ class FormsWindow:
                 out.append((-sign1 * cm, (0, m) + word[1:n]))
         return out
 
-    def _mul_words(self, left, right):
-        out = self._products.get((left, right))
-        if out is not None:
-            return out
-        n = len(left) - 1
-        s = left + right
+    def _r_word(self, word, j):
+        n = len(word) - 1
+        s = word + (j,)
         one = self.field.one
         alg = self.algebra
         d = alg.dim
         out = []
         for i in range(n + 1):
-            # a term keeps the right factor's A slot in a bar position unless
-            # it is the one being merged; the unit dies there
-            if i < n and right[0] == 0:
+            # e_j stays in a bar position unless it is the one being merged;
+            # the unit dies there
+            if i < n and j == 0:
                 continue
             sign = one if (n - i) % 2 == 0 else -one
             prod = alg.norm_mul(s[i], s[i + 1])
@@ -265,66 +250,63 @@ class FormsWindow:
                 cm = prod[m]
                 if cm != 0:
                     out.append((sign * cm, head + (m,) + tail))
-        self._products[left, right] = out
         return out
-
-    # -- linear extension ----------------------------------------------------------
-
-    def _accumulate(self, m, terms):
-        """Degree-m vector: the sum of ``coeff * val`` at ``word`` over
-        ``terms``, an iterable of (coeff, [(val, word), ...]) pairs."""
-        vec = self.zero_vector(m)
-        target_index = self.index[m]
-        for coeff, expansion in terms:
-            for val, word in expansion:
-                vec[target_index[word]] += coeff * val
-        return vec
-
-    def _apply_words(self, form, expand, shift, *, top=None):
-        out = {}
-        for n, vec in form.components.items():
-            self.check_degree(n, top=top)
-            m = n + shift
-            if m >= 0:
-                words = self.bases[n]
-                out[m] = self._accumulate(m, ((coeff, expand(words[col]))
-                                              for col, coeff in enumerate(vec)
-                                              if coeff != 0))
-        return Form(out)
 
 
 def build_window(algebra: Algebra, n_max: int, cap=None) -> FormsWindow:
     return FormsWindow(algebra, n_max, cap=cap)
 
 
+def _apply(window, name, form, *, top=None):
+    op = operator_matrices(window)[name]
+    out = {}
+    for n, vec in form.components.items():
+        window.check_degree(n, top=top)
+        if n + op.degree_shift >= 0:
+            out[n + op.degree_shift] = exactla.matmul(op.blocks[n], vec)
+    return Form(out)
+
+
 def apply_d(window: FormsWindow, form: Form) -> Form:
-    return window._apply_words(form, window._d_word, +1, top=window.n_max - 1)
+    return _apply(window, "d", form, top=window.n_max - 1)
 
 
 def apply_b(window: FormsWindow, form: Form) -> Form:
-    return window._apply_words(form, window._b_word, -1)
+    return _apply(window, "b", form)
 
 
 def apply_k(window: FormsWindow, form: Form) -> Form:
-    return window._apply_words(form, window._k_word, 0)
+    return _apply(window, "k", form)
+
+
+def _right_block(window, p):
+    """R[p]: a degree-p word's column holds its product with e_j at rows (image, j)."""
+    block = window._right.get(p)
+    if block is None:
+        d, dim, target = window.algebra.dim, window.degree_dims[p], window.index[p]
+        index, values = [], []
+        for col, word in enumerate(window.bases[p]):
+            for j in range(d):
+                for val, image in window._r_word(word, j):
+                    index.append((target[image] * d + j) * dim + col)
+                    values.append(val)
+        block = window._right[p] = _block(window, (d * dim, dim), index, values)
+    return block
 
 
 def multiply_forms(window: FormsWindow, u: Form, v: Form) -> Form:
-    degs_u, degs_v = u.degrees(), v.degrees()
-    if degs_u and degs_v and degs_u[-1] + degs_v[-1] > window.n_max:
-        raise DegreeOutOfWindow(
-            f"product degree {degs_u[-1] + degs_v[-1]} exceeds window top {window.n_max}")
+    if not (u.components and v.components):
+        return Form({})
+    top = max(u.components) + max(v.components)
+    if top > window.n_max:
+        raise DegreeOutOfWindow(f"product degree {top} exceeds window top {window.n_max}")
+    d = window.algebra.dim
     out = {}
-    for p in degs_u:
-        up, left = u.components[p], window.bases[p]
-        for q in degs_v:
-            vq, right = v.components[q], window.bases[q]
-            pairs = ((ui * vj, window._mul_words(left[i], right[j]))
-                     for i, ui in enumerate(up) if ui
-                     for j, vj in enumerate(vq) if vj)
-            m = p + q
-            res = window._accumulate(m, pairs)
-            out[m] = out[m] + res if m in out else res
+    for p, up in u.components.items():
+        ue = exactla.matmul(_right_block(window, p), up).reshape(-1, d)
+        for q, vq in v.components.items():
+            res = exactla.matmul(ue, vq.reshape(d, -1)).reshape(-1)
+            out[p + q] = out[p + q] + res if p + q in out else res
     return Form(out)
 
 
@@ -339,13 +321,17 @@ def _assemble_blocks(window, expand, shift, degrees):
             for val, image in expand(word):
                 index.append(target[image] * shape[1] + col)
                 values.append(val)
-        if window.field.exact:
-            blocks[n] = exactla.from_terms(shape, index, values)
-        else:
-            blk = np.zeros(shape, dtype=np.complex128)
-            np.add.at(blk.reshape(-1), index, values)
-            blocks[n] = blk
+        blocks[n] = _block(window, shape, index, values)
     return blocks
+
+
+def _block(window, shape, index, values):
+    """The block of ``shape`` summing ``values`` at their flat ``index``."""
+    if window.field.exact:
+        return exactla.from_terms(shape, index, values)
+    block = np.zeros(shape, dtype=np.complex128)
+    np.add.at(block.reshape(-1), index, values)
+    return block
 
 
 def operator_matrices(window: FormsWindow) -> dict:

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from . import exactla
 from .errors import BadGram, NegativeEigenvalue, NotAComplex
@@ -79,20 +78,26 @@ class CochainComplex:
 
 
 def _entry_to_complex(entry):
-    if isinstance(entry, (list, tuple)):
-        if len(entry) != 2:
-            raise NotAComplex(f"matrix entry {entry!r} is not a number or [re, im] pair")
-        return complex(float(entry[0]), float(entry[1]))
-    return complex(entry)
+    try:
+        if not isinstance(entry, (list, tuple)):
+            return complex(entry)
+        re, im = entry
+        return complex(float(re), float(im))
+    except (TypeError, ValueError):
+        raise NotAComplex(f"matrix entry {entry!r} is not a number or [re, im] pair") from None
+
+
+def _is_list_of(value, n):
+    return isinstance(value, (list, tuple)) and len(value) == n
 
 
 def _matrix_from_json(rows, shape, what):
     mat = np.zeros(shape, dtype=complex)
-    if len(rows) != shape[0]:
-        raise NotAComplex(f"{what}: expected {shape[0]} rows, got {len(rows)}")
+    if not _is_list_of(rows, shape[0]):
+        raise NotAComplex(f"{what}: expected a list of {shape[0]} rows")
     for i, row in enumerate(rows):
-        if len(row) != shape[1]:
-            raise NotAComplex(f"{what}: row {i} has {len(row)} entries, expected {shape[1]}")
+        if not _is_list_of(row, shape[1]):
+            raise NotAComplex(f"{what}: row {i} is not a list of {shape[1]} entries")
         for j, entry in enumerate(row):
             mat[i, j] = _entry_to_complex(entry)
     return mat
@@ -157,7 +162,7 @@ def validate_complex(cx: CochainComplex, tol=1e-12):
             raise BadGram(f"Gram at degree {k} is not Hermitian", degree=k, residual=herm)
         if g.shape[0]:
             try:
-                scipy.linalg.cholesky(g, lower=True)
+                np.linalg.cholesky(g)
             except np.linalg.LinAlgError:
                 raise BadGram(f"Gram at degree {k} is not positive definite",
                               degree=k) from None
@@ -175,17 +180,18 @@ def load_complex(source) -> CochainComplex:
     if "differentials" not in source and "diffs" not in source:
         raise NotAComplex("missing key 'differentials'")
     dims = source["dims"]
-    if not isinstance(dims, (list, tuple)):
-        raise NotAComplex("dims must be a list")
-    dims = tuple(int(n) for n in dims)
+    if not (isinstance(dims, (list, tuple)) and all(isinstance(n, int) for n in dims)):
+        raise NotAComplex(f"dims must be a list of integers, got {dims!r}", key="dims")
     m = len(dims) - 1
     raw_diffs = source.get("differentials", source.get("diffs"))
-    if len(raw_diffs) != m:
-        raise NotAComplex(f"expected {m} differentials, got {len(raw_diffs)}")
+    if not _is_list_of(raw_diffs, m):
+        raise NotAComplex(f"expected a list of {m} differentials", key="differentials")
     diffs = [_matrix_from_json(raw_diffs[k], (dims[k + 1], dims[k]), f"differential {k}")
              for k in range(m)]
     grams = source.get("gram", source.get("grams"))
     if grams is not None:
+        if not _is_list_of(grams, len(dims)):
+            raise BadGram(f"expected a list of {len(dims)} Gram entries", key="gram")
         parsed = []
         for k, g in enumerate(grams):
             if g is None or np.isscalar(g):
@@ -234,6 +240,7 @@ def _build_frame(cx: CochainComplex, k, lap) -> HodgeFrame:
     L = linv = S = np.zeros((0, 0), complex)
     eigs = np.zeros(0)
     if n:
+        import scipy.linalg  # on first use: the form operators never need scipy
         L = scipy.linalg.cholesky(cx.grams[k], lower=True)
         linv = scipy.linalg.solve_triangular(L, np.eye(n, dtype=complex), lower=True)
         S = L.conj().T @ lap @ linv.conj().T
@@ -279,6 +286,7 @@ def decompose(cx: CochainComplex, k, v, rel_tol=1e-9):
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.shape[0] != cx.dims[k]:
         raise NotAComplex(f"cochain length {v.shape[0]} != dim {cx.dims[k]} at degree {k}")
+    import scipy.linalg
     frame = cx.frame(k)
     L = frame.chol
     u = L.conj().T @ v

@@ -5,8 +5,8 @@
 * ``float``     -- machine ``complex128``.
 
 ``Fraction`` and :class:`GaussianRational` objects appear where scalars
-meet the outside: algebra input, JSON, and the object-array vectors of
-differential forms.  Exact operator blocks and spectral matrices are
+meet the outside: algebra input, JSON, and single entries read out of exact
+arrays.  Exact operator blocks, spectral matrices and form vectors are
 scaled-integer arrays (``exactla.ScaledArray``); float ones are
 ``complex128``.  :class:`ScalarField` bundles what a mode needs: zero/one
 constants, coercion, and JSON parsing and serialization ([num, den] pairs

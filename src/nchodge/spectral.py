@@ -23,8 +23,9 @@ polynomial in ``k`` as ``P`` is (Cuntz-Quillen 1995): ``G = s(k)`` with
 same Horner rule on the integer block, with no matrix inverse.  Float
 windows invert ``(1-k) + P`` with LAPACK.
 
-Exact blocks, ``P``, ``P_perp`` and ``G`` are ``exactla.ScaledArray``
-values; :func:`hodge_split` converts the form vectors at its edges.
+Exact blocks, ``P``, ``P_perp``, ``G`` and form vectors are all
+``exactla.ScaledArray`` values, so :func:`hodge_split` multiplies them with
+no conversion.
 
 ``G`` splits the complement into complementary idempotent pieces ``G d b``
 (image inside Im d) and ``G b d`` (image inside Im b), giving per-degree
@@ -38,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import exactla
 from .errors import (NonUnitRootEigenvalue, NumericalRankAmbiguous,
@@ -46,7 +46,6 @@ from .errors import (NonUnitRootEigenvalue, NumericalRankAmbiguous,
 from .exactla import (green_crt_poly, harmonic_crt_poly, karoubi_annihilator,
                       matmul, to_complex)
 from .forms import Form, FormsWindow, operator_matrices
-from .scalars import GAUSSIAN
 
 
 @dataclass
@@ -120,6 +119,7 @@ def _schur_projection(K: np.ndarray, cluster_tol: float) -> np.ndarray:
     n = K.shape[0]
     if n == 0:
         return np.zeros((0, 0), complex)
+    import scipy.linalg  # on first use: the form operators never need scipy
     T, Z, sdim = scipy.linalg.schur(K, output="complex",
                                     sort=lambda z: abs(z - 1.0) < cluster_tol)
     if sdim == 0:
@@ -181,19 +181,17 @@ def hodge_split(window: FormsWindow, form: Form, verify: bool = True):
     """
     ops = operator_matrices(window)
     D, B = ops["d"].blocks, ops["b"].blocks
-    field = window.field
-    tol = 0.0 if field.exact else 1e-9
+    tol = 0.0 if window.field.exact else 1e-9
     harm, dpart, bpart = {}, {}, {}
     for n, vec in form.components.items():
         window.check_degree(n, top=window.n_max - 1)
         data = spectral_data(window, n)
-        vec = exactla.asexact(vec)
         rest = matmul(data.P_perp, vec)
         harm[n] = matmul(data.P, vec)
         if n >= 1:
             dn = matmul(data.G, matmul(D[n - 1], matmul(B[n], rest)))
         else:
-            dn = exactla.asexact(window.zero_vector(0))
+            dn = window.zero_vector(0)
         bn = matmul(data.G, matmul(B[n + 1], matmul(D[n], rest)))
         dpart[n], bpart[n] = dn, bn
         if verify:
@@ -207,9 +205,7 @@ def hodge_split(window: FormsWindow, form: Form, verify: bool = True):
                 raise AssertionError("degree-0 d-part must vanish")
             if not exactla.solve_in_image(B[n + 1], bn.reshape(-1, 1)):
                 raise AssertionError(f"b-part escapes Im(b) at degree {n}")
-    gaussian = field.mode == GAUSSIAN
-    return tuple(Form({n: exactla.to_object(v, gaussian) for n, v in part.items()})
-                 for part in (harm, dpart, bpart))
+    return Form(harm), Form(dpart), Form(bpart)
 
 
 def rescaled_laplacian_check(window: FormsWindow, degree: int,

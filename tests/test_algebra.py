@@ -107,3 +107,19 @@ def test_float_stored_algebra_loads_as_rational():
     stored["unit"] = [[1.0, 0.5], [0.0, 0.0]]
     with pytest.raises(ShapeMismatch):
         nc.load_algebra(stored, "rational")
+
+
+@pytest.mark.parametrize("mode", ["rational", "gaussian", "float"])
+def test_norm_structure_matches_basis_products(mode):
+    """Unit-first structure constants, entry for entry, against products of
+    the unit-first basis vectors formed one pair at a time."""
+    for name in sorted(nc.BUILTIN_ALGEBRAS):
+        a = nc.builtin_algebra(name, mode)
+        inv = np.asarray(a.change_inv)
+        for i in range(a.dim):
+            for j in range(a.dim):
+                prod = a.multiply(a.change[:, i], a.change[:, j])
+                want = inv.dot(np.asarray(prod))
+                assert [type(v) for v in a.norm_structure[i, j]] == [type(v) for v in want]
+                assert np.array_equal(a.norm_structure[i, j], want), (name, i, j)
+

@@ -177,6 +177,38 @@ def test_malformed_algebra_is_structured_error(tmp_path, capsys, fields,
     assert payload["context"]["key"] == key
 
 
+@pytest.mark.parametrize("text,key", [
+    ('{"dim": null, "basis": ["1", "x"], "unit": [1, 0], "mul": 5}', "dim"),
+    ('{"dim": [2], "basis": ["1", "x"], "unit": [1, 0], "mul": 5}', "dim"),
+    ('{"dim": 2, "basis": 5, "unit": [1, 0], "mul": 5}', "basis"),
+])
+def test_malformed_algebra_header_is_structured_error(tmp_path, capsys, text, key):
+    src = tmp_path / "alg.json"
+    src.write_text(text)
+    assert run(["nc-report", "--algebra", str(src), "--nmax", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["code"] == "algebra-core/ShapeMismatch"
+    assert payload["context"]["key"] == key
+
+
+@pytest.mark.parametrize("text,code", [
+    ('{"dims": [null, 2], "differentials": [[[1]]]}', "NotAComplex"),
+    ('{"dims": [1, 1], "differentials": 5}', "NotAComplex"),
+    ('{"dims": [1, 1], "differentials": [5]}', "NotAComplex"),
+    ('{"dims": [1, 1], "differentials": [[[1]]], "gram": 5}', "BadGram"),
+    ('{"dims": [1, 1], "differentials": [[[null]]]}', "NotAComplex"),
+])
+def test_malformed_complex_is_structured_error(tmp_path, capsys, text, code):
+    src = tmp_path / "cx.json"
+    src.write_text(text)
+    assert run(["hodge", "--complex", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["code"] == "hodge-classical/" + code
+
+
 def test_main_builds_the_parser_once(tmp_path, monkeypatch):
     real_build, builds = cli.build_parser, []
 

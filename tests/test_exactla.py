@@ -428,6 +428,9 @@ def test_object_path_past_int64_and_back():
     _assert_canonical(xla.matmul(tiny - tiny, tiny))
     _assert_canonical(zero * (2 ** 80))
     _assert_values((tiny * (2 ** 80)) - 2 ** 10, [[0]])
+    # a 0-d result past the bound: the dot product of two vectors
+    row = xla.asexact(np.array([2 ** 62, 2 ** 62], dtype=object))
+    assert xla.matmul(row, row)[()] == 2 ** 125
     # elimination past the bound: a 2x2 with 2^62 entries needs its own minors
     huge = np.array([[2 ** 62, 3], [5, 2 ** 62 + 1]], dtype=object)
     red, pivots = xla.rref(huge)

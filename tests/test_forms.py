@@ -5,6 +5,9 @@ matrices: in degree 1 the basis is (dx, x dx) and the rotation acts as
 diag(1, -1).
 """
 
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ import nchodge as nc
 from nchodge import exactla, spectral
 from nchodge.errors import DegreeOutOfWindow, WindowTooLarge
 from nchodge.forms import DEFAULT_DIM_CAP, dimension_cap
+from nchodge.scalars import GaussianRational
 
 
 @pytest.fixture(scope="module")
@@ -122,23 +126,140 @@ def _random_form(w, rng, degree):
         [int(c) for c in rng.integers(-2, 3, w.degree_dims[degree])])})
 
 
-def test_form_operators_need_no_dense_matmul(monkeypatch):
-    w = nc.build_window(nc.builtin_algebra("z3"), 4)
-    nc.operator_matrices(w)
+# -- per-word reference --------------------------------------------------------
+# The package applies d, b, k and the product through assembled blocks only.
+# The loops below extend the word expansions to forms one coefficient at a
+# time, in the field's Python scalars, and _mul_words multiplies two basis
+# words directly, without the right-multiplication blocks.
 
-    def refuse(a, b):
-        raise AssertionError("a form operator went through a dense matmul")
+def _mul_words(w, left, right):
+    """(a0 da1..dan) * (a{n+1} da{n+2}..dam)
+    = sum_i (-1)^{n-i} (a0, .., a_i*a_{i+1}, .., am)."""
+    n = len(left) - 1
+    s = left + right
+    one = w.field.one
+    out = []
+    for i in range(n + 1):
+        # the right factor's A slot lands in a bar position unless it is
+        # merged, and the unit dies there
+        if i < n and right[0] == 0:
+            continue
+        sign = one if (n - i) % 2 == 0 else -one
+        prod = w.algebra.norm_mul(s[i], s[i + 1])
+        for m in range(0 if i == 0 else 1, w.algebra.dim):
+            if prod[m] != 0:
+                out.append((sign * prod[m], s[:i] + (m,) + s[i + 2:]))
+    return out
 
-    monkeypatch.setattr(exactla, "matmul", refuse)
+
+def _reference_vector(w, m, terms):
+    """Degree-m object vector summing coeff * val at word over ``terms``,
+    (coeff, [(val, word), ...]) pairs."""
+    vec = w.field.zeros((w.degree_dims[m],))
+    for coeff, expansion in terms:
+        for val, word in expansion:
+            vec[w.index[m][word]] += coeff * val
+    return vec
+
+
+def _reference_apply(w, expand, shift, vec, n):
+    return _reference_vector(w, n + shift, ((c, expand(w.bases[n][i]))
+                                            for i, c in enumerate(vec) if c != 0))
+
+
+def _reference_product(w, up, p, vq, q):
+    return _reference_vector(w, p + q, (
+        (ui * vj, _mul_words(w, w.bases[p][i], w.bases[q][j]))
+        for i, ui in enumerate(up) if ui != 0
+        for j, vj in enumerate(vq) if vj != 0))
+
+
+def _field_vector(w, rng, degree):
+    """Random object vector of the field's scalars, complex in the
+    gaussian and float modes."""
+    size = w.degree_dims[degree]
+    re, im = rng.integers(-2, 3, size), rng.integers(-2, 3, size)
+    if w.field.mode == "rational":
+        return w.field.array([int(a) for a in re])
+    if w.field.mode == "gaussian":
+        return w.field.array([GaussianRational(int(a), int(b)) for a, b in zip(re, im)])
+    return re + 1j * im
+
+
+def _agree(w, got, ref):
+    if w.field.exact:
+        return np.array_equal(np.asarray(got), ref)
+    return np.max(np.abs(got - ref), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name,n_max,mode", [
+    ("z3", 3, "rational"), ("m2", 2, "rational"), ("two-points", 3, "rational"),
+    ("m2", 2, "gaussian"), ("z3", 3, "float"), ("m2", 2, "float")])
+def test_form_operators_match_word_reference(name, n_max, mode):
+    w = nc.build_window(nc.builtin_algebra(name, mode), n_max)
     rng = np.random.default_rng(3)
-    for p in range(w.n_max + 1):
-        u = _random_form(w, rng, p)
-        for q in range(w.n_max - p + 1):
-            nc.multiply_forms(w, u, _random_form(w, rng, q))
-        nc.apply_b(w, u)
-        nc.apply_k(w, u)
-        if p < w.n_max:
-            nc.apply_d(w, u)
+    vecs = [_field_vector(w, rng, n) for n in range(n_max + 1)]
+    for n, vec in enumerate(vecs):
+        u = nc.Form({n: vec})
+        cases = [(nc.apply_b, w._b_word, -1), (nc.apply_k, w._k_word, 0)]
+        if n < n_max:
+            cases.append((nc.apply_d, w._d_word, +1))
+        for apply, expand, shift in cases:
+            if n + shift >= 0:
+                got = apply(w, u).component(n + shift)
+                assert _agree(w, got, _reference_apply(w, expand, shift, vec, n)), \
+                    (apply.__name__, n)
+        for q in range(n_max - n + 1):
+            got = nc.multiply_forms(w, u, nc.Form({q: vecs[q]})).component(n + q)
+            assert _agree(w, got, _reference_product(w, vec, n, vecs[q], q)), (n, q)
+
+
+def test_right_blocks_built_once_per_degree_and_only_by_products(monkeypatch):
+    calls = Counter()
+    real = nc.FormsWindow._r_word
+
+    def counting(self, word, j):
+        calls[word, j] += 1
+        return real(self, word, j)
+
+    monkeypatch.setattr(nc.FormsWindow, "_r_word", counting)
+    w = nc.build_window(nc.builtin_algebra("z3"), 3)
+    nc.window_identity_residuals(w)
+    nc.spectral_report(w)
+    assert not calls and not w._right
+    rng = np.random.default_rng(9)
+    for _ in range(2):
+        for p in range(w.n_max + 1):
+            for q in range(w.n_max - p + 1):
+                nc.multiply_forms(w, _random_form(w, rng, p), _random_form(w, rng, q))
+    assert set(calls.values()) == {1}
+    assert set(calls) == {(word, j) for p in range(w.n_max + 1)
+                          for word in w.bases[p] for j in range(w.algebra.dim)}
+
+
+def test_form_api_on_scaled_vectors():
+    gw = nc.build_window(nc.builtin_algebra("m2", "gaussian"), 2)
+    rw = nc.build_window(nc.builtin_algebra("dual-numbers"), 3)
+    # object-array input is converted once, on construction
+    u = nc.Form({1: np.array([Fraction(1, 2), 0], dtype=object)})
+    assert isinstance(u.component(1), exactla.ScaledArray)
+    assert u == rw.basis_form(1, 0).scale(Fraction(1, 2))
+    # the field's scalar scales in every mode
+    c = GaussianRational(1, 2)
+    vec = _field_vector(gw, np.random.default_rng(4), 1)
+    assert np.array_equal(np.asarray(nc.Form({1: vec}).scale(c).component(1)), vec * c)
+    assert np.array_equal(np.asarray(u.scale(c).component(1)),
+                          np.array([GaussianRational(Fraction(1, 2), 1), 0], dtype=object))
+    fw = nc.build_window(nc.builtin_algebra("m2", "float"), 2)
+    assert np.array_equal(fw.basis_form(0, 1).scale(1j).component(0), [0, 1j, 0, 0])
+    assert np.array_equal(fw.basis_form(0, 1).scale(c).component(0), [0, 1 + 2j, 0, 0])
+    # a missing degree reads as the window's zero vector
+    for w in (rw, gw, fw):
+        zero = nc.Form({}).component(1, w)
+        assert zero.shape == (w.degree_dims[1],) and exactla.is_zero_matrix(zero)
+        assert exactla.is_exact(zero) == w.field.exact
+    with pytest.raises(KeyError):
+        nc.Form({}).component(1)
 
 
 def test_bd_and_db_are_formed_once_per_degree(monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 
 import nchodge as nc
 from nchodge import exactla
+from nchodge.scalars import GaussianRational
 from nchodge.spectral import admissible_roots
 
 
@@ -41,6 +42,19 @@ def test_split_resums_exactly():
         form = nc.Form({degree: w.field.array(coords)})
         harm, dpart, bpart = nc.hodge_split(w, form)
         assert (harm + dpart + bpart - form).is_zero()
+
+
+def test_gaussian_split_resums_exactly():
+    w = nc.build_window(nc.builtin_algebra("m2", "gaussian"), 2)
+    rng = np.random.default_rng(13)
+    for degree in (0, 1):
+        size = w.degree_dims[degree]
+        form = nc.Form({degree: w.field.array([
+            GaussianRational(int(a), int(b))
+            for a, b in zip(rng.integers(-3, 4, size), rng.integers(-3, 4, size))])})
+        harm, dpart, bpart = nc.hodge_split(w, form)
+        assert harm + dpart + bpart == form
+        assert degree == 0 or not (dpart + bpart).is_zero()
 
 
 def test_projection_matches_float_eigensolver():
