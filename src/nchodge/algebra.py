@@ -176,18 +176,18 @@ def make_algebra(dim, basis_labels, structure, unit, scalar_mode=RATIONAL, *,
 def _check_unit(field, c, u, labels):
     dim = len(u)
     tol = 0.0 if field.exact else 1e-12 * max(1.0, exactla.max_abs(c))
-    mul_flat = c.reshape(dim, dim * dim)
-    left = exactla.matmul(u, mul_flat).reshape(dim, dim)   # left[j] = u * e_j
+    u, eye = exactla.asexact(u), exactla.eye_like(c)
+    # row j: u e_j, and e_j u from the (i, (j, k)) -> ((k, j), i) reshuffle of c
+    left = exactla.matmul(u, c.reshape(dim, dim * dim)).reshape(dim, dim)
+    right = exactla.matmul(c.reshape(dim * dim, dim).T.reshape(dim * dim, dim), u)
+    sides = (("left", "1*{}", left - eye), ("right", "{}*1", right.reshape(dim, dim).T - eye))
+    if all(exactla.is_zero_matrix(diff, tol) for *_, diff in sides):
+        return
     for j in range(dim):
-        ej = field.zeros((dim,))
-        ej[j] = field.one
-        if not exactla.is_zero_matrix(left[j] - ej, tol):
-            raise UnitViolation(f"unit fails 1*{labels[j]} = {labels[j]}",
-                                side="left", index=j)
-        right = exactla.matmul(u, c[j])                     # e_j * u
-        if not exactla.is_zero_matrix(right - ej, tol):
-            raise UnitViolation(f"unit fails {labels[j]}*1 = {labels[j]}",
-                                side="right", index=j)
+        for side, product, diff in sides:
+            if not exactla.is_zero_matrix(diff[j], tol):
+                raise UnitViolation(f"unit fails {product.format(labels[j])} = {labels[j]}",
+                                    side=side, index=j)
 
 
 def _check_associativity(field, c, labels):
@@ -234,6 +234,9 @@ def load_algebra(source, scalar_mode=None) -> Algebra:
                             key="dim") from None
     if not isinstance(basis, list):
         raise ShapeMismatch(f"algebra key 'basis' is not a list: {basis!r}", key="basis")
+    name = data.get("name", default_name)
+    if not isinstance(name, str):
+        raise ShapeMismatch(f"algebra key 'name' is not a string: {name!r}", key="name")
     # parse with the mode the file was written in; convert afterwards, so a
     # rational [num, den] pair is never misread as a float [re, im] pair
     stored_mode = data.get("scalars", RATIONAL)
@@ -242,8 +245,7 @@ def load_algebra(source, scalar_mode=None) -> Algebra:
     field = field_for(mode)
     unit = _parse_entries(stored, field, "unit", unit_json, (dim,))
     mul = _parse_entries(stored, field, "mul", mul_json, (dim, dim, dim))
-    return make_algebra(dim, basis, mul, unit, scalar_mode=mode,
-                        name=data.get("name", default_name))
+    return make_algebra(dim, basis, mul, unit, scalar_mode=mode, name=name)
 
 
 def _parse_entries(stored, field, key, node, shape) -> np.ndarray:

@@ -425,6 +425,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         report, ok, table = args.handler(args)
+        if args.handler is not _cmd_selftest:
+            _emit(args, report)
+            _emit_csv(args, table)
     except NCHodgeError as exc:
         _emit_error(exc.report_entry())
         return 1
@@ -438,9 +441,6 @@ def main(argv=None) -> int:
             "command": args.command, "error": str(exc), "passed": False})
         _emit(args, report)
         return 2
-    if args.handler is not _cmd_selftest:
-        _emit(args, report)
-        _emit_csv(args, table)
     return 0 if ok else 2
 
 

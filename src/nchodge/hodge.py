@@ -180,8 +180,8 @@ def load_complex(source) -> CochainComplex:
     if "differentials" not in source and "diffs" not in source:
         raise NotAComplex("missing key 'differentials'")
     dims = source["dims"]
-    if not (isinstance(dims, (list, tuple)) and all(isinstance(n, int) for n in dims)):
-        raise NotAComplex(f"dims must be a list of integers, got {dims!r}", key="dims")
+    if not (isinstance(dims, (list, tuple)) and all(type(n) is int and n >= 0 for n in dims)):
+        raise NotAComplex(f"dims must be non-negative integers, got {dims!r}", key="dims")
     m = len(dims) - 1
     raw_diffs = source.get("differentials", source.get("diffs"))
     if not _is_list_of(raw_diffs, m):

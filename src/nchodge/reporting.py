@@ -5,7 +5,10 @@ code; serialization sorts keys and uses shortest round-trip floats, so a
 fixed seed and configuration produce byte-identical files.  Exact scalars
 (Fraction / Gaussian-rational entries) serialize as [num, den] pairs via
 their field's to_json; no timestamps or machine identifiers ever enter a
-report.
+report.  One recursive pass converts values where it meets them and writes
+what ``json.dumps(..., indent=2, sort_keys=True, allow_nan=False)`` gives
+for the converted report: strings quoted by json's C encoder, a list of
+plain ints joined at once.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,39 +24,7 @@ import numpy as np
 from .scalars import GaussianRational
 
 SCHEMA_VERSION = 1
-
-
-def jsonable(obj):
-    """Recursively convert numbers, numpy values, exact scalars, and arrays
-    into JSON-serializable structures ([num, den] for exact values,
-    [re, im] for complex)."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, Fraction):
-        return [int(obj.numerator), int(obj.denominator)]
-    if isinstance(obj, GaussianRational):
-        return [[int(obj.re.numerator), int(obj.re.denominator)],
-                [int(obj.im.numerator), int(obj.im.denominator)]]
-    if isinstance(obj, complex):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.complexfloating):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()] if obj.dtype == object \
-            else jsonable(obj.tolist())
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set)):
-        return [jsonable(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+_quote = json.encoder.encode_basestring_ascii
 
 
 def make_report(kind, body: dict) -> dict:
@@ -62,8 +34,63 @@ def make_report(kind, body: dict) -> dict:
 
 
 def json_bytes(report: dict) -> bytes:
-    return (json.dumps(jsonable(report), indent=2, sort_keys=True,
-                       allow_nan=False) + "\n").encode()
+    out = []
+    _write(report, out, "\n")
+    return ("".join(out) + "\n").encode()
+
+
+def _write(obj, out, nl):
+    """Append the JSON text of ``obj`` to ``out``; ``nl`` is a newline and the
+    indent ``obj`` starts at.  Lists, the bulk of a report, come first."""
+    if isinstance(obj, (list, tuple, set)):
+        inner = nl + "  "
+        if obj and all(type(v) is int for v in obj):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
+            return
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _write(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "]" if obj else "[]")
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        out.append(float.__repr__(obj))
+    elif isinstance(obj, dict):
+        inner, items = nl + "  ", {str(k): v for k, v in obj.items()}
+        sep = "{" + inner
+        for key in sorted(items):
+            out.append(sep + _quote(key) + ": ")
+            _write(items[key], out, inner)
+            sep = "," + inner
+        out.append(nl + "}" if items else "{}")
+    else:
+        _write(_convert(obj), out, nl)
+
+
+def _convert(obj):
+    """A numpy value or exact scalar as the plain value it is written as
+    ([num, den] for exact values, [re, im] for complex)."""
+    if isinstance(obj, Fraction):
+        return [int(obj.numerator), int(obj.denominator)]
+    if isinstance(obj, GaussianRational):
+        return [_convert(obj.re), _convert(obj.im)]
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, (np.bool_, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
 def write_json(path, report: dict):

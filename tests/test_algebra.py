@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import nchodge as nc
+from nchodge import exactla
+from nchodge.algebra import _check_unit
 from nchodge.errors import (AssociativityViolation, DimMismatch, ShapeMismatch,
                             UnitViolation)
 
@@ -123,3 +125,62 @@ def test_norm_structure_matches_basis_products(mode):
                 assert [type(v) for v in a.norm_structure[i, j]] == [type(v) for v in want]
                 assert np.array_equal(a.norm_structure[i, j], want), (name, i, j)
 
+
+def _unit_witness_by_loop(field, c, u, labels):
+    """The unit check as a loop over the basis, left before right for each
+    j: the reference for the witness the vectorised check names."""
+    dim = len(u)
+    tol = 0.0 if field.exact else 1e-12 * max(1.0, exactla.max_abs(c))
+    left = exactla.matmul(u, c.reshape(dim, dim * dim)).reshape(dim, dim)
+    for j in range(dim):
+        ej = field.zeros((dim,))
+        ej[j] = field.one
+        if not exactla.is_zero_matrix(left[j] - ej, tol):
+            return "left", j
+        if not exactla.is_zero_matrix(exactla.matmul(u, c[j]) - ej, tol):
+            return "right", j
+    return None
+
+
+def _unit_witness(field, c, u, labels):
+    try:
+        _check_unit(field, exactla.asexact(c), u, labels)
+    except UnitViolation as exc:
+        return exc.context["side"], exc.context["index"]
+    return None
+
+
+# m2 with unit E11 + E22: c[0, j] and c[3, j] enter only u*e_j, and c[j, 0]
+# and c[j, 3] only e_j*u
+@pytest.mark.parametrize("entries,witness", [
+    ([(0, 1, 2)], ("left", 1)),
+    ([(1, 0, 2)], ("right", 1)),
+    ([(3, 2, 0), (1, 3, 1)], ("right", 1)),     # left at 2, right at 1
+    ([(0, 1, 0), (2, 3, 3)], ("left", 1)),      # left at 1, right at 2
+    ([(0, 2, 1), (2, 0, 1)], ("left", 2)),      # both at 2
+    ([], None),
+])
+@pytest.mark.parametrize("mode", ["rational", "gaussian", "float"])
+def test_unit_check_names_the_loop_witness(mode, entries, witness):
+    m2 = nc.builtin_algebra("m2", mode)
+    c = m2.structure.copy()
+    for i, j, k in entries:
+        c[i, j, k] += m2.field.one
+    args = (m2.field, c, m2.unit, m2.basis_labels)
+    assert _unit_witness_by_loop(*args) == witness
+    assert _unit_witness(*args) == witness
+
+
+@pytest.mark.parametrize("mode", ["rational", "gaussian", "float"])
+def test_unit_check_matches_the_loop_on_random_breaks(mode):
+    rng = np.random.default_rng(3)
+    for name in ("m2", "z3", "two-points", "dual-numbers"):
+        alg = nc.builtin_algebra(name, mode)
+        d = alg.dim
+        for _ in range(25):
+            c = alg.structure.copy()
+            for _ in range(int(rng.integers(1, 4))):
+                i, j, k = rng.integers(d, size=3)
+                c[i, j, k] += alg.field.coerce(int(rng.integers(-2, 3)))
+            args = (alg.field, c, alg.unit, alg.basis_labels)
+            assert _unit_witness(*args) == _unit_witness_by_loop(*args)

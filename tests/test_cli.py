@@ -8,6 +8,7 @@ from nchodge import cli, reporting
 from nchodge.errors import InputError
 from nchodge.foliation import builtin_model, resolve_phi
 from nchodge.gv import builtin_omega, gv_report
+from test_reporting import capture_reports, reference_bytes
 
 
 def run(argv, capsys=None):
@@ -109,7 +110,8 @@ def test_gv_custom_omega_file(tmp_path):
     assert rep["omega"] == "custom" and rep["passed"]
 
 
-def test_selftest_quick(tmp_path, capsys):
+def test_selftest_quick(tmp_path, monkeypatch, capsys):
+    written = capture_reports(monkeypatch)
     out = tmp_path / "self.json"
     code = run(["selftest", "--triples", "5", "--complexes", "3",
                 "--gv-grid", "16", "--out", str(out)])
@@ -118,6 +120,8 @@ def test_selftest_quick(tmp_path, capsys):
     assert table.count("PASS") == 12
     rep = json.loads(out.read_text())
     assert rep["passed"] and len(rep["criteria"]) == 12
+    # the file holds what the reference serializer writes for the report
+    assert out.read_bytes() == reference_bytes(written[-1])
 
 
 @pytest.mark.parametrize("flag,command", [
@@ -181,6 +185,8 @@ def test_malformed_algebra_is_structured_error(tmp_path, capsys, fields,
     ('{"dim": null, "basis": ["1", "x"], "unit": [1, 0], "mul": 5}', "dim"),
     ('{"dim": [2], "basis": ["1", "x"], "unit": [1, 0], "mul": 5}', "dim"),
     ('{"dim": 2, "basis": 5, "unit": [1, 0], "mul": 5}', "basis"),
+    ('{"name": [1], "dim": 2, "basis": ["1", "x"], "unit": [1, 0], '
+     '"mul": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}', "name"),
 ])
 def test_malformed_algebra_header_is_structured_error(tmp_path, capsys, text, key):
     src = tmp_path / "alg.json"
@@ -207,6 +213,28 @@ def test_malformed_complex_is_structured_error(tmp_path, capsys, text, code):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert json.loads(err)["code"] == "hodge-classical/" + code
+
+
+@pytest.mark.parametrize("dims", ["[-1, 1]", "[1, -2]", "[true, 1]", "[1.0, 1]"])
+def test_bad_complex_dims_are_rejected_before_the_differentials(tmp_path, capsys, dims):
+    src = tmp_path / "cx.json"
+    src.write_text('{"dims": %s, "differentials": [[]]}' % dims)
+    assert run(["hodge", "--complex", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["code"] == "hodge-classical/NotAComplex"
+    assert payload["context"] == {"key": "dims"}
+
+
+def test_non_finite_report_value_is_input_error(capsys):
+    # the tolerance goes into the report, where JSON cannot hold inf
+    assert run(["gv", "--omega", "sin-z", "--n", "16", "--tol", "inf"]) == 1
+    streams = capsys.readouterr()
+    assert streams.out == "" and "Traceback" not in streams.err
+    payload = json.loads(streams.err)
+    assert payload["code"] == "cli/InputError"
+    assert "not JSON compliant" in payload["message"]
 
 
 def test_main_builds_the_parser_once(tmp_path, monkeypatch):
@@ -294,18 +322,18 @@ def test_malformed_model_parts_are_structured_errors(tmp_path, capsys, model, ke
     ["torsion", "--complex", "no-such-file.json"],      # the error payload
 ])
 def test_each_report_is_walked_once(tmp_path, monkeypatch, capsys, argv):
-    real, depth, walks = reporting.jsonable, [0], []
+    real, depth, walks = reporting._write, [0], []
 
-    def counting(obj):
+    def counting(obj, out, nl):
         if depth[0] == 0:
             walks.append(type(obj).__name__)
         depth[0] += 1
         try:
-            return real(obj)
+            return real(obj, out, nl)
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(reporting, "jsonable", counting)
+    monkeypatch.setattr(reporting, "_write", counting)
     out = tmp_path / "report.json"
     run(argv + ["--out", str(out)])
     capsys.readouterr()
