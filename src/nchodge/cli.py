@@ -264,11 +264,10 @@ def _cmd_morse_scan(args):
 def _cmd_gv(args):
     source = args.omega
     if source not in ("dz", "sin-z", "x-dy"):
-        data, _ = _load_json_source(source, "defining form")
-        missing = [c for c in ("x", "y", "z") if c not in data]
+        source, _ = _load_json_source(source, "defining form")
+        missing = [c for c in ("x", "y", "z") if c not in source]
         if missing:
             raise InputError(f"defining form file lacks components {missing}")
-        source = {c: np.asarray(data[c], dtype=float) for c in ("x", "y", "z")}
     rep = gv_report(source, n=args.n, derivative=args.derivative,
                     tol=args.tol, gauge_tol=args.gauge_tol)
     rows = [{"omega": rep["omega"], "n": rep["n"], "gv": rep["gv"],

@@ -13,7 +13,12 @@ vanish pointwise), solve d omega = theta ^ omega for the connection form
 theta by a batched pseudoinverse (the coefficient matrix has omega in its
 kernel, so the minimal-norm solution is the one orthogonal to omega
 pointwise), then integrate theta ^ d theta over the torus as a grid
-mean.  Replacing theta by theta + h omega changes the integrand by an
+mean.  d omega is formed once, with one FFT per component when spectral.
+The pseudoinverse is taken once per distinct slice: along a grid axis on
+which omega is bitwise constant (dz on all three, sin-z on x and y) only
+the first slice is solved and broadcast back, bit for bit what the full
+stack gives.  Custom fields are checked for shape and finiteness first.
+Replacing theta by theta + h omega changes the integrand by an
 exact form only, so the reported gauge residual should sit at roundoff
 level for band-limited fields.
 """
@@ -34,16 +39,24 @@ def grid(n):
     return np.meshgrid(t, t, t, indexing="ij")
 
 
-def spectral_derivative(f, axis, n=None):
+def _spectral_partials(f):
+    """One forward FFT of f; the returned function gives df/d(axis)."""
     f = np.asarray(f, dtype=float)
-    n = n or f.shape[axis]
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    if n % 2 == 0:
-        k[n // 2] = 0.0          # odd-derivative Nyquist mode is spurious
-    shape = [1, 1, 1]
-    shape[axis] = n
     fk = np.fft.fftn(f)
-    return np.real(np.fft.ifftn(fk * (2j * np.pi * k.reshape(shape))))
+
+    def partial(axis, n=None):
+        n = n or f.shape[axis]
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        if n % 2 == 0:
+            k[n // 2] = 0.0          # odd-derivative Nyquist mode is spurious
+        shape = [1, 1, 1]
+        shape[axis] = n
+        return np.real(np.fft.ifftn(fk * (2j * np.pi * k.reshape(shape))))
+    return partial
+
+
+def spectral_derivative(f, axis, n=None):
+    return _spectral_partials(f)(axis, n)
 
 
 def central_derivative(f, axis, n=None):
@@ -52,10 +65,14 @@ def central_derivative(f, axis, n=None):
     return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) * (n / 2.0)
 
 
-_DERIVATIVES = {"spectral": spectral_derivative, "central": central_derivative}
+def _central_partials(f):
+    return lambda axis: central_derivative(f, axis)
 
 
-def _deriv(name):
+_DERIVATIVES = {"spectral": _spectral_partials, "central": _central_partials}
+
+
+def _partials(name):
     try:
         return _DERIVATIVES[name]
     except KeyError:
@@ -65,12 +82,12 @@ def _deriv(name):
 
 
 def exterior_derivative(omega, derivative="spectral"):
-    """d of a 1-form: components keyed "xy", "xz", "yz"."""
-    d = _deriv(derivative)
-    out = {}
-    for a, b in (("x", "y"), ("x", "z"), ("y", "z")):
-        out[a + b] = d(omega[b], AXIS[a]) - d(omega[a], AXIS[b])
-    return out
+    """d of a 1-form: components keyed "xy", "xz", "yz".  Each component
+    is prepared once (one FFT when spectral) for both partials it enters."""
+    partials = _partials(derivative)
+    d = {c: partials(omega[c]) for c in COMPONENTS}
+    return {a + b: d[b](AXIS[a]) - d[a](AXIS[b])
+            for a, b in (("x", "y"), ("x", "z"), ("y", "z"))}
 
 
 def wedge_12(theta, two_form):
@@ -80,10 +97,23 @@ def wedge_12(theta, two_form):
             + theta["z"] * two_form["xy"])
 
 
-def integrability_defect(omega, derivative="spectral"):
-    """Pointwise coefficient of omega ^ d omega; identically zero iff the
-    plane field Ker omega is a foliation."""
-    return wedge_12(omega, exterior_derivative(omega, derivative))
+def _coefficient_matrices(wx, wy, wz):
+    """Per grid point, the 3x3 map theta -> theta ^ omega in (xy, xz, yz)."""
+    zero = np.zeros_like(wx)
+    return np.stack([
+        np.stack([wy, -wx, zero], axis=-1),
+        np.stack([wz, zero, -wx], axis=-1),
+        np.stack([zero, wz, -wy], axis=-1),
+    ], axis=-2)
+
+
+def _distinct_slices(fields):
+    """Index keeping only the first slice along each axis on which every
+    field is bitwise constant.  Compared as int64 views: -0.0 and 0.0 stay
+    apart, and NaN matches only its own bits."""
+    bits = [f.view(np.int64) for f in fields]
+    return tuple(slice(0, 1) if all((b == np.take(b, [0], axis=a)).all() for b in bits)
+                 else slice(None) for a in range(bits[0].ndim))
 
 
 def connection_form(omega, derivative="spectral", tol=1e-8):
@@ -91,31 +121,28 @@ def connection_form(omega, derivative="spectral", tol=1e-8):
 
     Raises NotIntegrable when omega ^ d omega is not numerically zero, and
     VanishingOmega when the defining form degenerates somewhere."""
-    norms = np.sqrt(sum(np.asarray(omega[c], dtype=float) ** 2 for c in COMPONENTS))
+    w = [np.asarray(omega[c], dtype=float) for c in COMPONENTS]
+    norms = np.sqrt(sum(f ** 2 for f in w))
     min_norm = float(norms.min())
     if min_norm < 1e-6:
         raise VanishingOmega(
             "the defining 1-form degenerates on the grid", min_norm=min_norm)
-    defect = integrability_defect(omega, derivative)
-    max_defect = float(np.max(np.abs(defect)))
+    dw = exterior_derivative(omega, derivative)
+    max_defect = float(np.max(np.abs(wedge_12(omega, dw))))
     if max_defect > tol:
         raise NotIntegrable(
             "omega ^ d omega does not vanish: the plane field is not a foliation",
             max_abs=max_defect, tolerance=tol)
-    dw = exterior_derivative(omega, derivative)
-    shape = np.asarray(omega["x"]).shape
-    wx = np.asarray(omega["x"], dtype=float).reshape(-1)
-    wy = np.asarray(omega["y"], dtype=float).reshape(-1)
-    wz = np.asarray(omega["z"], dtype=float).reshape(-1)
-    zero = np.zeros_like(wx)
-    mats = np.stack([
-        np.stack([wy, -wx, zero], axis=-1),
-        np.stack([wz, zero, -wx], axis=-1),
-        np.stack([zero, wz, -wy], axis=-1),
-    ], axis=-2)
+    shape = w[0].shape
+    mats = _coefficient_matrices(*w).reshape(-1, 3, 3)
+    # one pseudoinverse per distinct slice: along an axis on which omega is
+    # constant every slice has the same matrices, so solve the first only
+    keep = _distinct_slices(w)
+    pinv = np.linalg.pinv(_coefficient_matrices(*(f[keep] for f in w)))
+    pinv = np.broadcast_to(pinv, shape + (3, 3)).reshape(-1, 3, 3)
     rhs = np.stack([dw["xy"].reshape(-1), dw["xz"].reshape(-1),
                     dw["yz"].reshape(-1)], axis=-1)[..., None]
-    sol = np.linalg.pinv(mats) @ rhs
+    sol = pinv @ rhs
     theta = {c: sol[:, i, 0].reshape(shape) for i, c in enumerate(COMPONENTS)}
     resid = np.max(np.abs((mats @ sol)[..., 0] - rhs[..., 0]))
     return theta, {"solve_residual": float(resid),
@@ -156,6 +183,30 @@ def builtin_omega(name, n):
                      name=name, available=["dz", "sin-z", "x-dy"])
 
 
+def _custom_omega(fields):
+    """The x/y/z fields as float arrays on one n^3 grid, checked before any
+    derivative or LAPACK call sees them."""
+    omega = {}
+    for c in COMPONENTS:
+        try:
+            f = np.asarray(fields[c], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise InputError(f"component {c!r} is not an array of numbers",
+                             key=c) from None
+        n = f.shape[0] if f.ndim else 0
+        want = omega["x"].shape if omega else (n, n, n)
+        if f.shape != want:
+            raise InputError(f"component {c!r} has shape {f.shape}, expected "
+                             f"{want if omega else 'an n x n x n grid'}",
+                             key=c, shape=list(f.shape))
+        bad = np.argwhere(~np.isfinite(f))
+        if bad.size:
+            raise InputError(f"component {c!r} has non-finite entries",
+                             key=c, index=[int(i) for i in bad[0]])
+        omega[c] = f
+    return omega
+
+
 def gv_report(name_or_fields, n=32, derivative="spectral", tol=1e-8,
               gauge_tol=1e-6) -> dict:
     if isinstance(name_or_fields, str):
@@ -163,7 +214,7 @@ def gv_report(name_or_fields, n=32, derivative="spectral", tol=1e-8,
         omega = builtin_omega(name_or_fields, n)
     else:
         label = "custom"
-        omega = {c: np.asarray(name_or_fields[c], dtype=float) for c in COMPONENTS}
+        omega = _custom_omega(name_or_fields)
         n = omega["x"].shape[0]
         if n < 8:
             raise GridTooCoarse(f"need at least an 8^3 grid, got {n}^3", n=n)

@@ -77,29 +77,50 @@ class CochainComplex:
         return self._frames[k]
 
 
-def _entry_to_complex(entry):
+def _entry_to_complex(entry, i, j):
     try:
         if not isinstance(entry, (list, tuple)):
             return complex(entry)
         re, im = entry
         return complex(float(re), float(im))
-    except (TypeError, ValueError):
-        raise NotAComplex(f"matrix entry {entry!r} is not a number or [re, im] pair") from None
+    except (TypeError, ValueError, OverflowError):
+        raise NotAComplex(f"matrix entry {entry!r} is not a number or [re, im] pair",
+                          row=i, col=j) from None
 
 
 def _is_list_of(value, n):
     return isinstance(value, (list, tuple)) and len(value) == n
 
 
+def _numeric_matrix(rows, shape):
+    """All-pairs or all-numbers rows as one numpy conversion; None when
+    they are anything else (mixed, ragged, strings, bools, big ints)."""
+    try:
+        arr = np.array(rows)
+    except (ValueError, OverflowError):
+        return None
+    if arr.dtype.kind not in "fi":
+        return None
+    if arr.shape == shape:
+        return arr.astype(complex)
+    if arr.shape == (*shape, 2):
+        # (re, im) float pairs are complex128's memory layout: bit-exact
+        return arr.astype(float).view(complex).reshape(shape)
+    return None
+
+
 def _matrix_from_json(rows, shape, what):
-    mat = np.zeros(shape, dtype=complex)
     if not _is_list_of(rows, shape[0]):
         raise NotAComplex(f"{what}: expected a list of {shape[0]} rows")
+    mat = _numeric_matrix(rows, shape)
+    if mat is not None:
+        return mat
+    mat = np.zeros(shape, dtype=complex)
     for i, row in enumerate(rows):
         if not _is_list_of(row, shape[1]):
             raise NotAComplex(f"{what}: row {i} is not a list of {shape[1]} entries")
         for j, entry in enumerate(row):
-            mat[i, j] = _entry_to_complex(entry)
+            mat[i, j] = _entry_to_complex(entry, i, j)
     return mat
 
 

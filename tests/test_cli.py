@@ -338,3 +338,58 @@ def test_each_report_is_walked_once(tmp_path, monkeypatch, capsys, argv):
     run(argv + ["--out", str(out)])
     capsys.readouterr()
     assert walks == ["dict"]
+
+
+def test_oversized_integer_in_complex_is_structured_error(tmp_path, capsys):
+    src = tmp_path / "cx.json"
+    src.write_text('{"dims": [1, 1], "differentials": [[[[%d, 0]]]]}' % 10 ** 400)
+    assert run(["hodge", "--complex", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["code"] == "hodge-classical/NotAComplex"
+    assert "matrix entry [1000" in payload["message"]
+    assert payload["context"] == {"row": 0, "col": 0}
+
+
+def _omega_file(tmp_path, **override):
+    fields = {c: v.tolist() for c, v in builtin_omega("sin-z", 8).items()}
+    fields.update(override)
+    src = tmp_path / "omega.json"
+    src.write_text(json.dumps(fields))
+    return str(src)
+
+
+@pytest.mark.parametrize("override,key,shape", [
+    ({"y": 1.0}, "y", []),                                   # scalar
+    ({"x": [[0.0] * 8] * 8}, "x", [8, 8]),                    # not 3-d
+    ({"x": [[[0.0] * 9] * 8] * 8}, "x", [8, 8, 9]),           # not a cube
+    ({"z": [[[1.0] * 9] * 9] * 9}, "z", [9, 9, 9]),           # differs from x
+])
+def test_misshapen_gv_component_is_structured_error(tmp_path, capsys, override,
+                                                    key, shape):
+    assert run(["gv", "--omega", _omega_file(tmp_path, **override)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["code"] == "cli/InputError"
+    assert payload["context"] == {"key": key, "shape": shape}
+
+
+def test_non_finite_gv_component_is_rejected_before_lapack(tmp_path, capsys,
+                                                           monkeypatch):
+    import numpy as np
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a non-finite field reached the pseudoinverse")
+
+    monkeypatch.setattr(np.linalg, "pinv", refuse)
+    z = np.ones((8, 8, 8))
+    z[2, 5, 1] = np.nan
+    src = tmp_path / "omega.json"
+    src.write_text(json.dumps({"x": np.zeros((8, 8, 8)).tolist(),
+                               "y": np.zeros((8, 8, 8)).tolist(), "z": z.tolist()}))
+    assert run(["gv", "--omega", str(src)]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["code"] == "cli/InputError"
+    assert payload["context"] == {"key": "z", "index": [2, 5, 1]}

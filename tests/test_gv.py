@@ -64,3 +64,106 @@ def test_exterior_derivative_of_gradient_vanishes():
 def test_central_derivative_route_runs():
     rep = gv_report("dz", 16, derivative="central")
     assert rep["gv"] == 0.0 and rep["passed"]
+
+
+# -- the per-slice solve and one-FFT-per-component derivative ------------------
+
+def reference_exterior_derivative(omega, derivative):
+    """Two transforms per pair, as each partial was once taken."""
+    from nchodge.gv import AXIS, central_derivative
+
+    def spectral(f, axis):
+        f = np.asarray(f, dtype=float)
+        n = f.shape[axis]
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        if n % 2 == 0:
+            k[n // 2] = 0.0
+        shape = [1, 1, 1]
+        shape[axis] = n
+        return np.real(np.fft.ifftn(np.fft.fftn(f) * (2j * np.pi * k.reshape(shape))))
+
+    d = spectral if derivative == "spectral" else central_derivative
+    return {a + b: d(omega[b], AXIS[a]) - d(omega[a], AXIS[b])
+            for a, b in (("x", "y"), ("x", "z"), ("y", "z"))}
+
+
+def reference_connection_form(omega, derivative):
+    """The full-stack solve: one pseudoinverse per grid point."""
+    from nchodge.gv import wedge_12
+    dw = reference_exterior_derivative(omega, derivative)
+    defect = float(np.max(np.abs(wedge_12(omega, dw))))
+    shape = omega["x"].shape
+    wx, wy, wz = (np.asarray(omega[c], dtype=float).reshape(-1) for c in "xyz")
+    zero = np.zeros_like(wx)
+    mats = np.stack([np.stack([wy, -wx, zero], axis=-1),
+                     np.stack([wz, zero, -wx], axis=-1),
+                     np.stack([zero, wz, -wy], axis=-1)], axis=-2)
+    rhs = np.stack([dw["xy"].reshape(-1), dw["xz"].reshape(-1),
+                    dw["yz"].reshape(-1)], axis=-1)[..., None]
+    sol = np.linalg.pinv(mats) @ rhs
+    theta = {c: sol[:, i, 0].reshape(shape) for i, c in enumerate("xyz")}
+    resid = np.max(np.abs((mats @ sol)[..., 0] - rhs[..., 0]))
+    return theta, float(resid), defect
+
+
+def _gradient_form(g):
+    return {c: spectral_derivative(g, a) for a, c in enumerate("xyz")}
+
+
+def _test_fields(n=16):
+    xs, ys, zs = grid(n)
+    two_pi = 2 * np.pi
+    x_only = _gradient_form(zs + 0.1 * np.sin(two_pi * ys) * np.cos(two_pi * zs))
+    generic = _gradient_form(zs + 0.1 * np.sin(two_pi * xs) * np.cos(two_pi * (ys + zs))
+                             + 0.05 * np.cos(2 * two_pi * xs))
+    signed = {c: v.copy() for c, v in builtin_omega("sin-z", n).items()}
+    signed["y"][3] = -0.0                       # one x slice differs only in sign
+    return {"dz": builtin_omega("dz", n), "sin-z": builtin_omega("sin-z", n),
+            "x-invariant": x_only, "generic": generic, "signed-zero": signed}
+
+
+@pytest.mark.parametrize("derivative", ["spectral", "central"])
+@pytest.mark.parametrize("name", ["dz", "sin-z", "x-invariant", "generic", "signed-zero"])
+def test_connection_form_is_bitwise_the_full_stack_solve(name, derivative):
+    omega = _test_fields()[name]
+    theta, info = connection_form(omega, derivative, tol=1e-6)
+    want, resid, defect = reference_connection_form(omega, derivative)
+    for c in "xyz":
+        assert theta[c].tobytes() == want[c].tobytes()
+    assert info["solve_residual"] == resid
+    assert info["integrability_max_abs"] == defect
+    dw = exterior_derivative(omega, derivative)
+    ref = reference_exterior_derivative(omega, derivative)
+    assert all(dw[k].tobytes() == ref[k].tobytes() for k in ref)
+
+
+@pytest.mark.parametrize("name,stack", [
+    ("dz", 1), ("sin-z", 16), ("x-invariant", 256), ("generic", 4096),
+    ("signed-zero", 256)])
+def test_one_pseudoinverse_per_distinct_slice(monkeypatch, name, stack):
+    sizes = []
+    original = np.linalg.pinv
+
+    def counting(a, *args, **kwargs):
+        sizes.append(a.size // 9)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting)
+    connection_form(_test_fields()[name], tol=1e-6)
+    assert sizes == [stack]
+
+
+def test_spectral_gv_takes_27_transforms(monkeypatch):
+    calls = []
+    for name in ("fftn", "ifftn"):
+        original = getattr(np.fft, name)
+
+        def counting(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    gv_report("sin-z", 16)
+    # three exterior derivatives (d omega, d theta, the gauge-shifted
+    # d theta), each 3 forward and 6 inverse transforms
+    assert len(calls) == 27

@@ -155,3 +155,121 @@ def test_frames_do_not_outlive_their_complex():
     del cx
     gc.collect()
     assert ref() is None
+
+
+# -- the complex loader's numpy fast path ---------------------------------------
+
+def reference_matrix_from_json(rows, shape, what):
+    """The per-entry parser the fast path must reproduce bit for bit."""
+    def entry_to_complex(entry):
+        try:
+            if not isinstance(entry, (list, tuple)):
+                return complex(entry)
+            re, im = entry
+            return complex(float(re), float(im))
+        except (TypeError, ValueError, OverflowError):
+            raise NotAComplex(
+                f"matrix entry {entry!r} is not a number or [re, im] pair") from None
+
+    mat = np.zeros(shape, dtype=complex)
+    if not (isinstance(rows, (list, tuple)) and len(rows) == shape[0]):
+        raise NotAComplex(f"{what}: expected a list of {shape[0]} rows")
+    for i, row in enumerate(rows):
+        if not (isinstance(row, (list, tuple)) and len(row) == shape[1]):
+            raise NotAComplex(f"{what}: row {i} is not a list of {shape[1]} entries")
+        for j, entry in enumerate(row):
+            mat[i, j] = entry_to_complex(entry)
+    return mat
+
+
+def _parse_both(rows, shape):
+    from nchodge.hodge import _matrix_from_json
+    out = []
+    for parse in (_matrix_from_json, reference_matrix_from_json):
+        try:
+            out.append(parse(rows, shape, "differential 0"))
+        except NotAComplex as exc:
+            out.append(str(exc))
+    return out
+
+
+BIG = 2 ** 53 + 1
+
+
+@pytest.mark.parametrize("rows,shape", [
+    ([[[1.5, -2.25], [0.1, 1e-300]], [[3, 4], [-7, 0]]], (2, 2)),    # pairs
+    ([[1.5, -2], [0.1, 7]], (2, 2)),                                  # numbers
+    ([[1.0, [2.0, 3.0]]], (1, 2)),                                    # mixed row
+    ([[[True, False], [1, 0]]], (1, 2)),                              # bool pairs
+    ([[True, 2.5]], (1, 2)),                                          # bool number
+    ([[True, False]], (1, 2)),                                        # all bools
+    ([[["1.5", "2"], [1, 0]]], (1, 2)),                               # numeric strings
+    ([["1.5", 2]], (1, 2)),
+    ([["1+2j", 2]], (1, 2)),
+    ([[[BIG, 0], [BIG + 2, 2 ** 60 + 1]]], (1, 2)),                   # ints above 2^53
+    ([[BIG, 2 ** 62 + 3]], (1, 2)),
+    ([[[2 ** 63 + 1, 0], [1, 0]]], (1, 2)),                           # past int64
+    ([[[2 ** 64 + 1, 0.5], [1, 0]]], (1, 2)),
+    ([[[-0.0, 0.0], [0.0, -0.0]], [[-0.0, -0.0], [1.0, -0.0]]], (2, 2)),  # signed zeros
+    ([[-0.0, 0.0]], (1, 2)),
+    ([[[1, 2], [3, 4, 5]]], (1, 2)),                                  # ragged pair
+    ([[1, 2], [3]], (2, 2)),                                          # ragged row
+    ([[1, 2]], (1, 3)),                                               # short row
+    ([[[1, 2]]], (1, 2)),
+    ([[[1, 2, 3]]], (1, 1)),                                          # triple
+    ([[None, 1]], (1, 2)),
+    ([[[10 ** 400, 0]]], (1, 1)),                                     # overflow
+    ([[10 ** 400]], (1, 1)),
+    ([[1.0, 10 ** 400]], (1, 2)),
+    ([[float("nan"), float("inf")]], (1, 2)),
+    ([[], []], (2, 0)),
+    ([], (0, 3)),
+])
+def test_matrix_parse_is_bitwise_the_per_entry_parse(rows, shape):
+    got, want = _parse_both(rows, shape)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_matrix_parse_matches_on_random_json():
+    rng = np.random.default_rng(3)
+
+    def value():
+        kind = rng.integers(4)
+        if kind == 0:
+            return -0.0
+        if kind == 1:                          # ints, most past 2^53
+            return int(rng.integers(-2 ** 62, 2 ** 62))
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
+
+    for trial in range(80):
+        r, c = (int(v) for v in rng.integers(1, 6, size=2))
+        if trial % 2:
+            rows = [[value() for _ in range(c)] for _ in range(r)]
+        else:
+            rows = [[[value(), value()] for _ in range(c)] for _ in range(r)]
+        got, want = _parse_both(json.loads(json.dumps(rows)), (r, c))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_oversized_integer_entry_names_the_entry():
+    from nchodge.hodge import _matrix_from_json
+    with pytest.raises(NotAComplex, match="is not a number") as exc:
+        _matrix_from_json([[1, 2], [3, [10 ** 400, 0]]], (2, 2), "differential 0")
+    assert exc.value.context == {"row": 1, "col": 1}
+
+
+def test_numeric_rows_skip_the_per_entry_parse(monkeypatch):
+    from nchodge import hodge
+
+    def refuse(*args):
+        raise AssertionError("per-entry parse on numeric rows")
+
+    monkeypatch.setattr(hodge, "_entry_to_complex", refuse)
+    pairs = hodge._matrix_from_json([[[1, 2], [3.5, -0.0]]], (1, 2), "d")
+    numbers = hodge._matrix_from_json([[1, 2.5]], (1, 2), "d")
+    assert pairs.tolist() == [[1 + 2j, 3.5 - 0j]]
+    assert numbers.tolist() == [[1 + 0j, 2.5 + 0j]]

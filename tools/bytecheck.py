@@ -1,0 +1,137 @@
+"""Compare the report bytes of a fixed list of nchodge commands at two
+git revisions.
+
+    python tools/bytecheck.py BASE [HEAD]
+
+Each revision's tree is exported with ``git archive`` into a temporary
+directory (nothing is checked out in, or registered with, this
+repository) and every command runs there in a fresh interpreter, with
+``PYTHONPATH`` set to that tree's ``src`` and BLAS pinned to one thread.
+Without HEAD the second side is this checkout's working tree.  Commands
+write their report with ``--out``; a command passes when both sides exit
+with the same code and write the same bytes.  The exit status is 0 when
+every command passes and 1 otherwise.
+
+Float reports are compared bit for bit, so both sides must run on one
+machine: LAPACK results differ between builds and processors.
+
+The list: every command on the bundled inputs, ``gv`` on the builtin
+``sin-z`` and ``dz`` forms with both derivatives, ``selftest --seed 1``,
+and, on inputs written to the temporary directory, ``hodge``/``torsion``/
+``cs-partition`` on a 256-site twisted circle and ``gv`` on a gradient
+form that is constant along no grid axis.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cmath
+import itertools
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CIRCLE = "circle-256.json"
+OMEGA = "omega-dg.json"
+
+COMMANDS = (
+    [[cmd, "--algebra", alg, "--nmax", "3"]
+     for alg in ("dual_numbers.json", "m2.json", "two_points.json", "z3.json")
+     for cmd in ("nc-report", "spectral")]
+    + [["spectral", "--algebra", "z3.json", "--nmax", "3", "--scalar", "float"]]
+    + [[cmd, "--complex", cx]
+       for cx in ("circle_alpha_-1_N8.json", CIRCLE)
+       for cmd in ("hodge", "torsion", "cs-partition")]
+    + [["witten-sweep", "--model", model, "--phi", phi]
+       for model in ("circle_leaves.json", "torus_leaves.json")
+       for phi in ("cos-h", "random")]
+    + [["morse-scan", "--chart", chart] for chart in ("cos-h", "cubic-bd")]
+    + [["gv", "--omega", omega, "--n", "32", "--derivative", derivative]
+       for omega in ("sin-z", "dz") for derivative in ("spectral", "central")]
+    + [["gv", "--omega", OMEGA]]
+    + [["selftest", "--seed", "1"]]
+)
+
+
+def circle_json(n, alpha):
+    """Twisted circle with n sites: D0 = shift - 1, holonomy alpha on the
+    closing edge, entries as [re, im] pairs."""
+    d0 = [[[0.0, 0.0] for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        d0[j][j] = [-1.0, 0.0]
+        d0[j][(j + 1) % n] = [1.0, 0.0]
+    d0[n - 1][0] = [alpha.real, alpha.imag]
+    return {"name": f"circle-{n}", "dims": [n, n], "differentials": [d0],
+            "gram": [1.0, 1.0]}
+
+
+def gradient_omega(n):
+    """dg for g = z + sin(2 pi x) cos(2 pi (y + z)) / 10 on the n^3 grid: an
+    integrable form constant along no grid axis."""
+    two_pi = 2 * math.pi
+    fields = {c: [[[0.0] * n for _ in range(n)] for _ in range(n)] for c in "xyz"}
+    for i, j, k in itertools.product(range(n), repeat=3):
+        x, s = two_pi * i / n, two_pi * (j + k) / n
+        fields["x"][i][j][k] = two_pi * math.cos(x) * math.cos(s) / 10
+        fields["y"][i][j][k] = -two_pi * math.sin(x) * math.sin(s) / 10
+        fields["z"][i][j][k] = 1.0 - two_pi * math.sin(x) * math.sin(s) / 10
+    return fields
+
+
+def export(rev, dest: Path):
+    """The tree of ``rev`` in ``dest``; ``None`` means the working tree."""
+    if rev is None:
+        return ROOT
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest
+
+
+def run(tree: Path, argv, work: Path, out: Path):
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out.unlink(missing_ok=True)
+    proc = subprocess.run([sys.executable, "-m", "nchodge.cli", *argv,
+                           "--out", str(out)],
+                          cwd=work, env=env, capture_output=True)
+    return proc.returncode, out.read_bytes() if out.exists() else b""
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", help="git revision to compare against")
+    parser.add_argument("head", nargs="?", help="git revision (default: "
+                        "the working tree)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="nchodge-bytecheck-") as tmp:
+        tmp = Path(tmp)
+        work = tmp / "work"
+        work.mkdir()
+        (work / CIRCLE).write_text(json.dumps(circle_json(256, cmath.exp(0.7j))))
+        (work / OMEGA).write_text(json.dumps(gradient_omega(16)))
+        trees = [export(args.base, tmp / "base"), export(args.head, tmp / "head")]
+        differ = 0
+        for argv in COMMANDS:
+            t0 = time.perf_counter()
+            (rc_a, a), (rc_b, b) = (run(tree, argv, work, work / "report.json")
+                                    for tree in trees)
+            same = rc_a == rc_b and a == b
+            differ += not same
+            print(f"{'same' if same else 'DIFFERS':8} exit {rc_a}/{rc_b} "
+                  f"{len(a):>8}/{len(b):<8} bytes  {time.perf_counter() - t0:6.2f}s  "
+                  f"{' '.join(argv)}")
+        print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} commands wrote "
+              f"the same bytes at {args.base} and {args.head or 'the working tree'}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
