@@ -87,10 +87,6 @@ class Algebra:
         tmp = exactla.matmul(x, self._mul_flat).reshape(self.dim, self.dim)
         return exactla.to_object(exactla.matmul(y, tmp), self.field.mode == GAUSSIAN)
 
-    def norm_mul(self, i: int, j: int) -> np.ndarray:
-        """Product of unit-first basis vectors i and j, in unit-first coords."""
-        return self.norm_structure[i, j]
-
     def to_json(self) -> dict:
         f = self.field
         return {

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -423,6 +424,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for key, value in vars(args).items():
+            if (key == "tol" or key.endswith("_tol")) and not (math.isfinite(value) and value >= 0):
+                flag = "--" + key.replace("_", "-")
+                raise InputError(f"{flag} must be finite and >= 0, got {value}", flag=flag)
         report, ok, table = args.handler(args)
         if args.handler is not _cmd_selftest:
             _emit(args, report)

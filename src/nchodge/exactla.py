@@ -208,27 +208,21 @@ def is_exact(mat) -> bool:
     return mat.dtype == object
 
 
-def from_terms(shape, index, values) -> ScaledArray:
-    """The exact array of ``shape`` whose entry at each flat ``index`` is the
-    sum of the int, Fraction or GaussianRational ``values`` given for it."""
-    parts = [(v.re, v.im) if isinstance(v, GaussianRational) else (v, 0) for v in values]
-    den = math.lcm(*(x.denominator for pair in parts for x in pair))
-    ints = [[x.numerator * (den // x.denominator) for x in part] for part in zip(*parts)]
-    # a sum of len(values) terms stays below the largest term times their count
-    wide = max(map(abs, sum(ints, [])), default=0) * len(values) >= _LIMIT
-    out = [np.zeros(math.prod(shape), dtype=object if wide else np.int64) for _ in range(2)]
-    for arr, terms in zip(out, ints):
-        np.add.at(arr, index, np.array(terms, dtype=arr.dtype))
-    return ScaledArray(out[0].reshape(shape), out[1].reshape(shape), den)
-
-
 def from_object(arr) -> ScaledArray:
     """The exact array of an object array (or scalar) of int, Fraction and
     GaussianRational entries."""
     arr = np.asarray(arr, dtype=object)
     flat = arr.reshape(-1).tolist()
     index = [i for i, v in enumerate(flat) if v]
-    return from_terms(arr.shape, index, [flat[i] for i in index])
+    parts = [(v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
+             for v in map(flat.__getitem__, index)]
+    den = math.lcm(*(x.denominator for pair in parts for x in pair))
+    ints = [[x.numerator * (den // x.denominator) for x in part] for part in zip(*parts)]
+    wide = max(map(abs, sum(ints, [])), default=0) >= _LIMIT
+    out = [np.zeros(arr.size, dtype=object if wide else np.int64) for _ in range(2)]
+    for part, terms in zip(out, ints):
+        part[index] = terms
+    return ScaledArray(out[0].reshape(arr.shape), out[1].reshape(arr.shape), den)
 
 
 def asexact(mat):

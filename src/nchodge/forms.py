@@ -1,18 +1,13 @@
 """Graded window of noncommutative differential forms with operator blocks.
 
-Degree ``n`` over an algebra ``A`` of dimension ``d`` is spanned by tensors
-``f_{i0} (x) fbar_{i1} (x) ... (x) fbar_{in}`` in the unit-first basis: the
-leading index runs over the whole basis and each bar index over the
-complement ``1..d-1``, so the degree has dimension ``d*(d-1)**n``.  A basis
-element is stored as the index word ``(i0, ..., in)`` and the basis is
-ordered lexicographically in that word.  In the familiar notation the word
-is the form ``a0*da1*...*dan``.
-
-Each operator is defined once, on basis words, and assembled into one
-block per degree; the blocks are the only way operators act on forms, one
-matrix product per component.  Exact blocks and form vectors are
-scaled-integer arrays (``exactla.ScaledArray``); float ones are
-``complex128``.
+Degree ``n`` over an algebra ``A`` of dimension ``d`` is ``A (x) Abar^(x)n``
+(``Abar = A / scalars``), spanned by tensors ``f_{i0} (x) fbar_{i1} (x) ...
+(x) fbar_{in}`` in the unit-first basis: the leading index runs over the
+whole basis and each bar index over the complement ``1..d-1``, so with
+``e = d - 1`` the degree has dimension ``d*e**n``.  A basis element is stored
+as the index word ``(i0, ..., in)`` and the basis is ordered
+lexicographically in that word.  In the familiar notation the word is the
+form ``a0*da1*...*dan``.  The operators are defined on basis words:
 
 * ``d``      -- ``a0 da1..dan  ->  1 da0 da1..dan`` (dies when a0 = 1),
 * ``b``      -- Hochschild boundary
@@ -31,15 +26,32 @@ The product needs only right multiplication by the basis (Cuntz-Quillen
 ``1 da1..daq`` just appends ``a1..aq`` to its words, so
 ``u * v = sum_j (u * e_j)(1 dv_j)``, and by the graded Leibniz rule
 ``(a0 da1..dan) * e_j = sum_{i<=n} (-1)^{n-i} (s0,..,s_i*s_{i+1},..,s{n+1})``
-over ``s = (a0, .., an, j)``.  The block ``R[p]`` of shape
-``(d*dims[p], dims[p])``, built per degree by the first product that needs
-it, holds a word's product with ``e_j`` at rows ``(image, j)``.  As
-``v.reshape(d, -1)`` lists ``v`` by leading index, the degree-(p+q)
-product is ``(R[p] u).reshape(-1, d) @ v.reshape(d, -1)``, flattened.
+over ``s = (a0, .., an, j)``.  The block ``R[p]``, built per degree by the
+first product that needs it, holds a word's product with ``e_j`` at rows
+``(image, j)``.  As ``v.reshape(d, -1)`` lists ``v`` by leading index, the
+degree-(p+q) product is ``(R[p] u).reshape(-1, d) @ v.reshape(d, -1)``.
 
-Identities involving only degree-preserving operators hold on every window
-degree; identities that pass through ``d`` hold on degrees up to
-``n_max - 1``.
+The operators act on forms only through their blocks, one matrix product per
+component.  A block inserts the unit, merges neighbouring slots or moves the
+last slot to the front, so it is built from Kronecker products of identities
+with slices of the unit-first structure tensor ``c[i, j, m]`` read as (out,
+in) maps: ``full = c[:, 1:, :]``, ``bar = c[1:, 1:, 1:]``, ``wrap = c[1:, :, :]``
+and ``last = c[1:, :, 1:]``.  With ``Pi`` dropping coordinate 0, ``iota`` its
+inclusion, ``e0`` the unit vector and ``rho_n`` permuting columns by
+``(a0, .., an) -> (an, a0, ..)``, and the rows of ``R_p`` regrouped to
+``(image, j)``::
+
+    D_n = e0 (x) Pi (x) I,   inner_1 = full,
+    inner_n = inner_{n-1} (x) I_e + (-1)^{n-1} I (x) bar,
+    B_n = inner_n + (-1)^n (wrap (x) I) rho_n,
+    K_n = (-1)^n ((iota (x) Pi - e0 (x) Pi wrap) (x) I) rho_n,
+    R_p = (-1)^p (inner_p (x) I_e)(I (x) Pi) + I (x) last,  R_0 = c.
+
+Exact blocks are ``exactla.ScaledArray``s built on the integer numerators of
+``c``.  Float ones are ``complex128``, their terms added in the order of the
+word formulas, so each is bit for bit the sum those give.  Identities of
+degree-preserving operators hold on every window degree; identities that
+pass through ``d`` hold on degrees up to ``n_max - 1``.
 """
 
 from __future__ import annotations
@@ -141,14 +153,10 @@ class FormsWindow:
         self.field = algebra.field
         self.n_max = n_max
         self.degree_dims = dims
-        self.bases = []
-        self.index = []
-        for n in range(n_max + 1):
-            words = [(i0,) + rest
-                     for i0 in range(d)
-                     for rest in itertools.product(range(1, d), repeat=n)]
-            self.bases.append(words)
-            self.index.append({w: i for i, w in enumerate(words)})
+        self.bases = [[(i0,) + rest
+                       for i0 in range(d)
+                       for rest in itertools.product(range(1, d), repeat=n)]
+                      for n in range(n_max + 1)]
         self._ops = None
         self._spectral_cache = {}
         self._right = {}        # degree -> R block of multiply_forms
@@ -181,77 +189,6 @@ class FormsWindow:
         """Degree-0 form from original-basis algebra coordinates."""
         return Form({0: exactla.matmul(self.algebra.change_inv, self.algebra._check_vec(x))})
 
-    # -- basis-word expansions ---------------------------------------------------
-
-    def _d_word(self, word):
-        if word[0] == 0:
-            return []
-        return [(self.field.one, (0,) + word)]
-
-    def _b_word(self, word):
-        n = len(word) - 1
-        if n == 0:
-            return []
-        one = self.field.one
-        alg = self.algebra
-        d = alg.dim
-        out = []
-        for j in range(n):
-            sign = one if j % 2 == 0 else -one
-            prod = alg.norm_mul(word[j], word[j + 1])
-            head, tail = word[:j], word[j + 2:]
-            start = 0 if j == 0 else 1       # bar slots kill the unit component
-            for m in range(start, d):
-                cm = prod[m]
-                if cm != 0:
-                    out.append((sign * cm, head + (m,) + tail))
-        sign = one if n % 2 == 0 else -one
-        prod = alg.norm_mul(word[n], word[0])
-        for m in range(d):                    # wrap-around lands in the A slot
-            cm = prod[m]
-            if cm != 0:
-                out.append((sign * cm, (m,) + word[1:n]))
-        return out
-
-    def _k_word(self, word):
-        n = len(word) - 1
-        one = self.field.one
-        if n == 0:
-            return [(one, word)]
-        alg = self.algebra
-        sign1 = one if n % 2 == 0 else -one
-        out = []
-        if word[0] != 0:
-            out.append((sign1, (word[n], word[0]) + word[1:n]))
-        prod = alg.norm_mul(word[n], word[0])
-        for m in range(1, alg.dim):
-            cm = prod[m]
-            if cm != 0:
-                out.append((-sign1 * cm, (0, m) + word[1:n]))
-        return out
-
-    def _r_word(self, word, j):
-        n = len(word) - 1
-        s = word + (j,)
-        one = self.field.one
-        alg = self.algebra
-        d = alg.dim
-        out = []
-        for i in range(n + 1):
-            # e_j stays in a bar position unless it is the one being merged;
-            # the unit dies there
-            if i < n and j == 0:
-                continue
-            sign = one if (n - i) % 2 == 0 else -one
-            prod = alg.norm_mul(s[i], s[i + 1])
-            head, tail = s[:i], s[i + 2:]
-            start = 0 if i == 0 else 1
-            for m in range(start, d):
-                cm = prod[m]
-                if cm != 0:
-                    out.append((sign * cm, head + (m,) + tail))
-        return out
-
 
 def build_window(algebra: Algebra, n_max: int, cap=None) -> FormsWindow:
     return FormsWindow(algebra, n_max, cap=cap)
@@ -279,21 +216,6 @@ def apply_k(window: FormsWindow, form: Form) -> Form:
     return _apply(window, "k", form)
 
 
-def _right_block(window, p):
-    """R[p]: a degree-p word's column holds its product with e_j at rows (image, j)."""
-    block = window._right.get(p)
-    if block is None:
-        d, dim, target = window.algebra.dim, window.degree_dims[p], window.index[p]
-        index, values = [], []
-        for col, word in enumerate(window.bases[p]):
-            for j in range(d):
-                for val, image in window._r_word(word, j):
-                    index.append((target[image] * d + j) * dim + col)
-                    values.append(val)
-        block = window._right[p] = _block(window, (d * dim, dim), index, values)
-    return block
-
-
 def multiply_forms(window: FormsWindow, u: Form, v: Form) -> Form:
     if not (u.components and v.components):
         return Form({})
@@ -303,35 +225,77 @@ def multiply_forms(window: FormsWindow, u: Form, v: Form) -> Form:
     d = window.algebra.dim
     out = {}
     for p, up in u.components.items():
-        ue = exactla.matmul(_right_block(window, p), up).reshape(-1, d)
+        if p not in window._right:
+            window._right[p] = _lift(window, lambda c, _one: {p: _right_block(c, p)})[p]
+        ue = exactla.matmul(window._right[p], up).reshape(-1, d)
         for q, vq in v.components.items():
             res = exactla.matmul(ue, vq.reshape(d, -1)).reshape(-1)
             out[p + q] = out[p + q] + res if p + q in out else res
     return Form(out)
 
 
-def _assemble_blocks(window, expand, shift, degrees):
-    blocks = {}
-    for n in degrees:
-        m = n + shift
-        shape = (window.degree_dims[m], window.degree_dims[n])
-        target = window.index[m]
-        index, values = [], []
-        for col, word in enumerate(window.bases[n]):
-            for val, image in expand(word):
-                index.append(target[image] * shape[1] + col)
-                values.append(val)
-        blocks[n] = _block(window, shape, index, values)
+# -- blocks from the slots of the structure tensor ------------------------------
+
+def _rotate(block, e, rest):
+    """``block`` rho_n: its columns (a_n, a_0, .., a_{n-1}) read at (a_0, .., a_n)."""
+    rows = block.shape[0]
+    return block.reshape(rows, e, rest).transpose(0, 2, 1).reshape(rows, e * rest)
+
+
+def _merges(c, top):
+    """inner_1 .. inner_top, the slot merges of b, added in ascending slot order."""
+    d, e = c.shape[0], c.shape[0] - 1
+    bar = c[1:, 1:, 1:].reshape(e * e, e).T
+    out = [c[:, 1:].reshape(-1, d).T]
+    for n in range(2, top + 1):
+        out.append(np.kron(out[-1], np.eye(e, dtype=c.dtype))
+                   + np.kron(np.eye(d * e ** (n - 2), dtype=c.dtype), (-1) ** (n - 1) * bar))
+    return out
+
+
+def _operator_blocks(c, one, n_max):
+    """The d, b and k blocks of degrees 0..n_max, keyed (name, degree), from the
+    unit-first structure tensor ``c``; ``one`` is the value of the unit."""
+    d, e = c.shape[0], c.shape[0] - 1
+    unit = np.eye(d, dtype=c.dtype)
+    proj, e0 = unit[1:], unit[:, :1]
+    wrap = c[1:].reshape(-1, d).T
+    turn = np.kron(unit[:, 1:], proj) * one - np.kron(e0, wrap[1:])
+    insert = np.kron(e0 * one, proj)
+    blocks = {("k", 0): unit * one}
+    for n, inner in enumerate(_merges(c, n_max), start=1):
+        sign, eye, rest = (-1) ** n, np.eye(e ** (n - 1), dtype=c.dtype), d * e ** (n - 1)
+        blocks["d", n - 1] = np.kron(insert, eye)
+        blocks["b", n] = inner + _rotate(np.kron(sign * wrap, eye), e, rest)
+        blocks["k", n] = _rotate(np.kron(sign * turn, eye), e, rest)
     return blocks
 
 
-def _block(window, shape, index, values):
-    """The block of ``shape`` summing ``values`` at their flat ``index``."""
-    if window.field.exact:
-        return exactla.from_terms(shape, index, values)
-    block = np.zeros(shape, dtype=np.complex128)
-    np.add.at(block.reshape(-1), index, values)
-    return block
+def _right_block(c, p):
+    """R[p] from the structure tensor; its j >= 1 columns are (-1)^p inner_{p+1}."""
+    d, e = c.shape[0], c.shape[0] - 1
+    dim = d * e ** p
+    block = np.zeros((dim, dim, d), dtype=c.dtype)
+    block[:, :, 1:] = ((-1) ** p * _merges(c, p + 1)[-1]).reshape(dim, dim, e)
+    block[:, :, 0] = c[:, 0].T if p == 0 else np.kron(
+        np.eye(d * e ** (p - 1), dtype=c.dtype), c[1:, 0, 1:].T)
+    return block.transpose(0, 2, 1).reshape(dim * d, dim)
+
+
+def _lift(window, build):
+    """The blocks ``build(c, one)`` returns, evaluated on the window's
+    structure tensor: complex128 in float mode; in the exact modes built on
+    the integer numerators and wrapped as ScaledArrays over its denominator."""
+    c = window.algebra.norm_structure
+    if not window.field.exact:
+        # x + 0.0 is x, except that it turns the -0.0 of (-1) * 0.0 into 0.0
+        return {key: block + 0.0 for key, block in build(c, 1.0).items()}
+    c = exactla.asexact(c)
+    # a block entry sums at most n_max + 1 terms, and the unit is den
+    wide = max(c.bound, c.den) * (window.n_max + 2) >= 2 ** 63
+    re = build(c.num.astype(object) if wide else c.num, c.den)
+    ims = {} if c.im is None else build(c.im.astype(object) if wide else c.im, 0)
+    return {key: exactla.ScaledArray(block, ims.get(key), c.den) for key, block in re.items()}
 
 
 def operator_matrices(window: FormsWindow) -> dict:
@@ -339,9 +303,10 @@ def operator_matrices(window: FormsWindow) -> dict:
     if window._ops is not None:
         return window._ops
     n_max = window.n_max
-    d_blocks = _assemble_blocks(window, window._d_word, +1, range(n_max))
-    b_blocks = _assemble_blocks(window, window._b_word, -1, range(1, n_max + 1))
-    k_blocks = _assemble_blocks(window, window._k_word, 0, range(n_max + 1))
+    blocks = _lift(window, lambda c, one: _operator_blocks(c, one, n_max))
+    d_blocks = {n: blocks["d", n] for n in range(n_max)}
+    b_blocks = {n: blocks["b", n] for n in range(1, n_max + 1)}
+    k_blocks = {n: blocks["k", n] for n in range(n_max + 1)}
     # formed once; L, the identity residuals and the spectral report read
     # them.  Not on the window top: db there serves one residual only, and
     # forming it would slow every spectral run, which never needs it.

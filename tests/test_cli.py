@@ -228,13 +228,36 @@ def test_bad_complex_dims_are_rejected_before_the_differentials(tmp_path, capsys
 
 
 def test_non_finite_report_value_is_input_error(capsys):
-    # the tolerance goes into the report, where JSON cannot hold inf
+    # the tolerance would go into the report, where JSON cannot hold inf;
+    # the flag check rejects it first
     assert run(["gv", "--omega", "sin-z", "--n", "16", "--tol", "inf"]) == 1
     streams = capsys.readouterr()
     assert streams.out == "" and "Traceback" not in streams.err
     payload = json.loads(streams.err)
     assert payload["code"] == "cli/InputError"
-    assert "not JSON compliant" in payload["message"]
+    assert "--tol" in payload["message"]
+
+
+CIRCLE = ["--complex", "circle_alpha_-1_N8.json"]
+TOLERANCE_FLAGS = (
+    [("spectral", ["--algebra", "z3", "--nmax", "1"], flag)
+     for flag in ("--cluster-tol", "--root-tol", "--rank-tol", "--crt-tol")]
+    + [(cmd, CIRCLE, "--rel-tol") for cmd in ("hodge", "torsion", "cs-partition")]
+    + [("witten-sweep", ["--model", "circle_leaves.json"], "--rel-tol"),
+       ("morse-scan", [], "--tol"),
+       ("gv", ["--n", "8"], "--tol"), ("gv", ["--n", "8"], "--gauge-tol")])
+
+
+@pytest.mark.parametrize("command,args,flag", TOLERANCE_FLAGS)
+def test_non_finite_or_negative_tolerance_is_input_error(command, args, flag, capsys):
+    for value in ("nan", "inf", "-inf", "-1e-9"):
+        assert run([command, *args, f"{flag}={value}"]) == 1, value
+        streams = capsys.readouterr()
+        assert streams.out == "" and "Traceback" not in streams.err
+        payload = json.loads(streams.err)
+        assert payload["code"] == "cli/InputError"
+        assert payload["context"] == {"flag": flag}
+    assert run([command, *args, f"{flag}=0"]) in (0, 2)
 
 
 def test_main_builds_the_parser_once(tmp_path, monkeypatch):

@@ -12,10 +12,60 @@ import numpy as np
 import pytest
 
 import nchodge as nc
+import nchodge.forms as nc_forms
 from nchodge import exactla, spectral
+from nchodge.algebra import make_algebra
 from nchodge.errors import DegreeOutOfWindow, WindowTooLarge
 from nchodge.forms import DEFAULT_DIM_CAP, dimension_cap
 from nchodge.scalars import GaussianRational
+
+
+def _m2_over_qi():
+    """2x2 matrices over Q(i) in the basis (E11, iE12, E21/2, E22)."""
+    i = GaussianRational(0, 1)
+    basis = [np.array(m, dtype=object) for m in (
+        [[1, 0], [0, 0]], [[0, i], [0, 0]], [[0, 0], [Fraction(1, 2), 0]], [[0, 0], [0, 1]])]
+
+    def coords(m):
+        return [m[0, 0], m[0, 1] * -i, 2 * m[1, 0], m[1, 1]]
+
+    c = [[coords(a.dot(b)) for b in basis] for a in basis]
+    return make_algebra(4, ("E11", "iE12", "E21/2", "E22"), c, [1, 0, 0, 1], "gaussian",
+                        name="m2-qi")
+
+
+def _m2_nondyadic():
+    """Float 2x2 matrices in a random basis f_a = sum_i P[i, a] E_i."""
+    base = nc.builtin_algebra("m2", "float")
+    P = np.random.default_rng(11).uniform(-1, 1, (4, 4)) + 2 * np.eye(4)
+    Pinv = np.linalg.inv(P)
+    c = np.einsum("ia,jb,ijk,mk->abm", P, P, base.structure.real, Pinv)
+    return make_algebra(4, ("f0", "f1", "f2", "f3"), c, Pinv @ base.unit.real, "float",
+                        name="m2-nondyadic")
+
+
+def _truncated_polynomials(mode, scale=1):
+    """k[x]/(x^3) in the basis 1, y = x / scale, x^2 (y y = x^2 / scale^2)."""
+    c = [[[int(i + j == k) for k in range(3)] for j in range(3)] for i in range(3)]
+    c[1][1][2] = Fraction(1, scale ** 2)
+    return make_algebra(3, ("1", "y", "x2"), c, [1, 0, 0], mode, name="kx3")
+
+
+def _upper_triangular(mode):
+    """Upper triangular 2x2 matrices T2 in the basis E11, E12, E22."""
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for a, b, ab in ((0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)):
+        c[a][b][ab] = 1
+    return make_algebra(3, ("E11", "E12", "E22"), c, [1, 0, 1], mode, name="t2")
+
+
+def _algebra(name, mode):
+    made = {"dim-1": lambda: make_algebra(1, ("1",), [[[1]]], [1], mode, name="dim-1"),
+            "m2-qi": _m2_over_qi, "m2-nondyadic": _m2_nondyadic,
+            "kx3": lambda: _truncated_polynomials(mode), "t2": lambda: _upper_triangular(mode),
+            # the structure denominator 2**62 takes the blocks past int64
+            "kx3-wide": lambda: _truncated_polynomials(mode, 2 ** 31)}
+    return made[name]() if name in made else nc.builtin_algebra(name, mode)
 
 
 @pytest.fixture(scope="module")
@@ -41,19 +91,19 @@ def test_karoubi_matrix_degree_one(dual):
 
 
 def test_boundary_of_dxdx(dual):
-    dxdx = dual.basis_form(2, dual.index[2][(0, 1, 1)])
+    dxdx = dual.basis_form(2, dual.bases[2].index((0, 1, 1)))
     out = nc.apply_b(dual, dxdx)
     assert np.array_equal(out.component(1), dual.field.array([0, 2]))
 
 
 def test_differential_of_xdx(dual):
-    xdx = dual.basis_form(1, dual.index[1][(1, 1)])
+    xdx = dual.basis_form(1, dual.bases[1].index((1, 1)))
     out = nc.apply_d(dual, xdx)
     assert np.array_equal(out.component(2), dual.field.array([1, 0]))
 
 
 def test_product_dx_times_x(dual):
-    dx = dual.basis_form(1, dual.index[1][(0, 1)])
+    dx = dual.basis_form(1, dual.bases[1].index((0, 1)))
     x = dual.form_from_element([0, 1])
     out = nc.multiply_forms(dual, dx, x)
     assert np.array_equal(out.component(1), dual.field.array([0, -1]))
@@ -127,10 +177,12 @@ def _random_form(w, rng, degree):
 
 
 # -- per-word reference --------------------------------------------------------
-# The package applies d, b, k and the product through assembled blocks only.
-# The loops below extend the word expansions to forms one coefficient at a
-# time, in the field's Python scalars, and _mul_words multiplies two basis
-# words directly, without the right-multiplication blocks.
+# The package applies d, b, k and the product through blocks built from
+# slices of the structure tensor.  The reference below shares no code with
+# them: _mul_words multiplies two basis words directly, d prepends the unit
+# slot, b(w da) = (-1)^|w| (w a - a w) and k(w da) = (-1)^|w| da w, and the
+# loops extend these to forms one coefficient at a time, in the field's
+# Python scalars.
 
 def _mul_words(w, left, right):
     """(a0 da1..dan) * (a{n+1} da{n+2}..dam)
@@ -145,11 +197,31 @@ def _mul_words(w, left, right):
         if i < n and right[0] == 0:
             continue
         sign = one if (n - i) % 2 == 0 else -one
-        prod = w.algebra.norm_mul(s[i], s[i + 1])
+        prod = w.algebra.norm_structure[s[i], s[i + 1]]
         for m in range(0 if i == 0 else 1, w.algebra.dim):
             if prod[m] != 0:
                 out.append((sign * prod[m], s[:i] + (m,) + s[i + 2:]))
     return out
+
+
+def _signed(sign, terms):
+    return [(val if sign > 0 else -val, word) for val, word in terms]
+
+
+def _d_word(w, word):
+    return [] if word[0] == 0 else [(w.field.one, (0,) + word)]
+
+
+def _b_word(w, word):
+    omega, a = word[:-1], word[-1:]
+    sign = (-1) ** (len(omega) - 1)
+    return _signed(sign, _mul_words(w, omega, a)) + _signed(-sign, _mul_words(w, a, omega))
+
+
+def _k_word(w, word):
+    if len(word) == 1:
+        return [(w.field.one, word)]
+    return _signed((-1) ** len(word), _mul_words(w, (0, word[-1]), word[:-1]))
 
 
 def _reference_vector(w, m, terms):
@@ -158,12 +230,12 @@ def _reference_vector(w, m, terms):
     vec = w.field.zeros((w.degree_dims[m],))
     for coeff, expansion in terms:
         for val, word in expansion:
-            vec[w.index[m][word]] += coeff * val
+            vec[w.bases[m].index(word)] += coeff * val
     return vec
 
 
 def _reference_apply(w, expand, shift, vec, n):
-    return _reference_vector(w, n + shift, ((c, expand(w.bases[n][i]))
+    return _reference_vector(w, n + shift, ((c, expand(w, w.bases[n][i]))
                                             for i, c in enumerate(vec) if c != 0))
 
 
@@ -194,16 +266,18 @@ def _agree(w, got, ref):
 
 @pytest.mark.parametrize("name,n_max,mode", [
     ("z3", 3, "rational"), ("m2", 2, "rational"), ("two-points", 3, "rational"),
-    ("m2", 2, "gaussian"), ("z3", 3, "float"), ("m2", 2, "float")])
+    ("m2", 2, "gaussian"), ("z3", 3, "float"), ("m2", 2, "float"),
+    ("dim-1", 3, "rational"), ("m2-qi", 2, "gaussian"), ("m2-nondyadic", 2, "float"),
+    ("kx3-wide", 2, "rational")])
 def test_form_operators_match_word_reference(name, n_max, mode):
-    w = nc.build_window(nc.builtin_algebra(name, mode), n_max)
+    w = nc.build_window(_algebra(name, mode), n_max)
     rng = np.random.default_rng(3)
     vecs = [_field_vector(w, rng, n) for n in range(n_max + 1)]
     for n, vec in enumerate(vecs):
         u = nc.Form({n: vec})
-        cases = [(nc.apply_b, w._b_word, -1), (nc.apply_k, w._k_word, 0)]
+        cases = [(nc.apply_b, _b_word, -1), (nc.apply_k, _k_word, 0)]
         if n < n_max:
-            cases.append((nc.apply_d, w._d_word, +1))
+            cases.append((nc.apply_d, _d_word, +1))
         for apply, expand, shift in cases:
             if n + shift >= 0:
                 got = apply(w, u).component(n + shift)
@@ -216,13 +290,13 @@ def test_form_operators_match_word_reference(name, n_max, mode):
 
 def test_right_blocks_built_once_per_degree_and_only_by_products(monkeypatch):
     calls = Counter()
-    real = nc.FormsWindow._r_word
+    real = nc_forms._right_block
 
-    def counting(self, word, j):
-        calls[word, j] += 1
-        return real(self, word, j)
+    def counting(c, p):
+        calls[p] += 1
+        return real(c, p)
 
-    monkeypatch.setattr(nc.FormsWindow, "_r_word", counting)
+    monkeypatch.setattr(nc_forms, "_right_block", counting)
     w = nc.build_window(nc.builtin_algebra("z3"), 3)
     nc.window_identity_residuals(w)
     nc.spectral_report(w)
@@ -232,9 +306,34 @@ def test_right_blocks_built_once_per_degree_and_only_by_products(monkeypatch):
         for p in range(w.n_max + 1):
             for q in range(w.n_max - p + 1):
                 nc.multiply_forms(w, _random_form(w, rng, p), _random_form(w, rng, q))
-    assert set(calls.values()) == {1}
-    assert set(calls) == {(word, j) for p in range(w.n_max + 1)
-                          for word in w.bases[p] for j in range(w.algebra.dim)}
+    assert calls == Counter(range(w.n_max + 1))
+
+
+def test_float_blocks_hold_no_negative_zero():
+    # (-1) * 0.0 is -0.0, which a report would print as "-0.0"
+    for name, n_max in (("dual-numbers", 3), ("two-points", 3), ("m2", 2), ("z3", 3),
+                        ("m2-nondyadic", 2), ("dim-1", 2)):
+        w = nc.build_window(_algebra(name, "float"), n_max)
+        for p in range(n_max + 1):      # builds the R block of degree p
+            nc.multiply_forms(w, nc.Form({p: w.zero_vector(p)}), nc.Form({0: w.zero_vector(0)}))
+        ops = nc.operator_matrices(w)
+        for block in [b for op in "dbk" for b in ops[op].blocks.values()] + list(w._right.values()):
+            for part in (block.real, block.imag):
+                assert not np.any(np.signbit(part) & (part == 0)), name
+
+
+@pytest.mark.parametrize("mode", ["rational", "gaussian"])
+def test_hochschild_homology_matches_closed_forms(mode):
+    # dim HH_n = dim - rank b_n - rank b_{n+1} on the normalized complex;
+    # closed forms from Loday, Cyclic Homology, and Keller 1998
+    for name, expected in (("dual-numbers", [2, 1, 1, 1, 1]), ("two-points", [2, 0, 0, 0]),
+                           ("m2", [1, 0, 0]), ("z3", [3, 0, 0, 0]),
+                           ("kx3", [3, 2, 2, 2]), ("t2", [2, 0, 0, 0])):
+        w = nc.build_window(_algebra(name, mode), len(expected))
+        B = nc.operator_matrices(w)["b"].blocks
+        ranks = [0] + [exactla.rank(B[n]) for n in range(1, w.n_max + 1)]
+        hh = [w.degree_dims[n] - ranks[n] - ranks[n + 1] for n in range(len(expected))]
+        assert hh == expected, name
 
 
 def test_form_api_on_scaled_vectors():

@@ -28,7 +28,7 @@ def test_rescaled_laplacian_dual_numbers(dual):
 
 
 def test_hodge_split_xdx(dual):
-    xdx = dual.basis_form(1, dual.index[1][(1, 1)])
+    xdx = dual.basis_form(1, dual.bases[1].index((1, 1)))
     harm, dpart, bpart = nc.hodge_split(dual, xdx)
     assert harm.is_zero() and dpart.is_zero()
     assert bpart == xdx

@@ -15,7 +15,9 @@ every command passes and 1 otherwise.
 Float reports are compared bit for bit, so both sides must run on one
 machine: LAPACK results differ between builds and processors.
 
-The list: every command on the bundled inputs, ``gv`` on the builtin
+The list: every command on the bundled inputs, ``nc-report --matrices``
+on ``m2`` and ``z3`` in the gaussian and float modes (their d, b and k
+blocks, where a wrong slot order would show), ``gv`` on the builtin
 ``sin-z`` and ``dz`` forms with both derivatives, ``selftest --seed 1``,
 and, on inputs written to the temporary directory, ``hodge``/``torsion``/
 ``cs-partition`` on a 256-site twisted circle and ``gv`` on a gradient
@@ -45,6 +47,8 @@ COMMANDS = (
      for alg in ("dual_numbers.json", "m2.json", "two_points.json", "z3.json")
      for cmd in ("nc-report", "spectral")]
     + [["spectral", "--algebra", "z3.json", "--nmax", "3", "--scalar", "float"]]
+    + [["nc-report", "--algebra", alg, "--nmax", "3", "--scalar", mode, "--matrices"]
+       for alg in ("m2.json", "z3.json") for mode in ("gaussian", "float")]
     + [[cmd, "--complex", cx]
        for cx in ("circle_alpha_-1_N8.json", CIRCLE)
        for cmd in ("hodge", "torsion", "cs-partition")]
