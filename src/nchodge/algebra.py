@@ -12,16 +12,16 @@ original basis vectors, in order, represent a complement of the scalar line.
 Reduction modulo scalars then simply drops coordinate 0, which is the
 convention the differential-form machinery builds on.
 
-The structure tensor, the unit, the basis change and the unit-first
-structure constants are held as the user's scalars (object arrays in the
-exact modes); products run through ``exactla`` on scaled-integer copies,
-and ``change_inv`` is an ``exactla`` matrix.
+The structure tensor, the unit, the basis change, its inverse and the
+unit-first structure constants are held as the field's arrays
+(``exactla.ScaledArray`` in the exact modes, ``complex128`` in float mode),
+from JSON parse to report; products run through ``exactla``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,53 +39,42 @@ class Algebra:
     dim: int
     basis_labels: tuple
     field: ScalarField
-    structure: np.ndarray        # (dim, dim, dim), original basis
-    unit: np.ndarray             # (dim,), original coordinates
+    structure: object            # (dim, dim, dim), original basis
+    unit: object                 # (dim,), original coordinates
     pivot: int                   # original basis index replaced by the unit
     complement_indices: tuple    # original indices spanning the complement
-    change: np.ndarray           # columns: unit-first basis in original coords
-    change_inv: np.ndarray
-    norm_structure: np.ndarray   # structure constants in the unit-first basis
+    change: object               # columns: unit-first basis in original coords
+    change_inv: object
+    norm_structure: object       # structure constants in the unit-first basis
     norm_labels: tuple
     name: str = "algebra"
-    _mul_flat: np.ndarray = dc_field(default=None, repr=False)
 
     # -- elements -------------------------------------------------------------
 
-    def element(self, spec) -> np.ndarray:
+    def element(self, spec):
         """Coefficient vector from a basis label, a {label: coeff} dict, or a
         coefficient sequence (original basis)."""
-        if isinstance(spec, str):
-            if spec not in self.basis_labels:
-                raise DimMismatch(f"unknown basis label {spec!r}", labels=list(self.basis_labels))
-            vec = self.field.zeros((self.dim,))
-            vec[self.basis_labels.index(spec)] = self.field.one
-            return vec
-        if isinstance(spec, dict):
-            vec = self.field.zeros((self.dim,))
-            for label, coeff in spec.items():
-                vec[self.basis_labels.index(label)] = self.field.coerce(coeff)
-            return vec
-        vec = np.asarray(spec, dtype=self.field.dtype)
-        if vec.shape != (self.dim,):
-            raise DimMismatch(f"expected {self.dim} coefficients, got shape {vec.shape}")
-        if self.field.exact:
-            vec = self.field.array(list(spec))
-        return vec
+        if isinstance(spec, (str, dict)):
+            coeffs = [0] * self.dim
+            for label, coeff in ({spec: 1} if isinstance(spec, str) else spec).items():
+                if label not in self.basis_labels:
+                    raise DimMismatch(f"unknown basis label {label!r}",
+                                      labels=list(self.basis_labels))
+                coeffs[self.basis_labels.index(label)] = coeff
+            spec = coeffs
+        return self._check_vec(spec)
 
-    def _check_vec(self, x) -> np.ndarray:
-        x = np.asarray(x)
+    def _check_vec(self, x):
+        x = self.field.array(x)
         if x.shape != (self.dim,):
             raise DimMismatch(f"element has shape {x.shape}, algebra dim is {self.dim}")
         return x
 
-    def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def multiply(self, x, y):
         x, y = self._check_vec(x), self._check_vec(y)
-        if self._mul_flat is None:
-            object.__setattr__(self, "_mul_flat", exactla.asexact(
-                self.structure.reshape(self.dim, self.dim * self.dim)))
-        tmp = exactla.matmul(x, self._mul_flat).reshape(self.dim, self.dim)
-        return exactla.to_object(exactla.matmul(y, tmp), self.field.mode == GAUSSIAN)
+        d = self.dim
+        tmp = exactla.matmul(x, self.structure.reshape(d, d * d)).reshape(d, d)
+        return exactla.matmul(y, tmp)
 
     def to_json(self) -> dict:
         f = self.field
@@ -94,19 +83,18 @@ class Algebra:
             "dim": self.dim,
             "basis": list(self.basis_labels),
             "scalars": f.mode,
-            "unit": [f.to_json(v) for v in self.unit],
+            "unit": f.matrix_to_json(self.unit),
             "mul": f.matrix_to_json(self.structure),
         }
 
 
-def _first_nonzero(field: ScalarField, vec: np.ndarray):
+def _first_nonzero(field: ScalarField, vec):
     if field.exact:
-        return next((i for i, v in enumerate(vec) if v != 0), None)
-    mags = np.abs(exactla.to_complex(vec))
-    top = mags.max() if mags.size else 0.0
-    if top == 0.0:
-        return None
-    return int(np.argmax(mags > 1e-12 * top))
+        live = vec != 0
+    else:
+        mags = np.abs(vec)
+        live = mags > 1e-12 * mags.max()
+    return int(np.argmax(live)) if live.any() else None
 
 
 def make_algebra(dim, basis_labels, structure, unit, scalar_mode=RATIONAL, *,
@@ -118,34 +106,34 @@ def make_algebra(dim, basis_labels, structure, unit, scalar_mode=RATIONAL, *,
     if len(labels) != dim or len(set(labels)) != dim:
         raise ShapeMismatch(f"need {dim} distinct basis labels, got {labels}")
 
-    c = structure if isinstance(structure, np.ndarray) else field.array(structure)
+    c = field.array(structure)
     if c.shape != (dim, dim, dim):
         raise ShapeMismatch(f"structure tensor has shape {c.shape}, expected {(dim,) * 3}")
-    if field.exact and c.dtype != object:
-        c = field.array(structure)
-    u = unit if isinstance(unit, np.ndarray) and unit.dtype == field.dtype else field.array(unit)
+    u = field.array(unit)
     if u.shape != (dim,):
         raise ShapeMismatch(f"unit has shape {u.shape}, expected ({dim},)")
     if not field.exact:
         for key, arr in (("unit", u), ("mul", c)):
-            bad = np.argwhere(~np.isfinite(exactla.to_complex(arr))).tolist()
+            bad = np.argwhere(~np.isfinite(arr)).tolist()
             if bad:
                 raise NonFiniteEntry(f"algebra {key} has a non-finite entry at {bad[0]}",
                                      key=key, index=bad[0])
 
-    cx = exactla.asexact(c)
     if check:
-        _check_unit(field, cx, u, labels)
-        _check_associativity(field, cx, labels)
+        _check_unit(field, c, u, labels)
+        _check_associativity(field, c, labels)
 
     pivot = _first_nonzero(field, u)
     if pivot is None:
         raise UnitViolation("unit vector is zero")
     complement = tuple(i for i in range(dim) if i != pivot)
-    change = field.zeros((dim, dim))
-    change[:, 0] = u
-    for col, idx in enumerate(complement, start=1):
-        change[idx, col] = field.one
+    # columns: the unit, then the original basis vectors of the complement
+    eye = exactla.eye_like(c[0])
+    change = eye[:, (pivot,) + complement]
+    if field.exact:     # column 0 is e_pivot + (u - e_pivot) = u, exactly
+        change = change + exactla.matmul((u - eye[pivot]).reshape(dim, 1), eye[:1])
+    else:
+        change[:, 0] = u
     try:
         change_inv = exactla.inverse(change)
     except (ValueError, np.linalg.LinAlgError):
@@ -155,12 +143,11 @@ def make_algebra(dim, basis_labels, structure, unit, scalar_mode=RATIONAL, *,
     # unit-first products in unit-first coords, norm[a, b, m] = sum_ijk C[i, a]
     # C[j, b] c[i, j, k] Cinv[m, k], one axis per product; transposing an
     # (x, y*z) reshape turns the axes (x, y, z) into (y, z, x)
-    ct = exactla.asexact(change).T
-    t = exactla.matmul(ct, cx.reshape(dim, dim * dim))               # (a, j, k)
+    ct = change.T
+    t = exactla.matmul(ct, c.reshape(dim, dim * dim))                # (a, j, k)
     t = exactla.matmul(t.reshape(dim * dim, dim), change_inv.T)      # (a, j, m)
     t = exactla.matmul(ct, t.reshape(dim, dim * dim).T.reshape(dim, dim * dim))  # (b, m, a)
-    norm = exactla.to_object(t.reshape(dim * dim, dim).T.reshape(dim, dim, dim),
-                             field.mode == GAUSSIAN)
+    norm = t.reshape(dim * dim, dim).T.reshape(dim, dim, dim)
 
     norm_labels = ("1",) + tuple(labels[i] for i in complement)
     return Algebra(dim=dim, basis_labels=labels, field=field, structure=c,
@@ -170,9 +157,9 @@ def make_algebra(dim, basis_labels, structure, unit, scalar_mode=RATIONAL, *,
 
 
 def _check_unit(field, c, u, labels):
-    dim = len(u)
+    dim = u.shape[0]
     tol = 0.0 if field.exact else 1e-12 * max(1.0, exactla.max_abs(c))
-    u, eye = exactla.asexact(u), exactla.eye_like(c)
+    eye = exactla.eye_like(c)
     # row j: u e_j, and e_j u from the (i, (j, k)) -> ((k, j), i) reshuffle of c
     left = exactla.matmul(u, c.reshape(dim, dim * dim)).reshape(dim, dim)
     right = exactla.matmul(c.reshape(dim * dim, dim).T.reshape(dim * dim, dim), u)
@@ -244,15 +231,15 @@ def load_algebra(source, scalar_mode=None) -> Algebra:
     return make_algebra(dim, basis, mul, unit, scalar_mode=mode, name=name)
 
 
-def _parse_entries(stored, field, key, node, shape) -> np.ndarray:
+def _parse_entries(stored, field, key, node, shape):
     """Parse one tensor in the stored mode, then convert it to ``field``."""
     try:
         arr = stored.matrix_from_json(node, shape)
-        if field is not stored:
-            arr = np.vectorize(field.coerce, otypes=[object])(arr) if field.exact \
-                else exactla.to_complex(arr)
-        return arr
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        if stored.mode == GAUSSIAN and field.mode == RATIONAL and arr.size:
+            # as coerce rejects every GaussianRational, imaginary part 0 included
+            raise TypeError("gaussian entries do not convert to rationals")
+        return field.array(arr)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ShapeMismatch(f"algebra key {key!r} does not parse: {exc}", key=key) from None
 
 

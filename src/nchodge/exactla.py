@@ -18,10 +18,10 @@ Gaussian integers, where the division is exact too.  Exact ranks are
 therefore exact integers, which several invariants rely on.
 
 Float matrices are ``complex128`` and go to numpy and LAPACK; every helper
-dispatches on its input.  Exact form vectors are ScaledArrays as well.
-Object arrays of int, Fraction and GaussianRational entries (algebra input,
-forms given by their coefficients) enter through :func:`asexact` and leave
-through :func:`to_object`.
+dispatches on its input.  Exact algebra data and form vectors are
+ScaledArrays as well.  Object arrays of int, Fraction and GaussianRational
+entries (arrays that callers build entry by entry) enter through
+:func:`asexact`; ``np.asarray`` reads an exact array out as one again.
 
 Also hosts the small dense polynomial arithmetic (Fraction coefficients,
 low-to-high lists) that gives P and G as polynomials in k.
@@ -106,7 +106,15 @@ class ScaledArray:
         return re if im is None else GaussianRational(re, Fraction(int(im), self.den))
 
     def __array__(self, dtype=None, copy=None):
-        out = _values(self)
+        """Object array of Fraction entries, GaussianRational ones when the
+        value has an imaginary part."""
+        vals = [Fraction(v, self.den) for v in self.num.reshape(-1).tolist()]
+        if self.im is not None:
+            vals = [GaussianRational(r, Fraction(i, self.den))
+                    for r, i in zip(vals, self.im.reshape(-1).tolist())]
+        out = np.empty(len(vals), dtype=object)
+        out[:] = vals
+        out = out.reshape(self.shape)
         return out if dtype is None else out.astype(dtype)
 
     def __repr__(self):
@@ -159,8 +167,8 @@ class ScaledArray:
 
     def to_json(self, gaussian=False):
         """Nested lists of reduced ``[num, den]`` pairs, one per entry
-        (``[[re_num, re_den], [im_num, im_den]]`` when ``gaussian``), as
-        ``ScalarField.to_json`` writes each Fraction or GaussianRational."""
+        (``[[re_num, re_den], [im_num, im_den]]`` when ``gaussian``), the
+        JSON scalars that ``ScalarField.from_json`` reads back."""
         def pairs(num):
             g = np.gcd(_widen(num, None, self.den >= _LIMIT)[0], self.den)
             return np.stack([num // g, self.den // g], axis=-1)
@@ -228,23 +236,6 @@ def from_object(arr) -> ScaledArray:
 def asexact(mat):
     """``mat`` as a ScaledArray when it is exact; float input unchanged."""
     return from_object(mat) if is_exact(mat) and not isinstance(mat, ScaledArray) else mat
-
-
-def to_object(mat, gaussian=False):
-    """Object array of Fraction entries (GaussianRational ones when
-    ``gaussian`` or when the value has an imaginary part) holding the value
-    of an exact array; other input is returned unchanged."""
-    return _values(mat, gaussian) if isinstance(mat, ScaledArray) else mat
-
-
-def _values(mat, gaussian=False):
-    vals = [Fraction(v, mat.den) for v in mat.num.reshape(-1).tolist()]
-    if gaussian or mat.im is not None:
-        ims = _imag_or_zeros(mat).reshape(-1).tolist()
-        vals = [GaussianRational(r, Fraction(i, mat.den)) for r, i in zip(vals, ims)]
-    out = np.empty(len(vals), dtype=object)
-    out[:] = vals
-    return out.reshape(mat.shape)
 
 
 def eye_like(mat):

@@ -290,7 +290,6 @@ def _lift(window, build):
     if not window.field.exact:
         # x + 0.0 is x, except that it turns the -0.0 of (-1) * 0.0 into 0.0
         return {key: block + 0.0 for key, block in build(c, 1.0).items()}
-    c = exactla.asexact(c)
     # a block entry sums at most n_max + 1 terms, and the unit is den
     wide = max(c.bound, c.den) * (window.n_max + 2) >= 2 ** 63
     re = build(c.num.astype(object) if wide else c.num, c.den)

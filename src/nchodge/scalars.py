@@ -4,13 +4,14 @@
 * ``gaussian``  -- exact Gaussian rationals ``a + b*i`` with rational parts,
 * ``float``     -- machine ``complex128``.
 
-``Fraction`` and :class:`GaussianRational` objects appear where scalars
-meet the outside: algebra input, JSON, and single entries read out of exact
-arrays.  Exact operator blocks, spectral matrices and form vectors are
-scaled-integer arrays (``exactla.ScaledArray``); float ones are
-``complex128``.  :class:`ScalarField` bundles what a mode needs: zero/one
-constants, coercion, and JSON parsing and serialization ([num, den] pairs
-in the exact modes, [re, im] in float mode).
+A mode's arrays -- algebra data from JSON parse to report, operator blocks,
+spectral matrices and form vectors -- are scaled-integer arrays
+(``exactla.ScaledArray``) in the exact modes and ``complex128`` in float
+mode.  ``Fraction`` and :class:`GaussianRational` objects are single
+scalars: one JSON entry as it is parsed, one entry read out of an exact
+array, a factor of ``Form.scale``.  :class:`ScalarField` bundles what a mode
+needs: zero/one constants, coercion, and JSON parsing and serialization
+([num, den] pairs in the exact modes, [re, im] in float mode).
 """
 
 from __future__ import annotations
@@ -128,6 +129,13 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot coerce {value!r} into an exact rational")
 
 
+def _ratio(obj):
+    """A JSON [num, den] pair of numbers as a Fraction; None for anything else."""
+    if isinstance(obj, list) and len(obj) == 2 and all(isinstance(x, (int, float)) for x in obj):
+        return Fraction(_as_fraction(obj[0]), _as_fraction(obj[1]))
+    return None
+
+
 class ScalarField:
     """Constants and conversions for one scalar mode."""
 
@@ -169,63 +177,39 @@ class ScalarField:
             if isinstance(obj, list) and len(obj) == 2:
                 return complex(obj[0], obj[1])
             raise TypeError(f"cannot parse float scalar from {obj!r}")
-        if isinstance(obj, (int, float)):
-            base = _as_fraction(obj)
-            return base if self.mode == RATIONAL else GaussianRational(base)
-        if isinstance(obj, list) and len(obj) == 2:
-            if all(isinstance(x, (int, float)) for x in obj):
-                frac = Fraction(_as_fraction(obj[0]), _as_fraction(obj[1]))
-                return frac if self.mode == RATIONAL else GaussianRational(frac)
-            if self.mode == GAUSSIAN and all(isinstance(x, list) for x in obj):
-                re = Fraction(_as_fraction(obj[0][0]), _as_fraction(obj[0][1]))
-                im = Fraction(_as_fraction(obj[1][0]), _as_fraction(obj[1][1]))
+        value = _as_fraction(obj) if isinstance(obj, (int, float)) else _ratio(obj)
+        if value is not None:
+            return value if self.mode == RATIONAL else GaussianRational(value)
+        if self.mode == GAUSSIAN and isinstance(obj, list) and len(obj) == 2:
+            re, im = map(_ratio, obj)
+            if re is not None and im is not None:
                 return GaussianRational(re, im)
         raise TypeError(f"cannot parse {self.mode} scalar from {obj!r}")
 
-    def to_json(self, value):
-        if self.mode == RATIONAL:
-            f = _as_fraction(value) if not isinstance(value, Fraction) else value
-            return [f.numerator, f.denominator]
-        if self.mode == GAUSSIAN:
-            g = value if isinstance(value, GaussianRational) else GaussianRational(_as_fraction(value))
-            return [[g.re.numerator, g.re.denominator],
-                    [g.im.numerator, g.im.denominator]]
-        c = complex(value)
-        return [c.real, c.imag]
+    # -- arrays ----------------------------------------------------------------
 
-    # -- array builders ------------------------------------------------------
-
-    def zeros(self, shape) -> np.ndarray:
-        if self.exact:
-            return np.full(shape, self.zero, dtype=object)
-        return np.zeros(shape, dtype=np.complex128)
-
-    def eye(self, n: int) -> np.ndarray:
-        if not self.exact:
-            return np.eye(n, dtype=np.complex128)
-        out = self.zeros((n, n))
-        for i in range(n):
-            out[i, i] = self.one
-        return out
-
-    def array(self, nested) -> np.ndarray:
-        """Build an array from (nested) already-coerced or raw scalars."""
+    def array(self, nested):
+        """The field's array of (nested) raw or coerced scalars: complex128 in
+        float mode, an ``exactla.ScaledArray`` in the exact modes, which is
+        returned as it is when it is given one."""
+        from . import exactla
         if not self.exact:
             return np.asarray(nested, dtype=np.complex128)
-        arr = np.array(nested, dtype=object)
-        flat = arr.reshape(-1)
-        for i, v in enumerate(flat):
-            flat[i] = self.coerce(v)
-        return flat.reshape(arr.shape)
+        if isinstance(nested, exactla.ScaledArray):
+            return nested
+        coerce = np.frompyfunc(self.coerce, 1, 1)
+        return exactla.from_object(coerce(np.array(nested, dtype=object)))
 
-    def matrix_from_json(self, nested, shape) -> np.ndarray:
-        """Parse a nested-list tensor of JSON scalars with a known shape.
+    def matrix_from_json(self, nested, shape):
+        """Parse a nested-list tensor of JSON scalars with a known shape into
+        the field's array.
 
         The shape must be given because a scalar may itself be a 2-list
         ([num, den] or [re, im]), which plain shape inference would read as
         an extra axis.
         """
-        out = self.zeros(tuple(shape))
+        from . import exactla
+        out = np.empty(tuple(shape), dtype=self.dtype)
 
         def rec(node, idx):
             if len(idx) == len(shape):
@@ -238,17 +222,13 @@ class ScalarField:
                 rec(sub, idx + (i,))
 
         rec(nested, ())
-        return out
+        return exactla.from_object(out) if self.exact else out
 
     def matrix_to_json(self, mat):
-        if hasattr(mat, "den"):     # an exact exactla.ScaledArray
+        """Nested lists of the field's JSON scalars, one per entry."""
+        if self.exact:
             return mat.to_json(self.mode == GAUSSIAN)
-        # iterating an object array yields bare scalars, not 0-d arrays
-        if not isinstance(mat, np.ndarray):
-            return self.to_json(mat)
-        if mat.ndim == 0:
-            return self.to_json(mat.item())
-        return [self.matrix_to_json(row) for row in mat]
+        return np.stack([mat.real, mat.imag], axis=-1).tolist()
 
 
 _FIELDS = {mode: ScalarField(mode) for mode in MODES}
@@ -257,5 +237,5 @@ _FIELDS = {mode: ScalarField(mode) for mode in MODES}
 def field_for(mode: str) -> ScalarField:
     try:
         return _FIELDS[mode]
-    except KeyError:
+    except (KeyError, TypeError):       # TypeError: an unhashable mode
         raise ValueError(f"unknown scalar mode {mode!r}; expected one of {MODES}") from None

@@ -11,11 +11,13 @@ from nchodge.errors import (AssociativityViolation, DimMismatch, ShapeMismatch,
                             UnitViolation)
 
 
+def _basis_vector(field, dim, i):
+    return field.array([int(k == i) for k in range(dim)])
+
+
 def _basis_product(algebra, i, j):
-    ei = algebra.field.zeros((algebra.dim,))
-    ej = algebra.field.zeros((algebra.dim,))
-    ei[i] = algebra.field.one
-    ej[j] = algebra.field.one
+    ei = _basis_vector(algebra.field, algebra.dim, i)
+    ej = _basis_vector(algebra.field, algebra.dim, j)
     return algebra.multiply(ei, ej)
 
 
@@ -25,8 +27,7 @@ def test_builtin_algebras_construct():
         assert a.dim >= 2
         # unit acts as identity on every basis vector
         for i in range(a.dim):
-            e = a.field.zeros((a.dim,))
-            e[i] = a.field.one
+            e = _basis_vector(a.field, a.dim, i)
             assert np.array_equal(a.multiply(a.unit, e), e)
             assert np.array_equal(a.multiply(e, a.unit), e)
 
@@ -60,7 +61,7 @@ def test_nonassociative_structure_rejected():
     # octonion-flavoured junk: tweak one structure constant of m2
     for mode in ("rational", "gaussian", "float"):
         m2 = nc.builtin_algebra("m2", mode)
-        bad = m2.structure.copy()
+        bad = np.array(m2.structure)
         bad[1, 2, 3] = m2.field.one
         with pytest.raises(AssociativityViolation) as exc:
             nc.make_algebra(4, m2.basis_labels, bad, [1, 0, 0, 1], mode)
@@ -129,12 +130,11 @@ def test_norm_structure_matches_basis_products(mode):
 def _unit_witness_by_loop(field, c, u, labels):
     """The unit check as a loop over the basis, left before right for each
     j: the reference for the witness the vectorised check names."""
-    dim = len(u)
+    dim = u.shape[0]
     tol = 0.0 if field.exact else 1e-12 * max(1.0, exactla.max_abs(c))
     left = exactla.matmul(u, c.reshape(dim, dim * dim)).reshape(dim, dim)
     for j in range(dim):
-        ej = field.zeros((dim,))
-        ej[j] = field.one
+        ej = _basis_vector(field, dim, j)
         if not exactla.is_zero_matrix(left[j] - ej, tol):
             return "left", j
         if not exactla.is_zero_matrix(exactla.matmul(u, c[j]) - ej, tol):
@@ -163,7 +163,7 @@ def _unit_witness(field, c, u, labels):
 @pytest.mark.parametrize("mode", ["rational", "gaussian", "float"])
 def test_unit_check_names_the_loop_witness(mode, entries, witness):
     m2 = nc.builtin_algebra("m2", mode)
-    c = m2.structure.copy()
+    c = np.array(m2.structure)
     for i, j, k in entries:
         c[i, j, k] += m2.field.one
     args = (m2.field, c, m2.unit, m2.basis_labels)
@@ -178,9 +178,91 @@ def test_unit_check_matches_the_loop_on_random_breaks(mode):
         alg = nc.builtin_algebra(name, mode)
         d = alg.dim
         for _ in range(25):
-            c = alg.structure.copy()
+            c = np.array(alg.structure)
             for _ in range(int(rng.integers(1, 4))):
                 i, j, k = rng.integers(d, size=3)
                 c[i, j, k] += alg.field.coerce(int(rng.integers(-2, 3)))
             args = (alg.field, c, alg.unit, alg.basis_labels)
             assert _unit_witness(*args) == _unit_witness_by_loop(*args)
+
+
+def test_element_names_an_unknown_label():
+    m2 = nc.builtin_algebra("m2")
+    for spec in ("E13", {"E11": 1, "E13": 1}):
+        with pytest.raises(DimMismatch, match="'E13'") as exc:
+            m2.element(spec)
+        assert exc.value.context == {"labels": ["E11", "E12", "E21", "E22"]}
+    assert np.array_equal(m2.element({"E12": 2, "E21": "1/2"}), [0, 2, Fraction(1, 2), 0])
+    assert np.array_equal(m2.element("E22"), [0, 0, 0, 1])
+
+
+# two-points in the basis (p, s q): (s q)(s q) = s (s q) and the unit is
+# p + (1/s)(s q); the scale s and 1/s as (re, im) pairs
+_SCALES = {"integer": ((1, 0), (1, 0)),
+           "fractional": ((Fraction(1, 2), 0), (2, 0)),
+           "imaginary": ((0, 1), (0, -1))}
+
+
+def _entry(stored, re, im=0):
+    re, im = Fraction(re), Fraction(im)
+    if stored == "float":
+        return [float(re), float(im)]
+    pairs = [[x.numerator, x.denominator] for x in (re, im)]
+    return pairs if stored == "gaussian" else pairs[0]
+
+
+def _scaled_two_points(stored, kind):
+    s, inv = _SCALES[kind]
+    zero, one = _entry(stored, 0), _entry(stored, 1)
+    return {"name": "tp", "dim": 2, "basis": ["p", "sq"], "scalars": stored,
+            "unit": [one, _entry(stored, *inv)],
+            "mul": [[[one, zero], [zero, zero]], [[zero, zero], [zero, _entry(stored, *s)]]]}
+
+
+# (stored mode, --scalar mode) -> {kind: key of the ShapeMismatch}; every
+# other kind loads.  A gaussian-stored file never loads in rational mode,
+# even when its imaginary parts are all 0.
+_CROSS_MODE_FAILURES = {
+    ("gaussian", "rational"): {"integer": "unit", "fractional": "unit", "imaginary": "unit"},
+    ("float", "rational"): {"fractional": "mul", "imaginary": "unit"},
+    ("float", "gaussian"): {"fractional": "mul"},
+}
+
+
+@pytest.mark.parametrize("mode", ["rational", "gaussian", "float"])
+@pytest.mark.parametrize("stored", ["rational", "gaussian", "float"])
+def test_cross_mode_loads(stored, mode):
+    failures = _CROSS_MODE_FAILURES.get((stored, mode), {})
+    for kind in _SCALES:
+        if stored == "rational" and kind == "imaginary":
+            continue        # a rational file holds no imaginary entry
+        data = _scaled_two_points(stored, kind)
+        if kind in failures:
+            with pytest.raises(ShapeMismatch) as exc:
+                nc.load_algebra(data, mode)
+            assert exc.value.context["key"] == failures[kind], kind
+        else:
+            # the file as it would have been written in the mode it loads in
+            assert nc.load_algebra(data, mode).to_json() == _scaled_two_points(mode, kind), kind
+
+
+def test_exact_algebra_data_leave_object_arrays_once(monkeypatch):
+    """Structure and unit are converted from object arrays when they are
+    built; everything after that runs on the exact arrays."""
+    calls = []
+    real = exactla.from_object
+    monkeypatch.setattr(exactla, "from_object", lambda arr: calls.append(1) or real(arr))
+    for mode in ("rational", "gaussian"):
+        for name in sorted(nc.BUILTIN_ALGEBRAS):
+            del calls[:]
+            alg = nc.builtin_algebra(name, mode)
+            assert len(calls) <= 2, (name, mode)
+            data = alg.to_json()
+            del calls[:]
+            alg = nc.load_algebra(data)
+            assert len(calls) <= 2, (name, mode)
+            del calls[:]
+            nc.operator_matrices(nc.build_window(alg, 2))
+            alg.multiply(alg.unit, alg.change[:, 1])
+            alg.multiply(alg.structure[0, 1], alg.norm_structure[1, 0])
+            assert calls == [], (name, mode)

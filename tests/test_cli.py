@@ -157,6 +157,9 @@ def test_one_dimensional_algebra(tmp_path):
         assert rep["passed"] and rep["degree_dims"] == [1, 0, 0, 0]
 
 
+_MUL2 = '"mul": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]'
+
+
 @pytest.mark.parametrize("fields,scalar,code,key", [
     ('"unit": [1, 0], "mul": 5', "rational", "ShapeMismatch", "mul"),
     ('"unit": [[1, 0], 0], "mul": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]',
@@ -169,6 +172,15 @@ def test_one_dimensional_algebra(tmp_path):
     ('"scalars": "float", "unit": [[1, 1], 0], '
      '"mul": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]',
      "rational", "ShapeMismatch", "unit"),
+    # an entry past the float range, stored float or converted to float
+    *[pytest.param('"scalars": "%s", "unit": [%d, 0], %s' % (stored, 10 ** 400, _MUL2),
+                   scalar, "ShapeMismatch", "unit", id=f"{stored}-1e400-{scalar}")
+      for stored, scalar in [("float", "rational"), ("float", "gaussian"),
+                             ("float", "float"), ("rational", "float")]],
+    # a gaussian entry is a pair of [num, den] pairs of numbers
+    *[('"scalars": "gaussian", "unit": [%s, 0], %s' % (entry, _MUL2),
+       "gaussian", "ShapeMismatch", "unit")
+      for entry in ("[[1, 1], [0]]", '[["1", 1], [0, 1]]', "[[1, 1, 5], [0, 1]]")],
 ])
 def test_malformed_algebra_is_structured_error(tmp_path, capsys, fields,
                                                scalar, code, key):
@@ -179,6 +191,17 @@ def test_malformed_algebra_is_structured_error(tmp_path, capsys, fields,
     payload = json.loads(capsys.readouterr().err)
     assert payload["code"] == "algebra-core/" + code
     assert payload["context"]["key"] == key
+
+
+@pytest.mark.parametrize("scalars", ['"decimal"', '["float"]', "{}"])
+def test_unknown_scalars_field_is_input_error(tmp_path, capsys, scalars):
+    src = tmp_path / "alg.json"
+    src.write_text('{"dim": 2, "basis": ["1", "x"], "scalars": %s, "unit": [1, 0], %s}'
+                   % (scalars, _MUL2))
+    assert run(["nc-report", "--algebra", str(src), "--nmax", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["code"] == "cli/InputError"
 
 
 @pytest.mark.parametrize("text,key", [

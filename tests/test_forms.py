@@ -227,7 +227,7 @@ def _k_word(w, word):
 def _reference_vector(w, m, terms):
     """Degree-m object vector summing coeff * val at word over ``terms``,
     (coeff, [(val, word), ...]) pairs."""
-    vec = w.field.zeros((w.degree_dims[m],))
+    vec = np.full(w.degree_dims[m], w.field.zero, dtype=object)
     for coeff, expansion in terms:
         for val, word in expansion:
             vec[w.bases[m].index(word)] += coeff * val
@@ -368,9 +368,10 @@ def test_bd_and_db_are_formed_once_per_degree(monkeypatch):
         calls.append((a, b))
         return np.dot(a, b)
 
+    alg = nc.builtin_algebra("z3")
     monkeypatch.setattr(exactla, "matmul", counting)
     monkeypatch.setattr(spectral, "matmul", counting)
-    w = nc.build_window(nc.builtin_algebra("z3"), 3)
+    w = nc.build_window(alg, 3)
     ops = nc.operator_matrices(w)
     nc.window_identity_residuals(w)
     nc.spectral_report(w)

@@ -20,8 +20,13 @@ on ``m2`` and ``z3`` in the gaussian and float modes (their d, b and k
 blocks, where a wrong slot order would show), ``gv`` on the builtin
 ``sin-z`` and ``dz`` forms with both derivatives, ``selftest --seed 1``,
 and, on inputs written to the temporary directory, ``hodge``/``torsion``/
-``cs-partition`` on a 256-site twisted circle and ``gv`` on a gradient
-form that is constant along no grid axis.
+``cs-partition`` on a 256-site twisted circle, ``gv`` on a gradient form
+that is constant along no grid axis, ``nc-report --matrices`` and
+``spectral`` in gaussian mode on ``m2`` stored gaussian in the basis
+(E11, i E12, E21/2, E22), whose constants have imaginary and fractional
+parts, and ``nc-report --scalar rational`` on ``z3`` stored float.  The
+bundled algebra files are all stored rational; these two inputs make the
+gaussian and float parsers run.
 """
 
 from __future__ import annotations
@@ -36,11 +41,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CIRCLE = "circle-256.json"
 OMEGA = "omega-dg.json"
+M2_GAUSSIAN = "m2-gaussian.json"
+Z3_FLOAT = "z3-float.json"
 
 COMMANDS = (
     [[cmd, "--algebra", alg, "--nmax", "3"]
@@ -59,6 +67,10 @@ COMMANDS = (
     + [["gv", "--omega", omega, "--n", "32", "--derivative", derivative]
        for omega in ("sin-z", "dz") for derivative in ("spectral", "central")]
     + [["gv", "--omega", OMEGA]]
+    + [["nc-report", "--algebra", M2_GAUSSIAN, "--nmax", "3", "--scalar", "gaussian",
+        "--matrices"],
+       ["spectral", "--algebra", M2_GAUSSIAN, "--nmax", "3", "--scalar", "gaussian"],
+       ["nc-report", "--algebra", Z3_FLOAT, "--nmax", "3", "--scalar", "rational"]]
     + [["selftest", "--seed", "1"]]
 )
 
@@ -86,6 +98,39 @@ def gradient_omega(n):
         fields["y"][i][j][k] = -two_pi * math.sin(x) * math.sin(s) / 10
         fields["z"][i][j][k] = 1.0 - two_pi * math.sin(x) * math.sin(s) / 10
     return fields
+
+
+def m2_gaussian():
+    """2x2 matrices in the basis f = (E11, i E12, E21/2, E22), each f_a = r_a
+    i**p_a E_a, stored gaussian: f_a f_b = (r_a r_b / r_m) i**(p_a + p_b - p_m)
+    f_m when E_a E_b = E_m."""
+    words = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    scale = [(Fraction(1), 0), (Fraction(1), 1), (Fraction(1, 2), 0), (Fraction(1), 0)]
+
+    def entry(r, p):
+        re, im = [(r, 0), (0, r), (-r, 0), (0, -r)][p % 4]
+        return [[Fraction(x).numerator, Fraction(x).denominator] for x in (re, im)]
+
+    zero = entry(0, 0)
+    mul = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
+    for a, (i, j) in enumerate(words):
+        for b, (k, l) in enumerate(words):
+            if j == k:
+                m = words.index((i, l))
+                (ra, pa), (rb, pb), (rm, pm) = scale[a], scale[b], scale[m]
+                mul[a][b][m] = entry(ra * rb / rm, pa + pb - pm)
+    unit = [entry(1, 0), zero, zero, entry(1, 0)]      # E11 + E22 = f0 + f3
+    return {"name": "m2-gaussian", "dim": 4, "basis": ["E11", "iE12", "E21/2", "E22"],
+            "scalars": "gaussian", "unit": unit, "mul": mul}
+
+
+def z3_float():
+    """The group algebra of Z/3, stored float as [re, im] pairs."""
+    mul = [[[[float((i + j) % 3 == k), 0.0] for k in range(3)] for j in range(3)]
+           for i in range(3)]
+    return {"name": "z3-float", "dim": 3, "basis": ["g0", "g1", "g2"],
+            "scalars": "float", "unit": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+            "mul": mul}
 
 
 def export(rev, dest: Path):
@@ -121,6 +166,8 @@ def main(argv=None) -> int:
         work.mkdir()
         (work / CIRCLE).write_text(json.dumps(circle_json(256, cmath.exp(0.7j))))
         (work / OMEGA).write_text(json.dumps(gradient_omega(16)))
+        (work / M2_GAUSSIAN).write_text(json.dumps(m2_gaussian()))
+        (work / Z3_FLOAT).write_text(json.dumps(z3_float()))
         trees = [export(args.base, tmp / "base"), export(args.head, tmp / "head")]
         differ = 0
         for argv in COMMANDS:
