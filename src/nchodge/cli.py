@@ -4,9 +4,10 @@
 
 Reports are JSON (stdout by default, ``--out`` for a file); most commands
 can also emit a flat CSV table with ``--csv``.  Exit codes: 0 on success,
-1 for input problems (bad file, unknown name, malformed JSON), 2 when the
-computation ran but an invariant check failed -- in that case the report
-is still written so the failure can be inspected.
+1 for input problems (bad file, unknown name, malformed JSON) and for any
+other unexpected error (``cli/InternalError``), 2 when the computation ran
+but an invariant check failed -- in that case the report is still written
+so the failure can be inspected.
 """
 
 from __future__ import annotations
@@ -81,8 +82,10 @@ def _load_json_source(value, what):
 
 
 def _algebra_arg(value, scalar_mode):
+    """A stock algebra (rational unless ``scalar_mode`` says otherwise) or
+    a file, in its stored mode unless ``scalar_mode`` overrides it."""
     if value in BUILTIN_ALGEBRAS:
-        return builtin_algebra(value, scalar_mode)
+        return builtin_algebra(value, scalar_mode or RATIONAL)
     data, stem = _load_json_source(value, "algebra")
     data.setdefault("name", stem)
     return load_algebra(data, scalar_mode)
@@ -151,7 +154,7 @@ def _cmd_nc_report(args):
     ok = all(flag or val < 1e-12
              for rows in residuals.values() for _, flag, val in rows)
     body = {"algebra": algebra.name,
-            "scalars": args.scalar,
+            "scalars": algebra.field.mode,
             "n_max": args.nmax,
             "degree_dims": list(window.degree_dims),
             "identities": identities,
@@ -310,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
                             % ", ".join(sorted(BUILTIN_ALGEBRAS)))
         p.add_argument("--nmax", type=int, default=4,
                        help="top form degree of the window (default 4)")
-        p.add_argument("--scalar", choices=list(MODES), default=RATIONAL,
-                       help="scalar mode (default rational)")
+        p.add_argument("--scalar", choices=list(MODES),
+                       help="scalar mode (default: the file's stored mode; "
+                            "rational for a stock algebra)")
 
     def add_output_flags(p):
         p.add_argument("--out", help="write the JSON report here "
@@ -445,6 +449,10 @@ def main(argv=None) -> int:
             "command": args.command, "error": str(exc), "passed": False})
         _emit(args, report)
         return 2
+    except Exception as exc:
+        _emit_error({"code": "cli/InternalError", "message": str(exc),
+                     "context": {"exception": type(exc).__name__}})
+        return 1
     return 0 if ok else 2
 
 

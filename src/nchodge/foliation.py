@@ -19,8 +19,10 @@ the positive scalings, this is a similarity of complexes: kernels map to
 kernels, so the weighted Betti numbers cannot move with tau.  The sweep
 verifies that, and also exhibits the isomorphism: the diagonal map
 T = diag(e^{-tau phi_(k)}) pairs tau = 0 harmonics with deformed
-harmonics through a full-rank matrix U = Q_tau^H T Q_0.  Each tau's
-deformed model is built once and the tau = 0 harmonics once per sweep.
+harmonics through a full-rank matrix U = Q_tau^H T Q_0.  For each tau
+one deformed leaf complex is built, and solved, per distinct leaf
+function (samples whose phi does not depend on v share it); the tau = 0
+harmonics are computed once per sweep.
 """
 
 from __future__ import annotations
@@ -264,22 +266,39 @@ def witten_leaf_complex(leaf: Leaf, per_degree, tau) -> CochainComplex:
 class DeformedModel:
     model: FoliatedModel
     tau: float
-    complexes: list    # one per transversal sample
+    complexes: list    # per sample; samples with equal weights share one
     per_degree: list   # per sample: phi_per_degree of its leaf function
 
 
 def witten_complex(model: FoliatedModel, phi, tau) -> DeformedModel:
     per_degree = [phi_per_degree(model.leaf, phi_vertex_values(model, phi, v))
                   for v in model.transversal]
-    cxs = [witten_leaf_complex(model.leaf, weights, tau) for weights in per_degree]
+    cxs = []
+    for i, weights in enumerate(per_degree):
+        same = next((j for j in range(i) if all(
+            np.array_equal(a, b) for a, b in zip(per_degree[j], weights))), None)
+        cxs.append(witten_leaf_complex(model.leaf, weights, tau) if same is None
+                   else cxs[same])
     return DeformedModel(model=model, tau=float(tau), complexes=cxs,
                          per_degree=per_degree)
 
 
+def _per_complex(deformed: DeformedModel, fn) -> list:
+    """fn(cx, per_degree) once per distinct complex, one result per sample."""
+    done = {}
+    out = []
+    for cx, per_deg in zip(deformed.complexes, deformed.per_degree):
+        if id(cx) not in done:
+            done[id(cx)] = fn(cx, per_deg)
+        out.append(done[id(cx)])
+    return out
+
+
 def _weighted_betti(deformed: DeformedModel, rel_tol) -> np.ndarray:
     out = np.zeros(deformed.model.top + 1)
-    for cx, w in zip(deformed.complexes, deformed.model.weights):
-        out += w * np.array(betti_numbers(cx, rel_tol), dtype=float)
+    rows = _per_complex(deformed, lambda cx, _: betti_numbers(cx, rel_tol))
+    for betti, w in zip(rows, deformed.model.weights):
+        out += w * np.array(betti, dtype=float)
     return out
 
 
@@ -302,8 +321,7 @@ def intertwiner_ranks(deformed: DeformedModel, base, rel_tol=1e-8):
     undeformed harmonics ``base`` (harmonic_basis of the leaf, one per
     degree) with the deformed ones through the diagonal conjugating map.
     Full rank exhibits the kernel isomorphism."""
-    table = []
-    for cx, per_deg in zip(deformed.complexes, deformed.per_degree):
+    def ranks(cx, per_deg):
         row = []
         for k, q0 in enumerate(base):
             if q0.shape[1] == 0:
@@ -313,8 +331,9 @@ def intertwiner_ranks(deformed: DeformedModel, base, rel_tol=1e-8):
             t = np.exp(-deformed.tau * per_deg[k]).reshape(-1, 1)
             pairing = qt.conj().T @ cx.grams[k] @ (t * q0)
             row.append(exactla.rank(pairing, 1e-8))
-        table.append(row)
-    return table
+        return row
+
+    return _per_complex(deformed, ranks)
 
 
 def witten_betti_sweep(model: FoliatedModel, phi, taus, rel_tol=1e-8) -> dict:

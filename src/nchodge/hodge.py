@@ -12,6 +12,9 @@ raw matrix, so spectra are computed after a Cholesky change of frame:
 ``u = L^H v``, and ``S = L^H Delta L^{-H}`` is honestly Hermitian PSD.
 Each complex builds this frame once per degree, on first use, and keeps
 it for as long as the complex lives; every spectral consumer reads it.
+A Gram that is exactly the identity has the known frame ``L = I`` and
+``S = Delta``, and with unit Grams on both ends the adjoint is ``D^H``;
+neither is factored, and the results are the factored ones bit for bit.
 
 Betti numbers are computed two independent ways (harmonic kernel
 dimension vs rank--nullity of the differentials) and must agree.
@@ -23,7 +26,9 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -93,20 +98,23 @@ def _is_list_of(value, n):
 
 
 def _numeric_matrix(rows, shape):
-    """All-pairs or all-numbers rows as one numpy conversion; None when
-    they are anything else (mixed, ragged, strings, bools, big ints)."""
+    """Rows of all [re, im] pairs or all numbers as one C conversion; None
+    when they are anything else (ragged, mixed, strings, None, ints past
+    the float range).  ``array("d")`` converts ints, floats and bools as
+    ``float()`` does and raises on every other JSON value."""
+    if any(type(row) is not list or len(row) != shape[1] for row in rows):
+        return None
+    entries = list(chain.from_iterable(rows))
+    pairs = bool(entries) and type(entries[0]) is list
+    if pairs and (set(map(type, entries)) != {list} or set(map(len, entries)) != {2}):
+        return None
     try:
-        arr = np.array(rows)
-    except (ValueError, OverflowError):
+        flat = np.frombuffer(array("d", chain.from_iterable(entries) if pairs
+                                   else entries), float)
+    except (TypeError, OverflowError):
         return None
-    if arr.dtype.kind not in "fi":
-        return None
-    if arr.shape == shape:
-        return arr.astype(complex)
-    if arr.shape == (*shape, 2):
-        # (re, im) float pairs are complex128's memory layout: bit-exact
-        return arr.astype(float).view(complex).reshape(shape)
-    return None
+    # (re, im) float pairs are complex128's memory layout: bit-exact
+    return (flat.view(complex) if pairs else flat.astype(complex)).reshape(shape)
 
 
 def _matrix_from_json(rows, shape, what):
@@ -234,10 +242,18 @@ def complex_to_json(cx: CochainComplex) -> dict:
             "gram": [mat(g) for g in cx.grams]}
 
 
+def _is_unit(g):
+    """True when the Gram is the identity bit for bit (no -0.0 entries)."""
+    return g.tobytes() == np.eye(g.shape[0], dtype=complex).tobytes()
+
+
 def adjoints(cx: CochainComplex) -> list:
     """D*_k = G_k^{-1} D_k^H G_{k+1}, one per differential."""
     out = []
     for k, d in enumerate(cx.diffs):
+        if _is_unit(cx.grams[k]) and _is_unit(cx.grams[k + 1]):
+            out.append(np.ascontiguousarray(d.conj().T))
+            continue
         rhs = d.conj().T @ cx.grams[k + 1]
         out.append(np.linalg.solve(cx.grams[k], rhs) if cx.dims[k] else rhs)
     return out
@@ -260,11 +276,15 @@ def _build_frame(cx: CochainComplex, k, lap) -> HodgeFrame:
     n = cx.dims[k]
     L = linv = S = np.zeros((0, 0), complex)
     eigs = np.zeros(0)
-    if n:
+    if n and _is_unit(cx.grams[k]):
+        L = linv = np.eye(n, dtype=complex).T    # scipy's Fortran layout
+        S = lap
+    elif n:
         import scipy.linalg  # on first use: the form operators never need scipy
         L = scipy.linalg.cholesky(cx.grams[k], lower=True)
         linv = scipy.linalg.solve_triangular(L, np.eye(n, dtype=complex), lower=True)
         S = L.conj().T @ lap @ linv.conj().T
+    if n:
         herm = exactla.max_abs(S - S.conj().T)
         if herm > 1e-8 * max(1.0, exactla.max_abs(S)):
             raise BadGram(f"symmetrized Laplacian at degree {k} is not Hermitian",

@@ -439,3 +439,38 @@ def test_non_finite_gv_component_is_rejected_before_lapack(tmp_path, capsys,
     payload = json.loads(capsys.readouterr().err)
     assert payload["code"] == "cli/InputError"
     assert payload["context"] == {"key": "z", "index": [2, 5, 1]}
+
+
+def test_scalar_defaults_to_the_stored_mode(tmp_path, capsys):
+    from nchodge.algebra import builtin_algebra
+    for mode in ("gaussian", "float"):
+        src = tmp_path / f"m2-{mode}.json"
+        src.write_text(json.dumps(builtin_algebra("m2", mode).to_json()))
+        out = tmp_path / f"{mode}.json"
+        assert run(["nc-report", "--algebra", str(src), "--nmax", "2",
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["scalars"] == mode
+    # an explicit --scalar still overrides the stored mode
+    assert run(["nc-report", "--algebra", str(tmp_path / "m2-gaussian.json"),
+                "--nmax", "2", "--scalar", "rational"]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["code"] == "algebra-core/ShapeMismatch"
+    assert payload["context"]["key"] == "unit"
+    out = tmp_path / "stock.json"
+    assert run(["nc-report", "--algebra", "m2", "--nmax", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["scalars"] == "rational"
+
+
+def test_unhandled_exception_is_internal_error(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "hodge_package", broken)    # inside the hodge handler
+    assert run(["hodge", "--complex", "circle_alpha_-1_N8.json"]) == 1
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    payload = json.loads(streams.err)
+    assert payload["kind"] == "error"
+    assert payload["code"] == "cli/InternalError"
+    assert payload["context"] == {"exception": "KeyError"}
+    assert "lost" in payload["message"]

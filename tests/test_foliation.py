@@ -7,6 +7,7 @@ from nchodge.foliation import (builtin_model, harmonic_basis,
                                intertwiner_ranks, load_model, make_model,
                                model_to_json, phi_vertex_values,
                                witten_complex)
+from test_hodge import _counting
 
 
 def test_leaf_betti_numbers():
@@ -113,5 +114,28 @@ def test_sweep_builds_each_deformed_leaf_once(monkeypatch):
     monkeypatch.setattr(foliation, "witten_leaf_complex", counting)
     model = builtin_model("circle-leaves")
     taus = (0.0, 1.0, 5.0)
-    assert nc.witten_betti_sweep(model, "cos-h", taus)["passed"]
+    # cos-h does not depend on v: the four samples share one complex per tau
+    rep = nc.witten_betti_sweep(model, "cos-h", taus)
+    assert rep["passed"]
+    assert built == list(taus)
+    assert all(len(row["intertwiner_ranks"]) == 4 for row in rep["rows"])
+    built.clear()
+    rep = nc.witten_betti_sweep(model, "cos-hv", taus)
+    assert rep["passed"]
     assert len(built) == len(model.transversal) * len(taus) == 4 * len(taus)
+    assert all(len(row["intertwiner_ranks"]) == 4 for row in rep["rows"])
+
+
+def test_equal_leaf_functions_share_one_complex_and_row(monkeypatch):
+    from nchodge import foliation
+    model = builtin_model("torus-leaves")
+    deformed = witten_complex(model, "cos-h", 2.0)
+    assert deformed.complexes[0] is deformed.complexes[1]
+    base = [harmonic_basis(model.leaf.complex, k) for k in range(3)]
+    bases = _counting(monkeypatch, foliation, "harmonic_basis")
+    bettis = _counting(monkeypatch, foliation, "betti_numbers")
+    assert intertwiner_ranks(deformed, base) == [[1, 2, 1], [1, 2, 1]]
+    assert len(bases) == 3
+    assert foliation._weighted_betti(deformed, 1e-8).tolist() == [1.0, 2.0, 1.0]
+    assert len(bettis) == 1
+    assert len(set(map(id, witten_complex(model, "cos-hv", 2.0).complexes))) == 2

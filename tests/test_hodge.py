@@ -136,7 +136,7 @@ def _counting(monkeypatch, owner, attr):
 def test_torsion_builds_each_frame_once(monkeypatch):
     import scipy.linalg
     from nchodge import hodge
-    cx = nc.twisted_circle_complex(8, -1.0)
+    cx = nc.twisted_circle_complex(8, -1.0, gram_scale=2.0)    # factored Grams
     laps = _counting(monkeypatch, hodge, "laplacians")
     chols = _counting(monkeypatch, scipy.linalg, "cholesky")
     eigs = _counting(monkeypatch, np.linalg, "eigvalsh")
@@ -144,6 +144,63 @@ def test_torsion_builds_each_frame_once(monkeypatch):
     nc.laplacian_spectra(cx)
     assert len(laps) == 1
     assert len(chols) == len(eigs) == cx.top + 1
+
+
+def test_unit_gram_frames_factor_nothing(monkeypatch):
+    import scipy.linalg
+    cx = nc.twisted_circle_complex(8, -1.0)
+    factored = [_counting(monkeypatch, scipy.linalg, name)
+                for name in ("cholesky", "solve_triangular")]
+    factored.append(_counting(monkeypatch, np.linalg, "solve"))
+    eigs = _counting(monkeypatch, np.linalg, "eigvalsh")
+    nc.rs_torsion(cx)
+    assert factored == [[], [], []]
+    assert len(eigs) == cx.top + 1
+
+
+def _reference_frames(cx):
+    """(sym, eigvals) per degree by the factored route: adjoints through
+    np.linalg.solve, Cholesky frames through scipy."""
+    import scipy.linalg
+    adj = []
+    for k, d in enumerate(cx.diffs):
+        rhs = d.conj().T @ cx.grams[k + 1]
+        adj.append(np.linalg.solve(cx.grams[k], rhs) if cx.dims[k] else rhs)
+    out = []
+    for k, n in enumerate(cx.dims):
+        lap = np.zeros((n, n), dtype=complex)
+        if k < cx.top:
+            lap += adj[k] @ cx.diffs[k]
+        if k >= 1:
+            lap += cx.diffs[k - 1] @ adj[k - 1]
+        L = scipy.linalg.cholesky(cx.grams[k], lower=True)
+        linv = scipy.linalg.solve_triangular(L, np.eye(n, dtype=complex), lower=True)
+        S = L.conj().T @ lap @ linv.conj().T
+        S = (S + S.conj().T) / 2
+        out.append((S, np.linalg.eigvalsh(S)))
+    return out
+
+
+def _frame_cases():
+    from nchodge.foliation import builtin_model, make_model, torus_leaf, witten_complex
+    for n in (8, 64, 256):
+        for alpha in (-1.0, 1j, np.exp(2j * np.pi / 3)):
+            yield f"circle-{n}-{alpha:.3f}", nc.twisted_circle_complex(n, alpha)
+    yield "torus-8", torus_leaf(8).complex
+    for i, cx in enumerate(witten_complex(builtin_model("torus-leaves"), "cos-hv",
+                                          3.0).complexes):
+        yield f"torus-cos-hv-{i}", cx
+    # Grams scale**k * I: degree 0 is the identity, degrees 1 and 2 are not
+    yield "torus-metric-2", make_model({"type": "torus", "nx": 6}, [0.0],
+                                       metric_scale=2.0).leaf.complex
+
+
+@pytest.mark.parametrize("name,cx", list(_frame_cases()))
+def test_unit_gram_frames_are_bitwise_the_factored_ones(name, cx):
+    for k, (sym, eigvals) in enumerate(_reference_frames(cx)):
+        frame = cx.frame(k)
+        assert np.array_equal(frame.sym.view(np.uint64), sym.view(np.uint64)), k
+        assert np.array_equal(frame.eigvals.view(np.uint64), eigvals.view(np.uint64)), k
 
 
 def test_frames_do_not_outlive_their_complex():
@@ -217,7 +274,17 @@ BIG = 2 ** 53 + 1
     ([[1, 2]], (1, 3)),                                               # short row
     ([[[1, 2]]], (1, 2)),
     ([[[1, 2, 3]]], (1, 1)),                                          # triple
+    ([[[1], [2, 3]]], (1, 2)),                                        # 1-pair
+    ([[[1.0]]], (1, 1)),
+    ([[[1, 2, 3], [4]]], (1, 2)),                # ragged pairs, right total count
+    ([[[1, 2], 3]], (1, 2)),                                          # pair, number
+    ([[[[1], 2]]], (1, 1)),                                           # nested part
+    ([["12", [1, 2]]], (1, 2)),                                       # 2-char string
+    ([["12", "34"]], (1, 2)),
+    ([(1.5, 2)], (1, 2)),                                             # tuple row
     ([[None, 1]], (1, 2)),
+    ([[[None, 1]]], (1, 1)),                                          # None in a pair
+    ([[[1, 0], [10 ** 400, 0]]], (1, 2)),
     ([[[10 ** 400, 0]]], (1, 1)),                                     # overflow
     ([[10 ** 400]], (1, 1)),
     ([[1.0, 10 ** 400]], (1, 2)),

@@ -20,13 +20,17 @@ on ``m2`` and ``z3`` in the gaussian and float modes (their d, b and k
 blocks, where a wrong slot order would show), ``gv`` on the builtin
 ``sin-z`` and ``dz`` forms with both derivatives, ``selftest --seed 1``,
 and, on inputs written to the temporary directory, ``hodge``/``torsion``/
-``cs-partition`` on a 256-site twisted circle, ``gv`` on a gradient form
-that is constant along no grid axis, ``nc-report --matrices`` and
-``spectral`` in gaussian mode on ``m2`` stored gaussian in the basis
-(E11, i E12, E21/2, E22), whose constants have imaginary and fractional
-parts, and ``nc-report --scalar rational`` on ``z3`` stored float.  The
-bundled algebra files are all stored rational; these two inputs make the
-gaussian and float parsers run.
+``cs-partition`` on a 256-site twisted circle with unit Grams and on a
+64-site one with Grams (2, 1/2), whose frames take the factored route,
+``witten-sweep --phi cos-hv`` on ``circle_leaves.json`` and on a
+torus-leaves model with metric scale 2 (cos-hv varies along the
+transversal, so every sample builds its own complex), ``gv`` on a
+gradient form that is constant along no grid axis, ``nc-report
+--matrices`` and ``spectral`` in gaussian mode on ``m2`` stored gaussian
+in the basis (E11, i E12, E21/2, E22), whose constants have imaginary and
+fractional parts, and ``nc-report --scalar rational`` on ``z3`` stored
+float.  The bundled algebra files are all stored rational; these two
+inputs make the gaussian and float parsers run.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CIRCLE = "circle-256.json"
+CIRCLE_GRAM = "circle-64-gram.json"
+TORUS_SCALED = "torus-leaves-scale-2.json"
 OMEGA = "omega-dg.json"
 M2_GAUSSIAN = "m2-gaussian.json"
 Z3_FLOAT = "z3-float.json"
@@ -58,11 +64,13 @@ COMMANDS = (
     + [["nc-report", "--algebra", alg, "--nmax", "3", "--scalar", mode, "--matrices"]
        for alg in ("m2.json", "z3.json") for mode in ("gaussian", "float")]
     + [[cmd, "--complex", cx]
-       for cx in ("circle_alpha_-1_N8.json", CIRCLE)
+       for cx in ("circle_alpha_-1_N8.json", CIRCLE, CIRCLE_GRAM)
        for cmd in ("hodge", "torsion", "cs-partition")]
     + [["witten-sweep", "--model", model, "--phi", phi]
        for model in ("circle_leaves.json", "torus_leaves.json")
        for phi in ("cos-h", "random")]
+    + [["witten-sweep", "--model", model, "--phi", "cos-hv"]
+       for model in ("circle_leaves.json", TORUS_SCALED)]
     + [["morse-scan", "--chart", chart] for chart in ("cos-h", "cubic-bd")]
     + [["gv", "--omega", omega, "--n", "32", "--derivative", derivative]
        for omega in ("sin-z", "dz") for derivative in ("spectral", "central")]
@@ -75,16 +83,16 @@ COMMANDS = (
 )
 
 
-def circle_json(n, alpha):
+def circle_json(n, alpha, gram=(1.0, 1.0)):
     """Twisted circle with n sites: D0 = shift - 1, holonomy alpha on the
-    closing edge, entries as [re, im] pairs."""
+    closing edge, entries as [re, im] pairs; Grams are scales of I."""
     d0 = [[[0.0, 0.0] for _ in range(n)] for _ in range(n)]
     for j in range(n):
         d0[j][j] = [-1.0, 0.0]
         d0[j][(j + 1) % n] = [1.0, 0.0]
     d0[n - 1][0] = [alpha.real, alpha.imag]
     return {"name": f"circle-{n}", "dims": [n, n], "differentials": [d0],
-            "gram": [1.0, 1.0]}
+            "gram": list(gram)}
 
 
 def gradient_omega(n):
@@ -165,6 +173,12 @@ def main(argv=None) -> int:
         work = tmp / "work"
         work.mkdir()
         (work / CIRCLE).write_text(json.dumps(circle_json(256, cmath.exp(0.7j))))
+        (work / CIRCLE_GRAM).write_text(
+            json.dumps(circle_json(64, cmath.exp(0.7j), gram=(2.0, 0.5))))
+        (work / TORUS_SCALED).write_text(json.dumps({
+            "name": "torus-leaves-scale-2", "leaf": {"type": "torus", "nx": 8, "ny": 8},
+            "transversal": [{"v": 0.0, "weight": 0.3}, {"v": 0.5, "weight": 0.7}],
+            "metric_scale": 2.0}))
         (work / OMEGA).write_text(json.dumps(gradient_omega(16)))
         (work / M2_GAUSSIAN).write_text(json.dumps(m2_gaussian()))
         (work / Z3_FLOAT).write_text(json.dumps(z3_float()))
