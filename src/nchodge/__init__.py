@@ -14,8 +14,7 @@ from .errors import (BadGram, BadWeights, DegreeOutOfWindow, DimMismatch,
                      WindowTooLarge)
 from .foliation import (BUILTIN_MODELS, FoliatedModel, builtin_model,
                         circle_leaf, load_model, make_model, random_smooth_phi,
-                        tangential_betti, torus_leaf, witten_betti_sweep,
-                        witten_complex)
+                        torus_leaf, witten_betti_sweep, witten_complex)
 from .forms import (Form, FormsWindow, apply_b, apply_d, apply_k,
                     build_window, multiply_forms, operator_matrices,
                     window_identity_residuals)

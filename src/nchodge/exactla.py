@@ -23,8 +23,8 @@ ScaledArrays as well.  Object arrays of int, Fraction and GaussianRational
 entries (arrays that callers build entry by entry) enter through
 :func:`asexact`; ``np.asarray`` reads an exact array out as one again.
 
-Also hosts the small dense polynomial arithmetic (Fraction coefficients,
-low-to-high lists) that gives P and G as polynomials in k.
+Also hosts the closed-form Karoubi CRT polynomials (Fraction coefficients,
+low to high) that give P and G as polynomials in k.
 """
 
 from __future__ import annotations
@@ -432,129 +432,71 @@ def eval_poly(coeffs, mat):
     return ScaledArray(h[0], h[1], scale * mat.den ** top)
 
 
-# -- dense polynomials over the rationals -----------------------------------
+# -- the Karoubi CRT polynomials ---------------------------------------------
+#
+# In degree n the rotation k satisfies ann(k) = 0 with ann = (x^n - 1)(x^(n+1) - 1)
+# = (x-1)^2 q, q = S_n S_(n+1) and S_m = 1 + x + ... + x^(m-1).  The spectral
+# projection onto Ker (1-k)^2 is P = r(k) and the Green's operator G = s(k) for
+# the unique r, s of degree <= 2n below (Chinese remainder theorem mod (x-1)^2 q).
+# All three depend on the degree alone; they are formed once per process and
+# shared, so they are returned as tuples of Fractions, low to high.
 
-def poly_trim(p):
+def _mul(p, q):
+    """Product of two coefficient sequences (np.convolve on Fraction objects)."""
+    return np.convolve(np.array(p, dtype=object), np.array(q, dtype=object))
+
+
+def _mod_ann(p, n):
+    """p reduced mod the degree-n annihilator (x^(2n+1) = x^(n+1) + x^n - 1),
+    trailing zeros trimmed."""
+    p = list(p)
+    for i in range(len(p) - 1, 2 * n, -1):
+        c = p.pop()
+        p[i - n] += c
+        p[i - n - 1] += c
+        p[i - 2 * n - 1] -= c
     while p and p[-1] == 0:
-        p = p[:-1]
+        p.pop()
     return p
 
 
-def poly_deg(p) -> int:
-    return len(poly_trim(p)) - 1
-
-
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                      for i in range(n)])
-
-
-def poly_sub(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0)
-                      for i in range(n)])
-
-
-def poly_mul(p, q):
-    p, q = poly_trim(p), poly_trim(q)
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
-
-
-def poly_scale(p, c):
-    return poly_trim([a * c for a in p])
-
-
-def poly_divmod(p, q):
-    p, q = [Fraction(a) for a in poly_trim(p)], [Fraction(a) for a in poly_trim(q)]
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    rem = p[:]
-    while len(rem) >= len(q) and poly_trim(rem):
-        shift = len(rem) - len(q)
-        f = rem[-1] / q[-1]
-        quot[shift] = f
-        for i, b in enumerate(q):
-            rem[shift + i] -= f * b
-        rem = poly_trim(rem)
-        if not rem:
-            break
-    return poly_trim(quot), poly_trim(rem)
-
-
-def poly_xgcd(p, q):
-    """Extended Euclid: returns (g, u, v) with u*p + v*q = g."""
-    r0, r1 = poly_trim(p), poly_trim(q)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        quot, rem = poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, poly_sub(s0, poly_mul(quot, s1))
-        t0, t1 = t1, poly_sub(t0, poly_mul(quot, t1))
-    return r0, s0, t0
-
-
-def poly_eval(p, x):
-    out = Fraction(0) if isinstance(x, Fraction) else 0
-    for c in reversed(poly_trim(p)):
-        out = out * x + c
-    return out
-
-
-def x_pow_minus_one(n: int):
-    """Coefficients of x**n - 1."""
-    out = [Fraction(0)] * (n + 1)
-    out[0], out[-1] = Fraction(-1), Fraction(1)
-    return out
-
-
-# The three polynomials below depend on the degree alone; they are formed
-# once per process and shared, so they are returned as tuples.
-
 @functools.cache
 def karoubi_annihilator(n: int):
-    """(x**n - 1)(x**(n+1) - 1): annihilates the cyclic rotation in degree n >= 1."""
-    return tuple(poly_mul(x_pow_minus_one(n), x_pow_minus_one(n + 1)))
+    """(x**n - 1)(x**(n+1) - 1) = x**(2n+1) - x**(n+1) - x**n + 1: annihilates
+    the cyclic rotation in degree n >= 1."""
+    if n < 1:
+        raise ValueError("the Karoubi annihilator needs degree >= 1")
+    out = [Fraction(0)] * (2 * n + 2)
+    out[0], out[n], out[n + 1], out[-1] = Fraction(1), Fraction(-1), Fraction(-1), Fraction(1)
+    return tuple(out)
 
 
 @functools.cache
 def harmonic_crt_poly(n: int):
-    """Polynomial r with r = 1 mod (x-1)**2 and r = 0 mod q, where the degree-n
-    annihilator factors as (x-1)**2 * q and q(1) = n(n+1) != 0.  Evaluating r at
-    the rotation operator yields the spectral projection onto the generalized
+    """r = q ((2n+1) - (2n-1) x) / (2n(n+1)): r = 1 mod (x-1)**2, as q(1) =
+    n(n+1) and q'(1)/q(1) = (2n-1)/2, and r = 0 mod q.  Evaluating r at the
+    rotation operator yields the spectral projection onto the generalized
     eigenspace of eigenvalue 1 -- exactly, over the rationals."""
     if n < 1:
         raise ValueError("harmonic projector polynomial needs degree >= 1")
-    ann = karoubi_annihilator(n)
-    sq = [Fraction(1), Fraction(-2), Fraction(1)]  # (x-1)**2
-    q, rem = poly_divmod(ann, sq)
-    if rem:
-        raise AssertionError("annihilator not divisible by (x-1)^2")
-    g, u, v = poly_xgcd(sq, q)
-    if poly_deg(g) != 0:
-        raise AssertionError("(x-1)^2 and cofactor are not coprime")
-    return tuple(poly_scale(poly_mul(v, q), 1 / g[0]))
+    lin = [Fraction(2 * n + 1, 2 * n * (n + 1)), Fraction(1 - 2 * n, 2 * n * (n + 1))]
+    return tuple(_mul(_mul([Fraction(1)] * n, [Fraction(1)] * (n + 1)), lin))
 
 
 @functools.cache
 def green_crt_poly(n: int):
-    """Polynomial s with s = 0 mod (x-1)**2 and s*(1-x) = 1 mod q, where q is
-    the cofactor of :func:`harmonic_crt_poly`.  Then s*(1-x) = 1 - r modulo
-    the degree-n annihilator, and s*r = 0 modulo it, so G = s(k) inverts
-    1-k on the complement of P = r(k) and vanishes on Im(P): the Green's
-    operator, exactly, with no matrix inverse."""
-    ann = karoubi_annihilator(n)
-    q, _ = poly_divmod(ann, [Fraction(1), Fraction(-2), Fraction(1)])
-    g, u, _ = poly_xgcd([Fraction(1), Fraction(-1)], q)     # u*(1-x) + v*q = g
-    one_minus_r = poly_sub([Fraction(1)], harmonic_crt_poly(n))
-    return tuple(poly_divmod(poly_mul(one_minus_r, poly_scale(u, 1 / g[0])), ann)[1])
+    """s = (1-r) u mod ann, with u = t_n S_(n+1) - x t_(n+1) S_n and t_m =
+    -(1/m) sum_(j<m) j x**j.  t_m (1-x) = 1 mod S_m and S_(n+1) - x S_n = 1,
+    so u (1-x) = 1 mod q: s = 0 mod (x-1)**2 and s*(1-x) = 1 - r modulo ann,
+    and s*r = 0 modulo it, so G = s(k) inverts 1-k on the complement of
+    P = r(k) and vanishes on Im(P): the Green's operator, exactly, with no
+    matrix inverse."""
+    one_minus_r = -np.array(harmonic_crt_poly(n), dtype=object)
+    one_minus_r[0] += 1
+
+    def t(m):
+        return [Fraction(-j, m) for j in range(m)]
+
+    u = (np.append(_mul(t(n), [Fraction(1)] * (n + 1)), Fraction(0))
+         - np.insert(_mul(t(n + 1), [Fraction(1)] * n), 0, Fraction(0)))
+    return tuple(_mod_ann(_mul(one_minus_r, u), n))

@@ -302,14 +302,6 @@ def _weighted_betti(deformed: DeformedModel, rel_tol) -> np.ndarray:
     return out
 
 
-def tangential_betti(model: FoliatedModel, phi=None, tau=0.0, rel_tol=1e-8) -> list:
-    """Weight-averaged leafwise Betti numbers (real numbers in general)."""
-    if phi is None or tau == 0.0:
-        per_leaf = betti_numbers(model.leaf.complex, rel_tol)
-        return [float(b) for b in per_leaf]    # weights sum to 1
-    return [float(b) for b in _weighted_betti(witten_complex(model, phi, tau), rel_tol)]
-
-
 def harmonic_basis(cx: CochainComplex, k, rel_tol=1e-8) -> np.ndarray:
     """Basis of Ker Delta_k, orthonormal for the Gram inner product."""
     frame = cx.frame(k)

@@ -363,24 +363,20 @@ def window_identity_residuals(window: FormsWindow) -> dict:
     for n in range(1, n_max + 1):
         record("kb_commute", n, exactla.matmul(K[n - 1], B[n]) - exactla.matmul(B[n], K[n]))
 
-    # powers of k, reused across the degree-local relations
+    # powers k^0 .. k^(n+1) of each block, reused across the degree-local
+    # relations: degree n reads those of K[n] and K[n+1]
+    pows = []
     for n in range(n_max + 1):
-        eye = exactla.eye_like(K[n])
-        kp = {0: eye}
-        p = eye
-        for e in range(1, n + 2):
-            p = exactla.matmul(p, K[n])
-            kp[e] = p
+        kp = [exactla.eye_like(K[n])]
+        for _ in range(n + 1):
+            kp.append(exactla.matmul(kp[-1], K[n]))
+        pows.append(kp)
+    for n, kp in enumerate(pows):
+        eye = kp[0]
         if n < n_max:
-            eye_up = exactla.eye_like(K[n + 1])
-            kup = eye_up
-            for _ in range(n + 1):
-                kup = exactla.matmul(kup, K[n + 1])
-            record("k_pow_fixes_d", n, exactla.matmul(kup, D[n]) - D[n])
-            kup_n = eye_up
-            for _ in range(n):
-                kup_n = exactla.matmul(kup_n, K[n + 1])
-            bknd = exactla.matmul(B[n + 1], exactla.matmul(kup_n, D[n]))
+            up = pows[n + 1]
+            record("k_pow_fixes_d", n, exactla.matmul(up[n + 1], D[n]) - D[n])
+            bknd = exactla.matmul(B[n + 1], exactla.matmul(up[n], D[n]))
             record("k_pow_n", n, kp[n] - eye - bknd)
         m = kp[n + 1] - eye
         if n >= 1:

@@ -8,6 +8,7 @@ display, never into the report, so fixed seed means fixed bytes).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -30,36 +31,22 @@ from .spectral import spectral_report
 
 ALGEBRA_SUITE = (("dual-numbers", 4), ("two-points", 4), ("m2", 2), ("z3", 4))
 
-_WINDOWS = {}
 
-
+@functools.cache
 def suite_window(name, n_max, mode):
-    key = (name, n_max, mode)
-    if key not in _WINDOWS:
-        _WINDOWS[key] = build_window(builtin_algebra(name, mode), n_max)
-    return _WINDOWS[key]
+    return build_window(builtin_algebra(name, mode), n_max)
 
 
-_RESIDUALS = {}
-
-
+@functools.cache
 def suite_residuals(name, n_max, mode):
-    key = (name, n_max, mode)
-    if key not in _RESIDUALS:
-        _RESIDUALS[key] = window_identity_residuals(suite_window(name, n_max, mode))
-    return _RESIDUALS[key]
+    return window_identity_residuals(suite_window(name, n_max, mode))
 
 
-_REPORTS = {}
-
-
+@functools.cache
 def suite_report(name, n_max):
     """Cached exact spectral_report of a suite window; criteria 3-5 read
     its per-degree rows."""
-    key = (name, n_max)
-    if key not in _REPORTS:
-        _REPORTS[key] = spectral_report(suite_window(name, n_max, RATIONAL))
-    return _REPORTS[key]
+    return spectral_report(suite_window(name, n_max, RATIONAL))
 
 
 @dataclass

@@ -7,10 +7,11 @@ generalized eigenspace of eigenvalue 1, i.e. ``Ker (1-k)^2``.
 
 Two routes compute it:
 
-* exact -- factor the annihilator as ``(x-1)^2 q(x)`` with ``q(1) != 0``,
-  use the extended Euclidean algorithm to build ``r`` with ``r = 1`` mod
-  ``(x-1)^2`` and ``r = 0`` mod ``q``, and evaluate ``P = r(k)``.  Over the
-  exact scalar modes this is rounding-free, so ``P`` is literally idempotent.
+* exact -- the annihilator factors as ``(x-1)^2 q(x)`` with ``q(1) != 0``;
+  the polynomial ``r`` with ``r = 1`` mod ``(x-1)^2`` and ``r = 0`` mod
+  ``q`` has a closed form (``exactla.harmonic_crt_poly``), and ``P = r(k)``.
+  Over the exact scalar modes this is rounding-free, so ``P`` is literally
+  idempotent.
 * float -- a sorted complex Schur form: cluster the eigenvalues at 1, solve
   the Sylvester equation for the coupling block, and conjugate back.
 
@@ -54,41 +55,32 @@ class SpectralData:
     P: np.ndarray
     P_perp: np.ndarray
     G: np.ndarray = None
-    eigenvalues: list = None
 
 
 def _k_block(window, degree):
     return operator_matrices(window)["k"].blocks[degree]
 
 
-def harmonic_projection(window: FormsWindow, degree: int, method: str = "auto",
-                        cluster_tol: float = 1e-8) -> SpectralData:
-    """Projection onto Ker (1-k)^2 at one degree (degree < window top)."""
+def harmonic_projection(window: FormsWindow, degree: int) -> SpectralData:
+    """Projection onto Ker (1-k)^2 at one degree (degree < window top): r(k)
+    on exact windows, the Schur route on float ones."""
     window.check_degree(degree, top=window.n_max - 1)
-    field = window.field
+    exact = window.field.exact
     K = _k_block(window, degree)
-    if method == "auto":
-        method = "crt" if field.exact else "eig"
     if degree == 0:
         P = exactla.eye_like(K)
-    elif method == "crt":
-        ann = karoubi_annihilator(degree)
-        pk = exactla.eval_poly(ann, K)
-        tol = 0.0 if field.exact else 1e-10 * max(1.0, exactla.max_abs(K)) ** (2 * degree + 1)
-        if not exactla.is_zero_matrix(pk, tol):
+    elif exact:
+        pk = exactla.eval_poly(karoubi_annihilator(degree), K)
+        if not exactla.is_zero_matrix(pk):
             raise PolynomialRelationViolated(
                 f"(k^{degree} - 1)(k^{degree + 1} - 1) != 0 at degree {degree}; "
                 "the rotation block is wrong upstream",
                 degree=degree, residual=exactla.max_abs(pk))
         P = exactla.eval_poly(harmonic_crt_poly(degree), K)
-    elif method == "eig":
-        P = _schur_projection(to_complex(K), cluster_tol)
-        if field.exact:
-            raise ValueError("eig method returns floats; use it on float windows")
     else:
-        raise ValueError(f"unknown method {method!r}")
+        P = _schur_projection(to_complex(K), 1e-8)
     resid = matmul(P, P) - P
-    tol = 0.0 if field.exact else 1e-9 * max(1.0, exactla.max_abs(P)) ** 2
+    tol = 0.0 if exact else 1e-9 * max(1.0, exactla.max_abs(P)) ** 2
     if not exactla.is_zero_matrix(resid, tol):
         raise AssertionError(f"projection not idempotent at degree {degree}")
     return SpectralData(degree=degree, P=P, P_perp=exactla.eye_like(P) - P)
@@ -134,11 +126,9 @@ def _schur_projection(K: np.ndarray, cluster_tol: float) -> np.ndarray:
     return Z @ Pi @ Z.conj().T
 
 
-def greens_operator(window: FormsWindow, degree: int,
-                    data: SpectralData = None) -> SpectralData:
+def greens_operator(window: FormsWindow, degree: int) -> SpectralData:
     """Inverse of 1-k on the complement of the harmonic space, zero on it."""
-    if data is None:
-        data = harmonic_projection(window, degree)
+    data = harmonic_projection(window, degree)
     field = window.field
     K = _k_block(window, degree)
     M = exactla.eye_like(K) - K

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from sympy import QQ, QQ_I
+from sympy import QQ, QQ_I, Poly, Rational, symbols
 from sympy.polys.matrices import DomainMatrix
 
 import nchodge as nc
@@ -250,40 +250,44 @@ def test_float_rank_uses_relative_threshold():
     assert xla.rank(mat) == 3
 
 
-def test_poly_divmod_and_xgcd():
-    # (x-1)^2 and (x+1) are coprime; check the Bezout identity
-    p = [Fraction(1), Fraction(-2), Fraction(1)]
-    q = [Fraction(1), Fraction(1)]
-    g, u, v = xla.poly_xgcd(p, q)
-    assert xla.poly_deg(g) == 0
-    lhs = xla.poly_add(xla.poly_mul(u, p), xla.poly_mul(v, q))
-    assert xla.poly_trim(xla.poly_sub(lhs, g)) == []
-
-
 def test_karoubi_annihilator_roots():
     # (x^n - 1)(x^{n+1} - 1) vanishes at the union of the two root sets
-    ann = xla.karoubi_annihilator(3)
-    for k in range(3):
-        assert abs(xla.poly_eval([complex(c) for c in ann],
-                                 np.exp(2j * np.pi * k / 3))) < 1e-12
-    for k in range(4):
-        assert abs(xla.poly_eval([complex(c) for c in ann],
-                                 np.exp(2j * np.pi * k / 4))) < 1e-12
+    ann = np.array(xla.karoubi_annihilator(3), dtype=float)[::-1]
+    for order in (3, 4):
+        for k in range(order):
+            assert abs(np.polyval(ann, np.exp(2j * np.pi * k / order))) < 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def _sympy_poly(coeffs):
+    return Poly([Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+                symbols("x"), domain=QQ)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
 def test_harmonic_crt_poly_properties(n):
-    """r(1) = 1, r'(1) = 0, and r is divisible by the non-unit factor."""
-    r = xla.harmonic_crt_poly(n)
-    assert xla.poly_eval(r, Fraction(1)) == 1
-    deriv = [c * (i + 1) for i, c in enumerate(r[1:])]
-    assert xla.poly_eval(deriv, Fraction(1)) == 0
-    ann = xla.karoubi_annihilator(n)
-    sq = [Fraction(1), Fraction(-2), Fraction(1)]
-    q, rem = xla.poly_divmod(ann, sq)
-    assert xla.poly_trim(rem) == []
-    _, rem = xla.poly_divmod(r, q)
-    assert xla.poly_trim(rem) == []
+    """ann = (x^n - 1)(x^{n+1} - 1) = (x-1)^2 q; r = 1 mod (x-1)^2, r = 0 mod q,
+    s = 0 mod (x-1)^2, s(1-x) = 1 mod q, deg r, deg s <= 2n: the conditions
+    that pin r and s down, checked in sympy."""
+    x = symbols("x")
+    ann, r, s = (_sympy_poly(f(n)) for f in (
+        xla.karoubi_annihilator, xla.harmonic_crt_poly, xla.green_crt_poly))
+    assert ann == Poly((x ** n - 1) * (x ** (n + 1) - 1), x, domain=QQ)
+    sq, one_minus_x = Poly((x - 1) ** 2, x, domain=QQ), Poly(1 - x, x, domain=QQ)
+    q, rem = ann.div(sq)
+    assert rem.is_zero
+    assert (r - 1).rem(sq).is_zero and r.rem(q).is_zero
+    assert s.rem(sq).is_zero and (s * one_minus_x - 1).rem(q).is_zero
+    assert r.degree() <= 2 * n and s.degree() <= 2 * n
+    assert all(type(c) is Fraction for f in (xla.karoubi_annihilator,
+               xla.harmonic_crt_poly, xla.green_crt_poly) for c in f(n))
+    assert xla.harmonic_crt_poly(n)[-1] != 0 and xla.green_crt_poly(n)[-1] != 0
+
+
+@pytest.mark.parametrize("fn", [xla.karoubi_annihilator, xla.harmonic_crt_poly,
+                                xla.green_crt_poly])
+def test_crt_polys_need_positive_degree(fn):
+    with pytest.raises(ValueError):
+        fn(0)
 
 
 def test_eval_poly_matrix_horner():
