@@ -17,6 +17,12 @@ intermediate entry being a minor of the input.  Over Q(i) it runs on
 Gaussian integers, where the division is exact too.  Exact ranks are
 therefore exact integers, which several invariants rely on.
 
+Exact image membership goes through a left null basis (cokernel):
+:func:`left_null` reads integer rows ``Y`` with ``Y A = 0`` off one
+elimination of ``A^T``, and ``b`` lies in Im A exactly when ``Y b = 0``.
+A caller that tests many vectors against one fixed ``A`` keeps ``Y`` and
+eliminates once; :func:`solve_in_image` forms it per call.
+
 Float matrices are ``complex128`` and go to numpy and LAPACK; every helper
 dispatches on its input.  Exact algebra data and form vectors are
 ScaledArrays as well.  Object arrays of int, Fraction and GaussianRational
@@ -385,20 +391,38 @@ def inverse(mat):
     return red[:, n:] * mat.den
 
 
+def left_null(A) -> ScaledArray:
+    """Integer rows Y spanning the left null space {y : y A = 0} of an exact
+    m x n matrix, so rank Y = m - rank A and b lies in Im A exactly when
+    Y b = 0 (over Q and over Q(i): the pairing is bilinear, no conjugate).
+
+    One elimination of A^T gives R = (num + i im) / den; the free column f
+    yields the row with den at f and -num[i, f] - i im[i, f] at the i-th
+    pivot column, read straight off the integers."""
+    A = asexact(A)
+    red, pivots = rref(A.T)
+    m = A.shape[0]
+    free = np.setdiff1d(np.arange(m), pivots)
+    rows = np.arange(len(free))
+
+    def part(src, diag):
+        wide = src.dtype == object or diag >= _LIMIT
+        out = np.zeros((len(free), m), dtype=object if wide else np.int64)
+        out[rows, free] = diag
+        out[:, pivots] = -src[:len(pivots), free].T
+        return out
+
+    return ScaledArray(part(red.num, red.den), _opt(part, red.im, 0))
+
+
 def solve_in_image(A, b, rel_tol: float = 1e-10):
     """Return True when every column of b lies in the column space of A."""
     if b.size == 0 or is_zero_matrix(b, tol=rel_tol * max(1.0, max_abs(b))):
         return True
+    if is_exact(A) and is_exact(b):
+        return is_zero_matrix(matmul(left_null(A), b))
     if A.size == 0:
         return False
-    if is_exact(A) and is_exact(b):
-        # rref takes columns left to right, so b's columns carry a pivot
-        # exactly when rank([A | b]) > rank(A); the two denominators scale
-        # columns, which changes neither rank
-        A, b = asexact(A), asexact(b).reshape(A.shape[0], -1)
-        stacked = ScaledArray(*(np.concatenate(parts, axis=1) for parts in (
-            (A.num, b.num), (_imag_or_zeros(A), _imag_or_zeros(b)))))
-        return all(c < A.shape[1] for c in rref(stacked)[1])
     Af, bf = to_complex(A), to_complex(b).reshape(A.shape[0], -1)
     x, *_ = np.linalg.lstsq(Af, bf, rcond=None)
     resid = Af @ x - bf

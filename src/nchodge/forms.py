@@ -160,6 +160,7 @@ class FormsWindow:
         self._ops = None
         self._spectral_cache = {}
         self._right = {}        # degree -> R block of multiply_forms
+        self._cokernels = {}    # (name, degree) -> left null basis of that block
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -236,6 +237,13 @@ def multiply_forms(window: FormsWindow, u: Form, v: Form) -> Form:
 
 # -- blocks from the slots of the structure tensor ------------------------------
 
+def _kron(a, b):
+    """np.kron of two 2-D arrays: the same products, without its per-call
+    overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def _rotate(block, e, rest):
     """``block`` rho_n: its columns (a_n, a_0, .., a_{n-1}) read at (a_0, .., a_n)."""
     rows = block.shape[0]
@@ -248,8 +256,8 @@ def _merges(c, top):
     bar = c[1:, 1:, 1:].reshape(e * e, e).T
     out = [c[:, 1:].reshape(-1, d).T]
     for n in range(2, top + 1):
-        out.append(np.kron(out[-1], np.eye(e, dtype=c.dtype))
-                   + np.kron(np.eye(d * e ** (n - 2), dtype=c.dtype), (-1) ** (n - 1) * bar))
+        out.append(_kron(out[-1], np.eye(e, dtype=c.dtype))
+                   + _kron(np.eye(d * e ** (n - 2), dtype=c.dtype), (-1) ** (n - 1) * bar))
     return out
 
 
@@ -260,14 +268,14 @@ def _operator_blocks(c, one, n_max):
     unit = np.eye(d, dtype=c.dtype)
     proj, e0 = unit[1:], unit[:, :1]
     wrap = c[1:].reshape(-1, d).T
-    turn = np.kron(unit[:, 1:], proj) * one - np.kron(e0, wrap[1:])
-    insert = np.kron(e0 * one, proj)
+    turn = _kron(unit[:, 1:], proj) * one - _kron(e0, wrap[1:])
+    insert = _kron(e0 * one, proj)
     blocks = {("k", 0): unit * one}
     for n, inner in enumerate(_merges(c, n_max), start=1):
         sign, eye, rest = (-1) ** n, np.eye(e ** (n - 1), dtype=c.dtype), d * e ** (n - 1)
-        blocks["d", n - 1] = np.kron(insert, eye)
-        blocks["b", n] = inner + _rotate(np.kron(sign * wrap, eye), e, rest)
-        blocks["k", n] = _rotate(np.kron(sign * turn, eye), e, rest)
+        blocks["d", n - 1] = _kron(insert, eye)
+        blocks["b", n] = inner + _rotate(_kron(sign * wrap, eye), e, rest)
+        blocks["k", n] = _rotate(_kron(sign * turn, eye), e, rest)
     return blocks
 
 
@@ -277,7 +285,7 @@ def _right_block(c, p):
     dim = d * e ** p
     block = np.zeros((dim, dim, d), dtype=c.dtype)
     block[:, :, 1:] = ((-1) ** p * _merges(c, p + 1)[-1]).reshape(dim, dim, e)
-    block[:, :, 0] = c[:, 0].T if p == 0 else np.kron(
+    block[:, :, 0] = c[:, 0].T if p == 0 else _kron(
         np.eye(d * e ** (p - 1), dtype=c.dtype), c[1:, 0, 1:].T)
     return block.transpose(0, 2, 1).reshape(dim * d, dim)
 

@@ -186,6 +186,8 @@ def validate_complex(cx: CochainComplex, tol=1e-12):
                 f"composition of differentials {k + 1} after {k} is nonzero",
                 degree=k, residual=exactla.max_abs(comp))
     for k, g in enumerate(cx.grams):
+        if _is_unit(g):
+            continue
         herm = exactla.max_abs(g - g.conj().T)
         if herm > tol * max(1.0, exactla.max_abs(g)):
             raise BadGram(f"Gram at degree {k} is not Hermitian", degree=k, residual=herm)
@@ -242,9 +244,16 @@ def complex_to_json(cx: CochainComplex) -> dict:
             "gram": [mat(g) for g in cx.grams]}
 
 
+_ONE_BITS = np.float64(1.0).view(np.uint64)
+
+
 def _is_unit(g):
-    """True when the Gram is the identity bit for bit (no -0.0 entries)."""
-    return g.tobytes() == np.eye(g.shape[0], dtype=complex).tobytes()
+    """True when the Gram is the identity bit for bit (no -0.0 entries):
+    exactly n nonzero 64-bit words, the n real diagonal ones equal to 1.0."""
+    n = g.shape[0]
+    bits = np.ascontiguousarray(g).view(np.uint64)      # (n, 2n): re, im interleaved
+    diag = np.arange(n)
+    return int(np.count_nonzero(bits)) == n and bool(np.all(bits[diag, 2 * diag] == _ONE_BITS))
 
 
 def adjoints(cx: CochainComplex) -> list:

@@ -133,6 +133,19 @@ def _bisect(fn, a, b, iters=80, xtol=1e-13):
     return 0.5 * (a + b)
 
 
+def _brackets(g1, g2, periodic):
+    """(i, on_g1) for each sample interval (i, i + 1) that brackets a root,
+    in ascending i; the last interval wraps round when ``periodic``.  A sign
+    change of g1, or a zero of g1 at the left end, takes precedence
+    (on_g1 True) over a sign change of g2."""
+    left = np.arange(len(g1) if periodic else len(g1) - 1)
+    right = (left + 1) % len(g1)
+    on_g1 = ((g1[left] < 0) != (g1[right] < 0)) | (g1[left] == 0.0)
+    on_g2 = (g2[left] < 0) != (g2[right] < 0)
+    hits = np.flatnonzero(on_g1 | on_g2)
+    return zip(hits.tolist(), on_g1[hits].tolist())
+
+
 def morse_scan(chart: LeafChart, n_h=256, n_v=33, tol=1e-6) -> dict:
     """Scan the chart over an (n_h x n_v) grid; see the module docstring for
     what is detected and reported."""
@@ -170,15 +183,13 @@ def morse_scan(chart: LeafChart, n_h=256, n_v=33, tol=1e-6) -> dict:
             almost_morse = False
             continue
 
-        pairs = range(n_h if chart.periodic else n_h - 1)
         roots = []
-        for i in pairs:
-            j = (i + 1) % n_h
+        for i, on_g1 in _brackets(g1, g2, chart.periodic):
             a = hs[i]
-            b = hs[i] + step if chart.periodic else hs[j]
-            if (g1[i] < 0) != (g1[j] < 0) or g1[i] == 0.0:
+            b = hs[i] + step if chart.periodic else hs[i + 1]
+            if on_g1:
                 roots.append(_bisect(lambda x: float(der.d1(x, v)), a, b, xtol=xtol))
-            elif (g2[i] < 0) != (g2[j] < 0):
+            else:
                 r = _bisect(lambda x: float(der.d2(x, v)), a, b, xtol=xtol)
                 if abs(float(der.d1(r, v))) < max(tol, 1e-7) * scale_phi:
                     roots.append(r)

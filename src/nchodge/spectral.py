@@ -30,7 +30,13 @@ no conversion.
 
 ``G`` splits the complement into complementary idempotent pieces ``G d b``
 (image inside Im d) and ``G b d`` (image inside Im b), giving per-degree
-decompositions of any form into harmonic + d-part + b-part.  The rescaled
+decompositions of any form into harmonic + d-part + b-part.  On exact
+windows :func:`hodge_split` and :func:`spectral_report` prove that the
+d-part lies in Im d and the b-part in Im b by ``Y v = 0``, with ``Y`` the
+block's left null basis (``exactla.left_null``); each block's ``Y`` is
+eliminated on its first nonzero test and then kept on the window, so later
+tests on that block are one integer product.  Float windows solve least
+squares per test (``exactla.solve_in_image``).  The rescaled
 Laplacian ``L = b(Nd) + (Nd)b`` vanishes on the harmonic space and is
 invertible on the complement, which is what makes the split well posed.
 """
@@ -162,6 +168,22 @@ def spectral_data(window: FormsWindow, degree: int) -> SpectralData:
     return cached
 
 
+def _in_image(window: FormsWindow, name: str, degree: int, vecs) -> bool:
+    """Whether every column of ``vecs`` lies in the image of the ``name``
+    block of source degree ``degree``.  Exact windows test ``Y vecs = 0``
+    against the block's left null basis ``Y``, eliminated on the first
+    nonzero test and kept on the window; float ones solve least squares."""
+    block = operator_matrices(window)[name].blocks[degree]
+    if not window.field.exact:
+        return exactla.solve_in_image(block, vecs)
+    if exactla.is_zero_matrix(vecs):
+        return True
+    coker = window._cokernels.get((name, degree))
+    if coker is None:
+        coker = window._cokernels[name, degree] = exactla.left_null(block)
+    return exactla.is_zero_matrix(matmul(coker, vecs))
+
+
 def hodge_split(window: FormsWindow, form: Form, verify: bool = True):
     """Split a form, degree by degree, into harmonic + d-part + b-part.
 
@@ -189,11 +211,11 @@ def hodge_split(window: FormsWindow, form: Form, verify: bool = True):
             scale = max(1.0, exactla.max_abs(vec))
             if not exactla.is_zero_matrix(total, tol * scale):
                 raise AssertionError(f"split does not re-sum at degree {n}")
-            if n >= 1 and not exactla.solve_in_image(D[n - 1], dn.reshape(-1, 1)):
+            if n >= 1 and not _in_image(window, "d", n - 1, dn):
                 raise AssertionError(f"d-part escapes Im(d) at degree {n}")
             elif n == 0 and not exactla.is_zero_matrix(dn, tol):
                 raise AssertionError("degree-0 d-part must vanish")
-            if not exactla.solve_in_image(B[n + 1], bn.reshape(-1, 1)):
+            if not _in_image(window, "b", n + 1, bn):
                 raise AssertionError(f"b-part escapes Im(b) at degree {n}")
     return Form(harm), Form(dpart), Form(bpart)
 
@@ -306,8 +328,8 @@ def spectral_report(window: FormsWindow, degrees=None, *, cluster_tol=1e-8,
             "pieces_orthogonal": res(matmul(Xc, Yc)),
         }
         membership = {
-            "d_piece_in_image_d": bool(n == 0 or exactla.solve_in_image(D[n - 1], Xc)),
-            "b_piece_in_image_b": bool(exactla.solve_in_image(B[n + 1], Yc)),
+            "d_piece_in_image_d": bool(n == 0 or _in_image(window, "d", n - 1, Xc)),
+            "b_piece_in_image_b": bool(_in_image(window, "b", n + 1, Yc)),
         }
         norm_on_p, min_sing = rescaled_laplacian_check(window, n, rank_tol)
         spectrum = spectrum_report(window, n, root_tol, eigs)

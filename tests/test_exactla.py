@@ -61,7 +61,7 @@ def test_solve_in_image_row_reduces_once(monkeypatch):
     for b, inside in (([3, 6, 5], True), ([1, 0, 0], False)):
         calls.clear()
         assert xla.solve_in_image(A, F.array(b).reshape(-1, 1)) is inside
-        assert calls == [(3, 4)]
+        assert calls == [(3, 3)]        # A^T, for its left null space
 
 
 def _random_exact(rng, shape, density, gaussian=False):
@@ -387,6 +387,13 @@ def test_kernel_matches_sympy_and_object_dot(gaussian, big):
             assert pivots == list(ref_pivots) == _dense_rref(mat)[1]
             _assert_values(red, _from_sympy(ref, gaussian))
             assert xla.rank(mat) == _sympy(mat, gaussian).rank()
+            coker = xla.left_null(mat)
+            _assert_canonical(coker)
+            rows, cols = mat.shape
+            assert coker.den == 1 and coker.shape == (rows - _sympy(mat, gaussian).rank(), rows)
+            assert xla.rank(coker) == coker.shape[0]
+            _assert_values(xla.matmul(coker, mat), np.zeros((coker.shape[0], cols), dtype=object))
+        coker = xla.left_null(a)
         if m and n:
             inside = xla.matmul(a, _random_matrix(rng, (n, 2), gaussian, big))
             outside = _random_matrix(rng, (m, 1), gaussian, big, density=1.0)
@@ -394,6 +401,7 @@ def test_kernel_matches_sympy_and_object_dot(gaussian, big):
                 stacked = _sympy(np.concatenate([a, rhs], axis=1), gaussian)
                 want = stacked.rank() == _sympy(a, gaussian).rank()
                 assert xla.solve_in_image(a, rhs) is want
+                assert xla.is_zero_matrix(xla.matmul(coker, rhs)) is want
 
 
 @pytest.mark.parametrize("gaussian", [False, True])

@@ -322,6 +322,47 @@ def test_float_blocks_hold_no_negative_zero():
                 assert not np.any(np.signbit(part) & (part == 0)), name
 
 
+def _bits(arr):
+    arr = np.asarray(arr)
+    return arr.tolist() if arr.dtype == object else arr.view(np.uint8).tolist()
+
+
+def test_kron_helper_is_np_kron():
+    rng = np.random.default_rng(5)
+    ints = [rng.integers(-9, 10, shape) for shape in ((3, 4), (2, 5), (0, 3), (2, 0))]
+    cplx = [a + 1j * b.astype(float) * 0.5 for a, b in zip(ints, ints)]
+    cplx[0][0, 0] = -0.0 - 0.0j         # signed zeros in the products
+    for kind in (ints, [a.astype(object) * 2 ** 70 for a in ints], cplx):
+        for a in kind:
+            for b in kind:
+                got, ref = nc_forms._kron(a, b), np.kron(a, b)
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert _bits(got) == _bits(ref)
+
+
+@pytest.mark.parametrize("name,n_max,mode", [
+    ("z3", 3, "rational"), ("m2", 2, "gaussian"), ("m2-nondyadic", 2, "float"),
+    ("kx3-wide", 2, "rational")])
+def test_blocks_are_bitwise_the_np_kron_ones(monkeypatch, name, n_max, mode):
+    def blocks():
+        w = nc.build_window(_algebra(name, mode), n_max)
+        for p in range(n_max + 1):      # builds the R block of degree p
+            nc.multiply_forms(w, nc.Form({p: w.zero_vector(p)}), nc.Form({0: w.zero_vector(0)}))
+        ops = nc.operator_matrices(w)
+        return [b for op in "dbk" for b in ops[op].blocks.values()] + list(w._right.values())
+
+    got = blocks()
+    monkeypatch.setattr(nc_forms, "_kron", np.kron)
+    for block, ref in zip(got, blocks(), strict=True):
+        if isinstance(block, exactla.ScaledArray):
+            assert block.den == ref.den and block.num.dtype == ref.num.dtype
+            assert _bits(block.num) == _bits(ref.num)
+            assert (block.im is None) == (ref.im is None)
+            assert block.im is None or _bits(block.im) == _bits(ref.im)
+        else:
+            assert block.dtype == ref.dtype and _bits(block) == _bits(ref)
+
+
 @pytest.mark.parametrize("mode", ["rational", "gaussian"])
 def test_hochschild_homology_matches_closed_forms(mode):
     # dim HH_n = dim - rank b_n - rank b_{n+1} on the normalized complex;

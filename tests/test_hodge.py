@@ -158,6 +158,35 @@ def test_unit_gram_frames_factor_nothing(monkeypatch):
     assert len(eigs) == cx.top + 1
 
 
+def test_identity_grams_skip_the_gram_checks(monkeypatch):
+    chols = _counting(monkeypatch, np.linalg, "cholesky")
+    d0 = np.array([[1.0, -1.0]])
+    nc.make_complex((2, 1), [d0])
+    nc.make_complex((2, 1), [d0], [np.eye(2), 1.0])
+    assert chols == []
+    nc.make_complex((2, 1), [d0], [np.eye(2), 2.0])       # degree 1 is not the identity
+    assert chols == ["cholesky"]
+
+
+def test_is_unit_is_the_bitwise_identity():
+    from nchodge.hodge import _is_unit
+    rng = np.random.default_rng(4)
+    cases = [np.eye(n, dtype=complex) for n in (0, 1, 5)]
+    for n in (1, 4):
+        for value in (-0.0, 1e-300, np.nan, 1j, 2.0, -1.0):
+            for idx in [(0, 0), (n - 1, 0), (0, n - 1)]:
+                g = np.eye(n, dtype=complex)
+                g[idx] = value if idx[0] != idx[1] else 1.0 + value
+                cases.append(g)
+                cases.append(np.asfortranarray(g))
+        cases.append(np.eye(n, dtype=complex) * complex(1.0, -0.0))
+        cases.append(rng.normal(size=(n, n)) + 0j)
+    cases.append(np.eye(6, dtype=complex)[::2, ::2])                  # non-contiguous view
+    for g in cases:
+        want = g.tobytes() == np.eye(g.shape[0], dtype=complex).tobytes()
+        assert _is_unit(g) is want, g
+
+
 def _reference_frames(cx):
     """(sym, eigvals) per degree by the factored route: adjoints through
     np.linalg.solve, Cholesky frames through scipy."""

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from nchodge.errors import GridTooCoarse
-from nchodge.morse import builtin_chart, morse_scan
+from nchodge.morse import _brackets, builtin_chart, morse_scan
 
 
 def test_cosine_chart_two_families():
@@ -52,3 +53,26 @@ def test_grid_too_coarse():
 def test_unknown_chart():
     with pytest.raises(ValueError):
         builtin_chart("saddle")
+
+
+def _loop_brackets(g1, g2, periodic):
+    """The per-interval loop _brackets replaces, kept as its reference."""
+    n = len(g1)
+    out = []
+    for i in range(n if periodic else n - 1):
+        j = (i + 1) % n
+        if (g1[i] < 0) != (g1[j] < 0) or g1[i] == 0.0:
+            out.append((i, True))
+        elif (g2[i] < 0) != (g2[j] < 0):
+            out.append((i, False))
+    return out
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_brackets_match_the_loop(periodic):
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        # small integers, so that zeros (both signs) and ties occur
+        g1, g2 = (rng.integers(-2, 3, n) * rng.choice([1.0, -0.0], n) for _ in range(2))
+        assert list(_brackets(g1, g2, periodic)) == _loop_brackets(g1, g2, periodic)

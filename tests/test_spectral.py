@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nchodge as nc
-from nchodge import exactla
+from nchodge import exactla, spectral
 from nchodge.scalars import GaussianRational
 from nchodge.spectral import admissible_roots
 
@@ -114,3 +114,46 @@ def test_report_takes_k_eigenvalues_once_per_degree(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", counting)
     assert nc.spectral_report(w) == expected
     assert calls == [(d, d) for d in w.degree_dims[:3]]
+
+
+@pytest.mark.parametrize("name,mode,n_max", [("z3", "rational", 3), ("m2", "gaussian", 2)])
+def test_image_membership_matches_rank_and_rejects(name, mode, n_max):
+    w = nc.build_window(nc.builtin_algebra(name, mode), n_max)
+    ops = nc.operator_matrices(w)
+    rng = np.random.default_rng(17)
+    seen = set()
+    for op, degree in [("d", n) for n in range(n_max)] + [("b", n) for n in range(1, n_max + 1)]:
+        block, target = ops[op].blocks[degree], degree + ops[op].degree_shift
+        inside = exactla.matmul(block, w.field.array(
+            [int(c) for c in rng.integers(-3, 4, block.shape[1])]))
+        basis = [w.basis_form(target, i).component(target) for i in range(block.shape[0])]
+        for vec in [inside] + basis:
+            want = exactla.rank(np.concatenate(
+                [np.asarray(block), np.asarray(vec).reshape(-1, 1)], axis=1)) == exactla.rank(block)
+            assert spectral._in_image(w, op, degree, vec) is want
+            assert spectral._in_image(w, op, degree, vec.reshape(-1, 1)) is want
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_second_split_at_a_degree_eliminates_nothing(monkeypatch):
+    w = nc.build_window(nc.builtin_algebra("z3"), 3)
+    rng = np.random.default_rng(19)
+    forms = [nc.Form({2: w.field.array([int(c) for c in rng.integers(-3, 4, w.degree_dims[2])])})
+             for _ in range(2)]
+    real_rref, calls = exactla.rref, []
+
+    def counting(mat):
+        calls.append(mat.shape)
+        return real_rref(mat)
+
+    monkeypatch.setattr(exactla, "rref", counting)
+    _, dpart, bpart = nc.hodge_split(w, forms[0])
+    assert not dpart.is_zero() and not bpart.is_zero()
+    dims = w.degree_dims
+    assert sorted(calls) == [(dims[1], dims[2]), (dims[3], dims[2])]     # d_1^T, b_3^T
+    calls.clear()
+    harm, dpart, bpart = nc.hodge_split(w, forms[1])
+    assert harm + dpart + bpart == forms[1]
+    assert not dpart.is_zero() and not bpart.is_zero()
+    assert calls == []

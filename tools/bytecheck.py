@@ -19,7 +19,9 @@ The list: every command on the bundled inputs, ``nc-report --matrices``
 on ``m2`` and ``z3`` in the gaussian and float modes (their d, b and k
 blocks, where a wrong slot order would show), ``spectral`` on ``z3`` at
 ``--nmax 6`` in the rational and gaussian modes (P and G from the CRT
-polynomials of degrees 1 to 5), ``gv`` on the builtin
+polynomials of degrees 1 to 5), ``spectral`` on ``two_points`` at
+``--nmax 6`` in the same two modes (the Im d and Im b membership tests on
+degrees up to 5, against the cached left null bases), ``gv`` on the builtin
 ``sin-z`` and ``dz`` forms with both derivatives, ``selftest --seed 1``,
 and, on inputs written to the temporary directory, ``hodge``/``torsion``/
 ``cs-partition`` on a 256-site twisted circle with unit Grams and on a
@@ -63,8 +65,8 @@ COMMANDS = (
      for alg in ("dual_numbers.json", "m2.json", "two_points.json", "z3.json")
      for cmd in ("nc-report", "spectral")]
     + [["spectral", "--algebra", "z3.json", "--nmax", "3", "--scalar", "float"]]
-    + [["spectral", "--algebra", "z3.json", "--nmax", "6", "--scalar", mode]
-       for mode in ("rational", "gaussian")]
+    + [["spectral", "--algebra", alg, "--nmax", "6", "--scalar", mode]
+       for alg in ("z3.json", "two_points.json") for mode in ("rational", "gaussian")]
     + [["nc-report", "--algebra", alg, "--nmax", "3", "--scalar", mode, "--matrices"]
        for alg in ("m2.json", "z3.json") for mode in ("gaussian", "float")]
     + [[cmd, "--complex", cx]
