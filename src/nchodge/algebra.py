@@ -181,7 +181,7 @@ def _check_associativity(field, c, labels):
     for i in range(dim):
         lhs = exactla.matmul(c[i], right).reshape(dim, dim, dim)   # [j, k] = (e_i e_j) e_k
         rhs = exactla.matmul(pairs, c[i]).reshape(dim, dim, dim)   # [j, k] = e_i (e_j e_k)
-        if exactla.is_zero_matrix(lhs - rhs, tol):
+        if exactla.equal(lhs, rhs, tol):
             continue
         for j in range(dim):
             for k in range(dim):

@@ -3,12 +3,21 @@
 An exact matrix is a :class:`ScaledArray`: integer numpy arrays ``num``
 and ``im`` (the imaginary part over Q(i); ``None`` when it is zero, and then
 no imaginary arithmetic runs) over one Python-int denominator ``den > 0``,
-kept canonical: the gcd of ``den`` and every entry is 1.  Entries are int64
-while no step can overflow: a product while max|a| max|b| (inner dim)
-< 2**63, twice that with two imaginary parts; a sum while the rescaled
-operands stay below 2**63; an elimination step while its intermediates do.
-Past a bound the same numpy code runs on ``dtype=object`` Python ints, and
-a result that fits goes back to int64.
+kept canonical: the gcd of ``den`` and every entry is 1.  The canonical
+form is unique, so :func:`equal` compares shape, ``den``, ``num`` and
+``im`` and runs no arithmetic.
+
+Entries are int64 while no step can overflow: a product while max|a| max|b|
+(inner dim) < 2**63, twice that with two imaginary parts; a sum while the
+rescaled operands stay below 2**63; an elimination step while its
+intermediates do.  Past a bound the same numpy code runs on
+``dtype=object`` Python ints, and a result that fits goes back to int64.
+The guards read no entries while they can help it: each array carries a
+cap on max|num| from the operation that made it (the product or sum bound
+above, divided by the gcd the result is reduced by; moves and sign flips
+keep it), and the exact largest entry is read, once, only when the caps
+reach 2**63.  The int64/object choice is therefore always the one the
+exact bounds make.
 
 Elimination is fraction-free (Bareiss 1968, *Sylvester's identity and
 multistep integer-preserving Gaussian elimination*): a Gauss-Jordan pass
@@ -54,14 +63,18 @@ def _opt(fn, part, *args):
 
 
 class ScaledArray:
-    """Exact array ``(num + i im) / den`` in canonical form."""
+    """Exact array ``(num + i im) / den`` in canonical form.
 
-    __slots__ = ("num", "im", "den", "_bound")
+    ``_bound`` caches the exact largest numerator magnitude; ``_cap`` is an
+    upper bound on it carried from the operation that made the array (None
+    when unknown), so the overflow guards need no pass over the entries."""
+
+    __slots__ = ("num", "im", "den", "_bound", "_cap")
     __array_ufunc__ = None       # numpy operators defer to the reflected ones here
     __hash__ = None
     dtype = np.dtype(object)     # as np.asarray gives it: exact scalar entries
 
-    def __init__(self, num, im=None, den=1):
+    def __init__(self, num, im=None, den=1, cap=None):
         num, den = np.asarray(num), int(den)
         im = np.asarray(im) if im is not None and np.any(im) else None
         if den < 0:
@@ -72,26 +85,41 @@ class ScaledArray:
         if g != 1:
             num, im = _widen(num, im, g >= _LIMIT)       # a zero over a huge den
             num, im, den = num // g, _opt(operator.floordiv, im, g), den // g
-        self.num, self.im, self.den, self._bound = num, im, den, None
+            cap = _opt(operator.floordiv, cap, g)
+        self.num, self.im, self.den, self._bound, self._cap = num, im, den, None, cap
         if num.dtype != np.int64 or (im is not None and im.dtype != np.int64):
-            self.num, self.im = _widen(num, im, True, np.int64 if self.bound < _LIMIT else object)
+            self.num, self.im = _widen(num, im, True, np.int64 if self._below(_LIMIT) else object)
 
     @classmethod
-    def _of(cls, num, im, den):
+    def _of(cls, num, im, den, bound=None):
         """Wrap arrays that are already canonical."""
         out = object.__new__(cls)
-        out.num, out.im, out.den, out._bound = num, im, den, None
+        out.num, out.im, out.den, out._bound, out._cap = num, im, den, bound, bound
         return out
 
     def _map(self, fn):
-        return ScaledArray._of(fn(self.num), _opt(fn, self.im), self.den)
+        """``fn`` applied to both parts; it moves entries or flips their signs,
+        so the bound and the cap carry over."""
+        out = ScaledArray._of(fn(self.num), _opt(fn, self.im), self.den)
+        out._bound, out._cap = self._bound, self._cap
+        return out
 
     @property
     def bound(self) -> int:
         """The largest numerator magnitude, real or imaginary (cached)."""
         if self._bound is None:
-            self._bound = max(_absmax(self.num), _absmax(self.im))
+            self._bound = self._cap = max(_absmax(self.num), _absmax(self.im))
         return self._bound
+
+    @property
+    def cap(self) -> int:
+        """An upper bound on :attr:`bound`: the carried cap, or the exact
+        bound when none was carried."""
+        return self.bound if self._cap is None else self._cap
+
+    def _below(self, limit) -> bool:
+        """``bound < limit``, decided by the cap when it can be."""
+        return self.cap < limit or self.bound < limit
 
     shape = property(lambda self: self.num.shape)
     ndim = property(lambda self: self.num.ndim)
@@ -107,7 +135,7 @@ class ScaledArray:
     def __getitem__(self, key):
         num, im = self.num[key], _opt(operator.getitem, self.im, key)
         if np.ndim(num):
-            return ScaledArray(num, im, self.den)
+            return ScaledArray(num, im, self.den, self._cap)
         re = Fraction(int(num), self.den)
         return re if im is None else GaussianRational(re, Fraction(int(im), self.den))
 
@@ -126,26 +154,35 @@ class ScaledArray:
     def __repr__(self):
         return f"ScaledArray({self.num!r}, im={self.im!r}, den={self.den})"
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """``op`` (add or sub) of the two values over the lcm of their
+        denominators; equal denominators need no rescaling."""
         other = _operand(other)
         if other is NotImplemented:
             return NotImplemented
-        den = math.lcm(self.den, other.den)
-        sa, sb = den // self.den, den // other.den
-        wide = max(self.bound, 1) * sa + max(other.bound, 1) * sb >= _LIMIT
+        if self.den == other.den:
+            den, sa, sb = self.den, 1, 1
+        else:
+            den = math.lcm(self.den, other.den)
+            sa, sb = den // self.den, den // other.den
+        cap, wide = _guard(lambda x, y: max(x, 1) * sa + max(y, 1) * sb, self, other)
         (ar, ai), (br, bi) = _widen(self.num, self.im, wide), _widen(other.num, other.im, wide)
-        im = _plus(_opt(operator.mul, ai, sa), _opt(operator.mul, bi, sb))
-        return ScaledArray(ar * sa + br * sb, im, den)
+        if sa != 1 or sb != 1:
+            ar, ai, br, bi = ar * sa, _opt(operator.mul, ai, sa), br * sb, _opt(operator.mul, bi, sb)
+        im = ai if bi is None else op(0 if ai is None else ai, bi)
+        return ScaledArray(op(ar, br), im, den, cap)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is NotImplemented else self + -other
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         other = _operand(other)
-        return NotImplemented if other is NotImplemented else other + -self
+        return NotImplemented if other is NotImplemented else other._combine(self, operator.sub)
 
     def __mul__(self, other):
         """Product with an int, Fraction or GaussianRational scalar."""
@@ -154,9 +191,9 @@ class ScaledArray:
         c = other if isinstance(other, GaussianRational) else GaussianRational(other)
         den = math.lcm(c.re.denominator, c.im.denominator)
         cr, ci = (x.numerator * (den // x.denominator) for x in (c.re, c.im))
-        wide = 2 * max(self.bound, 1) * max(abs(cr), abs(ci)) >= _LIMIT
+        cap, wide = _guard(lambda x: 2 * max(x, 1) * max(abs(cr), abs(ci)), self)
         re, im = _cprod(operator.mul, *_widen(self.num, self.im, wide), cr, ci or None)
-        return ScaledArray(re, im, self.den * den)
+        return ScaledArray(re, im, self.den * den, cap)
 
     __rmul__ = __mul__
 
@@ -185,6 +222,18 @@ class ScaledArray:
         return out.tolist()
 
 
+def _guard(cost, *mats):
+    """``(c, c >= 2**63)`` for ``c = cost(bounds of mats)``, ``cost`` monotone
+    in each bound.  It is tried on the carried caps first and on the exact
+    bounds (one pass each, cached) only when the caps' cost reaches the
+    limit, so the int64/object choice is the one the exact bounds make;
+    ``c`` is a cap for the result."""
+    c = cost(*[m.cap for m in mats])
+    if c >= _LIMIT:
+        c = cost(*[m.bound for m in mats])
+    return c, c >= _LIMIT
+
+
 def _absmax(a) -> int:
     # a[None] is never 0-d: np.abs of a 0-d object array is a bare int
     return int(np.abs(a[None]).max()) if a is not None and a.size else 0
@@ -206,8 +255,10 @@ def _imag_or_zeros(mat):
 def _cprod(op, ar, ai, br, bi):
     """The bilinear product ``op`` of ar + i ai and br + i bi as a (re, im)
     pair; a None part is zero."""
-    if ai is None or bi is None:
-        return op(ar, br), _plus(_opt(op, ai, br), _opt(lambda b: op(ar, b), bi))
+    if bi is None:
+        return op(ar, br), _opt(op, ai, br)
+    if ai is None:
+        return op(ar, br), op(ar, bi)
     return op(ar, br) - op(ai, bi), op(ar, bi) + op(ai, br)
 
 
@@ -232,22 +283,24 @@ def from_object(arr) -> ScaledArray:
              for v in map(flat.__getitem__, index)]
     den = math.lcm(*(x.denominator for pair in parts for x in pair))
     ints = [[x.numerator * (den // x.denominator) for x in part] for part in zip(*parts)]
-    wide = max(map(abs, sum(ints, [])), default=0) >= _LIMIT
-    out = [np.zeros(arr.size, dtype=object if wide else np.int64) for _ in range(2)]
+    top = max(map(abs, sum(ints, [])), default=0)
+    out = [np.zeros(arr.size, dtype=object if top >= _LIMIT else np.int64) for _ in range(2)]
     for part, terms in zip(out, ints):
         part[index] = terms
-    return ScaledArray(out[0].reshape(arr.shape), out[1].reshape(arr.shape), den)
+    return ScaledArray(out[0].reshape(arr.shape), out[1].reshape(arr.shape), den, top)
 
 
 def asexact(mat):
     """``mat`` as a ScaledArray when it is exact; float input unchanged."""
-    return from_object(mat) if is_exact(mat) and not isinstance(mat, ScaledArray) else mat
+    if isinstance(mat, ScaledArray):
+        return mat
+    return from_object(mat) if is_exact(mat) else mat
 
 
 def eye_like(mat):
     """The identity matching square ``mat`` in size and kind."""
     n = mat.shape[0]
-    return ScaledArray._of(np.eye(n, dtype=np.int64), None, 1) if is_exact(mat) \
+    return ScaledArray._of(np.eye(n, dtype=np.int64), None, 1, min(n, 1)) if is_exact(mat) \
         else np.eye(n, dtype=np.complex128)
 
 
@@ -257,18 +310,20 @@ def matmul(a, b):
     Exact operands multiply their numerators with ``np.dot`` and their
     denominators as Python ints.  Float and mixed input goes to ``np.dot``.
     """
-    if not (is_exact(a) and is_exact(b)):
-        return np.dot(np.asarray(a), np.asarray(b))
-    a, b = asexact(a), asexact(b)
-    terms = 2 if a.im is not None and b.im is not None else 1
-    wide = terms * a.bound * b.bound * a.shape[-1] >= _LIMIT
+    if not (type(a) is ScaledArray and type(b) is ScaledArray):
+        if not (is_exact(a) and is_exact(b)):
+            return np.dot(np.asarray(a), np.asarray(b))
+        a, b = asexact(a), asexact(b)
+    terms = (2 if a.im is not None and b.im is not None else 1) * a.shape[-1]
+    cap, wide = _guard(lambda x, y: terms * x * y, a, b)
     re, im = _cprod(np.dot, *_widen(a.num, a.im, wide), *_widen(b.num, b.im, wide))
-    return ScaledArray(re, im, a.den * b.den)
+    return ScaledArray(re, im, a.den * b.den, cap)
 
 
-def _to_float(num, den, bound) -> np.ndarray:
-    """num / den correctly rounded to float64, as ``float(Fraction)`` is."""
-    if bound < _FLOAT_EXACT and den < _FLOAT_EXACT:
+def _to_float(num, den, small) -> np.ndarray:
+    """num / den correctly rounded to float64, as ``float(Fraction)`` is;
+    ``small`` says that every numerator is below 2**53."""
+    if small and den < _FLOAT_EXACT:
         return num.astype(np.float64) / den     # one IEEE division: rounded once
     return np.array([v / den for v in num.reshape(-1).tolist()],
                     dtype=np.float64).reshape(num.shape)
@@ -279,8 +334,9 @@ def to_complex(mat) -> np.ndarray:
         return np.asarray(mat, dtype=np.complex128)
     mat = asexact(mat)
     out = np.empty(mat.shape, dtype=np.complex128)
-    out.real = _to_float(mat.num, mat.den, mat.bound)
-    out.imag = 0.0 if mat.im is None else _to_float(mat.im, mat.den, mat.bound)
+    small = mat._below(_FLOAT_EXACT)
+    out.real = _to_float(mat.num, mat.den, small)
+    out.imag = 0.0 if mat.im is None else _to_float(mat.im, mat.den, small)
     return out
 
 
@@ -302,6 +358,22 @@ def is_zero_matrix(mat, tol: float = 0.0) -> bool:
         mat = asexact(mat)
         return mat.im is None and not mat.num.any()
     return max_abs(mat) <= tol
+
+
+def equal(a, b, tol: float = 0.0) -> bool:
+    """Whether ``a`` and ``b`` hold the same values.  Exact arrays compare
+    their canonical fields, shape, ``den``, ``num`` and ``im``, with no
+    arithmetic; float ones test ``max_abs(a - b) <= tol``.  Arrays of
+    different shapes are never equal."""
+    if a.shape != b.shape:
+        return False
+    if not (is_exact(a) and is_exact(b)):
+        return max_abs(a - b) <= tol
+    a, b = asexact(a), asexact(b)
+    if a.den != b.den or (a.im is None) != (b.im is None):
+        return False
+    return bool(np.array_equal(a.num, b.num)
+                and (a.im is None or np.array_equal(a.im, b.im)))
 
 
 def _eliminate(re, im):
@@ -446,11 +518,14 @@ def eval_poly(coeffs, mat):
     cs = [Fraction(c) for c in coeffs] or [Fraction(0)]
     scale, top = math.lcm(*(c.denominator for c in cs)), len(cs) - 1
     k, h = (mat.num, mat.im), (np.zeros((n, n), dtype=mat.num.dtype), None)
+    h_cap = 0       # carried bound on H's entries, as in the ScaledArray guards
     for i in range(top, -1, -1):
         c = cs[i].numerator * (scale // cs[i].denominator) * mat.den ** (top - i)
-        if h[0].dtype != object and (
-                2 * max(_absmax(h[0]), _absmax(h[1])) * mat.bound * n + abs(c) >= _LIMIT):
-            h, k = _widen(*h, True), _widen(*k, True)
+        h_cap = 2 * h_cap * mat.cap * n + abs(c)
+        if h[0].dtype != object and h_cap >= _LIMIT:
+            h_cap = 2 * max(_absmax(h[0]), _absmax(h[1])) * mat.bound * n + abs(c)
+            if h_cap >= _LIMIT:
+                h, k = _widen(*h, True), _widen(*k, True)
         h = _cprod(np.dot, *h, *k)
         h[0].flat[::n + 1] += c
     return ScaledArray(h[0], h[1], scale * mat.den ** top)

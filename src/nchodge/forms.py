@@ -85,7 +85,10 @@ class Form:
     """Finitely supported graded vector: degree -> coefficient vector.
 
     Exact vectors are held as ``exactla.ScaledArray`` (object arrays of the
-    field's scalars are converted once, here); float ones are complex128."""
+    field's scalars are converted once, here); float ones are complex128.
+    Two forms are equal when they agree in every degree, a missing degree
+    standing for a zero component: exact components compare their canonical
+    forms (``exactla.equal``), float ones at zero tolerance."""
 
     components: dict
 
@@ -106,7 +109,10 @@ class Form:
         return Form(out)
 
     def __sub__(self, other):
-        return self + -other
+        out = dict(self.components)
+        for n, v in other.components.items():
+            out[n] = out[n] - v if n in out else -v
+        return Form(out)
 
     def __neg__(self):
         return Form({n: -v for n, v in self.components.items()})
@@ -122,7 +128,10 @@ class Form:
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        return (self - other).is_zero()
+        mine, theirs, zero = self.components, other.components, exactla.is_zero_matrix
+        return (all(exactla.equal(v, theirs[n]) if n in theirs else zero(v)
+                    for n, v in mine.items())
+                and all(zero(v) for n, v in theirs.items() if n not in mine))
 
 
 @dataclass

@@ -48,13 +48,19 @@ class HodgeFrame:
     chol_inv: np.ndarray
     sym: np.ndarray
     eigvals: np.ndarray
+    _harmonic: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def harmonic_vectors(self, rel_tol):
         """Orthonormal basis (in the symmetric frame) of the near-kernel
-        of ``S``, cut at ``rel_tol`` times the spectral scale."""
-        eigs, vecs = np.linalg.eigh(self.sym)
-        scale = max(1.0, float(eigs.max())) if eigs.size else 1.0
-        return vecs[:, eigs < rel_tol * scale]
+        of ``S``, cut at ``rel_tol`` times the spectral scale; cached per
+        ``rel_tol`` (every call would run the same ``eigh``)."""
+        if rel_tol not in self._harmonic:
+            eigs, vecs = np.linalg.eigh(self.sym)
+            scale = max(1.0, float(eigs.max())) if eigs.size else 1.0
+            out = vecs[:, eigs < rel_tol * scale]
+            out.setflags(write=False)
+            self._harmonic[rel_tol] = out
+        return self._harmonic[rel_tol]
 
 
 @dataclass

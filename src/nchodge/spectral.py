@@ -85,9 +85,8 @@ def harmonic_projection(window: FormsWindow, degree: int) -> SpectralData:
         P = exactla.eval_poly(harmonic_crt_poly(degree), K)
     else:
         P = _schur_projection(to_complex(K), 1e-8)
-    resid = matmul(P, P) - P
     tol = 0.0 if exact else 1e-9 * max(1.0, exactla.max_abs(P)) ** 2
-    if not exactla.is_zero_matrix(resid, tol):
+    if not exactla.equal(matmul(P, P), P, tol):
         raise AssertionError(f"projection not idempotent at degree {degree}")
     return SpectralData(degree=degree, P=P, P_perp=exactla.eye_like(P) - P)
 
@@ -149,12 +148,12 @@ def greens_operator(window: FormsWindow, degree: int) -> SpectralData:
         G = exactla.eval_poly(green_crt_poly(degree), K)
     else:
         G = 0 * M       # k is the identity on degree 0
-    resid = matmul(G, M) - data.P_perp
+    gm = matmul(G, M)
     tol = 0.0 if field.exact else 1e-9 * max(1.0, exactla.max_abs(G))
-    if not exactla.is_zero_matrix(resid, tol):
+    if not exactla.equal(gm, data.P_perp, tol):
         raise SingularOnComplement(
             f"Green's operator fails G(1-k) = 1-P at degree {degree}",
-            degree=degree, residual=exactla.max_abs(resid))
+            degree=degree, residual=exactla.max_abs(gm - data.P_perp))
     data.G = G
     return data
 
@@ -193,7 +192,7 @@ def hodge_split(window: FormsWindow, form: Form, verify: bool = True):
     """
     ops = operator_matrices(window)
     D, B = ops["d"].blocks, ops["b"].blocks
-    tol = 0.0 if window.field.exact else 1e-9
+    exact = window.field.exact
     harm, dpart, bpart = {}, {}, {}
     for n, vec in form.components.items():
         window.check_degree(n, top=window.n_max - 1)
@@ -207,13 +206,12 @@ def hodge_split(window: FormsWindow, form: Form, verify: bool = True):
         bn = matmul(data.G, matmul(B[n + 1], matmul(D[n], rest)))
         dpart[n], bpart[n] = dn, bn
         if verify:
-            total = harm[n] + dn + bn - vec
-            scale = max(1.0, exactla.max_abs(vec))
-            if not exactla.is_zero_matrix(total, tol * scale):
+            tol = 0.0 if exact else 1e-9 * max(1.0, exactla.max_abs(vec))
+            if not exactla.equal(harm[n] + dn + bn, vec, tol):
                 raise AssertionError(f"split does not re-sum at degree {n}")
             if n >= 1 and not _in_image(window, "d", n - 1, dn):
                 raise AssertionError(f"d-part escapes Im(d) at degree {n}")
-            elif n == 0 and not exactla.is_zero_matrix(dn, tol):
+            elif n == 0 and not exactla.is_zero_matrix(dn):
                 raise AssertionError("degree-0 d-part must vanish")
             if not _in_image(window, "b", n + 1, bn):
                 raise AssertionError(f"b-part escapes Im(b) at degree {n}")
@@ -221,15 +219,16 @@ def hodge_split(window: FormsWindow, form: Form, verify: bool = True):
 
 
 def rescaled_laplacian_check(window: FormsWindow, degree: int,
-                             rank_tol: float = 1e-10):
+                             rank_tol: float = 1e-10, rank_perp=None):
     """Returns (norm of L restricted to the harmonic space, smallest singular
-    value of L on the complement; None when the complement is trivial)."""
+    value of L on the complement; None when the complement is trivial).
+    ``rank_perp`` is ``rank(P_perp, rank_tol)`` when the caller has it."""
     window.check_degree(degree, top=window.n_max - 1)
     ops = operator_matrices(window)
     L = ops["L"].blocks[degree]
     data = spectral_data(window, degree)
     norm_on_p = exactla.max_abs(matmul(L, data.P))
-    r = exactla.rank(data.P_perp, rank_tol)
+    r = exactla.rank(data.P_perp, rank_tol) if rank_perp is None else rank_perp
     if r == 0:
         return norm_on_p, None
     pf = to_complex(data.P_perp)
@@ -331,7 +330,7 @@ def spectral_report(window: FormsWindow, degrees=None, *, cluster_tol=1e-8,
             "d_piece_in_image_d": bool(n == 0 or _in_image(window, "d", n - 1, Xc)),
             "b_piece_in_image_b": bool(_in_image(window, "b", n + 1, Yc)),
         }
-        norm_on_p, min_sing = rescaled_laplacian_check(window, n, rank_tol)
+        norm_on_p, min_sing = rescaled_laplacian_check(window, n, rank_tol, rank_pp)
         spectrum = spectrum_report(window, n, root_tol, eigs)
 
         row = {

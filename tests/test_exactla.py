@@ -1,8 +1,10 @@
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import QQ, QQ_I, Poly, Rational, symbols
 from sympy.polys.matrices import DomainMatrix
 
@@ -487,3 +489,181 @@ def test_greens_polynomial_equals_inverse_route(name, n_max, mode):
         eye = np.asarray(xla.eye_like(data.P))
         ref = np.dot(eye - P, _reference_inverse(eye - k + P))
         _assert_values(data.G, ref)
+
+
+# -- equality by canonical form -----------------------------------------------------
+
+_BIG = 2 ** 64      # numerators and denominators past int64
+
+
+@st.composite
+def _exact_arrays(draw, shape, gaussian):
+    """An exact array of the given shape: small entries, or with ``big``
+    ones whose numerators (and some denominators) pass 2**63."""
+    big = draw(st.booleans())
+    scale = _BIG if big else 1
+    dens = st.sampled_from([1, 2, 3, 6, _BIG] if big else [1, 2, 3, 6])
+    real_only = draw(st.booleans())
+
+    def frac():
+        return Fraction(draw(st.integers(-3, 3)) * scale + draw(st.integers(-1, 1)), draw(dens))
+
+    vals = [GaussianRational(frac(), 0 if real_only else frac()) if gaussian else frac()
+            for _ in range(math.prod(shape))]
+    out = np.empty(len(vals), dtype=object)
+    out[:] = vals
+    return xla.asexact(out.reshape(shape))
+
+
+@st.composite
+def _exact_pairs(draw):
+    """(a, b, same shape): b equal to a by another construction, a with one
+    entry moved, an independent array, or an array of another shape."""
+    gaussian = draw(st.booleans())
+    shape = draw(st.sampled_from([(3,), (2, 2), (1, 3)]))
+    a = draw(_exact_arrays(shape, gaussian))
+    how = draw(st.sampled_from(["copy", "rebuilt", "moved", "independent", "reshaped", "longer"]))
+    if how == "copy":
+        b = xla.asexact(np.asarray(a))
+    elif how == "rebuilt":      # (3a + c)/3 - c/3 through the arithmetic
+        c = draw(_exact_arrays(shape, gaussian))
+        b = (a * 3 + c) * Fraction(1, 3) - c * Fraction(1, 3)
+    elif how == "moved":
+        vals = np.asarray(a).copy()
+        idx = tuple(draw(st.integers(0, n - 1)) for n in shape)
+        vals[idx] = vals[idx] + Fraction(1, draw(st.sampled_from([1, 2, _BIG])))
+        b = xla.asexact(vals)
+    elif how == "independent":
+        b = draw(_exact_arrays(shape, gaussian))
+    elif how == "reshaped":
+        b = a.reshape(-1) if len(shape) > 1 else a.reshape(1, -1)
+    else:
+        b = draw(_exact_arrays((math.prod(shape) + 1,), gaussian))
+    return a, b, a.shape == b.shape
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exact_pairs())
+def test_equal_is_zero_difference(pair):
+    a, b, same_shape = pair
+    for mat in (a, b):
+        _assert_canonical(mat)
+    if same_shape:
+        assert xla.equal(a, b) is xla.is_zero_matrix(a - b)
+        assert xla.equal(b, a) is xla.equal(a, b)
+        assert xla.equal(a, b) is bool(np.array_equal(np.asarray(a), np.asarray(b)))
+    else:
+        assert xla.equal(a, b) is False
+        assert not np.array_equal(np.asarray(a), np.asarray(b))
+
+
+def test_equal_covers_both_denominator_cases_and_widths():
+    half = F.array([Fraction(1, 2), Fraction(3, 2)])
+    assert xla.equal(half, F.array([1, 3]) * Fraction(1, 2))              # equal dens
+    assert not xla.equal(half, F.array([Fraction(1, 2), Fraction(1, 3)]))  # dens differ
+    wide = F.array([2 ** 70, 1]) * Fraction(1, 3)
+    assert wide.num.dtype == object
+    assert xla.equal(wide, (wide + wide) * Fraction(1, 2))
+    assert not xla.equal(wide, wide + Fraction(1, 3))
+    assert not xla.equal(F.array([1, 2]), F.array([[1, 2]]))
+
+
+def test_equal_on_floats_keeps_the_tolerance():
+    a = np.array([1.0, 2.0 + 1e-12j])
+    assert xla.equal(a, a.copy())
+    assert not xla.equal(a, a + 1e-9)
+    assert xla.equal(a, a + 1e-9, tol=1e-8)
+    assert not xla.equal(a, a[:1], tol=1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_form_equality_reads_missing_degrees_as_zero(data):
+    gaussian = data.draw(st.booleans())
+    u0 = data.draw(_exact_arrays((3,), gaussian))
+    u1 = data.draw(_exact_arrays((2,), gaussian))
+    zero1 = xla.asexact(np.zeros(2, dtype=object))
+    u, u_with_zero = nc.Form({0: u0}), nc.Form({0: u0, 1: zero1})
+    v = nc.Form({0: u0, 1: u1})
+    for x, y in [(u, u_with_zero), (u_with_zero, u), (u, v), (v, u), (v, u_with_zero),
+                 (nc.Form({}), nc.Form({1: zero1})), (nc.Form({}), u)]:
+        assert (x == y) is (x - y).is_zero()
+        assert (x != y) is not (x == y)
+    assert u == u_with_zero and (u == v) is (not np.asarray(u1).any())
+
+
+# -- overflow guards: carried caps decide as exact bounds do ----------------------
+
+def _obj(rows, gaussian=False):
+    out = np.empty((len(rows), len(rows[0])), dtype=object)
+    for idx in np.ndindex(*out.shape):
+        v = Fraction(rows[idx[0]][idx[1]])
+        out[idx] = GaussianRational(v, v / 2) if gaussian else v
+    return out
+
+
+def _assert_as_reference(got, ref):
+    """``got`` holds the fields of ``from_object(ref)``, whose int64/object
+    choice reads the exact largest entry."""
+    want = xla.from_object(ref)
+    assert got.num.dtype == want.num.dtype
+    assert got.den == want.den
+    assert np.array_equal(got.num, want.num)
+    assert (got.im is None) == (want.im is None)
+    assert got.im is None or (got.im.dtype == want.im.dtype and np.array_equal(got.im, want.im))
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_guards_past_loose_caps_decide_as_exact_bounds(gaussian):
+    S = _obj([[2 ** 31, 2 ** 31 + 1], [2 ** 31 + 1, 2 ** 31]], gaussian)
+    T = _obj([[1, -1], [-1, 1]])
+
+    def loose(scale):
+        """S T scaled: entries of size ``scale`` under a carried cap of about
+        2^32 ``scale``, as the product cancels."""
+        out = xla.matmul(S * scale, T)
+        assert out._bound is None and out._cap >= 2 ** 32 * scale
+        return out, np.dot(S * scale, T)
+
+    # each operation's caps reach 2^63 while its exact bounds stay far below
+    cases = [
+        (lambda a, b: xla.matmul(a, b), np.dot, 1, 1),
+        (lambda a, b: a * 2 ** 40 + b * 0, lambda a, b: a * 2 ** 40, 1, 1),
+        (operator.add, operator.add, 2 ** 30, 2 ** 30),
+        (operator.sub, operator.sub, 2 ** 30, 2 ** 30),
+        (lambda a, b: a * Fraction(1, 3) + b, lambda a, b: a / 3 + b, 1, 2 ** 30),
+        (lambda a, b: b - a * Fraction(1, 3), lambda a, b: b - a / 3, 1, 2 ** 30),
+    ]
+    for op, ref_op, sa, sb in cases:
+        (a, a_ref), (b, b_ref) = loose(sa), loose(sb)
+        got = op(a, b)
+        _assert_as_reference(got, ref_op(a_ref, b_ref))
+        assert got.num.dtype == np.int64
+        assert (a._bound, b._bound) != (None, None)    # the caps failed, exact bounds decided
+    (x, x_ref), (big, big_ref) = loose(1), loose(2 ** 30)
+    chain = xla.matmul(xla.matmul(x, x) * 2 ** 60 + big, x)
+    _assert_as_reference(chain, np.dot(np.dot(x_ref, x_ref) * 2 ** 60 + big_ref, x_ref))
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_guards_past_caps_and_bounds_widen(gaussian):
+    B = _obj([[2 ** 40, 1], [3, 2 ** 40]], gaussian)
+    b2, b2_ref = xla.matmul(B, B), np.dot(B, B)
+    eye = xla.eye_like(b2)
+    steps = [(b2, b2_ref), (xla.matmul(b2, B), np.dot(b2_ref, B)),
+             (b2 * 2 ** 30, b2_ref * 2 ** 30), (b2 + b2, b2_ref + b2_ref),
+             (b2 - b2 + eye, np.asarray(eye)),                     # back to int64
+             (b2 * Fraction(1, 2 ** 70) - b2, b2_ref / 2 ** 70 - b2_ref)]
+    for got, ref in steps:
+        _assert_as_reference(got, ref)
+    assert b2.num.dtype == object and steps[4][0].num.dtype == np.int64
+
+
+def test_moves_keep_bound_and_cap():
+    m = F.array([[1, -7, 2], [3, 0, 5]]) * Fraction(1, 2)
+    assert m.bound == 7
+    for out in (-m, m.reshape(-1), m.T, m.T.reshape(3, 2)):
+        assert out._bound == 7 and out._cap == 7
+    loose = xla.matmul(m, F.array([[1], [1], [1]]))
+    for out in (-loose, loose.reshape(-1), loose.T):
+        assert out._bound is None and out._cap == loose._cap
