@@ -76,12 +76,12 @@ class ScaledArray:
 
     def __init__(self, num, im=None, den=1, cap=None):
         num, den = np.asarray(num), int(den)
-        im = np.asarray(im) if im is not None and np.any(im) else None
+        im = np.asarray(im) if im is not None and np.count_nonzero(im) else None
         if den < 0:
             num, im, den = -num, _opt(np.negative, im), -den
-        g = 1 if den == 1 else math.gcd(den, int(np.gcd.reduce(num, axis=None)))
+        g = 1 if den == 1 else _gcd(den, num)
         if im is not None and g != 1:
-            g = math.gcd(g, int(np.gcd.reduce(im, axis=None)))
+            g = _gcd(g, im)
         if g != 1:
             num, im = _widen(num, im, g >= _LIMIT)       # a zero over a huge den
             num, im, den = num // g, _opt(operator.floordiv, im, g), den // g
@@ -91,18 +91,16 @@ class ScaledArray:
             self.num, self.im = _widen(num, im, True, np.int64 if self._below(_LIMIT) else object)
 
     @classmethod
-    def _of(cls, num, im, den, bound=None):
+    def _of(cls, num, im, den, bound, cap):
         """Wrap arrays that are already canonical."""
         out = object.__new__(cls)
-        out.num, out.im, out.den, out._bound, out._cap = num, im, den, bound, bound
+        out.num, out.im, out.den, out._bound, out._cap = num, im, den, bound, cap
         return out
 
     def _map(self, fn):
         """``fn`` applied to both parts; it moves entries or flips their signs,
         so the bound and the cap carry over."""
-        out = ScaledArray._of(fn(self.num), _opt(fn, self.im), self.den)
-        out._bound, out._cap = self._bound, self._cap
-        return out
+        return ScaledArray._of(fn(self.num), _opt(fn, self.im), self.den, self._bound, self._cap)
 
     @property
     def bound(self) -> int:
@@ -127,7 +125,8 @@ class ScaledArray:
     T = property(lambda self: self._map(np.transpose))
 
     def reshape(self, *shape):
-        return self._map(lambda a: a.reshape(*shape))
+        im = None if self.im is None else self.im.reshape(*shape)
+        return ScaledArray._of(self.num.reshape(*shape), im, self.den, self._bound, self._cap)
 
     def __neg__(self):
         return self._map(np.negative)
@@ -165,7 +164,7 @@ class ScaledArray:
         else:
             den = math.lcm(self.den, other.den)
             sa, sb = den // self.den, den // other.den
-        cap, wide = _guard(lambda x, y: max(x, 1) * sa + max(y, 1) * sb, self, other)
+        cap, wide = _guard(self, other, 0, sa, sb)
         (ar, ai), (br, bi) = _widen(self.num, self.im, wide), _widen(other.num, other.im, wide)
         if sa != 1 or sb != 1:
             ar, ai, br, bi = ar * sa, _opt(operator.mul, ai, sa), br * sb, _opt(operator.mul, bi, sb)
@@ -191,7 +190,7 @@ class ScaledArray:
         c = other if isinstance(other, GaussianRational) else GaussianRational(other)
         den = math.lcm(c.re.denominator, c.im.denominator)
         cr, ci = (x.numerator * (den // x.denominator) for x in (c.re, c.im))
-        cap, wide = _guard(lambda x: 2 * max(x, 1) * max(abs(cr), abs(ci)), self)
+        cap, wide = _guard(self, self, 0, 2 * max(abs(cr), abs(ci)))
         re, im = _cprod(operator.mul, *_widen(self.num, self.im, wide), cr, ci or None)
         return ScaledArray(re, im, self.den * den, cap)
 
@@ -222,25 +221,31 @@ class ScaledArray:
         return out.tolist()
 
 
-def _guard(cost, *mats):
-    """``(c, c >= 2**63)`` for ``c = cost(bounds of mats)``, ``cost`` monotone
-    in each bound.  It is tried on the carried caps first and on the exact
-    bounds (one pass each, cached) only when the caps' cost reaches the
-    limit, so the int64/object choice is the one the exact bounds make;
-    ``c`` is a cap for the result."""
-    c = cost(*[m.cap for m in mats])
-    if c >= _LIMIT:
-        c = cost(*[m.bound for m in mats])
+def _guard(a, b, terms, sa=0, sb=0):
+    """``(c, c >= 2**63)`` for ``c = terms x y + sa max(x, 1) + sb max(y, 1)``,
+    which bounds a product of ``a`` and ``b`` (``terms`` products an entry) or
+    a sum of multiples of them, ``x`` and ``y`` read on the carried caps first
+    and on the exact bounds (one pass each, cached) only when that reaches the
+    limit, so the int64/object choice is the one the exact bounds make."""
+    for attr in ("cap", "bound"):
+        x, y = getattr(a, attr), getattr(b, attr)
+        c = terms * x * y + sa * max(x, 1) + sb * max(y, 1)
+        if c < _LIMIT:
+            break
     return c, c >= _LIMIT
+
+
+def _gcd(g, a) -> int:
+    """gcd of ``g`` and every entry of ``a``; ``math.gcd`` over the entries
+    up to 32 of them (and on Python ints), where np.gcd.reduce costs more."""
+    if a.size > 32 and a.dtype != object:
+        return math.gcd(g, int(np.gcd.reduce(a, axis=None)))
+    return math.gcd(g, *a.ravel().tolist())
 
 
 def _absmax(a) -> int:
     # a[None] is never 0-d: np.abs of a 0-d object array is a bare int
     return int(np.abs(a[None]).max()) if a is not None and a.size else 0
-
-
-def _plus(x, y):
-    return y if x is None else x if y is None else x + y
 
 
 def _widen(re, im, wide, dtype=object):
@@ -299,8 +304,8 @@ def asexact(mat):
 
 def eye_like(mat):
     """The identity matching square ``mat`` in size and kind."""
-    n = mat.shape[0]
-    return ScaledArray._of(np.eye(n, dtype=np.int64), None, 1, min(n, 1)) if is_exact(mat) \
+    n, one = mat.shape[0], min(mat.shape[0], 1)
+    return ScaledArray._of(np.eye(n, dtype=np.int64), None, 1, one, one) if is_exact(mat) \
         else np.eye(n, dtype=np.complex128)
 
 
@@ -314,8 +319,8 @@ def matmul(a, b):
         if not (is_exact(a) and is_exact(b)):
             return np.dot(np.asarray(a), np.asarray(b))
         a, b = asexact(a), asexact(b)
-    terms = (2 if a.im is not None and b.im is not None else 1) * a.shape[-1]
-    cap, wide = _guard(lambda x, y: terms * x * y, a, b)
+    terms = (2 if a.im is not None and b.im is not None else 1) * a.num.shape[-1]
+    cap, wide = _guard(a, b, terms)
     re, im = _cprod(np.dot, *_widen(a.num, a.im, wide), *_widen(b.num, b.im, wide))
     return ScaledArray(re, im, a.den * b.den, cap)
 
@@ -352,11 +357,11 @@ def max_abs(mat) -> float:
 
 
 def is_zero_matrix(mat, tol: float = 0.0) -> bool:
+    if type(mat) is ScaledArray or is_exact(mat):
+        mat = asexact(mat)
+        return mat.im is None and not np.count_nonzero(mat.num)
     if mat.size == 0:
         return True
-    if is_exact(mat):
-        mat = asexact(mat)
-        return mat.im is None and not mat.num.any()
     return max_abs(mat) <= tol
 
 
@@ -372,8 +377,12 @@ def equal(a, b, tol: float = 0.0) -> bool:
     a, b = asexact(a), asexact(b)
     if a.den != b.den or (a.im is None) != (b.im is None):
         return False
-    return bool(np.array_equal(a.num, b.num)
-                and (a.im is None or np.array_equal(a.im, b.im)))
+    return _same(a.num, b.num) and (a.im is None or _same(a.im, b.im))
+
+
+def _same(x, y) -> bool:
+    """Whether integer arrays of one shape hold the same entries."""
+    return x.tobytes() == y.tobytes() if x.dtype == y.dtype == np.int64 else bool((x == y).all())
 
 
 def _eliminate(re, im):
@@ -407,8 +416,7 @@ def _eliminate(re, im):
         piv = (int(re[r, c]), None if im is None else int(im[r, c]))
         rows = _cprod(operator.mul, *piv, *take(rest))
         elim = _cprod(operator.mul, *take((rest, c, None)), *take(r))
-        re[rest], new_im = _divide(rows[0] - elim[0], _plus(rows[1], _opt(np.negative, elim[1])),
-                                   prev)
+        re[rest], new_im = _divide(rows[0] - elim[0], _opt(operator.sub, rows[1], elim[1]), prev)
         if im is not None:
             im[rest] = new_im
         prev = piv
@@ -503,17 +511,10 @@ def solve_in_image(A, b, rel_tol: float = 1e-10):
 
 def eval_poly(coeffs, mat):
     """Evaluate a polynomial (low-to-high Fraction coefficients) at a square
-    matrix, by Horner's rule.  On exact ``mat = K / d`` it runs on integers:
-    with coefficients ``R_i / D``, ``H <- H K + R_i d^(m-i) I`` from the top
+    exact matrix, by Horner's rule on integers: with ``mat = K / d`` and
+    coefficients ``R_i / D``, ``H <- H K + R_i d^(m-i) I`` from the top
     degree m down ends at ``H = D d^m p(mat)``."""
     n = mat.shape[0]
-    if not is_exact(mat):
-        out = np.zeros((n, n), complex)
-        for c in reversed([complex(float(c)) for c in coeffs] or [0]):
-            out = matmul(out, mat)
-            for i in range(n):
-                out[i, i] = out[i, i] + c
-        return out
     mat = asexact(mat)
     cs = [Fraction(c) for c in coeffs] or [Fraction(0)]
     scale, top = math.lcm(*(c.denominator for c in cs)), len(cs) - 1

@@ -93,7 +93,8 @@ class Form:
     components: dict
 
     def __post_init__(self):
-        self.components = {n: exactla.asexact(v) for n, v in self.components.items()}
+        self.components = {n: v if type(v) is exactla.ScaledArray or v.dtype == np.complex128
+                           else exactla.asexact(v) for n, v in self.components.items()}
 
     def component(self, n, window=None):
         if n in self.components:
@@ -169,6 +170,7 @@ class FormsWindow:
         self._ops = None
         self._spectral_cache = {}
         self._right = {}        # degree -> R block of multiply_forms
+        self._merges = {}       # _lift's unit (one per part) -> inner_1, .. built so far
         self._cokernels = {}    # (name, degree) -> left null basis of that block
 
     # -- bookkeeping -----------------------------------------------------------
@@ -180,7 +182,8 @@ class FormsWindow:
 
     def zero_vector(self, n):
         self.check_degree(n)
-        return exactla.asexact(np.zeros(self.degree_dims[n], dtype=self.field.dtype))
+        zeros = np.zeros(self.degree_dims[n], np.int64 if self.field.exact else complex)
+        return exactla.ScaledArray._of(zeros, None, 1, 0, 0) if self.field.exact else zeros
 
     def basis_form(self, n, idx) -> Form:
         self.check_degree(n)
@@ -236,7 +239,8 @@ def multiply_forms(window: FormsWindow, u: Form, v: Form) -> Form:
     out = {}
     for p, up in u.components.items():
         if p not in window._right:
-            window._right[p] = _lift(window, lambda c, _one: {p: _right_block(c, p)})[p]
+            window._right[p] = _lift(window, lambda c, one: {
+                p: _right_block(c, p, window._merges.setdefault(one, []))})[p]
         ue = exactla.matmul(window._right[p], up).reshape(-1, d)
         for q, vq in v.components.items():
             res = exactla.matmul(ue, vq.reshape(d, -1)).reshape(-1)
@@ -259,20 +263,23 @@ def _rotate(block, e, rest):
     return block.reshape(rows, e, rest).transpose(0, 2, 1).reshape(rows, e * rest)
 
 
-def _merges(c, top):
-    """inner_1 .. inner_top, the slot merges of b, added in ascending slot order."""
+def _merges(c, top, out):
+    """inner_1 .. inner_top, the slot merges of b, added in ascending slot
+    order to ``out``, which holds the first ones when they were built before."""
     d, e = c.shape[0], c.shape[0] - 1
     bar = c[1:, 1:, 1:].reshape(e * e, e).T
-    out = [c[:, 1:].reshape(-1, d).T]
-    for n in range(2, top + 1):
+    if not out:
+        out.append(c[:, 1:].reshape(-1, d).T)
+    for n in range(len(out) + 1, top + 1):
         out.append(_kron(out[-1], np.eye(e, dtype=c.dtype))
                    + _kron(np.eye(d * e ** (n - 2), dtype=c.dtype), (-1) ** (n - 1) * bar))
     return out
 
 
-def _operator_blocks(c, one, n_max):
+def _operator_blocks(c, one, n_max, merges):
     """The d, b and k blocks of degrees 0..n_max, keyed (name, degree), from the
-    unit-first structure tensor ``c``; ``one`` is the value of the unit."""
+    unit-first structure tensor ``c``; ``one`` is the value of the unit, and
+    ``merges`` the window's slot merges for this part (see ``_merges``)."""
     d, e = c.shape[0], c.shape[0] - 1
     unit = np.eye(d, dtype=c.dtype)
     proj, e0 = unit[1:], unit[:, :1]
@@ -280,7 +287,7 @@ def _operator_blocks(c, one, n_max):
     turn = _kron(unit[:, 1:], proj) * one - _kron(e0, wrap[1:])
     insert = _kron(e0 * one, proj)
     blocks = {("k", 0): unit * one}
-    for n, inner in enumerate(_merges(c, n_max), start=1):
+    for n, inner in enumerate(_merges(c, n_max, merges)[:n_max], start=1):
         sign, eye, rest = (-1) ** n, np.eye(e ** (n - 1), dtype=c.dtype), d * e ** (n - 1)
         blocks["d", n - 1] = _kron(insert, eye)
         blocks["b", n] = inner + _rotate(_kron(sign * wrap, eye), e, rest)
@@ -288,12 +295,13 @@ def _operator_blocks(c, one, n_max):
     return blocks
 
 
-def _right_block(c, p):
-    """R[p] from the structure tensor; its j >= 1 columns are (-1)^p inner_{p+1}."""
+def _right_block(c, p, merges):
+    """R[p] from the structure tensor; its j >= 1 columns are (-1)^p inner_{p+1},
+    read from (and added to) ``merges``, the slot merges built so far."""
     d, e = c.shape[0], c.shape[0] - 1
     dim = d * e ** p
     block = np.zeros((dim, dim, d), dtype=c.dtype)
-    block[:, :, 1:] = ((-1) ** p * _merges(c, p + 1)[-1]).reshape(dim, dim, e)
+    block[:, :, 1:] = ((-1) ** p * _merges(c, p + 1, merges)[p]).reshape(dim, dim, e)
     block[:, :, 0] = c[:, 0].T if p == 0 else _kron(
         np.eye(d * e ** (p - 1), dtype=c.dtype), c[1:, 0, 1:].T)
     return block.transpose(0, 2, 1).reshape(dim * d, dim)
@@ -319,7 +327,8 @@ def operator_matrices(window: FormsWindow) -> dict:
     if window._ops is not None:
         return window._ops
     n_max = window.n_max
-    blocks = _lift(window, lambda c, one: _operator_blocks(c, one, n_max))
+    blocks = _lift(window, lambda c, one: _operator_blocks(
+        c, one, n_max, window._merges.setdefault(one, [])))
     d_blocks = {n: blocks["d", n] for n in range(n_max)}
     b_blocks = {n: blocks["b", n] for n in range(1, n_max + 1)}
     k_blocks = {n: blocks["k", n] for n in range(n_max + 1)}

@@ -24,18 +24,17 @@ polynomial in ``k`` as ``P`` is (Cuntz-Quillen 1995): ``G = s(k)`` with
 same Horner rule on the integer block, with no matrix inverse.  Float
 windows invert ``(1-k) + P`` with LAPACK.
 
-Exact blocks, ``P``, ``P_perp``, ``G`` and form vectors are all
-``exactla.ScaledArray`` values, so :func:`hodge_split` multiplies them with
-no conversion.
-
-``G`` splits the complement into complementary idempotent pieces ``G d b``
-(image inside Im d) and ``G b d`` (image inside Im b), giving per-degree
-decompositions of any form into harmonic + d-part + b-part.  On exact
-windows :func:`hodge_split` and :func:`spectral_report` prove that the
-d-part lies in Im d and the b-part in Im b by ``Y v = 0``, with ``Y`` the
-block's left null basis (``exactla.left_null``); each block's ``Y`` is
-eliminated on its first nonzero test and then kept on the window, so later
-tests on that block are one integer product.  Float windows solve least
+``G`` splits the complement into the complementary idempotent split
+projectors ``X = (G db) P_perp`` (image inside Im d, zero at degree 0) and
+``Y = (G bd) P_perp`` (image inside Im b), formed and cached with ``P`` and
+``G``.  :func:`hodge_split` splits a form as ``P v + X v + Y v``: three
+products per degree (two at degree 0), on exact windows all between
+``exactla.ScaledArray`` values.  On exact windows :func:`hodge_split`, on
+every call, and :func:`spectral_report` prove that the d-part lies in Im d
+and the b-part in Im b by ``C v = 0``, with ``C`` the block's left null
+basis (``exactla.left_null``); each block's ``C`` is eliminated on its
+first nonzero test and then kept on the window, so later tests on that
+block are one integer product.  Float windows solve least
 squares per test (``exactla.solve_in_image``).  The rescaled
 Laplacian ``L = b(Nd) + (Nd)b`` vanishes on the harmonic space and is
 invertible on the complement, which is what makes the split well posed.
@@ -57,10 +56,15 @@ from .forms import Form, FormsWindow, operator_matrices
 
 @dataclass
 class SpectralData:
+    """One degree's ``P``, ``P_perp = 1 - P``, ``G`` and the split projectors
+    ``X = (G db) P_perp`` and ``Y = (G bd) P_perp``: ``v = P v + X v + Y v``."""
+
     degree: int
     P: np.ndarray
     P_perp: np.ndarray
     G: np.ndarray = None
+    X: np.ndarray = None
+    Y: np.ndarray = None
 
 
 def _k_block(window, degree):
@@ -154,7 +158,11 @@ def greens_operator(window: FormsWindow, degree: int) -> SpectralData:
         raise SingularOnComplement(
             f"Green's operator fails G(1-k) = 1-P at degree {degree}",
             degree=degree, residual=exactla.max_abs(gm - data.P_perp))
+    ops = operator_matrices(window)
     data.G = G
+    data.X = matmul(matmul(G, ops["db"].blocks[degree]), data.P_perp) if degree \
+        else exactla.eye_like(data.P_perp) * 0
+    data.Y = matmul(matmul(G, ops["bd"].blocks[degree]), data.P_perp)
     return data
 
 
@@ -169,8 +177,8 @@ def spectral_data(window: FormsWindow, degree: int) -> SpectralData:
 
 def _in_image(window: FormsWindow, name: str, degree: int, vecs) -> bool:
     """Whether every column of ``vecs`` lies in the image of the ``name``
-    block of source degree ``degree``.  Exact windows test ``Y vecs = 0``
-    against the block's left null basis ``Y``, eliminated on the first
+    block of source degree ``degree``.  Exact windows test ``C vecs = 0``
+    against the block's left null basis ``C``, eliminated on the first
     nonzero test and kept on the window; float ones solve least squares."""
     block = operator_matrices(window)[name].blocks[degree]
     if not window.field.exact:
@@ -186,25 +194,18 @@ def _in_image(window: FormsWindow, name: str, degree: int, vecs) -> bool:
 def hodge_split(window: FormsWindow, form: Form, verify: bool = True):
     """Split a form, degree by degree, into harmonic + d-part + b-part.
 
-    Valid on degrees up to the window top minus one.  Returns three forms
-    whose sum is the input; the d-part lies in the image of ``d`` and the
-    b-part in the image of ``b`` (checked when ``verify`` is set).
+    Valid on degrees up to the window top minus one.  Returns the forms
+    ``P v``, ``X v`` and ``Y v``, whose sum is the input; the d-part lies in
+    Im ``d`` and the b-part in Im ``b`` (checked when ``verify`` is set).
     """
-    ops = operator_matrices(window)
-    D, B = ops["d"].blocks, ops["b"].blocks
     exact = window.field.exact
     harm, dpart, bpart = {}, {}, {}
     for n, vec in form.components.items():
         window.check_degree(n, top=window.n_max - 1)
         data = spectral_data(window, n)
-        rest = matmul(data.P_perp, vec)
         harm[n] = matmul(data.P, vec)
-        if n >= 1:
-            dn = matmul(data.G, matmul(D[n - 1], matmul(B[n], rest)))
-        else:
-            dn = window.zero_vector(0)
-        bn = matmul(data.G, matmul(B[n + 1], matmul(D[n], rest)))
-        dpart[n], bpart[n] = dn, bn
+        dpart[n] = dn = matmul(data.X, vec) if n else window.zero_vector(0)
+        bpart[n] = bn = matmul(data.Y, vec)
         if verify:
             tol = 0.0 if exact else 1e-9 * max(1.0, exactla.max_abs(vec))
             if not exactla.equal(harm[n] + dn + bn, vec, tol):
@@ -285,7 +286,6 @@ def spectral_report(window: FormsWindow, degrees=None, *, cluster_tol=1e-8,
     invariant the decomposition is supposed to satisfy."""
     ops = operator_matrices(window)
     D, B, K = ops["d"].blocks, ops["b"].blocks, ops["k"].blocks
-    BD, DB = ops["bd"].blocks, ops["db"].blocks
     n_max = window.n_max
     if degrees is None:
         degrees = range(n_max)
@@ -295,7 +295,7 @@ def spectral_report(window: FormsWindow, degrees=None, *, cluster_tol=1e-8,
     all_ok = True
     for n in degrees:
         data = spectral_data(window, n)
-        P, Pp, G = data.P, data.P_perp, data.G
+        P, Pp, G, Xc, Yc = data.P, data.P_perp, data.G, data.X, data.Y
         dim = window.degree_dims[n]
         omk = exactla.eye_like(K[n]) - K[n]
         omk2 = matmul(omk, omk)
@@ -312,8 +312,6 @@ def spectral_report(window: FormsWindow, degrees=None, *, cluster_tol=1e-8,
             return {"exact_zero": bool(exactla.is_zero_matrix(mat)),
                     "max_abs": exactla.max_abs(mat)}
 
-        Xc = matmul(matmul(G, DB[n]), Pp) if n >= 1 else exactla.eye_like(Pp) * 0
-        Yc = matmul(matmul(G, BD[n]), Pp)
         residuals = {
             "P_idempotent": res(matmul(P, P) - P),
             "P_commutes_k": res(matmul(P, K[n]) - matmul(K[n], P)),

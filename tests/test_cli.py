@@ -1,10 +1,12 @@
 """End-to-end command line checks: exit codes, report files, determinism."""
 
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from nchodge import cli, reporting
+from nchodge import cli, exactla, reporting, spectral
 from nchodge.errors import InputError
 from nchodge.foliation import builtin_model, resolve_phi
 from nchodge.gv import builtin_omega, gv_report
@@ -77,6 +79,43 @@ def test_nonintegrable_is_exit_one(capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().err)
     assert payload["code"] == "tangential/NotIntegrable"
+
+
+def _shift_first(value):
+    """A k-block corruption adding ``value`` to its (0, 0) entry."""
+    def corrupt(block):
+        bump = np.zeros(block.shape, dtype=object if exactla.is_exact(block) else complex)
+        bump[0, 0] = value
+        return block + bump
+    return corrupt
+
+
+@pytest.mark.parametrize("scalar,degree,corrupt,code", [
+    # (k^n - 1)(k^(n+1) - 1) no longer annihilates k
+    ("rational", 1, _shift_first(Fraction(1, 3)), "spectral/PolynomialRelationViolated"),
+    # k = diag(2, 1, 1) at degree 0 makes (1 - k) + P singular
+    ("float", 0, _shift_first(1.0), "spectral/SingularOnComplement"),
+    # an eigenvalue 1e-7 from 1, inside the cluster tolerance band
+    ("float", 0, _shift_first(1e-7), "spectral/NumericalRankAmbiguous"),
+    # an eigenvalue 3, no root of unity
+    ("rational", 0, _shift_first(Fraction(2)), "spectral/NonUnitRootEigenvalue"),
+])
+def test_spectral_errors_on_a_corrupted_k_block(monkeypatch, capsys, scalar, degree,
+                                                corrupt, code):
+    real = spectral.operator_matrices
+
+    def corrupted(window):
+        fresh = window._ops is None
+        ops = real(window)
+        if fresh:
+            ops["k"].blocks[degree] = corrupt(ops["k"].blocks[degree])
+        return ops
+
+    monkeypatch.setattr(spectral, "operator_matrices", corrupted)
+    assert run(["spectral", "--algebra", "z3", "--nmax", "3", "--scalar", scalar]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["kind"] == "error" and payload["code"] == code
+    assert payload["context"]["degree"] == degree
 
 
 def test_witten_sweep_with_taus(tmp_path):

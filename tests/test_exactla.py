@@ -422,6 +422,33 @@ def test_eval_poly_matches_sympy_horner(gaussian):
     assert np.asarray(xla.eval_poly([], F.array([[1, 0], [0, 1]]))).tolist() == [[0, 0], [0, 0]]
 
 
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_eval_poly_past_int64_matches_fraction_horner(gaussian):
+    # mat = K / 3**25: the Horner step adds c * den**(top - i) * I, which
+    # passes 2**63 from the top degree down, so the integer H must widen
+    den, n = 3 ** 25, 4
+    rng = np.random.default_rng(24)
+    num = rng.integers(-5, 6, (n, n))
+    num[0, 0] = 1
+    im = rng.integers(-5, 6, (n, n)) if gaussian else None
+    mat = xla.ScaledArray(num, im, den)
+    assert mat.den == den and mat.num.dtype == np.int64
+    coeffs = [Fraction(1, 2), Fraction(-3), Fraction(5, 7), Fraction(2), Fraction(-1, 3)]
+    got = xla.eval_poly(coeffs, mat)
+    _assert_canonical(got)
+    assert got.num.dtype == object
+    zero = GaussianRational(0) if gaussian else Fraction(0)
+    ref, eye = np.full((n, n), zero, dtype=object), np.eye(n, dtype=int).astype(object)
+    for c in reversed(coeffs):
+        ref = np.dot(ref, np.asarray(mat)) + eye * c
+    want = xla.asexact(ref)
+    assert got.den == want.den
+    assert got.num.tolist() == want.num.tolist()
+    assert (got.im is None) == (not gaussian)
+    assert (None if got.im is None else got.im.tolist()) == \
+        (None if want.im is None else want.im.tolist())
+
+
 def test_object_path_past_int64_and_back():
     big = 2 ** 25
     a = xla.asexact(np.array([[big, 1], [0, big]], dtype=object))

@@ -292,9 +292,9 @@ def test_right_blocks_built_once_per_degree_and_only_by_products(monkeypatch):
     calls = Counter()
     real = nc_forms._right_block
 
-    def counting(c, p):
+    def counting(c, p, merges):
         calls[p] += 1
-        return real(c, p)
+        return real(c, p, merges)
 
     monkeypatch.setattr(nc_forms, "_right_block", counting)
     w = nc.build_window(nc.builtin_algebra("z3"), 3)
@@ -307,6 +307,59 @@ def test_right_blocks_built_once_per_degree_and_only_by_products(monkeypatch):
             for q in range(w.n_max - p + 1):
                 nc.multiply_forms(w, _random_form(w, rng, p), _random_form(w, rng, q))
     assert calls == Counter(range(w.n_max + 1))
+
+
+def test_slot_merges_built_once_per_window(monkeypatch):
+    built = Counter()
+    real = nc_forms._merges
+
+    def counting(c, top, out):
+        before = len(out)
+        result = real(c, top, out)
+        built.update(range(before + 1, len(out) + 1))
+        return result
+
+    monkeypatch.setattr(nc_forms, "_merges", counting)
+    w = nc.build_window(nc.builtin_algebra("z3"), 3)
+    nc.operator_matrices(w)
+    assert built == Counter(range(1, w.n_max + 1))
+    rng = np.random.default_rng(9)
+    for p in range(w.n_max + 1):
+        for q in range(w.n_max - p + 1):
+            nc.multiply_forms(w, _random_form(w, rng, p), _random_form(w, rng, q))
+    # R[p] reads inner_(p+1): the products add inner_(n_max+1) and reuse the rest
+    assert built == Counter(range(1, w.n_max + 2))
+
+
+def test_operator_blocks_ignore_merges_the_products_built_first():
+    w = nc.build_window(nc.builtin_algebra("z3"), 3)
+    rng = np.random.default_rng(9)
+    nc.multiply_forms(w, _random_form(w, rng, w.n_max), _random_form(w, rng, 0))
+    assert [len(merges) for merges in w._merges.values()] == [w.n_max + 1]
+    fresh = nc.build_window(nc.builtin_algebra("z3"), 3)
+
+    def blocks(window):
+        return nc_forms._lift(window, lambda c, one: nc_forms._operator_blocks(
+            c, one, window.n_max, window._merges.setdefault(one, [])))
+
+    got, want = blocks(w), blocks(fresh)
+    assert sorted(got) == sorted(want)
+    assert all(exactla.equal(got[key], want[key]) for key in want)
+
+
+@pytest.mark.parametrize("mode", ["rational", "gaussian", "float"])
+def test_zero_vector_matches_the_object_array_route(mode):
+    w = nc.build_window(nc.builtin_algebra("z3", mode), 3)
+    for n in range(w.n_max + 1):
+        got = w.zero_vector(n)
+        old = exactla.asexact(np.zeros(w.degree_dims[n], dtype=w.field.dtype))
+        if mode == "float":
+            assert got.dtype == old.dtype == np.complex128 and not got.any()
+            assert got.shape == old.shape
+            continue
+        assert type(got) is exactla.ScaledArray
+        assert (got.den, got.im, got.num.dtype, got.num.tolist(), got.bound, got.cap) \
+            == (old.den, old.im, old.num.dtype, old.num.tolist(), old.bound, old.cap)
 
 
 def test_float_blocks_hold_no_negative_zero():

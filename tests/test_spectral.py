@@ -5,6 +5,7 @@ import nchodge as nc
 from nchodge import exactla, spectral
 from nchodge.scalars import GaussianRational
 from nchodge.spectral import admissible_roots
+from test_forms import _algebra
 
 
 @pytest.fixture(scope="module")
@@ -157,3 +158,99 @@ def test_second_split_at_a_degree_eliminates_nothing(monkeypatch):
     assert harm + dpart + bpart == forms[1]
     assert not dpart.is_zero() and not bpart.is_zero()
     assert calls == []
+
+
+def _random_vector(w, rng, degree, scale=3):
+    size = w.degree_dims[degree]
+    re = rng.integers(-scale, scale + 1, size)
+    if w.field.mode == "gaussian":
+        im = rng.integers(-scale, scale + 1, size)
+        return w.field.array([GaussianRational(int(a), int(b)) for a, b in zip(re, im)])
+    if w.field.mode == "float":
+        return re + 1j * rng.integers(-scale, scale + 1, size)
+    return w.field.array([int(c) for c in re])
+
+
+def _fields(mat):
+    """The canonical fields of an exact array."""
+    return (mat.den, mat.num.dtype, mat.num.tolist(),
+            None if mat.im is None else mat.im.tolist())
+
+
+def _chains(w, n, vec):
+    """The split of ``vec`` through the operator chains themselves:
+    P v, G D B P_perp v and G B D P_perp v."""
+    ops, data, mm = nc.operator_matrices(w), nc.spectral_data(w, n), exactla.matmul
+    D, B = ops["d"].blocks, ops["b"].blocks
+    rest = mm(data.P_perp, vec)
+    dn = mm(data.G, mm(D[n - 1], mm(B[n], rest))) if n else None
+    return mm(data.P, vec), dn, mm(data.G, mm(B[n + 1], mm(D[n], rest)))
+
+
+@pytest.mark.parametrize("name,mode,n_max", [
+    ("z3", "rational", 4), ("m2", "rational", 2), ("t2", "gaussian", 2),
+    ("two-points", "rational", 6), ("two-points", "gaussian", 6)])
+def test_split_pieces_equal_the_operator_chains(name, mode, n_max):
+    w = nc.build_window(_algebra(name, mode), n_max)
+    rng = np.random.default_rng(23)
+    nonzero = set()
+    for n in range(n_max):
+        vec = _random_vector(w, rng, n)
+        harm, dpart, bpart = nc.hodge_split(w, nc.Form({n: vec}))
+        want_h, want_d, want_b = _chains(w, n, vec)
+        assert _fields(harm.components[n]) == _fields(want_h)
+        assert _fields(bpart.components[n]) == _fields(want_b)
+        if n:
+            assert _fields(dpart.components[n]) == _fields(want_d)
+        else:
+            assert exactla.is_zero_matrix(dpart.components[0])
+        nonzero |= {piece for piece, form in (("d", dpart), ("b", bpart)) if not form.is_zero()}
+    assert "b" in nonzero and ("d" in nonzero or n_max == 2)
+
+
+@pytest.mark.parametrize("name,n_max", [("z3", 4), ("m2", 2), ("two-points", 6)])
+def test_float_split_resums_within_the_verify_tolerance(name, n_max):
+    w = nc.build_window(nc.builtin_algebra(name, "float"), n_max)
+    rng = np.random.default_rng(29)
+    for n in range(n_max):
+        vec = _random_vector(w, rng, n)
+        tol = 1e-9 * max(1.0, exactla.max_abs(vec))
+        harm, dpart, bpart = (f.components[n] for f in nc.hodge_split(w, nc.Form({n: vec})))
+        assert exactla.max_abs(harm + dpart + bpart - vec) <= tol
+        for got, want in zip((harm, dpart, bpart), _chains(w, n, vec)):
+            assert want is None or exactla.max_abs(got - want) <= tol
+
+
+def test_split_takes_three_products_per_degree(monkeypatch):
+    w = nc.build_window(nc.builtin_algebra("z3"), 4)
+    rng = np.random.default_rng(31)
+    form = nc.Form({n: _random_vector(w, rng, n) for n in range(4)})
+    nc.hodge_split(w, form)                       # spectral data and cokernels
+    real, calls = spectral.matmul, []
+
+    def counting(a, b):
+        calls.append(a.shape)
+        return real(a, b)
+
+    monkeypatch.setattr(spectral, "matmul", counting)
+    nc.hodge_split(w, form, verify=False)
+    assert len(calls) == 2 + 3 * 3
+    calls.clear()
+    _, dpart, bpart = nc.hodge_split(w, form)
+    # verify adds one membership product per nonzero d- and b-piece
+    pieces = list(dpart.components.values()) + list(bpart.components.values())
+    assert len(calls) == 2 + 3 * 3 + sum(not exactla.is_zero_matrix(v) for v in pieces)
+
+
+def test_split_of_a_form_past_int64_takes_the_object_path():
+    w = nc.build_window(nc.builtin_algebra("z3"), 4)
+    rng = np.random.default_rng(37)
+    vec = w.field.array([int(c) * 2 ** 60 + 1 for c in rng.integers(-7, 8, w.degree_dims[2])])
+    data = nc.spectral_data(w, 2)
+    assert data.X.cap * vec.cap * vec.size >= 2 ** 63
+    parts = [f.components[2] for f in nc.hodge_split(w, nc.Form({2: vec}))]
+    assert {p.num.dtype for p in parts} == {np.dtype(object)}
+    for got, proj in zip(parts, (data.P, data.X, data.Y)):
+        want = exactla.asexact(np.dot(np.asarray(proj), np.asarray(vec)))
+        assert _fields(got) == _fields(want)
+    assert _fields(parts[0] + parts[1] + parts[2]) == _fields(vec)
