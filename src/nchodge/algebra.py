@@ -113,10 +113,13 @@ def make_algebra(dim, basis_labels, structure, unit, scalar_mode=RATIONAL, *,
     if u.shape != (dim,):
         raise ShapeMismatch(f"unit has shape {u.shape}, expected ({dim},)")
     if not field.exact:
+        # the checks multiply three entries (their tolerance scales as the
+        # cube of the largest), so every cube must be finite as well
         for key, arr in (("unit", u), ("mul", c)):
-            bad = np.argwhere(~np.isfinite(arr)).tolist()
+            bad = np.argwhere(~(np.abs(arr) < 2.0 ** 340)).tolist()
             if bad:
-                raise NonFiniteEntry(f"algebra {key} has a non-finite entry at {bad[0]}",
+                raise NonFiniteEntry(f"algebra {key} has an entry at {bad[0]} that is not "
+                                     "finite or whose cube is not",
                                      key=key, index=bad[0])
 
     if check:
@@ -138,7 +141,7 @@ def make_algebra(dim, basis_labels, structure, unit, scalar_mode=RATIONAL, *,
         change_inv = exactla.inverse(change)
     except (ValueError, np.linalg.LinAlgError):
         raise UnitViolation("unit cannot be pivoted into the basis",
-                            unit=[str(v) for v in u])
+                            unit=field.matrix_to_json(u))
 
     # unit-first products in unit-first coords, norm[a, b, m] = sum_ijk C[i, a]
     # C[j, b] c[i, j, k] Cinv[m, k], one axis per product; transposing an
@@ -206,15 +209,14 @@ def load_algebra(source, scalar_mode=None) -> Algebra:
     else:
         data, default_name = dict(source), "algebra"
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
         basis = data["basis"]
         unit_json = data["unit"]
         mul_json = data["mul"]
     except KeyError as exc:
         raise ShapeMismatch(f"algebra file is missing key {exc}") from None
-    except (TypeError, ValueError):
-        raise ShapeMismatch(f"algebra key 'dim' is not an integer: {data['dim']!r}",
-                            key="dim") from None
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ShapeMismatch(f"algebra key 'dim' is not an integer: {dim!r}", key="dim")
     if not isinstance(basis, list):
         raise ShapeMismatch(f"algebra key 'basis' is not a list: {basis!r}", key="basis")
     name = data.get("name", default_name)

@@ -187,9 +187,9 @@ class ScaledArray:
         """Product with an int, Fraction or GaussianRational scalar."""
         if not isinstance(other, (int, Fraction, GaussianRational)):
             return NotImplemented
-        c = other if isinstance(other, GaussianRational) else GaussianRational(other)
-        den = math.lcm(c.re.denominator, c.im.denominator)
-        cr, ci = (x.numerator * (den // x.denominator) for x in (c.re, c.im))
+        parts = (other.re, other.im) if isinstance(other, GaussianRational) else (other, 0)
+        den = math.lcm(*(x.denominator for x in parts))
+        cr, ci = (x.numerator * (den // x.denominator) for x in parts)
         cap, wide = _guard(self, self, 0, 2 * max(abs(cr), abs(ci)))
         re, im = _cprod(operator.mul, *_widen(self.num, self.im, wide), cr, ci or None)
         return ScaledArray(re, im, self.den * den, cap)
@@ -210,7 +210,7 @@ class ScaledArray:
     def to_json(self, gaussian=False):
         """Nested lists of reduced ``[num, den]`` pairs, one per entry
         (``[[re_num, re_den], [im_num, im_den]]`` when ``gaussian``), the
-        JSON scalars that ``ScalarField.from_json`` reads back."""
+        JSON scalars that ``ScalarField.matrix_from_json`` reads back."""
         def pairs(num):
             g = np.gcd(_widen(num, None, self.den >= _LIMIT)[0], self.den)
             return np.stack([num // g, self.den // g], axis=-1)
@@ -282,17 +282,23 @@ def from_object(arr) -> ScaledArray:
     """The exact array of an object array (or scalar) of int, Fraction and
     GaussianRational entries."""
     arr = np.asarray(arr, dtype=object)
-    flat = arr.reshape(-1).tolist()
-    index = [i for i, v in enumerate(flat) if v]
-    parts = [(v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
-             for v in map(flat.__getitem__, index)]
+    return from_pairs([(v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
+                       for v in arr.reshape(-1).tolist()], arr.shape)
+
+
+def from_pairs(pairs, shape) -> ScaledArray:
+    """The exact array of ``shape`` whose entries, row-major, are the
+    ``(re, im)`` pairs of ints and Fractions ``pairs``, over the lcm of
+    their denominators."""
+    index = [i for i, (re, im) in enumerate(pairs) if re or im]
+    parts = [pairs[i] for i in index]
     den = math.lcm(*(x.denominator for pair in parts for x in pair))
     ints = [[x.numerator * (den // x.denominator) for x in part] for part in zip(*parts)]
     top = max(map(abs, sum(ints, [])), default=0)
-    out = [np.zeros(arr.size, dtype=object if top >= _LIMIT else np.int64) for _ in range(2)]
+    out = [np.zeros(len(pairs), dtype=object if top >= _LIMIT else np.int64) for _ in range(2)]
     for part, terms in zip(out, ints):
         part[index] = terms
-    return ScaledArray(out[0].reshape(arr.shape), out[1].reshape(arr.shape), den, top)
+    return ScaledArray(out[0].reshape(shape), out[1].reshape(shape), den, top)
 
 
 def asexact(mat):

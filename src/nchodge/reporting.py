@@ -2,9 +2,9 @@
 
 Reports are plain dicts assembled in a fixed order by the computation
 code; serialization sorts keys and uses shortest round-trip floats, so a
-fixed seed and configuration produce byte-identical files.  Exact scalars
-(Fraction / Gaussian-rational entries) serialize as [num, den] pairs via
-their field's to_json; no timestamps or machine identifiers ever enter a
+fixed seed and configuration produce byte-identical files.  Exact values
+enter a report already as JSON ([num, den] pairs from their field's
+``matrix_to_json``); no timestamps or machine identifiers ever enter a
 report.  One recursive pass converts values where it meets them and writes
 what ``json.dumps(..., indent=2, sort_keys=True, allow_nan=False)`` gives
 for the converted report: strings quoted by json's C encoder, a list of
@@ -17,11 +17,8 @@ import csv
 import io
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
-
-from .scalars import GaussianRational
 
 SCHEMA_VERSION = 1
 _quote = json.encoder.encode_basestring_ascii
@@ -76,12 +73,8 @@ def _write(obj, out, nl):
 
 
 def _convert(obj):
-    """A numpy value or exact scalar as the plain value it is written as
-    ([num, den] for exact values, [re, im] for complex)."""
-    if isinstance(obj, Fraction):
-        return [int(obj.numerator), int(obj.denominator)]
-    if isinstance(obj, GaussianRational):
-        return [_convert(obj.re), _convert(obj.im)]
+    """A complex or numpy value as the plain value it is written as ([re, im]
+    for complex)."""
     if isinstance(obj, (complex, np.complexfloating)):
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, (np.bool_, np.integer)):

@@ -1,17 +1,18 @@
-"""Scalar arithmetic for the three supported coefficient modes.
+"""Scalar modes, and the exact scalars at the edges of the program.
 
-* ``rational``  -- exact :class:`fractions.Fraction` scalars,
+* ``rational``  -- exact rationals,
 * ``gaussian``  -- exact Gaussian rationals ``a + b*i`` with rational parts,
 * ``float``     -- machine ``complex128``.
 
 A mode's arrays -- algebra data from JSON parse to report, operator blocks,
 spectral matrices and form vectors -- are scaled-integer arrays
 (``exactla.ScaledArray``) in the exact modes and ``complex128`` in float
-mode.  ``Fraction`` and :class:`GaussianRational` objects are single
-scalars: one JSON entry as it is parsed, one entry read out of an exact
-array, a factor of ``Form.scale``.  :class:`ScalarField` bundles what a mode
-needs: zero/one constants, coercion, and JSON parsing and serialization
-([num, den] pairs in the exact modes, [re, im] in float mode).
+mode, and every exact operation runs on them.  ``Fraction`` and
+:class:`GaussianRational` objects are single values at the edges: a scalar
+given to :meth:`ScalarField.coerce` or ``Form.scale``, one entry read out of
+an exact array.  :class:`ScalarField` bundles what a mode needs: coercion,
+and JSON parsing and serialization ([num, den] pairs in the exact modes,
+[re, im] in float mode).
 """
 
 from __future__ import annotations
@@ -27,7 +28,11 @@ MODES = (RATIONAL, GAUSSIAN, FLOAT)
 
 
 class GaussianRational:
-    """Exact complex scalar with rational real and imaginary parts."""
+    """Exact complex value with rational real and imaginary parts.
+
+    It compares equal to Gaussian rationals, ints and Fractions of the same
+    value and converts to complex; it has no arithmetic, which runs on
+    ``exactla.ScaledArray``."""
 
     __slots__ = ("re", "im")
 
@@ -35,72 +40,12 @@ class GaussianRational:
         self.re = re if type(re) is Fraction else Fraction(re)
         self.im = im if type(im) is Fraction else Fraction(im)
 
-    @staticmethod
-    def _wrap(other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
-    def __add__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        n2 = o.re * o.re + o.im * o.im
-        if n2 == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational((self.re * o.re + self.im * o.im) / n2,
-                                (self.im * o.re - self.re * o.im) / n2)
-
-    def __rtruediv__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
     def __eq__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.re == other and self.im == 0
+        return NotImplemented
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
@@ -110,11 +55,6 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        return f"({self.re}+{self.im}i)"
 
 
 def _as_fraction(value) -> Fraction:
@@ -129,15 +69,28 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot coerce {value!r} into an exact rational")
 
 
-def _ratio(obj):
-    """A JSON [num, den] pair of numbers as a Fraction; None for anything else."""
-    if isinstance(obj, list) and len(obj) == 2 and all(isinstance(x, (int, float)) for x in obj):
-        return Fraction(_as_fraction(obj[0]), _as_fraction(obj[1]))
-    return None
+# -- JSON scalars: booleans are not numbers --------------------------------
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_pair(x) -> bool:
+    return isinstance(x, list) and len(x) == 2 and all(map(_is_number, x))
+
+
+def _rational(obj):
+    """A JSON number, or a [num, den] pair of them, as an int or a Fraction;
+    each number must be an integer (a float only when it is integral)."""
+    if _is_pair(obj):
+        return Fraction(_rational(obj[0]), _rational(obj[1]))
+    if isinstance(obj, float) and not obj.is_integer():
+        raise TypeError(f"{obj!r} is not an integer")
+    return int(obj)
 
 
 class ScalarField:
-    """Constants and conversions for one scalar mode."""
+    """Conversions for one scalar mode."""
 
     def __init__(self, mode: str):
         if mode not in MODES:
@@ -145,12 +98,6 @@ class ScalarField:
         self.mode = mode
         self.exact = mode != FLOAT
         self.dtype = object if self.exact else np.complex128
-        if mode == RATIONAL:
-            self.zero, self.one = Fraction(0), Fraction(1)
-        elif mode == GAUSSIAN:
-            self.zero, self.one = GaussianRational(0), GaussianRational(1)
-        else:
-            self.zero, self.one = complex(0.0), complex(1.0)
 
     def __repr__(self):
         return f"ScalarField({self.mode!r})"
@@ -167,24 +114,6 @@ class ScalarField:
                 return GaussianRational(_as_fraction(value.real), _as_fraction(value.imag))
             return GaussianRational(_as_fraction(value))
         return complex(value)
-
-    def from_json(self, obj):
-        """Parse one JSON scalar: a bare number, a [num, den] pair, or (in
-        gaussian mode) a [[re_num, re_den], [im_num, im_den]] pair of pairs."""
-        if self.mode == FLOAT:
-            if isinstance(obj, (int, float)):
-                return complex(obj)
-            if isinstance(obj, list) and len(obj) == 2:
-                return complex(obj[0], obj[1])
-            raise TypeError(f"cannot parse float scalar from {obj!r}")
-        value = _as_fraction(obj) if isinstance(obj, (int, float)) else _ratio(obj)
-        if value is not None:
-            return value if self.mode == RATIONAL else GaussianRational(value)
-        if self.mode == GAUSSIAN and isinstance(obj, list) and len(obj) == 2:
-            re, im = map(_ratio, obj)
-            if re is not None and im is not None:
-                return GaussianRational(re, im)
-        raise TypeError(f"cannot parse {self.mode} scalar from {obj!r}")
 
     # -- arrays ----------------------------------------------------------------
 
@@ -204,25 +133,35 @@ class ScalarField:
         """Parse a nested-list tensor of JSON scalars with a known shape into
         the field's array.
 
-        The shape must be given because a scalar may itself be a 2-list
-        ([num, den] or [re, im]), which plain shape inference would read as
-        an extra axis.
+        A scalar is a number or a pair: [re, im] in float mode, [num, den]
+        in the exact modes, and in gaussian mode also a pair of pairs
+        [[re_num, re_den], [im_num, im_den]].  The shape must be given
+        because a scalar may itself be a 2-list, which plain shape inference
+        would read as an extra axis.  Every list length is checked, one level
+        at a time, before anything is allocated; the exact modes then build
+        one ScaledArray from a (re, im) pair per entry.
         """
         from . import exactla
-        out = np.empty(tuple(shape), dtype=self.dtype)
+        leaves = [nested]
+        for depth, n in enumerate(shape):
+            if not all(isinstance(node, (list, tuple)) and len(node) == n for node in leaves):
+                raise TypeError(f"expected a sequence of length {n} at depth {depth}")
+            leaves = [x for node in leaves for x in node]
 
-        def rec(node, idx):
-            if len(idx) == len(shape):
-                out[idx] = self.from_json(node)
-                return
-            if not isinstance(node, (list, tuple)) or len(node) != shape[len(idx)]:
-                raise TypeError(
-                    f"expected a sequence of length {shape[len(idx)]} at depth {len(idx)}")
-            for i, sub in enumerate(node):
-                rec(sub, idx + (i,))
+        def entry(obj):
+            if _is_number(obj) or _is_pair(obj):
+                if not self.exact:
+                    return complex(*obj) if isinstance(obj, list) else complex(obj)
+                return _rational(obj), 0
+            if self.mode == GAUSSIAN and isinstance(obj, list) and len(obj) == 2 \
+                    and all(map(_is_pair, obj)):
+                return _rational(obj[0]), _rational(obj[1])
+            raise TypeError(f"cannot parse {self.mode} scalar from {obj!r}")
 
-        rec(nested, ())
-        return exactla.from_object(out) if self.exact else out
+        entries = [entry(x) for x in leaves]
+        if not self.exact:
+            return np.array(entries, dtype=np.complex128).reshape(shape)
+        return exactla.from_pairs(entries, shape)
 
     def matrix_to_json(self, mat):
         """Nested lists of the field's JSON scalars, one per entry."""

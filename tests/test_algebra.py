@@ -1,14 +1,17 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nchodge as nc
 from nchodge import exactla
 from nchodge.algebra import _check_unit
-from nchodge.errors import (AssociativityViolation, DimMismatch, ShapeMismatch,
-                            UnitViolation)
+from nchodge.errors import (AssociativityViolation, DimMismatch, NCHodgeError,
+                            ShapeMismatch, UnitViolation)
+from nchodge.scalars import MODES, GaussianRational
 
 
 def _basis_vector(field, dim, i):
@@ -62,7 +65,7 @@ def test_nonassociative_structure_rejected():
     for mode in ("rational", "gaussian", "float"):
         m2 = nc.builtin_algebra("m2", mode)
         bad = np.array(m2.structure)
-        bad[1, 2, 3] = m2.field.one
+        bad[1, 2, 3] = 1
         with pytest.raises(AssociativityViolation) as exc:
             nc.make_algebra(4, m2.basis_labels, bad, [1, 0, 0, 1], mode)
         # the first failing triple in (i, j, k) order, its first bad coordinate
@@ -165,7 +168,7 @@ def test_unit_check_names_the_loop_witness(mode, entries, witness):
     m2 = nc.builtin_algebra("m2", mode)
     c = np.array(m2.structure)
     for i, j, k in entries:
-        c[i, j, k] += m2.field.one
+        c[i, j, k] += 1
     args = (m2.field, c, m2.unit, m2.basis_labels)
     assert _unit_witness_by_loop(*args) == witness
     assert _unit_witness(*args) == witness
@@ -181,7 +184,7 @@ def test_unit_check_matches_the_loop_on_random_breaks(mode):
             c = np.array(alg.structure)
             for _ in range(int(rng.integers(1, 4))):
                 i, j, k = rng.integers(d, size=3)
-                c[i, j, k] += alg.field.coerce(int(rng.integers(-2, 3)))
+                c[i, j, k] += int(rng.integers(-2, 3))
             args = (alg.field, c, alg.unit, alg.basis_labels)
             assert _unit_witness(*args) == _unit_witness_by_loop(*args)
 
@@ -248,21 +251,69 @@ def test_cross_mode_loads(stored, mode):
 
 def test_exact_algebra_data_leave_object_arrays_once(monkeypatch):
     """Structure and unit are converted from object arrays when they are
-    built; everything after that runs on the exact arrays."""
-    calls = []
-    real = exactla.from_object
+    built from Python lists, and parsed from JSON with no object array and
+    no GaussianRational; everything after that runs on the exact arrays."""
+    calls, made = [], []
+    real, init = exactla.from_object, GaussianRational.__init__
     monkeypatch.setattr(exactla, "from_object", lambda arr: calls.append(1) or real(arr))
+    monkeypatch.setattr(GaussianRational, "__init__",
+                        lambda self, *args: made.append(1) or init(self, *args))
     for mode in ("rational", "gaussian"):
         for name in sorted(nc.BUILTIN_ALGEBRAS):
             del calls[:]
             alg = nc.builtin_algebra(name, mode)
             assert len(calls) <= 2, (name, mode)
             data = alg.to_json()
-            del calls[:]
+            del calls[:], made[:]
             alg = nc.load_algebra(data)
-            assert len(calls) <= 2, (name, mode)
+            assert calls == [] and made == [], (name, mode)
             del calls[:]
             nc.operator_matrices(nc.build_window(alg, 2))
             alg.multiply(alg.unit, alg.change[:, 1])
             alg.multiply(alg.structure[0, 1], alg.norm_structure[1, 0])
             assert calls == [], (name, mode)
+
+
+# -- the loader on generated input ----------------------------------------------
+
+_JUNK = st.one_of(
+    st.integers(-2, 2), st.none(), st.booleans(), st.sampled_from([2 ** 70, -(10 ** 400)]),
+    st.sampled_from([0.5, 2.0, 1e300, math.nan, math.inf, -math.inf]), st.text(max_size=2))
+# a scalar of any mode, well formed or not
+_SCALARS = st.one_of(_JUNK, st.lists(_JUNK, min_size=2, max_size=2),
+                     st.lists(st.lists(_JUNK, min_size=2, max_size=2), min_size=2, max_size=2),
+                     st.lists(_JUNK, max_size=3))
+_TREES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=12)
+_ODD_DIMS = [0, -1, 3 * 10 ** 15, 10 ** 400, 2.5, 2.0, "2", True, False, None, [2]]
+
+
+@st.composite
+def _algebra_files(draw):
+    """A stock two-dimensional algebra as a file of some stored mode, with
+    one entry of its unit or structure replaced, one of them replaced by a
+    whole tree, or an odd dim."""
+    name = draw(st.sampled_from(["two-points", "dual-numbers"]))
+    data = nc.builtin_algebra(name, draw(st.sampled_from(MODES))).to_json()
+    how = draw(st.sampled_from(["entry", "tree", "dim"]))
+    key = draw(st.sampled_from(["unit", "mul"]))
+    if how == "entry":
+        node = data[key]
+        for _ in range(len(np.shape(node)) - (2 if data["scalars"] == "gaussian" else 1) - 1):
+            node = node[draw(st.integers(0, 1))]
+        node[draw(st.integers(0, 1))] = draw(_SCALARS)
+    elif how == "tree":
+        data[key] = draw(_TREES)
+    else:
+        data["dim"] = draw(st.sampled_from(_ODD_DIMS))
+    return data
+
+
+@settings(max_examples=250, deadline=None)
+@given(_algebra_files(), st.sampled_from([None, *MODES]))
+def test_load_algebra_on_generated_files_ends_in_coded_errors(data, mode):
+    """Every stored mode x --scalar pair: the load succeeds or raises a
+    package error with an algebra code, never anything else."""
+    try:
+        nc.load_algebra(data, mode)
+    except NCHodgeError as exc:
+        assert exc.code.startswith("algebra-core/"), exc.code

@@ -211,6 +211,11 @@ _MUL2 = '"mul": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]'
     ('"scalars": "float", "unit": [[1, 1], 0], '
      '"mul": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]',
      "rational", "ShapeMismatch", "unit"),
+    # a finite entry whose cube is not: the float checks would overflow
+    *[('"scalars": "%s", "unit": [1, 0], '
+       '"mul": [[[1, 0], [0, 1]], [[0, 1], [%s, 0]]]' % (stored, big),
+       "float", "NonFiniteEntry", "mul") for stored, big in [("float", "1e300"),
+                                                              ("rational", 10 ** 300)]],
     # an entry past the float range, stored float or converted to float
     *[pytest.param('"scalars": "%s", "unit": [%d, 0], %s' % (stored, 10 ** 400, _MUL2),
                    scalar, "ShapeMismatch", "unit", id=f"{stored}-1e400-{scalar}")
@@ -220,6 +225,20 @@ _MUL2 = '"mul": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]'
     *[('"scalars": "gaussian", "unit": [%s, 0], %s' % (entry, _MUL2),
        "gaussian", "ShapeMismatch", "unit")
       for entry in ("[[1, 1], [0]]", '[["1", 1], [0, 1]]', "[[1, 1, 5], [0, 1]]")],
+    # a boolean is not a number, bare or inside a pair, in every stored mode
+    *[pytest.param('"scalars": "%s", "unit": [%s, 0], %s' % (stored, entry, _MUL2),
+                   stored, "ShapeMismatch", "unit", id=f"{stored}-unit-{entry}")
+      for stored, entries in [("rational", ("true", "[true, 1]", "[1, true]")),
+                              ("gaussian", ("true", "[true, 1]", "[[1, 1], [true, 1]]")),
+                              ("float", ("true", "[1, true]"))]
+      for entry in entries],
+    *[pytest.param('"scalars": "%s", "unit": [1, 0], '
+                   '"mul": [[[1, 0], [0, 1]], [[0, 1], [0, %s]]]' % (stored, entry),
+                   scalar, "ShapeMismatch", "mul", id=f"{stored}-mul-{entry}-{scalar}")
+      for stored, entry, scalar in [("rational", "false", "rational"),
+                                    ("rational", "[false, 1]", "float"),
+                                    ("gaussian", "[[false, 1], [0, 1]]", "gaussian"),
+                                    ("float", "[false, 0]", "rational")]],
 ])
 def test_malformed_algebra_is_structured_error(tmp_path, capsys, fields,
                                                scalar, code, key):
@@ -246,6 +265,11 @@ def test_unknown_scalars_field_is_input_error(tmp_path, capsys, scalars):
 @pytest.mark.parametrize("text,key", [
     ('{"dim": null, "basis": ["1", "x"], "unit": [1, 0], "mul": 5}', "dim"),
     ('{"dim": [2], "basis": ["1", "x"], "unit": [1, 0], "mul": 5}', "dim"),
+    # dim is a JSON integer: not a float, integral or not, a string or a bool
+    *[('{"dim": %s, "basis": ["1", "x"], "unit": [1, 0], %s}' % (dim, _MUL2), "dim")
+      for dim in ("2.7", "2.0", '"2"', "true")],
+    # a dim the lists do not have fails on their lengths, before allocating
+    ('{"dim": 3000000000000000, "basis": ["1", "x"], "unit": [1, 0], %s}' % _MUL2, "unit"),
     ('{"dim": 2, "basis": 5, "unit": [1, 0], "mul": 5}', "basis"),
     ('{"name": [1], "dim": 2, "basis": ["1", "x"], "unit": [1, 0], '
      '"mul": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}', "name"),

@@ -66,6 +66,51 @@ def test_solve_in_image_row_reduces_once(monkeypatch):
         assert calls == [(3, 3)]        # A^T, for its left null space
 
 
+# The references compute over sympy's QQ_I, which shares no code with
+# exactla; the package's GaussianRational is a value with no arithmetic.
+# A QQ_I zero compares unequal to the int 0, so both sides of a comparison
+# go through _qi.
+
+def _qq(x):
+    return QQ(x.numerator, x.denominator)
+
+
+def qq_i(v):
+    """An exact scalar (int, Fraction or GaussianRational) as a sympy QQ_I
+    element; any other value as it is."""
+    if isinstance(v, GaussianRational):
+        return QQ_I(_qq(v.re), _qq(v.im))
+    return QQ_I(_qq(v), QQ(0)) if isinstance(v, (int, Fraction)) else v
+
+
+_to_qi = np.frompyfunc(qq_i, 1, 1)
+
+
+def _qi(arr):
+    """An array of exact scalars, or a ScaledArray, as an object array of
+    QQ_I elements."""
+    return np.asarray(_to_qi(np.asarray(arr, dtype=object)), dtype=object)
+
+
+def _frac(x):
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
+def from_qq_i(v):
+    """A QQ_I element (or an exact scalar) as a GaussianRational, which
+    exactla reads."""
+    v = qq_i(v)
+    return GaussianRational(_frac(v.x), _frac(v.y))
+
+
+_from_qi = np.frompyfunc(from_qq_i, 1, 1)
+
+
+def _shifted(v, by):
+    """The exact scalar ``v + by`` for a rational ``by``."""
+    return GaussianRational(v.re + by, v.im) if isinstance(v, GaussianRational) else v + by
+
+
 def _random_exact(rng, shape, density, gaussian=False):
     """Object matrix with about ``density`` nonzero Fraction (or Gaussian
     rational) entries; the zeros are typed zeros of the same kind."""
@@ -81,24 +126,28 @@ def _assert_same(ref, got):
     """Same shape and dtype, and every entry equal."""
     ref, got = np.asarray(ref), np.asarray(got)
     assert got.shape == ref.shape and got.dtype == ref.dtype
-    for x, y in zip(ref.reshape(-1), got.reshape(-1)):
+    for x, y in zip(_qi(ref).reshape(-1), _qi(got).reshape(-1)):
         assert x == y, (x, y)
 
 
 def _assert_matches_dot(a, b):
-    _assert_same(np.dot(a, b), xla.matmul(a, b))
+    """``xla.matmul`` against ``np.dot`` over QQ_I, or over the operands as
+    they are when one of them is float."""
+    ref = np.dot(_qi(a), _qi(b)) if a.dtype == b.dtype == object else np.dot(a, b)
+    _assert_same(ref, xla.matmul(a, b))
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
 @pytest.mark.parametrize("density", [0.1, 1.0])
 def test_matmul_matches_dot_reference(gaussian, density):
     rng = np.random.default_rng(11)
+    zero = GaussianRational(0) if gaussian else Fraction(0)
     for m, n, p in [(7, 9, 5), (1, 1, 1), (6, 6, 6)]:
         a = _random_exact(rng, (m, n), density, gaussian)
         b = _random_exact(rng, (n, p), density, gaussian)
-        a[m // 2, :] = a[0, 0] * 0         # all-zero row of a
-        b[:, p // 2] = b[0, 0] * 0         # all-zero column of b
-        b[n // 2, :] = b[0, 0] * 0         # all-zero row of b
+        a[m // 2, :] = zero                # all-zero row of a
+        b[:, p // 2] = zero                # all-zero column of b
+        b[n // 2, :] = zero                # all-zero row of b
         _assert_matches_dot(a, b)
         _assert_matches_dot(a, b[:, 0])    # 1-D right operand
         _assert_matches_dot(a[0], b)       # 1-D left operand
@@ -150,20 +199,23 @@ def test_matmul_float_and_mixed_input_use_dot():
 
 
 def _dense_rref(mat):
-    """Reference elimination: every row update runs over the whole row."""
-    a = mat.copy()
+    """Reference elimination over QQ_I: every row update runs over the whole
+    row."""
+    a = _qi(mat)
     m, n = a.shape
     pivots, r = [], 0
     for c in range(n):
-        pr = next((i for i in range(r, m) if a[i, c] != 0), None)
+        pr = next((i for i in range(r, m) if a[i, c]), None)
         if pr is None:
             continue
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        a[r, :] = a[r, :] * (Fraction(1) / a[r, c])
+        inv = 1 / a[r, c]
+        a[r, :] = [x * inv for x in a[r, :]]
         for i in range(m):
-            if i != r and a[i, c] != 0:
-                a[i, :] = a[i, :] - a[i, c] * a[r, :]
+            f = a[i, c]
+            if i != r and f:
+                a[i, :] = [x - f * y for x, y in zip(a[i, :], a[r, :])]
         pivots.append(c)
         r += 1
         if r == m:
@@ -217,7 +269,7 @@ def test_rref_of_inverse_augmented_matrix(gaussian):
     for n in (1, 3, 6):
         mat = _random_exact(rng, (n, n), 0.3, gaussian)
         for i in range(n):
-            mat[i, i] = mat[i, i] + 3
+            mat[i, i] = _shifted(mat[i, i], 3)
         aug = np.full((n, 2 * n), 0, dtype=object)
         aug[:, :n] = mat
         for i in range(n):
@@ -301,8 +353,8 @@ def test_eval_poly_matrix_horner():
 
 # -- the scaled-integer kernel against independent oracles ----------------------
 #
-# sympy's DomainMatrix over QQ and QQ_I, np.dot on object arrays and the
-# whole-row _dense_rref above share no code with exactla.
+# sympy's DomainMatrix over QQ and QQ_I, np.dot on object arrays of QQ_I
+# elements and the whole-row _dense_rref above share no code with exactla.
 
 def _exact_entry(rng, gaussian, big):
     scale = 2 ** 62 if big else 1
@@ -322,28 +374,18 @@ def _random_matrix(rng, shape, gaussian=False, big=False, density=0.6):
 
 
 def _sympy(arr, gaussian):
-    def q(f):
-        f = Fraction(f)
-        return QQ(f.numerator, f.denominator)
-
-    def conv(v):
-        re, im = (v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
-        return QQ_I(q(re), q(im)) if gaussian else q(re)
-
     arr = np.asarray(arr)
+    conv = qq_i if gaussian else _qq
     rows = [[conv(v) for v in row] for row in arr.tolist()]
     return DomainMatrix(rows, arr.shape, QQ_I if gaussian else QQ)
 
 
 def _from_sympy(dm, gaussian):
-    def frac(x):
-        return Fraction(int(x.numerator), int(x.denominator))
-
     rows = dm.to_list()
     out = np.empty(dm.shape, dtype=object)
     for idx in np.ndindex(*dm.shape):
         x = rows[idx[0]][idx[1]]
-        out[idx] = GaussianRational(frac(x.x), frac(x.y)) if gaussian else frac(x)
+        out[idx] = GaussianRational(_frac(x.x), _frac(x.y)) if gaussian else _frac(x)
     return out
 
 
@@ -360,7 +402,7 @@ def _assert_canonical(mat):
 
 
 def _assert_values(got, ref):
-    got, ref = np.asarray(got), np.asarray(ref)
+    got, ref = _qi(got), _qi(ref)
     assert got.shape == ref.shape
     for x, y in zip(got.reshape(-1).tolist(), ref.reshape(-1).tolist()):
         assert x == y, (x, y)
@@ -378,10 +420,10 @@ def test_kernel_matches_sympy_and_object_dot(gaussian, big):
         b = _random_matrix(rng, (n, p), gaussian, big)
         got = xla.matmul(a, b)
         _assert_canonical(got)
-        _assert_values(got, np.dot(a, b))
+        _assert_values(got, np.dot(_qi(a), _qi(b)))
         _assert_values(got, _from_sympy(_sympy(a, gaussian) * _sympy(b, gaussian), gaussian))
         if p:       # a 1-D right operand
-            _assert_values(xla.matmul(a, b[:, 0]), np.dot(a, b[:, 0]))
+            _assert_values(xla.matmul(a, b[:, 0]), np.dot(_qi(a), _qi(b[:, 0])))
         for mat in (a, b, np.concatenate([a, a[:1]]) if m else a):
             red, pivots = xla.rref(mat)
             _assert_canonical(red)
@@ -437,11 +479,11 @@ def test_eval_poly_past_int64_matches_fraction_horner(gaussian):
     got = xla.eval_poly(coeffs, mat)
     _assert_canonical(got)
     assert got.num.dtype == object
-    zero = GaussianRational(0) if gaussian else Fraction(0)
-    ref, eye = np.full((n, n), zero, dtype=object), np.eye(n, dtype=int).astype(object)
+    K, eye = _qi(mat), np.eye(n, dtype=int).astype(object)
+    ref = _qi(np.zeros((n, n), dtype=object))
     for c in reversed(coeffs):
-        ref = np.dot(ref, np.asarray(mat)) + eye * c
-    want = xla.asexact(ref)
+        ref = np.dot(ref, K) + _qi(eye * c)
+    want = xla.asexact(_from_qi(ref))
     assert got.den == want.den
     assert got.num.tolist() == want.num.tolist()
     assert (got.im is None) == (not gaussian)
@@ -514,7 +556,7 @@ def test_greens_polynomial_equals_inverse_route(name, n_max, mode):
             _assert_canonical(mat)
         P, k = np.asarray(data.P), np.asarray(K[degree])
         eye = np.asarray(xla.eye_like(data.P))
-        ref = np.dot(eye - P, _reference_inverse(eye - k + P))
+        ref = np.dot(_qi(eye - P), _reference_inverse(eye - k + P))
         _assert_values(data.G, ref)
 
 
@@ -558,7 +600,7 @@ def _exact_pairs(draw):
     elif how == "moved":
         vals = np.asarray(a).copy()
         idx = tuple(draw(st.integers(0, n - 1)) for n in shape)
-        vals[idx] = vals[idx] + Fraction(1, draw(st.sampled_from([1, 2, _BIG])))
+        vals[idx] = _shifted(vals[idx], Fraction(1, draw(st.sampled_from([1, 2, _BIG]))))
         b = xla.asexact(vals)
     elif how == "independent":
         b = draw(_exact_arrays(shape, gaussian))
@@ -632,7 +674,7 @@ def _obj(rows, gaussian=False):
 def _assert_as_reference(got, ref):
     """``got`` holds the fields of ``from_object(ref)``, whose int64/object
     choice reads the exact largest entry."""
-    want = xla.from_object(ref)
+    want = xla.from_object(_from_qi(_qi(ref)))
     assert got.num.dtype == want.num.dtype
     assert got.den == want.den
     assert np.array_equal(got.num, want.num)
@@ -642,15 +684,16 @@ def _assert_as_reference(got, ref):
 
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_guards_past_loose_caps_decide_as_exact_bounds(gaussian):
-    S = _obj([[2 ** 31, 2 ** 31 + 1], [2 ** 31 + 1, 2 ** 31]], gaussian)
+    S = [[2 ** 31, 2 ** 31 + 1], [2 ** 31 + 1, 2 ** 31]]
     T = _obj([[1, -1], [-1, 1]])
 
     def loose(scale):
         """S T scaled: entries of size ``scale`` under a carried cap of about
         2^32 ``scale``, as the product cancels."""
-        out = xla.matmul(S * scale, T)
+        scaled = _obj([[v * scale for v in row] for row in S], gaussian)
+        out = xla.matmul(scaled, T)
         assert out._bound is None and out._cap >= 2 ** 32 * scale
-        return out, np.dot(S * scale, T)
+        return out, np.dot(_qi(scaled), _qi(T))
 
     # each operation's caps reach 2^63 while its exact bounds stay far below
     cases = [
@@ -675,9 +718,9 @@ def test_guards_past_loose_caps_decide_as_exact_bounds(gaussian):
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_guards_past_caps_and_bounds_widen(gaussian):
     B = _obj([[2 ** 40, 1], [3, 2 ** 40]], gaussian)
-    b2, b2_ref = xla.matmul(B, B), np.dot(B, B)
+    b2, b2_ref = xla.matmul(B, B), np.dot(_qi(B), _qi(B))
     eye = xla.eye_like(b2)
-    steps = [(b2, b2_ref), (xla.matmul(b2, B), np.dot(b2_ref, B)),
+    steps = [(b2, b2_ref), (xla.matmul(b2, B), np.dot(b2_ref, _qi(B))),
              (b2 * 2 ** 30, b2_ref * 2 ** 30), (b2 + b2, b2_ref + b2_ref),
              (b2 - b2 + eye, np.asarray(eye)),                     # back to int64
              (b2 * Fraction(1, 2 ** 70) - b2, b2_ref / 2 ** 70 - b2_ref)]

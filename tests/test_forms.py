@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from sympy import QQ, QQ_I
 
 import nchodge as nc
 import nchodge.forms as nc_forms
@@ -18,16 +19,18 @@ from nchodge.algebra import make_algebra
 from nchodge.errors import DegreeOutOfWindow, WindowTooLarge
 from nchodge.forms import DEFAULT_DIM_CAP, dimension_cap
 from nchodge.scalars import GaussianRational
+from test_exactla import from_qq_i, qq_i
 
 
 def _m2_over_qi():
-    """2x2 matrices over Q(i) in the basis (E11, iE12, E21/2, E22)."""
-    i = GaussianRational(0, 1)
+    """2x2 matrices over Q(i) in the basis (E11, iE12, E21/2, E22), their
+    products taken over sympy's QQ_I."""
+    i = QQ_I(0, 1)
     basis = [np.array(m, dtype=object) for m in (
-        [[1, 0], [0, 0]], [[0, i], [0, 0]], [[0, 0], [Fraction(1, 2), 0]], [[0, 0], [0, 1]])]
+        [[1, 0], [0, 0]], [[0, i], [0, 0]], [[0, 0], [QQ_I(QQ(1, 2), 0), 0]], [[0, 0], [0, 1]])]
 
     def coords(m):
-        return [m[0, 0], m[0, 1] * -i, 2 * m[1, 0], m[1, 1]]
+        return [from_qq_i(v) for v in (m[0, 0], m[0, 1] * -i, 2 * m[1, 0], m[1, 1])]
 
     c = [[coords(a.dot(b)) for b in basis] for a in basis]
     return make_algebra(4, ("E11", "iE12", "E21/2", "E22"), c, [1, 0, 0, 1], "gaussian",
@@ -181,26 +184,29 @@ def _random_form(w, rng, degree):
 # slices of the structure tensor.  The reference below shares no code with
 # them: _mul_words multiplies two basis words directly, d prepends the unit
 # slot, b(w da) = (-1)^|w| (w a - a w) and k(w da) = (-1)^|w| da w, and the
-# loops extend these to forms one coefficient at a time, in the field's
-# Python scalars.
+# loops extend these to forms one coefficient at a time, in Fractions,
+# complex floats or, in gaussian mode, sympy QQ_I elements (_ref).
+
+def _ref(w, v):
+    return qq_i(v) if w.field.mode == "gaussian" else v
+
 
 def _mul_words(w, left, right):
     """(a0 da1..dan) * (a{n+1} da{n+2}..dam)
     = sum_i (-1)^{n-i} (a0, .., a_i*a_{i+1}, .., am)."""
     n = len(left) - 1
     s = left + right
-    one = w.field.one
     out = []
     for i in range(n + 1):
         # the right factor's A slot lands in a bar position unless it is
         # merged, and the unit dies there
         if i < n and right[0] == 0:
             continue
-        sign = one if (n - i) % 2 == 0 else -one
+        sign = 1 if (n - i) % 2 == 0 else -1
         prod = w.algebra.norm_structure[s[i], s[i + 1]]
         for m in range(0 if i == 0 else 1, w.algebra.dim):
             if prod[m] != 0:
-                out.append((sign * prod[m], s[:i] + (m,) + s[i + 2:]))
+                out.append((sign * _ref(w, prod[m]), s[:i] + (m,) + s[i + 2:]))
     return out
 
 
@@ -209,7 +215,7 @@ def _signed(sign, terms):
 
 
 def _d_word(w, word):
-    return [] if word[0] == 0 else [(w.field.one, (0,) + word)]
+    return [] if word[0] == 0 else [(1, (0,) + word)]
 
 
 def _b_word(w, word):
@@ -220,14 +226,14 @@ def _b_word(w, word):
 
 def _k_word(w, word):
     if len(word) == 1:
-        return [(w.field.one, word)]
+        return [(1, word)]
     return _signed((-1) ** len(word), _mul_words(w, (0, word[-1]), word[:-1]))
 
 
 def _reference_vector(w, m, terms):
     """Degree-m object vector summing coeff * val at word over ``terms``,
     (coeff, [(val, word), ...]) pairs."""
-    vec = np.full(w.degree_dims[m], w.field.zero, dtype=object)
+    vec = np.full(w.degree_dims[m], _ref(w, 0), dtype=object)
     for coeff, expansion in terms:
         for val, word in expansion:
             vec[w.bases[m].index(word)] += coeff * val
@@ -235,13 +241,13 @@ def _reference_vector(w, m, terms):
 
 
 def _reference_apply(w, expand, shift, vec, n):
-    return _reference_vector(w, n + shift, ((c, expand(w, w.bases[n][i]))
+    return _reference_vector(w, n + shift, ((_ref(w, c), expand(w, w.bases[n][i]))
                                             for i, c in enumerate(vec) if c != 0))
 
 
 def _reference_product(w, up, p, vq, q):
     return _reference_vector(w, p + q, (
-        (ui * vj, _mul_words(w, w.bases[p][i], w.bases[q][j]))
+        (_ref(w, ui) * _ref(w, vj), _mul_words(w, w.bases[p][i], w.bases[q][j]))
         for i, ui in enumerate(up) if ui != 0
         for j, vj in enumerate(vq) if vj != 0))
 
@@ -260,7 +266,7 @@ def _field_vector(w, rng, degree):
 
 def _agree(w, got, ref):
     if w.field.exact:
-        return np.array_equal(np.asarray(got), ref)
+        return [_ref(w, v) for v in np.asarray(got).tolist()] == ref.tolist()
     return np.max(np.abs(got - ref), initial=0.0) <= 1e-12
 
 

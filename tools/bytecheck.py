@@ -32,9 +32,11 @@ transversal, so every sample builds its own complex), ``gv`` on a
 gradient form that is constant along no grid axis, ``nc-report
 --matrices`` and ``spectral`` in gaussian mode on ``m2`` stored gaussian
 in the basis (E11, i E12, E21/2, E22), whose constants have imaginary and
-fractional parts, and ``nc-report --scalar rational`` on ``z3`` stored
-float.  The bundled algebra files are all stored rational; these two
-inputs make the gaussian and float parsers run.
+fractional parts, ``nc-report --matrices`` in float mode on the same file
+(the conversion of stored gaussian entries to complex128), and
+``nc-report --scalar rational`` on ``z3`` stored float.  The bundled
+algebra files are all stored rational; these two inputs make the gaussian
+and float parsers run.
 """
 
 from __future__ import annotations
@@ -84,6 +86,8 @@ COMMANDS = (
     + [["nc-report", "--algebra", M2_GAUSSIAN, "--nmax", "3", "--scalar", "gaussian",
         "--matrices"],
        ["spectral", "--algebra", M2_GAUSSIAN, "--nmax", "3", "--scalar", "gaussian"],
+       ["nc-report", "--algebra", M2_GAUSSIAN, "--nmax", "3", "--scalar", "float",
+        "--matrices"],
        ["nc-report", "--algebra", Z3_FLOAT, "--nmax", "3", "--scalar", "rational"]]
     + [["selftest", "--seed", "1"]]
 )
