@@ -29,7 +29,7 @@ import numpy as np
 from . import exactla
 from .errors import (AssociativityViolation, DimMismatch, NonFiniteEntry,
                      ShapeMismatch, UnitViolation)
-from .scalars import GAUSSIAN, RATIONAL, ScalarField, field_for
+from .scalars import GAUSSIAN, MODES, RATIONAL, ScalarField, field_for
 
 
 @dataclass
@@ -98,10 +98,10 @@ def _first_nonzero(field: ScalarField, vec):
 
 
 def make_algebra(dim, basis_labels, structure, unit, scalar_mode=RATIONAL, *,
-                 name="algebra", check=True) -> Algebra:
+                 name="algebra") -> Algebra:
     field = field_for(scalar_mode)
     if dim < 1:
-        raise ShapeMismatch(f"algebra dimension must be >= 1, got {dim}")
+        raise ShapeMismatch(f"algebra dimension must be >= 1, got {dim}", key="dim")
     labels = tuple(str(x) for x in basis_labels)
     if len(labels) != dim or len(set(labels)) != dim:
         raise ShapeMismatch(f"need {dim} distinct basis labels, got {labels}")
@@ -122,9 +122,8 @@ def make_algebra(dim, basis_labels, structure, unit, scalar_mode=RATIONAL, *,
                                      "finite or whose cube is not",
                                      key=key, index=bad[0])
 
-    if check:
-        _check_unit(field, c, u, labels)
-        _check_associativity(field, c, labels)
+    _check_unit(field, c, u, labels)
+    _check_associativity(field, c, labels)
 
     pivot = _first_nonzero(field, u)
     if pivot is None:
@@ -214,7 +213,7 @@ def load_algebra(source, scalar_mode=None) -> Algebra:
         unit_json = data["unit"]
         mul_json = data["mul"]
     except KeyError as exc:
-        raise ShapeMismatch(f"algebra file is missing key {exc}") from None
+        raise ShapeMismatch(f"algebra file is missing key {exc}", key=exc.args[0]) from None
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise ShapeMismatch(f"algebra key 'dim' is not an integer: {dim!r}", key="dim")
     if not isinstance(basis, list):
@@ -225,6 +224,8 @@ def load_algebra(source, scalar_mode=None) -> Algebra:
     # parse with the mode the file was written in; convert afterwards, so a
     # rational [num, den] pair is never misread as a float [re, im] pair
     stored_mode = data.get("scalars", RATIONAL)
+    if stored_mode not in MODES:
+        raise ShapeMismatch(f"algebra key 'scalars' is not one of {MODES}", key="scalars")
     stored = field_for(stored_mode)
     mode = scalar_mode or stored_mode
     field = field_for(mode)

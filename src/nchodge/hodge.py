@@ -26,15 +26,15 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
+import sys
 from dataclasses import dataclass, field as dc_field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import exactla
 from .errors import BadGram, NegativeEigenvalue, NotAComplex
+from .scalars import FLOAT, field_for
 
 
 @dataclass(frozen=True)
@@ -88,58 +88,11 @@ class CochainComplex:
         return self._frames[k]
 
 
-def _entry_to_complex(entry, i, j):
-    try:
-        if not isinstance(entry, (list, tuple)):
-            return complex(entry)
-        re, im = entry
-        return complex(float(re), float(im))
-    except (TypeError, ValueError, OverflowError):
-        raise NotAComplex(f"matrix entry {entry!r} is not a number or [re, im] pair",
-                          row=i, col=j) from None
-
-
 def _is_list_of(value, n):
     return isinstance(value, (list, tuple)) and len(value) == n
 
 
-def _numeric_matrix(rows, shape):
-    """Rows of all [re, im] pairs or all numbers as one C conversion; None
-    when they are anything else (ragged, mixed, strings, None, ints past
-    the float range).  ``array("d")`` converts ints, floats and bools as
-    ``float()`` does and raises on every other JSON value."""
-    if any(type(row) is not list or len(row) != shape[1] for row in rows):
-        return None
-    entries = list(chain.from_iterable(rows))
-    pairs = bool(entries) and type(entries[0]) is list
-    if pairs and (set(map(type, entries)) != {list} or set(map(len, entries)) != {2}):
-        return None
-    try:
-        flat = np.frombuffer(array("d", chain.from_iterable(entries) if pairs
-                                   else entries), float)
-    except (TypeError, OverflowError):
-        return None
-    # (re, im) float pairs are complex128's memory layout: bit-exact
-    return (flat.view(complex) if pairs else flat.astype(complex)).reshape(shape)
-
-
-def _matrix_from_json(rows, shape, what):
-    if not _is_list_of(rows, shape[0]):
-        raise NotAComplex(f"{what}: expected a list of {shape[0]} rows")
-    mat = _numeric_matrix(rows, shape)
-    if mat is not None:
-        return mat
-    mat = np.zeros(shape, dtype=complex)
-    for i, row in enumerate(rows):
-        if not _is_list_of(row, shape[1]):
-            raise NotAComplex(f"{what}: row {i} is not a list of {shape[1]} entries")
-        for j, entry in enumerate(row):
-            mat[i, j] = _entry_to_complex(entry, i, j)
-    return mat
-
-
-def make_complex(dims, diffs, grams=None, name="complex",
-                 check=True, tol=1e-12) -> CochainComplex:
+def make_complex(dims, diffs, grams=None, name="complex", tol=1e-12) -> CochainComplex:
     """Validate and pack a complex.  ``grams`` entries may be matrices,
     positive scalars (meaning scale * identity), or None (identity)."""
     dims = tuple(int(n) for n in dims)
@@ -152,8 +105,8 @@ def make_complex(dims, diffs, grams=None, name="complex",
     for k, d in enumerate(diffs):
         d = np.asarray(d, dtype=complex)
         if d.shape != (dims[k + 1], dims[k]):
-            raise NotAComplex(
-                f"differential {k} has shape {d.shape}, expected {(dims[k + 1], dims[k])}")
+            raise NotAComplex(f"differential {k} has shape {d.shape}, expected "
+                              f"{(dims[k + 1], dims[k])}", degree=k)
         if not np.all(np.isfinite(d)):
             raise NotAComplex(f"differential {k} has non-finite entries", degree=k)
         mats.append(d)
@@ -167,30 +120,34 @@ def make_complex(dims, diffs, grams=None, name="complex",
         if g is None:
             g = np.eye(n, dtype=complex)
         elif np.isscalar(g):
-            if not float(np.real(g)) > 0:
-                raise BadGram(f"Gram scale at degree {k} must be positive, got {g}")
+            # abs first: float() of an int past the float range raises
+            if not (abs(g) <= sys.float_info.max and float(np.real(g)) > 0):
+                raise BadGram(f"Gram scale {k} must be positive and finite, got {g}", degree=k)
             g = float(np.real(g)) * np.eye(n, dtype=complex)
         else:
             g = np.asarray(g, dtype=complex)
             if g.shape != (n, n):
-                raise BadGram(f"Gram at degree {k} has shape {g.shape}, expected {(n, n)}")
+                raise BadGram(f"Gram {k} has shape {g.shape}, expected {(n, n)}", degree=k)
         if not np.all(np.isfinite(g)):
             raise BadGram(f"Gram at degree {k} has non-finite entries", degree=k)
         gs.append(g)
     cx = CochainComplex(dims=dims, diffs=mats, grams=gs, name=str(name))
-    if check:
-        validate_complex(cx, tol)
+    validate_complex(cx, tol)
     return cx
 
 
 def validate_complex(cx: CochainComplex, tol=1e-12):
     for k in range(cx.top - 1):
-        comp = cx.diffs[k + 1] @ cx.diffs[k]
+        with np.errstate(over="ignore", invalid="ignore"):
+            comp = cx.diffs[k + 1] @ cx.diffs[k]
         scale = max(1.0, exactla.max_abs(cx.diffs[k]) * exactla.max_abs(cx.diffs[k + 1]))
-        if exactla.max_abs(comp) > tol * scale:
+        residual = exactla.max_abs(comp)
+        if not (math.isfinite(scale) and math.isfinite(residual)):
+            raise NotAComplex(f"differentials {k} and {k + 1} overflow when composed", degree=k)
+        if residual > tol * scale:
             raise NotAComplex(
                 f"composition of differentials {k + 1} after {k} is nonzero",
-                degree=k, residual=exactla.max_abs(comp))
+                degree=k, residual=residual)
     for k, g in enumerate(cx.grams):
         if _is_unit(g):
             continue
@@ -205,49 +162,47 @@ def validate_complex(cx: CochainComplex, tol=1e-12):
                               degree=k) from None
 
 
+def _parse_matrix(node, shape, error, key, k):
+    """Matrix ``k`` under ``key``; a parse failure is ``error`` naming both."""
+    try:
+        return field_for(FLOAT).matrix_from_json(node, shape)
+    except TypeError as exc:
+        raise error(f"{key}[{k}]: {exc}", key=key, degree=k) from None
+
+
 def load_complex(source) -> CochainComplex:
-    """Read a complex from a dict or a JSON file path."""
+    """Read a complex from a dict or a JSON file path; a Gram entry is null
+    (identity), a number (scale * identity) or a matrix of float scalars."""
     if isinstance(source, (str, Path)):
         with open(source) as fh:
             source = json.load(fh)
     if not isinstance(source, dict):
         raise NotAComplex(f"expected a mapping, got {type(source).__name__}")
-    if "dims" not in source:
-        raise NotAComplex("missing key 'dims'")
-    if "differentials" not in source and "diffs" not in source:
-        raise NotAComplex("missing key 'differentials'")
-    dims = source["dims"]
-    if not (isinstance(dims, (list, tuple)) and all(type(n) is int and n >= 0 for n in dims)):
-        raise NotAComplex(f"dims must be non-negative integers, got {dims!r}", key="dims")
+    dims = source.get("dims")     # each n x n complex matrix within numpy's size limit
+    if not (isinstance(dims, (list, tuple)) and dims and all(
+            type(n) is int and n >= 0 and 16 * n * n <= np.iinfo(np.intp).max for n in dims)):
+        raise NotAComplex(f"dims must list one or more non-negative integers: {dims!r}", key="dims")
     m = len(dims) - 1
     raw_diffs = source.get("differentials", source.get("diffs"))
     if not _is_list_of(raw_diffs, m):
         raise NotAComplex(f"expected a list of {m} differentials", key="differentials")
-    diffs = [_matrix_from_json(raw_diffs[k], (dims[k + 1], dims[k]), f"differential {k}")
-             for k in range(m)]
+    diffs = [_parse_matrix(raw_diffs[k], (dims[k + 1], dims[k]), NotAComplex,
+                           "differentials", k) for k in range(m)]
     grams = source.get("gram", source.get("grams"))
     if grams is not None:
         if not _is_list_of(grams, len(dims)):
             raise BadGram(f"expected a list of {len(dims)} Gram entries", key="gram")
-        parsed = []
-        for k, g in enumerate(grams):
-            if g is None or np.isscalar(g):
-                parsed.append(g)
-            else:
-                try:
-                    parsed.append(_matrix_from_json(g, (dims[k], dims[k]), f"gram {k}"))
-                except NotAComplex as exc:
-                    raise BadGram(str(exc), degree=k) from None
-        grams = parsed
+        grams = [g if g is None or type(g) in (int, float)
+                 else _parse_matrix(g, (dims[k], dims[k]), BadGram, "gram", k)
+                 for k, g in enumerate(grams)]
     return make_complex(dims, diffs, grams, name=source.get("name", "complex"))
 
 
 def complex_to_json(cx: CochainComplex) -> dict:
-    def mat(m):
-        return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    to_json = field_for(FLOAT).matrix_to_json
     return {"name": cx.name, "dims": list(cx.dims),
-            "differentials": [mat(d) for d in cx.diffs],
-            "gram": [mat(g) for g in cx.grams]}
+            "differentials": [to_json(d) for d in cx.diffs],
+            "gram": [to_json(g) for g in cx.grams]}
 
 
 _ONE_BITS = np.float64(1.0).view(np.uint64)

@@ -17,7 +17,9 @@ and JSON parsing and serialization ([num, den] pairs in the exact modes,
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -89,6 +91,32 @@ def _rational(obj):
     return int(obj)
 
 
+def _entry(mode, obj):
+    """A JSON scalar as a complex in float mode, as (re, im) otherwise."""
+    if _is_number(obj) or _is_pair(obj):
+        if mode == FLOAT:
+            return complex(*obj) if isinstance(obj, list) else complex(obj)
+        return _rational(obj), 0
+    if mode == GAUSSIAN and isinstance(obj, list) and len(obj) == 2 \
+            and all(map(_is_pair, obj)):
+        return _rational(obj[0]), _rational(obj[1])
+    raise TypeError("not a number or a pair")
+
+
+def _float_leaves(leaves):
+    """All-number or all-[re, im]-pair leaves as complex128 in one C call, bit
+    for bit what ``_entry`` gives; None for other leaves or an int past the float range."""
+    pairs = set(map(type, leaves)) == {list} and set(map(len, leaves)) == {2}
+    flat = list(chain.from_iterable(leaves)) if pairs else leaves
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        arr = np.frombuffer(array("d", flat), float)
+    except OverflowError:
+        return None
+    return arr.view(complex) if pairs else arr.astype(complex)
+
+
 class ScalarField:
     """Conversions for one scalar mode."""
 
@@ -138,27 +166,29 @@ class ScalarField:
         [[re_num, re_den], [im_num, im_den]].  The shape must be given
         because a scalar may itself be a 2-list, which plain shape inference
         would read as an extra axis.  Every list length is checked, one level
-        at a time, before anything is allocated; the exact modes then build
-        one ScaledArray from a (re, im) pair per entry.
+        at a time, before anything is allocated.  Float entries that are all
+        numbers or all [re, im] pairs convert in one C call; other input is
+        parsed entry by entry, and a TypeError names the first bad entry and
+        its index.  The exact modes build one ScaledArray from the entries.
         """
         from . import exactla
         leaves = [nested]
         for depth, n in enumerate(shape):
             if not all(isinstance(node, (list, tuple)) and len(node) == n for node in leaves):
                 raise TypeError(f"expected a sequence of length {n} at depth {depth}")
-            leaves = [x for node in leaves for x in node]
-
-        def entry(obj):
-            if _is_number(obj) or _is_pair(obj):
-                if not self.exact:
-                    return complex(*obj) if isinstance(obj, list) else complex(obj)
-                return _rational(obj), 0
-            if self.mode == GAUSSIAN and isinstance(obj, list) and len(obj) == 2 \
-                    and all(map(_is_pair, obj)):
-                return _rational(obj[0]), _rational(obj[1])
-            raise TypeError(f"cannot parse {self.mode} scalar from {obj!r}")
-
-        entries = [entry(x) for x in leaves]
+            leaves = list(chain.from_iterable(leaves))
+        if not self.exact:
+            flat = _float_leaves(leaves)
+            if flat is not None:
+                return flat.reshape(shape)
+        entries = []
+        for i, obj in enumerate(leaves):
+            try:
+                entries.append(_entry(self.mode, obj))
+            except (TypeError, OverflowError, ZeroDivisionError) as exc:
+                index = tuple(int(x) for x in np.unravel_index(i, shape))
+                raise TypeError(f"entry {obj!r} at index {index} is not a {self.mode} "
+                                f"scalar: {exc}") from None
         if not self.exact:
             return np.array(entries, dtype=np.complex128).reshape(shape)
         return exactla.from_pairs(entries, shape)

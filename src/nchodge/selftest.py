@@ -56,7 +56,6 @@ class SelftestConfig:
     random_complexes: int = 50
     gv_grid: int = 32
     budget_seconds: float = 300.0
-    rank_tol: float = 1e-10
     eig_tol: float = 1e-10
     gv_tol: float = 1e-6
 

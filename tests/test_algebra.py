@@ -291,10 +291,10 @@ _ODD_DIMS = [0, -1, 3 * 10 ** 15, 10 ** 400, 2.5, 2.0, "2", True, False, None, [
 def _algebra_files(draw):
     """A stock two-dimensional algebra as a file of some stored mode, with
     one entry of its unit or structure replaced, one of them replaced by a
-    whole tree, or an odd dim."""
+    whole tree, an odd dim, or ``scalars`` naming another mode or none."""
     name = draw(st.sampled_from(["two-points", "dual-numbers"]))
     data = nc.builtin_algebra(name, draw(st.sampled_from(MODES))).to_json()
-    how = draw(st.sampled_from(["entry", "tree", "dim"]))
+    how = draw(st.sampled_from(["entry", "tree", "dim", "scalars"]))
     key = draw(st.sampled_from(["unit", "mul"]))
     if how == "entry":
         node = data[key]
@@ -303,8 +303,11 @@ def _algebra_files(draw):
         node[draw(st.integers(0, 1))] = draw(_SCALARS)
     elif how == "tree":
         data[key] = draw(_TREES)
-    else:
+    elif how == "dim":
         data["dim"] = draw(st.sampled_from(_ODD_DIMS))
+    else:
+        data["scalars"] = draw(st.one_of(st.sampled_from(MODES), _TREES,
+                                         st.sampled_from(["decimal", {}])))
     return data
 
 

@@ -259,7 +259,9 @@ def test_unknown_scalars_field_is_input_error(tmp_path, capsys, scalars):
     assert run(["nc-report", "--algebra", str(src), "--nmax", "1"]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert json.loads(err)["code"] == "cli/InputError"
+    payload = json.loads(err)
+    assert payload["code"] == "algebra-core/ShapeMismatch"
+    assert payload["context"] == {"key": "scalars"}
 
 
 @pytest.mark.parametrize("text,key", [
@@ -273,6 +275,9 @@ def test_unknown_scalars_field_is_input_error(tmp_path, capsys, scalars):
     ('{"dim": 2, "basis": 5, "unit": [1, 0], "mul": 5}', "basis"),
     ('{"name": [1], "dim": 2, "basis": ["1", "x"], "unit": [1, 0], '
      '"mul": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}', "name"),
+    ('{"dim": 0, "basis": [], "unit": [], "mul": []}', "dim"),
+    ('{"dim": 2, "basis": ["1", "x"], "unit": [1, 0]}', "mul"),
+    ('{"basis": ["1", "x"], "unit": [1, 0], %s}' % _MUL2, "dim"),
 ])
 def test_malformed_algebra_header_is_structured_error(tmp_path, capsys, text, key):
     src = tmp_path / "alg.json"
@@ -291,6 +296,7 @@ def test_malformed_algebra_header_is_structured_error(tmp_path, capsys, text, ke
     ('{"dims": [1, 1], "differentials": [5]}', "NotAComplex"),
     ('{"dims": [1, 1], "differentials": [[[1]]], "gram": 5}', "BadGram"),
     ('{"dims": [1, 1], "differentials": [[[null]]]}', "NotAComplex"),
+    ('{"dims": [1, 1, 1], "differentials": [[[1e300]], [[1e300]]]}', "NotAComplex"),
 ])
 def test_malformed_complex_is_structured_error(tmp_path, capsys, text, code):
     src = tmp_path / "cx.json"
@@ -301,7 +307,9 @@ def test_malformed_complex_is_structured_error(tmp_path, capsys, text, code):
     assert json.loads(err)["code"] == "hodge-classical/" + code
 
 
-@pytest.mark.parametrize("dims", ["[-1, 1]", "[1, -2]", "[true, 1]", "[1.0, 1]"])
+@pytest.mark.parametrize("dims", ["[-1, 1]", "[1, -2]", "[true, 1]", "[1.0, 1]", "[]",
+                                  # past numpy's array size limit
+                                  "[%d, 0]" % 2 ** 70, "[%d]" % 10 ** 20])
 def test_bad_complex_dims_are_rejected_before_the_differentials(tmp_path, capsys, dims):
     src = tmp_path / "cx.json"
     src.write_text('{"dims": %s, "differentials": [[]]}' % dims)
@@ -457,8 +465,8 @@ def test_oversized_integer_in_complex_is_structured_error(tmp_path, capsys):
     assert "Traceback" not in err
     payload = json.loads(err)
     assert payload["code"] == "hodge-classical/NotAComplex"
-    assert "matrix entry [1000" in payload["message"]
-    assert payload["context"] == {"row": 0, "col": 0}
+    assert "entry [1000" in payload["message"] and "at index (0, 0)" in payload["message"]
+    assert payload["context"] == {"key": "differentials", "degree": 0}
 
 
 def _omega_file(tmp_path, **override):

@@ -1,14 +1,21 @@
 """Classical finite-complex side: Betti numbers, torsion, determinants."""
 
+import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nchodge as nc
-from nchodge.errors import BadGram, NegativeEigenvalue, NotAComplex
+from nchodge.errors import BadGram, NCHodgeError, NegativeEigenvalue, NotAComplex
 from nchodge.hodge import complex_to_json, load_complex
+from nchodge.scalars import FLOAT, field_for
+from test_algebra import _SCALARS, _TREES
+
+_BUNDLED_CIRCLE = Path(nc.__file__).parent / "data" / "circle_alpha_-1_N8.json"
 
 
 def test_twisted_circle_dets_and_torsion():
@@ -88,6 +95,14 @@ def test_not_a_complex_rejected():
     with pytest.raises(NotAComplex, match="differential 0") as exc:
         nc.make_complex((2, 1), [np.array([[np.nan, 1.0]])])
     assert exc.value.context["degree"] == 0
+    with pytest.raises(NotAComplex, match="differential 1 has shape") as exc:
+        nc.make_complex((1, 1, 1), [np.zeros((1, 1)), np.zeros((1, 2))])
+    assert exc.value.context == {"degree": 1}
+    # a composition that overflows is no evidence of D_{k+1} D_k = 0
+    for diffs in ([[[1e300]], [[1e300]]], [[[1e300], [1e300]], [[1e300, -1e300]]]):
+        with pytest.raises(NotAComplex, match="overflow") as exc:
+            load_complex({"dims": [1, len(diffs[0]), 1], "differentials": diffs})
+        assert exc.value.context == {"degree": 0}
 
 
 def test_bad_gram_rejected():
@@ -99,6 +114,66 @@ def test_bad_gram_rejected():
     with pytest.raises(BadGram, match="degree 1") as exc:
         nc.make_complex((2, 1), [d0], [None, np.array([[np.inf]])])
     assert exc.value.context["degree"] == 1
+    # per-degree errors name the degree: a scale that is not a positive
+    # finite number, and a Gram of the wrong shape
+    for grams, degree in [([None, 0.0], 1), ([-1, None], 0), ([None, np.nan], 1),
+                          ([None, np.inf], 1), ([-(10 ** 400), None], 0),
+                          ([np.eye(3), None], 0), ([None, np.eye(2)], 1)]:
+        with pytest.raises(BadGram) as exc:
+            nc.make_complex((2, 1), [d0], grams)
+        assert exc.value.context == {"degree": degree}, grams
+
+
+def _three_degrees(**override):
+    data = {"dims": [1, 2, 1], "differentials": [[[1], [0]], [[0, 1]]],
+            "gram": [None, 2.0, [[1]]]}
+    data.update(override)
+    return data
+
+
+@pytest.mark.parametrize("data,error,key,degree", [
+    # booleans, strings and tuples are not float scalars, bare or in a pair
+    (_three_degrees(differentials=[[[1], [0]], [[0, True]]]), NotAComplex, "differentials", 1),
+    (_three_degrees(differentials=[[[1], [0]], [[0, [1, False]]]]), NotAComplex,
+     "differentials", 1),
+    (_three_degrees(differentials=[[["1"], [0]], [[0, 1]]]), NotAComplex, "differentials", 0),
+    (_three_degrees(differentials=[[[1], [["1", 0]]], [[0, 1]]]), NotAComplex,
+     "differentials", 0),
+    (_three_degrees(differentials=[[[1], [0]], [[0, (1, 0)]]]), NotAComplex, "differentials", 1),
+    (_three_degrees(differentials=[[[1], [0]], [[0, 1, 0]]]), NotAComplex, "differentials", 1),
+    (_three_degrees(gram=[None, 2.0, [[True]]]), BadGram, "gram", 2),
+    (_three_degrees(gram=[None, 2.0, [["1"]]]), BadGram, "gram", 2),
+    (_three_degrees(gram=[None, 2.0, [[(1, 0)]]]), BadGram, "gram", 2),
+    (_three_degrees(gram=[[[10 ** 400]], 2.0, None]), BadGram, "gram", 0),
+    # a Gram entry is null, a number that is not a bool, or a matrix
+    (_three_degrees(gram=[None, True, [[1]]]), BadGram, "gram", 1),
+    (_three_degrees(gram=[None, "2", [[1]]]), BadGram, "gram", 1),
+    (_three_degrees(gram=["abc", 2.0, None]), BadGram, "gram", 0),
+    (_three_degrees(gram=[None, {}, None]), BadGram, "gram", 1),
+    (_three_degrees(gram=[None, 2.0, [[1, 0]]]), BadGram, "gram", 2),
+])
+def test_malformed_complex_entries_name_key_and_degree(data, error, key, degree):
+    with pytest.raises(error) as exc:
+        load_complex(data)
+    assert exc.value.context == {"key": key, "degree": degree}
+
+
+def test_missing_complex_keys_are_named():
+    for data, key in [({"differentials": []}, "dims"), ({"dims": [1]}, "differentials")]:
+        with pytest.raises(NotAComplex) as exc:
+            load_complex(data)
+        assert exc.value.context == {"key": key}
+
+
+def test_complex_file_gram_forms():
+    """null is the identity and a number a scale of it, which must be
+    positive and finite; a scale that is not ends in BadGram naming the degree."""
+    cx = load_complex(_three_degrees())
+    assert [g.tolist() for g in cx.grams] == [[[1]], [[2, 0], [0, 2]], [[1]]]
+    for scale in (0, -1.5, 10 ** 400, -(10 ** 400)):
+        with pytest.raises(BadGram) as exc:
+            load_complex(_three_degrees(gram=[None, scale, None]))
+        assert exc.value.context == {"degree": 1}
 
 
 def test_zeta_det_guards():
@@ -243,40 +318,43 @@ def test_frames_do_not_outlive_their_complex():
     assert ref() is None
 
 
-# -- the complex loader's numpy fast path ---------------------------------------
+# -- the complex loader's matrix parse: ScalarField.matrix_from_json, float mode --
 
-def reference_matrix_from_json(rows, shape, what):
-    """The per-entry parser the fast path must reproduce bit for bit."""
-    def entry_to_complex(entry):
-        try:
-            if not isinstance(entry, (list, tuple)):
-                return complex(entry)
-            re, im = entry
-            return complex(float(re), float(im))
-        except (TypeError, ValueError, OverflowError):
-            raise NotAComplex(
-                f"matrix entry {entry!r} is not a number or [re, im] pair") from None
+def reference_matrix_from_json(rows, shape):
+    """The per-entry parse of the float scalar grammar, which the one-call
+    conversion must reproduce bit for bit: a number is an int or a float,
+    never a bool, and a pair is a 2-list of numbers."""
+    def is_number(x):
+        return type(x) in (int, float)
 
+    if not (isinstance(rows, (list, tuple)) and len(rows) == shape[0]
+            and all(isinstance(row, (list, tuple)) and len(row) == shape[1]
+                    for row in rows)):
+        raise TypeError(f"not a list of {shape[0]} rows of {shape[1]} entries")
     mat = np.zeros(shape, dtype=complex)
-    if not (isinstance(rows, (list, tuple)) and len(rows) == shape[0]):
-        raise NotAComplex(f"{what}: expected a list of {shape[0]} rows")
     for i, row in enumerate(rows):
-        if not (isinstance(row, (list, tuple)) and len(row) == shape[1]):
-            raise NotAComplex(f"{what}: row {i} is not a list of {shape[1]} entries")
         for j, entry in enumerate(row):
-            mat[i, j] = entry_to_complex(entry)
+            if is_number(entry):
+                mat[i, j] = complex(entry)
+            elif type(entry) is list and len(entry) == 2 and all(map(is_number, entry)):
+                mat[i, j] = complex(float(entry[0]), float(entry[1]))
+            else:
+                raise TypeError(f"entry {entry!r} is not a number or [re, im] pair")
     return mat
 
 
 def _parse_both(rows, shape):
-    from nchodge.hodge import _matrix_from_json
-    out = []
-    for parse in (_matrix_from_json, reference_matrix_from_json):
-        try:
-            out.append(parse(rows, shape, "differential 0"))
-        except NotAComplex as exc:
-            out.append(str(exc))
-    return out
+    """(matrix_from_json, reference), each the matrix or None on an error;
+    matrix_from_json may raise only TypeError."""
+    try:
+        got = field_for(FLOAT).matrix_from_json(rows, shape)
+    except TypeError:
+        got = None
+    try:
+        want = reference_matrix_from_json(rows, shape)
+    except (TypeError, OverflowError):
+        want = None
+    return got, want
 
 
 BIG = 2 ** 53 + 1
@@ -286,10 +364,10 @@ BIG = 2 ** 53 + 1
     ([[[1.5, -2.25], [0.1, 1e-300]], [[3, 4], [-7, 0]]], (2, 2)),    # pairs
     ([[1.5, -2], [0.1, 7]], (2, 2)),                                  # numbers
     ([[1.0, [2.0, 3.0]]], (1, 2)),                                    # mixed row
-    ([[[True, False], [1, 0]]], (1, 2)),                              # bool pairs
-    ([[True, 2.5]], (1, 2)),                                          # bool number
-    ([[True, False]], (1, 2)),                                        # all bools
-    ([[["1.5", "2"], [1, 0]]], (1, 2)),                               # numeric strings
+    ([[[True, False], [1, 0]]], (1, 2)),              # bools: not numbers, bare or paired
+    ([[True, 2.5]], (1, 2)),
+    ([[True, False]], (1, 2)),
+    ([[["1.5", "2"], [1, 0]]], (1, 2)),               # strings: not numbers, numeric or not
     ([["1.5", 2]], (1, 2)),
     ([["1+2j", 2]], (1, 2)),
     ([[[BIG, 0], [BIG + 2, 2 ** 60 + 1]]], (1, 2)),                   # ints above 2^53
@@ -320,11 +398,14 @@ BIG = 2 ** 53 + 1
     ([[float("nan"), float("inf")]], (1, 2)),
     ([[], []], (2, 0)),
     ([], (0, 3)),
+    ([[(1.5, 2), [3, 4]]], (1, 2)),                   # tuple pairs: not JSON pairs
+    ([[(1.5, 2), (3, 4)]], (1, 2)),
+    ([[1, 2.5], [[3, 4], 5]], (2, 2)),                # mixed across rows
 ])
 def test_matrix_parse_is_bitwise_the_per_entry_parse(rows, shape):
     got, want = _parse_both(rows, shape)
-    if isinstance(want, str):
-        assert got == want
+    if want is None:
+        assert got is None
     else:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -341,31 +422,75 @@ def test_matrix_parse_matches_on_random_json():
             return int(rng.integers(-2 ** 62, 2 ** 62))
         return float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
 
-    for trial in range(80):
+    def entry(layout):
+        if layout == "numbers" or (layout == "mixed" and rng.integers(2)):
+            return value()
+        return [value(), value()]
+
+    for trial in range(120):
         r, c = (int(v) for v in rng.integers(1, 6, size=2))
-        if trial % 2:
-            rows = [[value() for _ in range(c)] for _ in range(r)]
-        else:
-            rows = [[[value(), value()] for _ in range(c)] for _ in range(r)]
+        layout = ("numbers", "pairs", "mixed")[trial % 3]
+        rows = [[entry(layout) for _ in range(c)] for _ in range(r)]
         got, want = _parse_both(json.loads(json.dumps(rows)), (r, c))
         assert got.tobytes() == want.tobytes()
 
 
 def test_oversized_integer_entry_names_the_entry():
-    from nchodge.hodge import _matrix_from_json
-    with pytest.raises(NotAComplex, match="is not a number") as exc:
-        _matrix_from_json([[1, 2], [3, [10 ** 400, 0]]], (2, 2), "differential 0")
-    assert exc.value.context == {"row": 1, "col": 1}
+    with pytest.raises(NotAComplex, match=r"entry \[1000+, 0\] at index \(1, 1\)") as exc:
+        load_complex({"dims": [2, 2], "differentials": [[[1, 2], [3, [10 ** 400, 0]]]]})
+    assert exc.value.context == {"key": "differentials", "degree": 0}
 
 
 def test_numeric_rows_skip_the_per_entry_parse(monkeypatch):
-    from nchodge import hodge
+    from nchodge import scalars
 
     def refuse(*args):
         raise AssertionError("per-entry parse on numeric rows")
 
-    monkeypatch.setattr(hodge, "_entry_to_complex", refuse)
-    pairs = hodge._matrix_from_json([[[1, 2], [3.5, -0.0]]], (1, 2), "d")
-    numbers = hodge._matrix_from_json([[1, 2.5]], (1, 2), "d")
+    monkeypatch.setattr(scalars, "_entry", refuse)
+    parse = field_for(FLOAT).matrix_from_json
+    pairs = parse([[[1, 2], [3.5, -0.0]]], (1, 2))
+    numbers = parse([[1, 2.5]], (1, 2))
     assert pairs.tolist() == [[1 + 2j, 3.5 - 0j]]
     assert numbers.tolist() == [[1 + 0j, 2.5 + 0j]]
+    assert parse([[1, 2]], (1, 2)).dtype == complex == parse([], (0, 2)).dtype
+    load_complex(_BUNDLED_CIRCLE)       # its entries and Grams are all [re, im] pairs
+
+
+# -- the loader on generated input ----------------------------------------------
+
+# the bundled circle (unit Grams as matrices), and a seeded random complex
+# with three or four degrees and dense Hermitian Grams
+_COMPLEX_FILES = [json.loads(_BUNDLED_CIRCLE.read_text()),
+                  complex_to_json(nc.random_complex(np.random.default_rng(8))[0])]
+
+
+@st.composite
+def _complex_files(draw):
+    """A complex file with one matrix entry, one whole differential, one
+    Gram entry or ``dims`` replaced by generated JSON."""
+    data = copy.deepcopy(draw(st.sampled_from(_COMPLEX_FILES)))
+    how = draw(st.sampled_from(["entry", "differential", "gram", "dims"]))
+    junk = draw(st.one_of(_SCALARS, _TREES))
+    if how == "dims":
+        data["dims"] = junk
+        return data
+    key = "gram" if how == "gram" else draw(st.sampled_from(["differentials", "gram"]))
+    k = draw(st.integers(0, len(data[key]) - 1))
+    if how == "entry":
+        row = data[key][k][draw(st.integers(0, len(data[key][k]) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = junk
+    else:
+        data[key][k] = junk
+    return data
+
+
+@settings(max_examples=250, deadline=None)
+@given(_complex_files())
+def test_load_complex_on_generated_files_ends_in_coded_errors(data):
+    """The load succeeds or raises a package error with a hodge-classical
+    code, never anything else."""
+    try:
+        load_complex(data)
+    except NCHodgeError as exc:
+        assert exc.code.startswith("hodge-classical/"), exc.code

@@ -24,8 +24,11 @@ polynomials of degrees 1 to 5), ``spectral`` on ``two_points`` at
 degrees up to 5, against the cached left null bases), ``gv`` on the builtin
 ``sin-z`` and ``dz`` forms with both derivatives, ``selftest --seed 1``,
 and, on inputs written to the temporary directory, ``hodge``/``torsion``/
-``cs-partition`` on a 256-site twisted circle with unit Grams and on a
-64-site one with Grams (2, 1/2), whose frames take the factored route,
+``cs-partition`` on a 256-site twisted circle with unit Grams, on a
+64-site one with Grams (2, 1/2), whose frames take the factored route, on a
+32-site one with dense Hermitian Grams stored as [re, im] matrices, and on
+a real 5x4 torus stored as bare numbers with Grams (null, 2, 1/2) (the two
+layouts the float parser converts in one call),
 ``witten-sweep --phi cos-hv`` on ``circle_leaves.json`` and on a
 torus-leaves model with metric scale 2 (cos-hv varies along the
 transversal, so every sample builds its own complex), ``gv`` on a
@@ -57,6 +60,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CIRCLE = "circle-256.json"
 CIRCLE_GRAM = "circle-64-gram.json"
+CIRCLE_HERMITIAN = "circle-32-hermitian.json"
+TORUS_REAL = "torus-5x4-real.json"
 TORUS_SCALED = "torus-leaves-scale-2.json"
 OMEGA = "omega-dg.json"
 M2_GAUSSIAN = "m2-gaussian.json"
@@ -72,7 +77,8 @@ COMMANDS = (
     + [["nc-report", "--algebra", alg, "--nmax", "3", "--scalar", mode, "--matrices"]
        for alg in ("m2.json", "z3.json") for mode in ("gaussian", "float")]
     + [[cmd, "--complex", cx]
-       for cx in ("circle_alpha_-1_N8.json", CIRCLE, CIRCLE_GRAM)
+       for cx in ("circle_alpha_-1_N8.json", CIRCLE, CIRCLE_GRAM, CIRCLE_HERMITIAN,
+                  TORUS_REAL)
        for cmd in ("hodge", "torsion", "cs-partition")]
     + [["witten-sweep", "--model", model, "--phi", phi]
        for model in ("circle_leaves.json", "torus_leaves.json")
@@ -103,6 +109,45 @@ def circle_json(n, alpha, gram=(1.0, 1.0)):
     d0[n - 1][0] = [alpha.real, alpha.imag]
     return {"name": f"circle-{n}", "dims": [n, n], "differentials": [d0],
             "gram": list(gram)}
+
+
+def hermitian_gram(n, phase):
+    """Tridiagonal n x n Gram as [re, im] pairs: 2 on the diagonal and
+    exp(i phase (j + 1)) / 2 at (j, j + 1), its conjugate at (j + 1, j);
+    diagonally dominant, so positive definite."""
+    gram = [[[0.0, 0.0] for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        gram[j][j] = [2.0, 0.0]
+    for j in range(n - 1):
+        z = cmath.exp(1j * phase * (j + 1)) / 2
+        gram[j][j + 1], gram[j + 1][j] = [z.real, z.imag], [z.real, -z.imag]
+    return gram
+
+
+def torus_json(nx, ny):
+    """Cellular nx x ny torus with real differentials as bare numbers: d0
+    as ints, d1 as floats; Grams null (identity), 2 and 1/2."""
+    def vertex(i, j):
+        return (i % nx) * ny + j % ny
+
+    def edge(i, j, vertical):
+        return 2 * vertex(i, j) + vertical
+
+    n = nx * ny
+    d0 = [[0] * n for _ in range(2 * n)]
+    d1 = [[0.0] * (2 * n) for _ in range(n)]
+    for i in range(nx):
+        for j in range(ny):
+            for vertical, head in ((0, vertex(i + 1, j)), (1, vertex(i, j + 1))):
+                d0[edge(i, j, vertical)][vertex(i, j)] = -1
+                d0[edge(i, j, vertical)][head] = 1
+            face = d1[vertex(i, j)]
+            face[edge(i, j, 0)] += 1.0
+            face[edge(i + 1, j, 1)] += 1.0
+            face[edge(i, j + 1, 0)] -= 1.0
+            face[edge(i, j, 1)] -= 1.0
+    return {"name": f"torus-{nx}x{ny}", "dims": [n, 2 * n, n],
+            "differentials": [d0, d1], "gram": [None, 2, 0.5]}
 
 
 def gradient_omega(n):
@@ -185,6 +230,10 @@ def main(argv=None) -> int:
         (work / CIRCLE).write_text(json.dumps(circle_json(256, cmath.exp(0.7j))))
         (work / CIRCLE_GRAM).write_text(
             json.dumps(circle_json(64, cmath.exp(0.7j), gram=(2.0, 0.5))))
+        hermitian = circle_json(32, cmath.exp(0.7j))
+        hermitian["gram"] = [hermitian_gram(32, 0.3), hermitian_gram(32, 0.7)]
+        (work / CIRCLE_HERMITIAN).write_text(json.dumps(hermitian))
+        (work / TORUS_REAL).write_text(json.dumps(torus_json(5, 4)))
         (work / TORUS_SCALED).write_text(json.dumps({
             "name": "torus-leaves-scale-2", "leaf": {"type": "torus", "nx": 8, "ny": 8},
             "transversal": [{"v": 0.0, "weight": 0.3}, {"v": 0.5, "weight": 0.7}],
