@@ -21,10 +21,13 @@ exact bounds make.
 
 Elimination is fraction-free (Bareiss 1968, *Sylvester's identity and
 multistep integer-preserving Gaussian elimination*): a Gauss-Jordan pass
-whose row updates ``(p A_i - A_ic A_r) / p_prev`` divide exactly, every
-intermediate entry being a minor of the input.  Over Q(i) it runs on
-Gaussian integers, where the division is exact too.  Exact ranks are
-therefore exact integers, which several invariants rely on.
+whose step at pivot ``p = A_rc`` is one whole-matrix update ``A <- (p A -
+A[:, c] A[r]) / p_prev``, dividing exactly (every entry is a minor of the
+input), after which row r, which the update zeroes, is put back.  Over Q(i)
+it runs on Gaussian integers, where the division is exact too.  Before each
+step, with M the largest entry, it widens to object ints for good once
+2 M**2 (over Z) or 8 M**3 (over Z[i], the division multiplying 4 M**2 by a
+conjugate pivot) reaches 2**63.  Exact ranks are therefore exact integers.
 
 Exact image membership goes through a left null basis (cokernel):
 :func:`left_null` reads integer rows ``Y`` with ``Y A = 0`` off one
@@ -403,28 +406,28 @@ def _eliminate(re, im):
         r = len(pivots)
         if r == m:
             break
-        live = re[r:, c] != 0
-        hits = np.flatnonzero(live if im is None else live | (im[r:, c] != 0))
+        live = re[r:, c] if im is None else re[r:, c] | im[r:, c]     # 0 where both parts are
+        hits = live.nonzero()[0]
         if not hits.size:
             continue
-        for part in (re, im):
+        for part in (re, im) if hits[0] else ():
             if part is not None:
                 part[[r, r + hits[0]]] = part[[r + hits[0], r]]
-        if re.dtype != object:
-            # p A_i - f A_r takes 2M^2 over Z; over Z[i] 4M^2, and the division
-            # multiplies it by a conjugate pivot of size M
+        if re.dtype != object:      # the widening rule of the module docstring
             top = max(_absmax(re), _absmax(im))
             re, im = _widen(re, im, (2 * top ** 2 if im is None else 8 * top ** 3) >= _LIMIT)
-        def take(key):
-            return re[key], _opt(operator.getitem, im, key)
-
-        rest = np.arange(m) != r
+        row = re[r].copy(), None if im is None else im[r].copy()
         piv = (int(re[r, c]), None if im is None else int(im[r, c]))
-        rows = _cprod(operator.mul, *piv, *take(rest))
-        elim = _cprod(operator.mul, *take((rest, c, None)), *take(r))
-        re[rest], new_im = _divide(rows[0] - elim[0], _opt(operator.sub, rows[1], elim[1]), prev)
-        if im is not None:
-            im[rest] = new_im
+        f = _cprod(operator.mul, re[:, c, None], None if im is None else im[:, c, None], *row)
+        if im is None:      # A <- (p A - f A_r) / p_prev in place, on the copy
+            re *= piv[0]
+            re -= f[0]
+            re //= prev[0]
+        else:
+            pa = _cprod(operator.mul, *piv, re, im)
+            re, im = _divide(pa[0] - f[0], pa[1] - f[1], prev)
+            im[r] = row[1]
+        re[r] = row[0]      # the step zeroes the pivot row: put it back
         prev = piv
         pivots.append(c)
     return re, im, pivots, prev

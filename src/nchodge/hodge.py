@@ -117,13 +117,15 @@ def make_complex(dims, diffs, grams=None, name="complex", tol=1e-12) -> CochainC
         raise BadGram(f"expected {m + 1} Gram matrices, got {len(grams)}")
     for k, g in enumerate(grams):
         n = dims[k]
-        if g is None:
-            g = np.eye(n, dtype=complex)
-        elif np.isscalar(g):
+        if g is None or np.isscalar(g):
             # abs first: float() of an int past the float range raises
-            if not (abs(g) <= sys.float_info.max and float(np.real(g)) > 0):
+            if g is not None and not (abs(g) <= sys.float_info.max and float(np.real(g)) > 0):
                 raise BadGram(f"Gram scale {k} must be positive and finite, got {g}", degree=k)
-            g = float(np.real(g)) * np.eye(n, dtype=complex)
+            try:
+                eye = np.eye(n, dtype=complex)
+            except MemoryError:
+                raise NotAComplex(f"no memory for a {n} x {n} Gram", key="dims", degree=k) from None
+            g = eye if g is None else np.multiply(eye, float(np.real(g)), out=eye)
         else:
             g = np.asarray(g, dtype=complex)
             if g.shape != (n, n):

@@ -11,7 +11,8 @@ Two routes compute it:
   the polynomial ``r`` with ``r = 1`` mod ``(x-1)^2`` and ``r = 0`` mod
   ``q`` has a closed form (``exactla.harmonic_crt_poly``), and ``P = r(k)``.
   Over the exact scalar modes this is rounding-free, so ``P`` is literally
-  idempotent.
+  idempotent and its trace is its rank: :func:`spectral_report` reads rank
+  ``P`` and rank ``1-P`` off it and eliminates only ``(1-k)^2``.
 * float -- a sorted complex Schur form: cluster the eigenvalues at 1, solve
   the Sylvester equation for the coupling block, and conjugate back.
 
@@ -275,15 +276,13 @@ def spectrum_report(window: FormsWindow, degree: int, root_tol: float = 1e-6,
     return [(complex(r), int(c)) for r, c in zip(roots, counts) if c]
 
 
-def _column_space_rank(mats, rank_tol):
-    stacked = np.concatenate([to_complex(m) for m in mats], axis=1)
-    return exactla.rank(stacked, rank_tol)
-
-
 def spectral_report(window: FormsWindow, degrees=None, *, cluster_tol=1e-8,
                     root_tol=1e-6, rank_tol=1e-10, crt_vs_eig_tol=1e-10) -> dict:
     """Full per-degree report: spectra, ranks, and residuals of every
-    invariant the decomposition is supposed to satisfy."""
+    invariant the decomposition is supposed to satisfy.  On exact windows
+    rank P is the trace of P (an integer in [0, dim], or AssertionError) and
+    rank (1-P) = dim - rank P; rank (1-k)^2 still comes from elimination, so
+    ``rank_split_ok`` compares two routes.  Float windows take SVD ranks."""
     ops = operator_matrices(window)
     D, B, K = ops["d"].blocks, ops["b"].blocks, ops["k"].blocks
     n_max = window.n_max
@@ -300,8 +299,13 @@ def spectral_report(window: FormsWindow, degrees=None, *, cluster_tol=1e-8,
         omk = exactla.eye_like(K[n]) - K[n]
         omk2 = matmul(omk, omk)
 
-        rank_p = exactla.rank(P, rank_tol)
-        rank_pp = exactla.rank(Pp, rank_tol)
+        if exact:   # P P = P holds exactly, and the trace of an idempotent is its rank
+            rank_p, rem = divmod(sum(P.num.diagonal().tolist()), P.den)
+            if rem or not 0 <= rank_p <= dim or P.im is not None and sum(P.im.diagonal().tolist()):
+                raise AssertionError(f"trace of P is not a rank at degree {n}")
+            rank_pp = dim - rank_p
+        else:
+            rank_p, rank_pp = exactla.rank(P, rank_tol), exactla.rank(Pp, rank_tol)
         rank_omk2 = exactla.rank(omk2, rank_tol)
 
         eigs = _eigvals(to_complex(K[n]))
@@ -350,9 +354,10 @@ def spectral_report(window: FormsWindow, degrees=None, *, cluster_tol=1e-8,
         if 1 <= n <= n_max - 2:
             dP = matmul(D[n - 1], spectral_data(window, n - 1).P)
             bP = matmul(B[n + 1], spectral_data(window, n + 1).P)
-            span = _column_space_rank([dP, bP], rank_tol)
-            contained = _column_space_rank([to_complex(Pp), np.concatenate(
-                [to_complex(dP), to_complex(bP)], axis=1)], rank_tol) == rank_pp
+            dbP = np.concatenate([to_complex(dP), to_complex(bP)], axis=1)
+            span = exactla.rank(dbP, rank_tol)
+            contained = exactla.rank(np.concatenate([to_complex(Pp), dbP], axis=1),
+                                     rank_tol) == rank_pp
             row["harmonic_complement_as_dP_plus_bP"] = {
                 "span_rank": span,
                 "complement_rank": rank_pp,

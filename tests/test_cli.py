@@ -10,6 +10,7 @@ from nchodge import cli, exactla, reporting, spectral
 from nchodge.errors import InputError
 from nchodge.foliation import builtin_model, resolve_phi
 from nchodge.gv import builtin_omega, gv_report
+from test_hodge import _refuse_large_eye
 from test_reporting import capture_reports, reference_bytes
 
 
@@ -305,6 +306,18 @@ def test_malformed_complex_is_structured_error(tmp_path, capsys, text, code):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert json.loads(err)["code"] == "hodge-classical/" + code
+
+
+def test_identity_gram_past_memory_is_structured_error(tmp_path, capsys, monkeypatch):
+    _refuse_large_eye(monkeypatch, 6000)
+    src = tmp_path / "cx.json"
+    src.write_text('{"dims": [6000, 0], "differentials": [[]], "gram": [2, null]}')
+    assert run(["hodge", "--complex", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["code"] == "hodge-classical/NotAComplex"
+    assert payload["context"] == {"key": "dims", "degree": 0}
 
 
 @pytest.mark.parametrize("dims", ["[-1, 1]", "[1, -2]", "[true, 1]", "[1.0, 1]", "[]",

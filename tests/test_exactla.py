@@ -448,6 +448,88 @@ def test_kernel_matches_sympy_and_object_dot(gaussian, big):
                 assert xla.is_zero_matrix(xla.matmul(coker, rhs)) is want
 
 
+def _near_2_19(rng, shape, gaussian):
+    """Integer (Gaussian-integer) matrix with entries of magnitude 2**18 to
+    2**19: the first elimination step fits int64 over Z and over Z[i]
+    (8 top**3 < 2**63), and its 2 x 2 minors make a later step widen."""
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        re = int(rng.integers(2 ** 18, 2 ** 19)) * int(rng.choice((-1, 1)))
+        im = int(rng.integers(-2 ** 19 + 1, 2 ** 19))
+        out[idx] = GaussianRational(re, im) if gaussian else re
+    return out
+
+
+def _widen_flags(monkeypatch, mat):
+    """The widening decision of each step of one elimination of ``mat``."""
+    flags, widen = [], xla._widen
+
+    def spy(re, im, wide, *rest):
+        flags.append(bool(wide))
+        return widen(re, im, wide, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(xla, "_widen", spy)
+        xla._eliminate(mat.num, mat.im)
+    return flags
+
+
+def _parts(mat):
+    return [part.tobytes() for part in (mat.num, mat.im) if part is not None]
+
+
+def _left_null_reference(obj):
+    """Rows y with y obj = 0 read off ``_dense_rref(obj^T)``: 1 at a free
+    column f and -R[i, f] at the i-th pivot column."""
+    red, pivots = _dense_rref(obj.T)
+    rows = []
+    for f in sorted(set(range(obj.shape[0])) - set(pivots)):
+        y = [qq_i(0)] * obj.shape[0]
+        y[f] = qq_i(1)
+        for i, c in enumerate(pivots):
+            y[c] = -red[i, f]
+        rows.append((f, y))
+    return rows
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_elimination_that_widens_midway_matches_references(monkeypatch, gaussian):
+    rng = np.random.default_rng(23)
+    base = _near_2_19(rng, (4, 4), gaussian)
+    aug = np.concatenate([base, np.eye(4, dtype=np.int64).astype(object)], axis=1)
+    tall = np.concatenate([base, base[:1]])                 # a left null row
+    wide = np.concatenate([base, base[:, :1]], axis=1)      # a non-pivot column
+    for obj in (tall, wide, tall.T, aug):
+        mat = xla.asexact(obj)
+        flags = _widen_flags(monkeypatch, mat)
+        assert mat.num.dtype == np.int64 and flags[0] is False and flags[-1] is True, flags
+        before = _parts(mat)
+        red, pivots = xla.rref(mat)
+        assert _parts(mat) == before
+        _assert_canonical(red)
+        ref, ref_pivots = _sympy(obj, gaussian).rref()
+        dense, dense_pivots = _dense_rref(obj)
+        assert pivots == list(ref_pivots) == dense_pivots
+        _assert_values(red, _from_sympy(ref, gaussian))
+        _assert_values(red, dense)
+        assert xla.rank(mat) == _sympy(obj, gaussian).rank() == len(pivots)
+        assert _parts(mat) == before
+        coker = xla.left_null(mat)
+        assert _parts(mat) == before
+        _assert_canonical(coker)
+        got, ref_rows = _qi(coker), _left_null_reference(obj)
+        assert coker.den == 1 and len(ref_rows) == coker.shape[0]
+        for row, (f, y) in zip(got, ref_rows):
+            assert list(row) == [row[f] * v for v in y]
+    mat = xla.asexact(base)
+    before = _parts(mat)
+    inv = xla.inverse(mat)
+    assert _parts(mat) == before
+    _assert_canonical(inv)
+    _assert_values(inv, _from_sympy(_sympy(base, gaussian).inv(), gaussian))
+    _assert_values(inv, _dense_rref(aug)[0][:, 4:])
+
+
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_eval_poly_matches_sympy_horner(gaussian):
     rng = np.random.default_rng(22)

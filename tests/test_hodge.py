@@ -176,6 +176,32 @@ def test_complex_file_gram_forms():
         assert exc.value.context == {"degree": 1}
 
 
+def _refuse_large_eye(monkeypatch, limit):
+    """np.eye raises MemoryError from ``limit`` rows up, as an allocation
+    past memory would, without allocating anything."""
+    eye = np.eye
+
+    def refusing(n, *args, **kwargs):
+        if n >= limit:
+            raise MemoryError(f"cannot allocate a {n} x {n} identity")
+        return eye(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "eye", refusing)
+
+
+@pytest.mark.parametrize("gram", [None, [None, None], [None, 2], [0.5, 3.0]])
+def test_identity_gram_past_memory_is_not_a_complex(monkeypatch, gram):
+    """A degree without a Gram, or with a scalar one, allocates an n x n
+    identity; when that fails, the dim that asked for it is named."""
+    _refuse_large_eye(monkeypatch, 6000)
+    data = {"dims": [0, 6000], "differentials": [[[]] * 6000]}
+    if gram is not None:
+        data["gram"] = gram
+    with pytest.raises(NotAComplex) as exc:
+        load_complex(data)
+    assert exc.value.context == {"key": "dims", "degree": 1}
+
+
 def test_zeta_det_guards():
     assert nc.zeta_det(np.zeros(4)) == 1.0
     assert nc.zeta_det(np.array([])) == 1.0

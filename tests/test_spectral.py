@@ -1,8 +1,13 @@
+import dataclasses
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import nchodge as nc
-from nchodge import exactla, spectral
+from nchodge import cli, exactla, spectral
 from nchodge.scalars import GaussianRational
 from nchodge.spectral import admissible_roots
 from test_forms import _algebra
@@ -254,3 +259,56 @@ def test_split_of_a_form_past_int64_takes_the_object_path():
         want = exactla.asexact(np.dot(np.asarray(proj), np.asarray(vec)))
         assert _fields(got) == _fields(want)
     assert _fields(parts[0] + parts[1] + parts[2]) == _fields(vec)
+
+
+def _m2_gaussian_file():
+    """The m2 algebra stored gaussian in the basis (E11, i E12, E21/2, E22)
+    that tools/bytecheck.py writes: its P blocks have imaginary parts."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "bytecheck.py"
+    spec = importlib.util.spec_from_file_location("bytecheck", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return nc.load_algebra(module.m2_gaussian())
+
+
+@pytest.mark.parametrize("name,mode,n_max", [
+    *[(name, mode, n_max) for name, n_max in
+      [("z3", 4), ("m2", 3), ("two-points", 6), ("dual-numbers", 5)]
+      for mode in ("rational", "gaussian")],
+    ("m2-gaussian-file", None, 3)])
+def test_projection_ranks_read_off_the_trace_match_elimination(name, mode, n_max):
+    algebra = _m2_gaussian_file() if mode is None else nc.builtin_algebra(name, mode)
+    w = nc.build_window(algebra, n_max)
+    report = spectral.spectral_report(w)
+    assert report["passed"]
+    for row in report["degrees"]:
+        data = spectral.spectral_data(w, row["degree"])
+        assert row["rank_P"] == exactla.rank(data.P)
+        assert row["rank_P_perp"] == exactla.rank(data.P_perp)
+    if mode is None:
+        assert any(spectral.spectral_data(w, n).P.im is not None for n in range(n_max))
+
+
+def _not_ranks(n):
+    """n x n exact matrices whose trace is no rank: a half, an imaginary
+    part, a trace past n and a negative one."""
+    eye, first = np.eye(n, dtype=np.int64), np.diag([1] + [0] * (n - 1))
+    return [exactla.ScaledArray(first, None, 2), exactla.ScaledArray(eye, first),
+            exactla.ScaledArray(2 * eye), exactla.ScaledArray(-eye)]
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_projection_trace_that_is_no_rank_fails_the_invariant(monkeypatch, capsys, which):
+    real = spectral.spectral_data
+
+    def corrupted(window, degree):
+        data = real(window, degree)
+        bad = _not_ranks(data.P.shape[0])[which]
+        return dataclasses.replace(data, P=bad) if degree == 1 else data
+
+    monkeypatch.setattr(spectral, "spectral_data", corrupted)
+    with pytest.raises(AssertionError, match="trace of P is not a rank at degree 1"):
+        spectral.spectral_report(nc.build_window(nc.builtin_algebra("z3"), 3))
+    assert cli.main(["spectral", "--algebra", "z3", "--nmax", "3"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False and "trace of P is not a rank at degree 1" in report["error"]
