@@ -33,13 +33,13 @@ Exact image membership goes through a left null basis (cokernel):
 :func:`left_null` reads integer rows ``Y`` with ``Y A = 0`` off one
 elimination of ``A^T``, and ``b`` lies in Im A exactly when ``Y b = 0``.
 A caller that tests many vectors against one fixed ``A`` keeps ``Y`` and
-eliminates once; :func:`solve_in_image` forms it per call.
+eliminates once.
 
 Float matrices are ``complex128`` and go to numpy and LAPACK; every helper
-dispatches on its input.  Exact algebra data and form vectors are
-ScaledArrays as well.  Object arrays of int, Fraction and GaussianRational
-entries (arrays that callers build entry by entry) enter through
-:func:`asexact`; ``np.asarray`` reads an exact array out as one again.
+takes a ScaledArray or a complex128 array and dispatches on which.  Exact
+matrices enter at the field edge only: ``ScalarField.matrix_from_json``
+parses JSON pairs (:func:`from_pairs`), ``ScalarField.array`` converts raw
+scalars (:func:`from_object`); ``np.asarray`` reads one out as objects.
 
 Also hosts the closed-form Karoubi CRT polynomials (Fraction coefficients,
 low to high) that give P and G as polynomials in k.
@@ -75,6 +75,7 @@ class ScaledArray:
     __slots__ = ("num", "im", "den", "_bound", "_cap")
     __array_ufunc__ = None       # numpy operators defer to the reflected ones here
     __hash__ = None
+    # dtype, __array__ and elementwise != serve numpy callers such as perfbench's tracer
     dtype = np.dtype(object)     # as np.asarray gives it: exact scalar entries
 
     def __init__(self, num, im=None, den=1, cap=None):
@@ -271,14 +272,13 @@ def _cprod(op, ar, ai, br, bi):
 
 
 def _operand(x):
-    if isinstance(x, (int, Fraction, GaussianRational)) or (
-            isinstance(x, np.ndarray) and x.dtype == object):
+    if isinstance(x, (int, Fraction, GaussianRational)):
         return from_object(x)
-    return x if isinstance(x, ScaledArray) else NotImplemented
+    return x if type(x) is ScaledArray else NotImplemented
 
 
 def is_exact(mat) -> bool:
-    return mat.dtype == object
+    return type(mat) is ScaledArray
 
 
 def from_object(arr) -> ScaledArray:
@@ -304,13 +304,6 @@ def from_pairs(pairs, shape) -> ScaledArray:
     return ScaledArray(out[0].reshape(shape), out[1].reshape(shape), den, top)
 
 
-def asexact(mat):
-    """``mat`` as a ScaledArray when it is exact; float input unchanged."""
-    if isinstance(mat, ScaledArray):
-        return mat
-    return from_object(mat) if is_exact(mat) else mat
-
-
 def eye_like(mat):
     """The identity matching square ``mat`` in size and kind."""
     n, one = mat.shape[0], min(mat.shape[0], 1)
@@ -324,10 +317,8 @@ def matmul(a, b):
     Exact operands multiply their numerators with ``np.dot`` and their
     denominators as Python ints.  Float and mixed input goes to ``np.dot``.
     """
-    if not (type(a) is ScaledArray and type(b) is ScaledArray):
-        if not (is_exact(a) and is_exact(b)):
-            return np.dot(np.asarray(a), np.asarray(b))
-        a, b = asexact(a), asexact(b)
+    if not (is_exact(a) and is_exact(b)):
+        return np.dot(np.asarray(a), np.asarray(b))
     terms = (2 if a.im is not None and b.im is not None else 1) * a.num.shape[-1]
     cap, wide = _guard(a, b, terms)
     re, im = _cprod(np.dot, *_widen(a.num, a.im, wide), *_widen(b.num, b.im, wide))
@@ -346,7 +337,6 @@ def _to_float(num, den, small) -> np.ndarray:
 def to_complex(mat) -> np.ndarray:
     if not is_exact(mat):
         return np.asarray(mat, dtype=np.complex128)
-    mat = asexact(mat)
     out = np.empty(mat.shape, dtype=np.complex128)
     small = mat._below(_FLOAT_EXACT)
     out.real = _to_float(mat.num, mat.den, small)
@@ -357,17 +347,14 @@ def to_complex(mat) -> np.ndarray:
 def max_abs(mat) -> float:
     if mat.size == 0:
         return 0.0
-    if is_exact(mat):
-        mat = asexact(mat)
-        if mat.im is None:
-            return mat.bound / mat.den      # Python int division: correctly rounded
+    if is_exact(mat) and mat.im is None:
+        return mat.bound / mat.den      # Python int division: correctly rounded
     # np.abs, not abs(complex): their hypot can differ in the last bit
     return float(np.max(np.abs(to_complex(mat))))
 
 
 def is_zero_matrix(mat, tol: float = 0.0) -> bool:
-    if type(mat) is ScaledArray or is_exact(mat):
-        mat = asexact(mat)
+    if is_exact(mat):
         return mat.im is None and not np.count_nonzero(mat.num)
     if mat.size == 0:
         return True
@@ -383,7 +370,6 @@ def equal(a, b, tol: float = 0.0) -> bool:
         return False
     if not (is_exact(a) and is_exact(b)):
         return max_abs(a - b) <= tol
-    a, b = asexact(a), asexact(b)
     if a.den != b.den or (a.im is None) != (b.im is None):
         return False
     return _same(a.num, b.num) and (a.im is None or _same(a.im, b.im))
@@ -445,7 +431,6 @@ def _divide(re, im, q):
 
 def rref(mat):
     """Reduced row echelon form of an exact matrix.  Returns (R, pivot_cols)."""
-    mat = asexact(mat)
     re, im, pivots, (pr, pi) = _eliminate(mat.num, mat.im)
     if pi:      # R = A / p = A conj(p) / |p|^2
         wide = 2 * max(_absmax(re), _absmax(im)) * max(abs(pr), abs(pi)) >= _LIMIT
@@ -467,7 +452,6 @@ def rank(mat, rel_tol: float = 1e-10) -> int:
 def inverse(mat):
     if not is_exact(mat):
         return np.linalg.inv(to_complex(mat))
-    mat = asexact(mat)
     n = mat.shape[0]
     if mat.shape != (n, n):
         raise ValueError("inverse needs a square matrix")
@@ -488,10 +472,10 @@ def left_null(A) -> ScaledArray:
     One elimination of A^T gives R = (num + i im) / den; the free column f
     yields the row with den at f and -num[i, f] - i im[i, f] at the i-th
     pivot column, read straight off the integers."""
-    A = asexact(A)
     red, pivots = rref(A.T)
     m = A.shape[0]
-    free = np.setdiff1d(np.arange(m), pivots)
+    taken = set(pivots)
+    free = [i for i in range(m) if i not in taken]
     rows = np.arange(len(free))
 
     def part(src, diag):
@@ -505,11 +489,10 @@ def left_null(A) -> ScaledArray:
 
 
 def solve_in_image(A, b, rel_tol: float = 1e-10):
-    """Return True when every column of b lies in the column space of A."""
+    """Return True when every column of the float matrix b lies in the column
+    space of A, to ``rel_tol``; exact callers test ``left_null(A) b = 0``."""
     if b.size == 0 or is_zero_matrix(b, tol=rel_tol * max(1.0, max_abs(b))):
         return True
-    if is_exact(A) and is_exact(b):
-        return is_zero_matrix(matmul(left_null(A), b))
     if A.size == 0:
         return False
     Af, bf = to_complex(A), to_complex(b).reshape(A.shape[0], -1)
@@ -524,7 +507,6 @@ def eval_poly(coeffs, mat):
     coefficients ``R_i / D``, ``H <- H K + R_i d^(m-i) I`` from the top
     degree m down ends at ``H = D d^m p(mat)``."""
     n = mat.shape[0]
-    mat = asexact(mat)
     cs = [Fraction(c) for c in coeffs] or [Fraction(0)]
     scale, top = math.lcm(*(c.denominator for c in cs)), len(cs) - 1
     k, h = (mat.num, mat.im), (np.zeros((n, n), dtype=mat.num.dtype), None)

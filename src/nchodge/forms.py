@@ -82,19 +82,14 @@ def dimension_cap() -> int:
 
 @dataclass
 class Form:
-    """Finitely supported graded vector: degree -> coefficient vector.
+    """Finitely supported graded vector: degree -> coefficient vector, an
+    ``exactla.ScaledArray`` on exact windows and complex128 on float ones.
 
-    Exact vectors are held as ``exactla.ScaledArray`` (object arrays of the
-    field's scalars are converted once, here); float ones are complex128.
     Two forms are equal when they agree in every degree, a missing degree
     standing for a zero component: exact components compare their canonical
     forms (``exactla.equal``), float ones at zero tolerance."""
 
     components: dict
-
-    def __post_init__(self):
-        self.components = {n: v if type(v) is exactla.ScaledArray or v.dtype == np.complex128
-                           else exactla.asexact(v) for n, v in self.components.items()}
 
     def component(self, n, window=None):
         if n in self.components:
@@ -187,9 +182,9 @@ class FormsWindow:
 
     def basis_form(self, n, idx) -> Form:
         self.check_degree(n)
-        vec = np.zeros(self.degree_dims[n], dtype=self.field.dtype)
+        vec = np.zeros(self.degree_dims[n], np.int64 if self.field.exact else complex)
         vec[idx] = 1
-        return Form({n: vec})
+        return Form({n: exactla.ScaledArray(vec) if self.field.exact else vec})
 
     def word_label(self, word) -> str:
         labels = self.algebra.norm_labels

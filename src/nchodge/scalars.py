@@ -125,7 +125,6 @@ class ScalarField:
             raise ValueError(f"unknown scalar mode {mode!r}; expected one of {MODES}")
         self.mode = mode
         self.exact = mode != FLOAT
-        self.dtype = object if self.exact else np.complex128
 
     def __repr__(self):
         return f"ScalarField({self.mode!r})"

@@ -30,6 +30,8 @@ from .scalars import FLOAT, RATIONAL
 from .spectral import spectral_report
 
 ALGEBRA_SUITE = (("dual-numbers", 4), ("two-points", 4), ("m2", 2), ("z3", 4))
+EIG_TOL = 1e-10     # exact P against the float eigenprojection (criterion 3)
+GV_TOL = 1e-6       # GV value, gauge residual and grid doubling (criterion 11)
 
 
 @functools.cache
@@ -56,8 +58,6 @@ class SelftestConfig:
     random_complexes: int = 50
     gv_grid: int = 32
     budget_seconds: float = 300.0
-    eig_tol: float = 1e-10
-    gv_tol: float = 1e-6
 
 
 def laplacian_identity(config: SelftestConfig) -> dict:
@@ -101,7 +101,7 @@ def harmonic_projection_dual_route(config: SelftestConfig) -> dict:
         degrees = suite_report(name, n_max)["degrees"]
         rank_ok = all(row["rank_split_ok"] for row in degrees)
         worst_gap = max((row["crt_vs_eig"] for row in degrees), default=0.0)
-        ok = rank_ok and worst_gap <= config.eig_tol
+        ok = rank_ok and worst_gap <= EIG_TOL
         rows.append({"algebra": name, "rank_identity": rank_ok,
                      "crt_vs_eig": worst_gap, "ok": ok})
         passed = passed and ok
@@ -335,9 +335,9 @@ def godbillon_vey_quadrature(config: SelftestConfig) -> dict:
     except NotIntegrable:
         rejected = True
     ok = (rep["integrability_max_abs"] < 1e-8
-          and abs(rep["gv"]) <= config.gv_tol
-          and rep["gauge_residual"] <= config.gv_tol
-          and doubling <= config.gv_tol
+          and abs(rep["gv"]) <= GV_TOL
+          and rep["gauge_residual"] <= GV_TOL
+          and doubling <= GV_TOL
           and rejected)
     return {"passed": bool(ok), "gv": rep["gv"],
             "integrability_max_abs": rep["integrability_max_abs"],

@@ -220,22 +220,20 @@ def hodge_split(window: FormsWindow, form: Form, verify: bool = True):
     return Form(harm), Form(dpart), Form(bpart)
 
 
-def rescaled_laplacian_check(window: FormsWindow, degree: int,
-                             rank_tol: float = 1e-10, rank_perp=None):
+def rescaled_laplacian_check(window: FormsWindow, degree: int, rank_perp: int):
     """Returns (norm of L restricted to the harmonic space, smallest singular
     value of L on the complement; None when the complement is trivial).
-    ``rank_perp`` is ``rank(P_perp, rank_tol)`` when the caller has it."""
+    ``rank_perp`` is the rank of P_perp at ``degree``."""
     window.check_degree(degree, top=window.n_max - 1)
     ops = operator_matrices(window)
     L = ops["L"].blocks[degree]
     data = spectral_data(window, degree)
     norm_on_p = exactla.max_abs(matmul(L, data.P))
-    r = exactla.rank(data.P_perp, rank_tol) if rank_perp is None else rank_perp
-    if r == 0:
+    if rank_perp == 0:
         return norm_on_p, None
     pf = to_complex(data.P_perp)
     u, s, _ = np.linalg.svd(pf)
-    basis = u[:, :r]
+    basis = u[:, :rank_perp]
     restricted = basis.conj().T @ to_complex(L) @ basis
     return norm_on_p, float(np.linalg.svd(restricted, compute_uv=False).min())
 
@@ -332,7 +330,7 @@ def spectral_report(window: FormsWindow, degrees=None, *, cluster_tol=1e-8,
             "d_piece_in_image_d": bool(n == 0 or _in_image(window, "d", n - 1, Xc)),
             "b_piece_in_image_b": bool(_in_image(window, "b", n + 1, Yc)),
         }
-        norm_on_p, min_sing = rescaled_laplacian_check(window, n, rank_tol, rank_pp)
+        norm_on_p, min_sing = rescaled_laplacian_check(window, n, rank_pp)
         spectrum = spectrum_report(window, n, root_tol, eigs)
 
         row = {

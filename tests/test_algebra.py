@@ -147,7 +147,7 @@ def _unit_witness_by_loop(field, c, u, labels):
 
 def _unit_witness(field, c, u, labels):
     try:
-        _check_unit(field, exactla.asexact(c), u, labels)
+        _check_unit(field, c, u, labels)
     except UnitViolation as exc:
         return exc.context["side"], exc.context["index"]
     return None
@@ -169,7 +169,7 @@ def test_unit_check_names_the_loop_witness(mode, entries, witness):
     c = np.array(m2.structure)
     for i, j, k in entries:
         c[i, j, k] += 1
-    args = (m2.field, c, m2.unit, m2.basis_labels)
+    args = (m2.field, m2.field.array(c), m2.unit, m2.basis_labels)
     assert _unit_witness_by_loop(*args) == witness
     assert _unit_witness(*args) == witness
 
@@ -185,7 +185,7 @@ def test_unit_check_matches_the_loop_on_random_breaks(mode):
             for _ in range(int(rng.integers(1, 4))):
                 i, j, k = rng.integers(d, size=3)
                 c[i, j, k] += int(rng.integers(-2, 3))
-            args = (alg.field, c, alg.unit, alg.basis_labels)
+            args = (alg.field, alg.field.array(c), alg.unit, alg.basis_labels)
             assert _unit_witness(*args) == _unit_witness_by_loop(*args)
 
 

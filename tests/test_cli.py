@@ -85,9 +85,10 @@ def test_nonintegrable_is_exit_one(capsys):
 def _shift_first(value):
     """A k-block corruption adding ``value`` to its (0, 0) entry."""
     def corrupt(block):
-        bump = np.zeros(block.shape, dtype=object if exactla.is_exact(block) else complex)
+        exact = exactla.is_exact(block)
+        bump = np.zeros(block.shape, dtype=object if exact else complex)
         bump[0, 0] = value
-        return block + bump
+        return block + (exactla.from_object(bump) if exact else bump)
     return corrupt
 
 

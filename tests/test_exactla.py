@@ -10,7 +10,7 @@ from sympy.polys.matrices import DomainMatrix
 
 import nchodge as nc
 from nchodge import exactla as xla
-from nchodge import spectral
+from nchodge import selftest, spectral
 from nchodge.scalars import GaussianRational, field_for
 
 F = field_for("rational")
@@ -34,7 +34,7 @@ def test_rank_and_kernel_exact():
     assert xla.rank(mat) == 2
     ker = _kernel_basis(mat)
     assert ker.shape == (3, 1)
-    assert xla.is_zero_matrix(xla.matmul(mat, ker))
+    assert xla.is_zero_matrix(xla.matmul(mat, xla.from_object(ker)))
 
 
 def test_inverse_exact_and_singular():
@@ -45,10 +45,16 @@ def test_inverse_exact_and_singular():
         xla.inverse(F.array([[1, 2], [2, 4]]))
 
 
+def _in_image(A, b):
+    """Exact image membership as the package tests it: ``Y b = 0`` for the
+    left null basis ``Y`` of ``A``."""
+    return xla.is_zero_matrix(xla.matmul(xla.left_null(A), b))
+
+
 def test_solve_in_image():
     A = F.array([[1, 0], [0, 0]])
-    assert xla.solve_in_image(A, F.array([[3], [0]]))
-    assert not xla.solve_in_image(A, F.array([[0], [1]]))
+    assert _in_image(A, F.array([[3], [0]]))
+    assert not _in_image(A, F.array([[0], [1]]))
 
 
 def test_solve_in_image_row_reduces_once(monkeypatch):
@@ -62,7 +68,7 @@ def test_solve_in_image_row_reduces_once(monkeypatch):
     A = F.array([[1, 2, 0], [2, 4, 0], [0, 0, 1]])
     for b, inside in (([3, 6, 5], True), ([1, 0, 0], False)):
         calls.clear()
-        assert xla.solve_in_image(A, F.array(b).reshape(-1, 1)) is inside
+        assert _in_image(A, F.array(b).reshape(-1, 1)) is inside
         assert calls == [(3, 3)]        # A^T, for its left null space
 
 
@@ -130,11 +136,17 @@ def _assert_same(ref, got):
         assert x == y, (x, y)
 
 
+def _exact(arr):
+    """An object array of exact scalars as the ScaledArray exactla takes;
+    any other array as it is."""
+    return xla.from_object(arr) if type(arr) is np.ndarray and arr.dtype == object else arr
+
+
 def _assert_matches_dot(a, b):
     """``xla.matmul`` against ``np.dot`` over QQ_I, or over the operands as
     they are when one of them is float."""
     ref = np.dot(_qi(a), _qi(b)) if a.dtype == b.dtype == object else np.dot(a, b)
-    _assert_same(ref, xla.matmul(a, b))
+    _assert_same(ref, xla.matmul(_exact(a), _exact(b)))
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
@@ -172,7 +184,7 @@ def test_matmul_int_filled_operands():
     rng = np.random.default_rng(13)
     mat = F.array([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0]])
     ker = _kernel_basis(mat)
-    assert ker.shape == (4, 2) and xla.is_zero_matrix(xla.matmul(mat, ker))
+    assert ker.shape == (4, 2) and xla.is_zero_matrix(xla.matmul(mat, xla.from_object(ker)))
     _assert_matches_dot(mat, ker)
     _assert_matches_dot(ker.T, _random_exact(rng, (4, 3), 0.3))
     _assert_matches_dot(ker.T, ker)
@@ -242,7 +254,7 @@ def _random_typed(rng, shape, density, kinds):
 
 def _assert_rref_matches_dense(mat):
     ref, ref_pivots = _dense_rref(mat)
-    got, pivots = xla.rref(mat)
+    got, pivots = xla.rref(xla.from_object(mat))
     assert pivots == ref_pivots
     _assert_same(ref, got)
 
@@ -275,14 +287,14 @@ def test_rref_of_inverse_augmented_matrix(gaussian):
         for i in range(n):
             aug[i, n + i] = 1
         _assert_rref_matches_dense(aug)
-        _assert_same(_dense_rref(aug)[0][:, n:], xla.inverse(mat))
+        _assert_same(_dense_rref(aug)[0][:, n:], xla.inverse(xla.from_object(mat)))
 
 
 def test_rref_int_pivots_stay_exact():
-    red, pivots = xla.rref(np.array([[2, 1], [1, 1], [3, 5]], dtype=object))
+    red, pivots = xla.rref(xla.from_object(np.array([[2, 1], [1, 1], [3, 5]], dtype=object)))
     assert pivots == [0, 1]
     _assert_same(F.array([[1, 0], [0, 1], [0, 0]]), red)     # Fractions, no floats
-    ker = _kernel_basis(np.array([[2, 1, 1]], dtype=object))
+    ker = _kernel_basis(xla.from_object(np.array([[2, 1, 1]], dtype=object)))
     assert ker[0, 0] == Fraction(-1, 2) and type(ker[0, 0]) is Fraction
 
 
@@ -290,11 +302,11 @@ def test_rref_int_pivots_stay_exact():
 def test_max_abs_exact_matches_numpy(gaussian):
     rng = np.random.default_rng(17)
     for shape, density in [((5, 7), 0.2), ((4, 4), 1.0), ((3, 3), 0.0), ((6,), 0.5)]:
-        mat = _random_exact(rng, shape, density, gaussian)
+        mat = xla.from_object(_random_exact(rng, shape, density, gaussian))
         got = xla.max_abs(mat)
         assert type(got) is float
         assert got == float(np.max(np.abs(xla.to_complex(mat))))
-    assert xla.max_abs(np.empty((0, 4), dtype=object)) == 0.0
+    assert xla.max_abs(xla.from_object(np.empty((0, 4), dtype=object))) == 0.0
 
 
 def test_float_rank_uses_relative_threshold():
@@ -418,34 +430,35 @@ def test_kernel_matches_sympy_and_object_dot(gaussian, big):
     for m, n, p in _SHAPES:
         a = _random_matrix(rng, (m, n), gaussian, big)
         b = _random_matrix(rng, (n, p), gaussian, big)
-        got = xla.matmul(a, b)
+        got = xla.matmul(xla.from_object(a), xla.from_object(b))
         _assert_canonical(got)
         _assert_values(got, np.dot(_qi(a), _qi(b)))
         _assert_values(got, _from_sympy(_sympy(a, gaussian) * _sympy(b, gaussian), gaussian))
         if p:       # a 1-D right operand
-            _assert_values(xla.matmul(a, b[:, 0]), np.dot(_qi(a), _qi(b[:, 0])))
+            _assert_values(xla.matmul(xla.from_object(a), xla.from_object(b[:, 0])),
+                           np.dot(_qi(a), _qi(b[:, 0])))
         for mat in (a, b, np.concatenate([a, a[:1]]) if m else a):
-            red, pivots = xla.rref(mat)
+            exact = xla.from_object(mat)
+            red, pivots = xla.rref(exact)
             _assert_canonical(red)
             ref, ref_pivots = _sympy(mat, gaussian).rref()
             assert pivots == list(ref_pivots) == _dense_rref(mat)[1]
             _assert_values(red, _from_sympy(ref, gaussian))
-            assert xla.rank(mat) == _sympy(mat, gaussian).rank()
-            coker = xla.left_null(mat)
+            assert xla.rank(exact) == _sympy(mat, gaussian).rank()
+            coker = xla.left_null(exact)
             _assert_canonical(coker)
             rows, cols = mat.shape
             assert coker.den == 1 and coker.shape == (rows - _sympy(mat, gaussian).rank(), rows)
             assert xla.rank(coker) == coker.shape[0]
-            _assert_values(xla.matmul(coker, mat), np.zeros((coker.shape[0], cols), dtype=object))
-        coker = xla.left_null(a)
+            _assert_values(xla.matmul(coker, exact), np.zeros((coker.shape[0], cols), dtype=object))
         if m and n:
-            inside = xla.matmul(a, _random_matrix(rng, (n, 2), gaussian, big))
-            outside = _random_matrix(rng, (m, 1), gaussian, big, density=1.0)
+            exact = xla.from_object(a)
+            inside = xla.matmul(exact, xla.from_object(_random_matrix(rng, (n, 2), gaussian, big)))
+            outside = xla.from_object(_random_matrix(rng, (m, 1), gaussian, big, density=1.0))
             for rhs in (inside, outside):
                 stacked = _sympy(np.concatenate([a, rhs], axis=1), gaussian)
                 want = stacked.rank() == _sympy(a, gaussian).rank()
-                assert xla.solve_in_image(a, rhs) is want
-                assert xla.is_zero_matrix(xla.matmul(coker, rhs)) is want
+                assert _in_image(exact, rhs) is want
 
 
 def _near_2_19(rng, shape, gaussian):
@@ -500,7 +513,7 @@ def test_elimination_that_widens_midway_matches_references(monkeypatch, gaussian
     tall = np.concatenate([base, base[:1]])                 # a left null row
     wide = np.concatenate([base, base[:, :1]], axis=1)      # a non-pivot column
     for obj in (tall, wide, tall.T, aug):
-        mat = xla.asexact(obj)
+        mat = xla.from_object(obj)
         flags = _widen_flags(monkeypatch, mat)
         assert mat.num.dtype == np.int64 and flags[0] is False and flags[-1] is True, flags
         before = _parts(mat)
@@ -521,7 +534,7 @@ def test_elimination_that_widens_midway_matches_references(monkeypatch, gaussian
         assert coker.den == 1 and len(ref_rows) == coker.shape[0]
         for row, (f, y) in zip(got, ref_rows):
             assert list(row) == [row[f] * v for v in y]
-    mat = xla.asexact(base)
+    mat = xla.from_object(base)
     before = _parts(mat)
     inv = xla.inverse(mat)
     assert _parts(mat) == before
@@ -536,7 +549,7 @@ def test_eval_poly_matches_sympy_horner(gaussian):
     for n, big in [(0, False), (1, False), (4, False), (5, True)]:
         mat = _random_matrix(rng, (n, n), gaussian, big)
         coeffs = [Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 5))) for _ in range(6)]
-        got = xla.eval_poly(coeffs, mat)
+        got = xla.eval_poly(coeffs, xla.from_object(mat))
         _assert_canonical(got)
         K = _sympy(mat, gaussian)
         ref = DomainMatrix.zeros((n, n), K.domain)
@@ -565,7 +578,7 @@ def test_eval_poly_past_int64_matches_fraction_horner(gaussian):
     ref = _qi(np.zeros((n, n), dtype=object))
     for c in reversed(coeffs):
         ref = np.dot(ref, K) + _qi(eye * c)
-    want = xla.asexact(_from_qi(ref))
+    want = xla.from_object(_from_qi(ref))
     assert got.den == want.den
     assert got.num.tolist() == want.num.tolist()
     assert (got.im is None) == (not gaussian)
@@ -575,7 +588,7 @@ def test_eval_poly_past_int64_matches_fraction_horner(gaussian):
 
 def test_object_path_past_int64_and_back():
     big = 2 ** 25
-    a = xla.asexact(np.array([[big, 1], [0, big]], dtype=object))
+    a = xla.from_object(np.array([[big, 1], [0, big]], dtype=object))
     sq = xla.matmul(a, a)
     assert sq.num.dtype == np.int64                   # bound 2^25 * 2^25 * 2
     cube = xla.matmul(sq, a)                          # bound 2^50 * 2^25 * 2
@@ -587,17 +600,17 @@ def test_object_path_past_int64_and_back():
     _assert_canonical(back)
     assert back.num.dtype == np.int64 and back.den == 1
     # zeros and scalars past the bound
-    zero = xla.matmul(xla.asexact(np.array([[Fraction(0)]], dtype=object)), cube[:1, :1])
-    tiny = xla.asexact(np.array([[Fraction(1, 2 ** 70)]], dtype=object))
+    zero = xla.matmul(xla.from_object(np.array([[Fraction(0)]], dtype=object)), cube[:1, :1])
+    tiny = xla.from_object(np.array([[Fraction(1, 2 ** 70)]], dtype=object))
     _assert_canonical(tiny * 0)
     _assert_canonical(xla.matmul(tiny - tiny, tiny))
     _assert_canonical(zero * (2 ** 80))
     _assert_values((tiny * (2 ** 80)) - 2 ** 10, [[0]])
     # a 0-d result past the bound: the dot product of two vectors
-    row = xla.asexact(np.array([2 ** 62, 2 ** 62], dtype=object))
+    row = xla.from_object(np.array([2 ** 62, 2 ** 62], dtype=object))
     assert xla.matmul(row, row)[()] == 2 ** 125
     # elimination past the bound: a 2x2 with 2^62 entries needs its own minors
-    huge = np.array([[2 ** 62, 3], [5, 2 ** 62 + 1]], dtype=object)
+    huge = xla.from_object(np.array([[2 ** 62, 3], [5, 2 ** 62 + 1]], dtype=object))
     red, pivots = xla.rref(huge)
     assert pivots == [0, 1] and np.asarray(red).tolist() == [[1, 0], [0, 1]]
     inv = xla.inverse(huge)
@@ -607,13 +620,14 @@ def test_object_path_past_int64_and_back():
 
 def test_floats_of_large_entries_round_once():
     vals = [Fraction(2 ** 60 + 1, 3), Fraction(-(2 ** 55) - 3, 2 ** 54 + 1), Fraction(1, 3)]
-    mat = np.array(vals, dtype=object)
+    mat = xla.from_object(np.array(vals, dtype=object))
     got = xla.to_complex(mat)
     assert got.tolist() == [complex(v) for v in vals]
     assert xla.max_abs(mat) == max(abs(float(v)) for v in vals)
     gauss = np.array([GaussianRational(v, -v) for v in vals], dtype=object)
-    assert xla.to_complex(gauss).tolist() == [complex(v) for v in gauss]
-    assert xla.max_abs(gauss) == float(np.max(np.abs(np.array([complex(v) for v in gauss]))))
+    assert xla.to_complex(xla.from_object(gauss)).tolist() == [complex(v) for v in gauss]
+    assert xla.max_abs(xla.from_object(gauss)) == \
+        float(np.max(np.abs(np.array([complex(v) for v in gauss]))))
 
 
 def _reference_inverse(mat):
@@ -663,7 +677,7 @@ def _exact_arrays(draw, shape, gaussian):
             for _ in range(math.prod(shape))]
     out = np.empty(len(vals), dtype=object)
     out[:] = vals
-    return xla.asexact(out.reshape(shape))
+    return xla.from_object(out.reshape(shape))
 
 
 @st.composite
@@ -675,7 +689,7 @@ def _exact_pairs(draw):
     a = draw(_exact_arrays(shape, gaussian))
     how = draw(st.sampled_from(["copy", "rebuilt", "moved", "independent", "reshaped", "longer"]))
     if how == "copy":
-        b = xla.asexact(np.asarray(a))
+        b = xla.from_object(np.asarray(a))
     elif how == "rebuilt":      # (3a + c)/3 - c/3 through the arithmetic
         c = draw(_exact_arrays(shape, gaussian))
         b = (a * 3 + c) * Fraction(1, 3) - c * Fraction(1, 3)
@@ -683,7 +697,7 @@ def _exact_pairs(draw):
         vals = np.asarray(a).copy()
         idx = tuple(draw(st.integers(0, n - 1)) for n in shape)
         vals[idx] = _shifted(vals[idx], Fraction(1, draw(st.sampled_from([1, 2, _BIG]))))
-        b = xla.asexact(vals)
+        b = xla.from_object(vals)
     elif how == "independent":
         b = draw(_exact_arrays(shape, gaussian))
     elif how == "reshaped":
@@ -733,7 +747,7 @@ def test_form_equality_reads_missing_degrees_as_zero(data):
     gaussian = data.draw(st.booleans())
     u0 = data.draw(_exact_arrays((3,), gaussian))
     u1 = data.draw(_exact_arrays((2,), gaussian))
-    zero1 = xla.asexact(np.zeros(2, dtype=object))
+    zero1 = xla.from_object(np.zeros(2, dtype=object))
     u, u_with_zero = nc.Form({0: u0}), nc.Form({0: u0, 1: zero1})
     v = nc.Form({0: u0, 1: u1})
     for x, y in [(u, u_with_zero), (u_with_zero, u), (u, v), (v, u), (v, u_with_zero),
@@ -773,7 +787,7 @@ def test_guards_past_loose_caps_decide_as_exact_bounds(gaussian):
         """S T scaled: entries of size ``scale`` under a carried cap of about
         2^32 ``scale``, as the product cancels."""
         scaled = _obj([[v * scale for v in row] for row in S], gaussian)
-        out = xla.matmul(scaled, T)
+        out = xla.matmul(xla.from_object(scaled), xla.from_object(T))
         assert out._bound is None and out._cap >= 2 ** 32 * scale
         return out, np.dot(_qi(scaled), _qi(T))
 
@@ -800,9 +814,9 @@ def test_guards_past_loose_caps_decide_as_exact_bounds(gaussian):
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_guards_past_caps_and_bounds_widen(gaussian):
     B = _obj([[2 ** 40, 1], [3, 2 ** 40]], gaussian)
-    b2, b2_ref = xla.matmul(B, B), np.dot(_qi(B), _qi(B))
+    b2, b2_ref = xla.matmul(xla.from_object(B), xla.from_object(B)), np.dot(_qi(B), _qi(B))
     eye = xla.eye_like(b2)
-    steps = [(b2, b2_ref), (xla.matmul(b2, B), np.dot(b2_ref, _qi(B))),
+    steps = [(b2, b2_ref), (xla.matmul(b2, xla.from_object(B)), np.dot(b2_ref, _qi(B))),
              (b2 * 2 ** 30, b2_ref * 2 ** 30), (b2 + b2, b2_ref + b2_ref),
              (b2 - b2 + eye, np.asarray(eye)),                     # back to int64
              (b2 * Fraction(1, 2 ** 70) - b2, b2_ref / 2 ** 70 - b2_ref)]
@@ -819,3 +833,43 @@ def test_moves_keep_bound_and_cap():
     loose = xla.matmul(m, F.array([[1], [1], [1]]))
     for out in (-loose, loose.reshape(-1), loose.T):
         assert out._bound is None and out._cap == loose._cap
+
+
+# -- package code hands exactla ScaledArrays and complex128 arrays only ------------
+
+_ENTRY_POINTS = ("matmul", "to_complex", "max_abs", "is_zero_matrix", "equal", "rref", "rank",
+                 "inverse", "left_null", "solve_in_image", "eval_poly", "eye_like")
+
+
+@pytest.mark.parametrize("name,mode,n_max", [("z3", "rational", 3), ("m2", "gaussian", 2)])
+def test_package_code_never_passes_object_arrays(monkeypatch, name, mode, n_max):
+    reached = []
+
+    def guarded(fn):
+        def inner(*args, **kwargs):
+            reached.extend(fn.__name__ for arg in args
+                           if isinstance(arg, np.ndarray) and arg.dtype == object)
+            return fn(*args, **kwargs)
+        return inner
+
+    for entry in _ENTRY_POINTS:
+        real = getattr(xla, entry)
+        for module in (xla, spectral, selftest, nc.forms, nc.algebra):
+            if getattr(module, entry, None) is real:
+                monkeypatch.setattr(module, entry, guarded(real))
+    w = nc.build_window(nc.builtin_algebra(name, mode), n_max)
+    residuals = nc.window_identity_residuals(w)
+    assert all(flag for rows in residuals.values() for _, flag, _ in rows)
+    assert nc.spectral_report(w)["passed"]
+    rng = np.random.default_rng(41)
+    for n in range(n_max):
+        coords = rng.integers(-2, 3, (w.degree_dims[n], 2)).tolist()
+        vals = [GaussianRational(a, b) if mode == "gaussian" else a for a, b in coords]
+        for form in [nc.Form({n: w.field.array(vals)})] + \
+                [w.basis_form(n, i) for i in range(w.degree_dims[n])]:
+            assert sum(nc.hodge_split(w, form), nc.Form({})) == form
+    # criterion 6 on this window alone, a few triples
+    monkeypatch.setattr(selftest, "ALGEBRA_SUITE", ((name, n_max),))
+    monkeypatch.setattr(selftest, "suite_window", lambda *key: w)
+    assert selftest.random_operator_identities(selftest.SelftestConfig(random_triples=20))["passed"]
+    assert reached == []

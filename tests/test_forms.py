@@ -354,18 +354,22 @@ def test_operator_blocks_ignore_merges_the_products_built_first():
 
 
 @pytest.mark.parametrize("mode", ["rational", "gaussian", "float"])
-def test_zero_vector_matches_the_object_array_route(mode):
+def test_basis_form_and_zero_vector_match_field_arrays(mode):
     w = nc.build_window(nc.builtin_algebra("z3", mode), 3)
     for n in range(w.n_max + 1):
-        got = w.zero_vector(n)
-        old = exactla.asexact(np.zeros(w.degree_dims[n], dtype=w.field.dtype))
-        if mode == "float":
-            assert got.dtype == old.dtype == np.complex128 and not got.any()
-            assert got.shape == old.shape
-            continue
-        assert type(got) is exactla.ScaledArray
-        assert (got.den, got.im, got.num.dtype, got.num.tolist(), got.bound, got.cap) \
-            == (old.den, old.im, old.num.dtype, old.num.tolist(), old.bound, old.cap)
+        dim = w.degree_dims[n]
+        pairs = [(w.zero_vector(n), [0] * dim)]
+        for idx in (0, dim - 1):
+            pairs.append((w.basis_form(n, idx).component(n), [int(i == idx) for i in range(dim)]))
+        for got, entries in pairs:
+            want = w.field.array(entries)
+            if mode == "float":
+                assert got.dtype == want.dtype == np.complex128
+                assert got.shape == want.shape and np.array_equal(got, want)
+                continue
+            assert type(got) is exactla.ScaledArray
+            assert (got.den, got.im, got.num.dtype, got.num.tolist(), got.bound, got.cap) \
+                == (want.den, want.im, want.num.dtype, want.num.tolist(), want.bound, want.cap)
 
 
 def test_float_blocks_hold_no_negative_zero():
@@ -439,9 +443,7 @@ def test_hochschild_homology_matches_closed_forms(mode):
 def test_form_api_on_scaled_vectors():
     gw = nc.build_window(nc.builtin_algebra("m2", "gaussian"), 2)
     rw = nc.build_window(nc.builtin_algebra("dual-numbers"), 3)
-    # object-array input is converted once, on construction
-    u = nc.Form({1: np.array([Fraction(1, 2), 0], dtype=object)})
-    assert isinstance(u.component(1), exactla.ScaledArray)
+    u = nc.Form({1: exactla.from_object(np.array([Fraction(1, 2), 0], dtype=object))})
     assert u == rw.basis_form(1, 0).scale(Fraction(1, 2))
     # the field's scalar scales in every mode
     c = GaussianRational(1, 2)
@@ -462,11 +464,11 @@ def test_form_api_on_scaled_vectors():
 
 
 def test_bd_and_db_are_formed_once_per_degree(monkeypatch):
-    calls = []
+    calls, real = [], exactla.matmul
 
     def counting(a, b):
         calls.append((a, b))
-        return np.dot(a, b)
+        return real(a, b)
 
     alg = nc.builtin_algebra("z3")
     monkeypatch.setattr(exactla, "matmul", counting)
