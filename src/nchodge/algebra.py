@@ -12,6 +12,10 @@ original basis vectors, in order, represent a complement of the scalar line.
 Reduction modulo scalars then simply drops coordinate 0, which is the
 convention the differential-form machinery builds on.
 
+The basis change ``I[:, order] + (u - e_p) e_0^T``, ``order = (p, complement)``,
+has the closed-form inverse ``I[order] + (e_0 - u[order]) e_p^T / u_p``, with
+``u_p != 0`` (float mode calls LAPACK).
+
 The structure tensor, the unit, the basis change, its inverse and the
 unit-first structure constants are held as the field's arrays
 (``exactla.ScaledArray`` in the exact modes, ``complex128`` in float mode),
@@ -29,7 +33,7 @@ import numpy as np
 from . import exactla
 from .errors import (AssociativityViolation, DimMismatch, NonFiniteEntry,
                      ShapeMismatch, UnitViolation)
-from .scalars import GAUSSIAN, MODES, RATIONAL, ScalarField, field_for
+from .scalars import GAUSSIAN, MODES, RATIONAL, GaussianRational, ScalarField, field_for
 
 
 @dataclass
@@ -97,6 +101,14 @@ def _first_nonzero(field: ScalarField, vec):
     return int(np.argmax(live)) if live.any() else None
 
 
+def _reciprocal(x):
+    """1 / x for a nonzero Fraction or GaussianRational (conj x / |x|^2)."""
+    if not isinstance(x, GaussianRational):
+        return 1 / x
+    norm = x.re ** 2 + x.im ** 2
+    return GaussianRational(x.re / norm, -x.im / norm)
+
+
 def make_algebra(dim, basis_labels, structure, unit, scalar_mode=RATIONAL, *,
                  name="algebra") -> Algebra:
     field = field_for(scalar_mode)
@@ -129,18 +141,17 @@ def make_algebra(dim, basis_labels, structure, unit, scalar_mode=RATIONAL, *,
     if pivot is None:
         raise UnitViolation("unit vector is zero")
     complement = tuple(i for i in range(dim) if i != pivot)
+    order = [pivot, *complement]
     # columns: the unit, then the original basis vectors of the complement
     eye = exactla.eye_like(c[0])
-    change = eye[:, (pivot,) + complement]
+    change = eye[:, order]
     if field.exact:     # column 0 is e_pivot + (u - e_pivot) = u, exactly
         change = change + exactla.matmul((u - eye[pivot]).reshape(dim, 1), eye[:1])
+        shift = (eye[0] - u[order]) * _reciprocal(u[pivot])
+        change_inv = eye[order] + exactla.matmul(shift.reshape(dim, 1), eye[pivot:pivot + 1])
     else:
         change[:, 0] = u
-    try:
-        change_inv = exactla.inverse(change)
-    except (ValueError, np.linalg.LinAlgError):
-        raise UnitViolation("unit cannot be pivoted into the basis",
-                            unit=field.matrix_to_json(u))
+        change_inv = np.linalg.inv(change)
 
     # unit-first products in unit-first coords, norm[a, b, m] = sum_ijk C[i, a]
     # C[j, b] c[i, j, k] Cinv[m, k], one axis per product; transposing an

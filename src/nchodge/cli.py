@@ -234,8 +234,7 @@ def _cmd_cs_partition(args):
 def _cmd_witten_sweep(args):
     model = _model_arg(args.model)
     if args.phi == "random":
-        phi = random_smooth_phi(np.random.default_rng(args.seed),
-                                modes=1, amplitude=0.3)
+        phi = random_smooth_phi(np.random.default_rng(args.seed))
     elif args.phi in PHI_PROFILES:
         phi = args.phi
     else:
@@ -269,9 +268,6 @@ def _cmd_gv(args):
     source = args.omega
     if source not in ("dz", "sin-z", "x-dy"):
         source, _ = _load_json_source(source, "defining form")
-        missing = [c for c in ("x", "y", "z") if c not in source]
-        if missing:
-            raise InputError(f"defining form file lacks components {missing}")
     rep = gv_report(source, n=args.n, derivative=args.derivative,
                     tol=args.tol, gauge_tol=args.gauge_tol)
     rows = [{"omega": rep["omega"], "n": rep["n"], "gv": rep["gv"],

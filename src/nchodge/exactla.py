@@ -28,6 +28,7 @@ it runs on Gaussian integers, where the division is exact too.  Before each
 step, with M the largest entry, it widens to object ints for good once
 2 M**2 (over Z) or 8 M**3 (over Z[i], the division multiplying 4 M**2 by a
 conjugate pivot) reaches 2**63.  Exact ranks are therefore exact integers.
+Elimination serves :func:`rref`, :func:`rank` and :func:`left_null`.
 
 Exact image membership goes through a left null basis (cokernel):
 :func:`left_null` reads integer rows ``Y`` with ``Y A = 0`` off one
@@ -36,7 +37,8 @@ A caller that tests many vectors against one fixed ``A`` keeps ``Y`` and
 eliminates once.
 
 Float matrices are ``complex128`` and go to numpy and LAPACK; every helper
-takes a ScaledArray or a complex128 array and dispatches on which.  Exact
+takes a ScaledArray or a complex128 array and dispatches on which, and
+:func:`to_complex` refuses an object array instead of rounding it.  Exact
 matrices enter at the field edge only: ``ScalarField.matrix_from_json``
 parses JSON pairs (:func:`from_pairs`), ``ScalarField.array`` converts raw
 scalars (:func:`from_object`); ``np.asarray`` reads one out as objects.
@@ -158,10 +160,9 @@ class ScaledArray:
         return f"ScaledArray({self.num!r}, im={self.im!r}, den={self.den})"
 
     def _combine(self, other, op):
-        """``op`` (add or sub) of the two values over the lcm of their
+        """``op`` (add or sub) of two ScaledArrays over the lcm of their
         denominators; equal denominators need no rescaling."""
-        other = _operand(other)
-        if other is NotImplemented:
+        if type(other) is not ScaledArray:
             return NotImplemented
         if self.den == other.den:
             den, sa, sb = self.den, 1, 1
@@ -178,14 +179,8 @@ class ScaledArray:
     def __add__(self, other):
         return self._combine(other, operator.add)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self._combine(other, operator.sub)
-
-    def __rsub__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is NotImplemented else other._combine(self, operator.sub)
 
     def __mul__(self, other):
         """Product with an int, Fraction or GaussianRational scalar."""
@@ -201,15 +196,16 @@ class ScaledArray:
     __rmul__ = __mul__
 
     def __ne__(self, other):
-        """Elementwise, as numpy arrays compare."""
-        diff = self if isinstance(other, int) and other == 0 else self.__sub__(other)
-        if diff is NotImplemented:
-            return NotImplemented
-        return (diff.num != 0) | (_imag_or_zeros(diff) != 0)
+        """Elementwise, as numpy arrays compare, against 0 or a ScaledArray."""
+        if type(other) is ScaledArray:
+            return (self - other) != 0
+        if not (isinstance(other, int) and other == 0):
+            raise TypeError(f"a ScaledArray compares with 0 or a ScaledArray, "
+                            f"not {type(other).__name__}")
+        return (self.num != 0) | (_imag_or_zeros(self) != 0)
 
     def __eq__(self, other):
-        ne = self.__ne__(other)
-        return ne if ne is NotImplemented else ~ne
+        return ~self.__ne__(other)
 
     def to_json(self, gaussian=False):
         """Nested lists of reduced ``[num, den]`` pairs, one per entry
@@ -271,12 +267,6 @@ def _cprod(op, ar, ai, br, bi):
     return op(ar, br) - op(ai, bi), op(ar, bi) + op(ai, br)
 
 
-def _operand(x):
-    if isinstance(x, (int, Fraction, GaussianRational)):
-        return from_object(x)
-    return x if type(x) is ScaledArray else NotImplemented
-
-
 def is_exact(mat) -> bool:
     return type(mat) is ScaledArray
 
@@ -336,6 +326,8 @@ def _to_float(num, den, small) -> np.ndarray:
 
 def to_complex(mat) -> np.ndarray:
     if not is_exact(mat):
+        if np.asarray(mat).dtype.kind not in "biufc":     # an object array would round
+            raise TypeError(f"to_complex needs a numeric dtype, not {np.asarray(mat).dtype}")
         return np.asarray(mat, dtype=np.complex128)
     out = np.empty(mat.shape, dtype=np.complex128)
     small = mat._below(_FLOAT_EXACT)
@@ -447,21 +439,6 @@ def rank(mat, rel_tol: float = 1e-10) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rel_tol * s[0]))
-
-
-def inverse(mat):
-    if not is_exact(mat):
-        return np.linalg.inv(to_complex(mat))
-    n = mat.shape[0]
-    if mat.shape != (n, n):
-        raise ValueError("inverse needs a square matrix")
-    # [num | I] reduces to [I | num^-1], and mat^-1 = den num^-1
-    eye = np.eye(n, dtype=mat.num.dtype)
-    red, pivots = rref(ScaledArray(np.concatenate([mat.num, eye], axis=1),
-                                   np.concatenate([_imag_or_zeros(mat), 0 * eye], axis=1)))
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return red[:, n:] * mat.den
 
 
 def left_null(A) -> ScaledArray:

@@ -62,11 +62,20 @@ class FoliatedModel:
         return self.leaf.complex.top
 
 
+def _zeros(shape):
+    """A leaf differential's zeros, or a coded error naming the leaf."""
+    try:
+        return np.zeros(shape, complex)
+    except (MemoryError, ValueError) as exc:
+        raise InputError(f"leaf differential of shape {shape} cannot be allocated: {exc}",
+                         key="leaf") from None
+
+
 def circle_leaf(n) -> Leaf:
     """Cycle graph on n sites: D0 is the forward difference; Betti (1, 1)."""
     if n < 3:
-        raise LeafTooSmall(f"circle leaf needs at least 3 sites, got {n}", sites=n)
-    d0 = np.zeros((n, n), complex)
+        raise LeafTooSmall(f"circle leaf needs at least 3 sites, got {n}", key="leaf", sites=n)
+    d0 = _zeros((n, n))
     for j in range(n):
         d0[j, (j + 1) % n] = 1.0
         d0[j, j] -= 1.0
@@ -83,14 +92,14 @@ def torus_leaf(nx, ny=None) -> Leaf:
     ny = nx if ny is None else ny
     if nx < 3 or ny < 3:
         raise LeafTooSmall(f"torus leaf needs at least 3 sites per axis, got {nx}x{ny}",
-                           nx=nx, ny=ny)
+                           key="leaf", nx=nx, ny=ny)
     nv = nx * ny
     ne = 2 * nv
 
     def v(i, j):
         return (i % nx) * ny + (j % ny)
 
-    d0 = np.zeros((ne, nv), complex)
+    d0 = _zeros((ne, nv))
     edge_verts = np.zeros((ne, 2), dtype=int)
     for i in range(nx):
         for j in range(ny):
@@ -101,7 +110,7 @@ def torus_leaf(nx, ny=None) -> Leaf:
             d0[ey, v(i, j)] -= 1.0
             edge_verts[ex] = (v(i, j), v(i + 1, j))
             edge_verts[ey] = (v(i, j), v(i, j + 1))
-    d1 = np.zeros((nv, ne), complex)
+    d1 = _zeros((nv, ne))
     face_verts = np.zeros((nv, 4), dtype=int)
     for i in range(nx):
         for j in range(ny):
@@ -118,11 +127,30 @@ def torus_leaf(nx, ny=None) -> Leaf:
                 kind="torus", meta={"nx": nx, "ny": ny})
 
 
+def _size(spec, axis, default):
+    """A leaf size: an int, not a bool."""
+    n = spec.get(axis, default)
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InputError(f"leaf size {axis!r} must be an integer, got {n!r}",
+                         key="leaf", axis=axis)
+    return n
+
+
 _LEAF_BUILDERS = {
-    "circle": lambda spec: circle_leaf(int(spec.get("n", 16))),
-    "torus": lambda spec: torus_leaf(int(spec.get("nx", 8)),
-                                     int(spec.get("ny", spec.get("nx", 8)))),
+    "circle": lambda spec: circle_leaf(_size(spec, "n", 16)),
+    "torus": lambda spec: torus_leaf(_size(spec, "nx", 8),
+                                     _size(spec, "ny", _size(spec, "nx", 8))),
 }
+
+
+def _finite(value, key, error, **context):
+    """``value`` as a float when it is a number, not a bool, that is finite
+    as a float; otherwise ``error`` naming ``key``."""
+    # abs first: float() of an int past the float range raises
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and abs(value) <= float(np.finfo(float).max):
+        return float(value)
+    raise error(f"model {key!r} must be a finite number, got {value!r}", key=key, **context)
 
 
 def make_model(leaf_spec, transversal_spec, metric_scale=1.0,
@@ -141,33 +169,35 @@ def make_model(leaf_spec, transversal_spec, metric_scale=1.0,
     if not isinstance(kind, str) or kind not in _LEAF_BUILDERS:
         raise InputError(f"unknown leaf type {kind!r} (choose from "
                          f"{sorted(_LEAF_BUILDERS)})",
-                         name=kind, available=sorted(_LEAF_BUILDERS))
+                         key="leaf", name=kind, available=sorted(_LEAF_BUILDERS))
     leaf = _LEAF_BUILDERS[kind](leaf_spec)
     if not transversal_spec:
-        raise BadWeights("transversal needs at least one sample")
+        raise BadWeights("transversal needs at least one sample", key="transversal")
     vs, ws = [], []
     uniform = not any(isinstance(s, dict) and "weight" in s for s in transversal_spec)
     for idx, s in enumerate(transversal_spec):
         if isinstance(s, dict):
-            vs.append(float(s.get("v", idx)))
-            ws.append(float(s["weight"]) if "weight" in s else None)
+            vs.append(_finite(s.get("v", idx), "v", InputError, index=idx))
+            ws.append(_finite(s["weight"], "weight", BadWeights, index=idx)
+                      if "weight" in s else None)
         else:
-            vs.append(float(s))
+            vs.append(_finite(s, "v", InputError, index=idx))
             ws.append(None)
     if uniform:
         ws = [1.0 / len(vs)] * len(vs)
     elif any(w is None for w in ws):
-        raise BadWeights("either weight every transversal sample or none")
+        raise BadWeights("either weight every transversal sample or none", key="weight")
     ws = np.array(ws, dtype=float)
-    if np.any(~np.isfinite(ws)) or np.any(ws <= 0):
-        raise BadWeights(f"transverse weights must be positive and finite, got {ws.tolist()}",
-                         weights=ws.tolist())
+    if np.any(ws <= 0):
+        raise BadWeights(f"transverse weights must be positive, got {ws.tolist()}",
+                         key="weight", weights=ws.tolist())
     if abs(ws.sum() - 1.0) > 1e-9:
         raise BadWeights(f"transverse weights must sum to 1, got {ws.sum()!r}",
-                         total=float(ws.sum()))
-    scale = float(metric_scale)
-    if not np.isfinite(scale) or scale <= 0:
-        raise BadWeights(f"metric scale must be positive and finite, got {metric_scale}")
+                         key="weight", total=float(ws.sum()))
+    scale = _finite(metric_scale, "metric_scale", BadWeights)
+    if scale <= 0:
+        raise BadWeights(f"metric scale must be positive, got {metric_scale}",
+                         key="metric_scale")
     if scale != 1.0:
         cx = leaf.complex
         grams = [scale ** k * np.eye(cx.dims[k], dtype=complex)
@@ -181,8 +211,10 @@ def load_model(source) -> FoliatedModel:
     if isinstance(source, (str, Path)):
         with open(source) as fh:
             source = json.load(fh)
-    if not isinstance(source, dict) or "leaf" not in source or "transversal" not in source:
-        raise BadWeights("model file needs 'leaf' and 'transversal' entries")
+    missing = [k for k in ("leaf", "transversal")
+               if not isinstance(source, dict) or k not in source]
+    if missing:
+        raise BadWeights("model file needs 'leaf' and 'transversal' entries", key=missing[0])
     return make_model(source["leaf"], source["transversal"],
                       metric_scale=source.get("metric_scale", 1.0),
                       name=source.get("name", "model"))
@@ -215,16 +247,16 @@ def resolve_phi(phi):
                          name=phi, available=sorted(PHI_PROFILES)) from None
 
 
-def random_smooth_phi(rng, modes=2, amplitude=1.0):
-    """Random low-order trigonometric polynomial in the leaf coordinates,
-    modulated smoothly by the transversal coordinate."""
-    ca = rng.normal(scale=amplitude, size=(modes + 1, 2))
-    cb = rng.normal(scale=amplitude, size=(modes + 1, 2))
+def random_smooth_phi(rng):
+    """Random first-order trigonometric polynomial in the leaf coordinates
+    (coefficients of scale 0.3), modulated smoothly by the transversal one."""
+    ca = rng.normal(scale=0.3, size=(2, 2))
+    cb = rng.normal(scale=0.3, size=(2, 2))
     vshift = rng.normal(scale=0.5)
 
     def phi(pts, v):
         out = np.zeros(pts.shape[0])
-        for m in range(modes + 1):
+        for m in range(2):
             for axis in range(min(2, pts.shape[1])):
                 t = 2 * np.pi * m * pts[:, axis]
                 out = out + ca[m, axis] * np.cos(t) + cb[m, axis] * np.sin(t)

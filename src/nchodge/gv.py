@@ -190,6 +190,8 @@ def _custom_omega(fields):
     for c in COMPONENTS:
         try:
             f = np.asarray(fields[c], dtype=float)
+        except KeyError:
+            raise InputError(f"defining form lacks component {c!r}", key=c) from None
         except (TypeError, ValueError, OverflowError):
             raise InputError(f"component {c!r} is not an array of numbers",
                              key=c) from None

@@ -185,12 +185,12 @@ def load_complex(source) -> CochainComplex:
             type(n) is int and n >= 0 and 16 * n * n <= np.iinfo(np.intp).max for n in dims)):
         raise NotAComplex(f"dims must list one or more non-negative integers: {dims!r}", key="dims")
     m = len(dims) - 1
-    raw_diffs = source.get("differentials", source.get("diffs"))
+    raw_diffs = source.get("differentials")
     if not _is_list_of(raw_diffs, m):
         raise NotAComplex(f"expected a list of {m} differentials", key="differentials")
     diffs = [_parse_matrix(raw_diffs[k], (dims[k + 1], dims[k]), NotAComplex,
                            "differentials", k) for k in range(m)]
-    grams = source.get("gram", source.get("grams"))
+    grams = source.get("gram")
     if grams is not None:
         if not _is_list_of(grams, len(dims)):
             raise BadGram(f"expected a list of {len(dims)} Gram entries", key="gram")
@@ -411,41 +411,25 @@ def hodge_package(cx: CochainComplex, rel_tol=1e-9) -> dict:
             "harmonic_dims": list(betti)}
 
 
-def direct_sum(a: CochainComplex, b: CochainComplex, name=None) -> CochainComplex:
-    """Degreewise direct sum; spectra concatenate, so torsion and partition
-    logs add."""
+def direct_sum(a: CochainComplex, b: CochainComplex) -> CochainComplex:
+    """Degreewise direct sum, the shorter complex padded with zero-dimensional
+    degrees; spectra concatenate, so torsion and partition logs add."""
+    import scipy.linalg
     top = max(a.top, b.top)
 
     def dim(cx, k):
         return cx.dims[k] if k <= cx.top else 0
 
     def diff(cx, k):
-        if k < cx.top:
-            return cx.diffs[k]
-        return np.zeros((dim(cx, k + 1), dim(cx, k)), complex)
+        return cx.diffs[k] if k < cx.top else np.zeros((dim(cx, k + 1), dim(cx, k)), complex)
 
     def gram(cx, k):
-        if k <= cx.top:
-            return cx.grams[k]
-        return np.zeros((0, 0), complex)
+        return cx.grams[k] if k <= cx.top else np.zeros((0, 0), complex)
 
     dims = tuple(dim(a, k) + dim(b, k) for k in range(top + 1))
-    diffs = []
-    for k in range(top):
-        da, db = diff(a, k), diff(b, k)
-        block = np.zeros((dims[k + 1], dims[k]), complex)
-        block[:da.shape[0], :da.shape[1]] = da
-        block[da.shape[0]:, da.shape[1]:] = db
-        diffs.append(block)
-    grams = []
-    for k in range(top + 1):
-        ga, gb = gram(a, k), gram(b, k)
-        block = np.zeros((dims[k], dims[k]), complex)
-        block[:ga.shape[0], :ga.shape[0]] = ga
-        block[ga.shape[0]:, ga.shape[0]:] = gb
-        grams.append(block)
-    return make_complex(dims, diffs, grams,
-                        name=name or f"{a.name}+{b.name}")
+    diffs = [scipy.linalg.block_diag(diff(a, k), diff(b, k)) for k in range(top)]
+    grams = [scipy.linalg.block_diag(gram(a, k), gram(b, k)) for k in range(top + 1)]
+    return make_complex(dims, diffs, grams, name=f"{a.name}+{b.name}")
 
 
 def twisted_circle_complex(n, alpha, gram_scale=1.0) -> CochainComplex:
@@ -465,8 +449,7 @@ def twisted_circle_complex(n, alpha, gram_scale=1.0) -> CochainComplex:
                         name=f"circle(n={n}, alpha={alpha})")
 
 
-def random_complex(rng, max_degree=3, max_dim=8, with_gram=True,
-                   name="random") -> CochainComplex:
+def random_complex(rng, max_degree=3, max_dim=8) -> CochainComplex:
     """Random complex with known Betti numbers: a canonical rank pattern
     conjugated by random invertible changes of basis per degree.  The
     construction pins betti_k = dims[k] - r_k - r_{k-1}."""
@@ -494,16 +477,14 @@ def random_complex(rng, max_degree=3, max_dim=8, with_gram=True,
                 changes.append(p)
                 break
     diffs = [changes[k + 1] @ diffs[k] @ np.linalg.inv(changes[k]) for k in range(top)]
-    grams = None
-    if with_gram:
-        grams = []
-        for k in range(top + 1):
-            a = rng.normal(size=(dims[k], dims[k])) + 1j * rng.normal(size=(dims[k], dims[k]))
-            grams.append(a @ a.conj().T + dims[k] * np.eye(dims[k]))
+    grams = []
+    for k in range(top + 1):
+        a = rng.normal(size=(dims[k], dims[k])) + 1j * rng.normal(size=(dims[k], dims[k]))
+        grams.append(a @ a.conj().T + dims[k] * np.eye(dims[k]))
     expected = []
     for k in range(top + 1):
         r_out = ranks[k] if k < top else 0
         r_in = ranks[k - 1] if k >= 1 else 0
         expected.append(dims[k] - r_out - r_in)
-    cx = make_complex(dims, diffs, grams, name=name, tol=1e-9)
+    cx = make_complex(dims, diffs, grams, name="random", tol=1e-9)
     return cx, tuple(expected)

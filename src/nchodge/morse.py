@@ -102,17 +102,10 @@ class _Derivatives:
                 + 2 * self.phi(h - s, v) - self.phi(h - 2 * s, v)) / (2 * s ** 3)
 
     def d2v(self, h, v):
-        s, sv = self.s2, self.sv
-        def second(vv):
-            return (self.phi(h + s, vv) - 2 * self.phi(h, vv)
-                    + self.phi(h - s, vv)) / s ** 2
-        return (second(v + sv) - second(v - sv)) / (2 * sv)
+        return (self.d2(h, v + self.sv) - self.d2(h, v - self.sv)) / (2 * self.sv)
 
     def d1v(self, h, v):
-        s, sv = self.s1, self.sv
-        def first(vv):
-            return (self.phi(h + s, vv) - self.phi(h - s, vv)) / (2 * s)
-        return (first(v + sv) - first(v - sv)) / (2 * sv)
+        return (self.d1(h, v + self.sv) - self.d1(h, v - self.sv)) / (2 * self.sv)
 
 
 def _bisect(fn, a, b, iters=80, xtol=1e-13):

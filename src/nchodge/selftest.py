@@ -274,8 +274,7 @@ def witten_sweep_invariance(config: SelftestConfig) -> dict:
         model = builtin_model(model_name)
         phis = [("cos-h", "cos-h"),
                 ("random-smooth", random_smooth_phi(
-                    np.random.default_rng(31 * config.seed + 13 * mi + 5),
-                    modes=1, amplitude=0.3))]
+                    np.random.default_rng(31 * config.seed + 13 * mi + 5)))]
         for phi_name, phi in phis:
             report = witten_betti_sweep(model, phi, taus)
             base_ok = report["base_betti"] == frozen[model_name]
@@ -359,8 +358,7 @@ def determinism_and_budget(config: SelftestConfig, elapsed=None) -> dict:
                 random_complex(np.random.default_rng(config.seed + 5))[0]),
             lambda: witten_betti_sweep(
                 builtin_model("circle-leaves"),
-                random_smooth_phi(np.random.default_rng(config.seed + 9),
-                                  modes=1, amplitude=0.3),
+                random_smooth_phi(np.random.default_rng(config.seed + 9)),
                 (0.0, 1.0)),
             lambda: gv_report("sin-z", 16),
             lambda: morse_scan(builtin_chart("cubic-bd"), n_h=64, n_v=9),

@@ -140,8 +140,8 @@ def greens_operator(window: FormsWindow, degree: int) -> SpectralData:
     """Inverse of 1-k on the complement of the harmonic space, zero on it."""
     data = harmonic_projection(window, degree)
     field = window.field
-    K = _k_block(window, degree)
-    M = exactla.eye_like(K) - K
+    ops = operator_matrices(window)
+    M = ops["one_minus_k"].blocks[degree]
     if not field.exact:
         try:
             G = matmul(data.P_perp, np.linalg.inv(M + data.P))
@@ -150,7 +150,7 @@ def greens_operator(window: FormsWindow, degree: int) -> SpectralData:
                 f"1-k is singular on the complement at degree {degree}: {exc}",
                 degree=degree) from None
     elif degree:
-        G = exactla.eval_poly(green_crt_poly(degree), K)
+        G = exactla.eval_poly(green_crt_poly(degree), _k_block(window, degree))
     else:
         G = 0 * M       # k is the identity on degree 0
     gm = matmul(G, M)
@@ -159,7 +159,6 @@ def greens_operator(window: FormsWindow, degree: int) -> SpectralData:
         raise SingularOnComplement(
             f"Green's operator fails G(1-k) = 1-P at degree {degree}",
             degree=degree, residual=exactla.max_abs(gm - data.P_perp))
-    ops = operator_matrices(window)
     data.G = G
     data.X = matmul(matmul(G, ops["db"].blocks[degree]), data.P_perp) if degree \
         else exactla.eye_like(data.P_perp) * 0
@@ -274,8 +273,8 @@ def spectrum_report(window: FormsWindow, degree: int, root_tol: float = 1e-6,
     return [(complex(r), int(c)) for r, c in zip(roots, counts) if c]
 
 
-def spectral_report(window: FormsWindow, degrees=None, *, cluster_tol=1e-8,
-                    root_tol=1e-6, rank_tol=1e-10, crt_vs_eig_tol=1e-10) -> dict:
+def spectral_report(window: FormsWindow, *, cluster_tol=1e-8, root_tol=1e-6,
+                    rank_tol=1e-10, crt_vs_eig_tol=1e-10) -> dict:
     """Full per-degree report: spectra, ranks, and residuals of every
     invariant the decomposition is supposed to satisfy.  On exact windows
     rank P is the trace of P (an integer in [0, dim], or AssertionError) and
@@ -284,17 +283,15 @@ def spectral_report(window: FormsWindow, degrees=None, *, cluster_tol=1e-8,
     ops = operator_matrices(window)
     D, B, K = ops["d"].blocks, ops["b"].blocks, ops["k"].blocks
     n_max = window.n_max
-    if degrees is None:
-        degrees = range(n_max)
     exact = window.field.exact
     zero_tol = 0.0 if exact else 1e-10
     rows = []
     all_ok = True
-    for n in degrees:
+    for n in range(n_max):
         data = spectral_data(window, n)
         P, Pp, G, Xc, Yc = data.P, data.P_perp, data.G, data.X, data.Y
         dim = window.degree_dims[n]
-        omk = exactla.eye_like(K[n]) - K[n]
+        omk = ops["one_minus_k"].blocks[n]
         omk2 = matmul(omk, omk)
 
         if exact:   # P P = P holds exactly, and the trace of an idempotent is its rank

@@ -1,9 +1,12 @@
+import importlib.util
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import nchodge as nc
@@ -128,6 +131,45 @@ def test_norm_structure_matches_basis_products(mode):
                 want = inv.dot(np.asarray(prod))
                 assert [type(v) for v in a.norm_structure[i, j]] == [type(v) for v in want]
                 assert np.array_equal(a.norm_structure[i, j], want), (name, i, j)
+
+
+def _bytecheck_file(generator):
+    """An algebra file that tools/bytecheck.py writes, as a dict."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "bytecheck.py"
+    spec = importlib.util.spec_from_file_location("bytecheck", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return getattr(module, generator)()
+
+
+def _sympy_matrix(mat):
+    def value(v):
+        parts = (v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
+        re, im = (sympy.Rational(x.numerator, x.denominator) for x in map(Fraction, parts))
+        return re + sympy.I * im
+
+    return sympy.Matrix([[value(v) for v in row] for row in np.asarray(mat).tolist()])
+
+
+# units whose pivot coordinate u_p is not 1: the dual numbers in the basis
+# (2, x) and m2 in the basis (2i E11, E12, E21, E22)
+_PIVOT_FILES = [("dual_numbers_pivot", "rational", Fraction(1, 2)),
+                ("m2_gaussian_pivot", "gaussian", GaussianRational(0, Fraction(-1, 2)))]
+
+
+@pytest.mark.parametrize("generator,mode,u_p", _PIVOT_FILES)
+def test_closed_form_change_inverse_matches_sympy(generator, mode, u_p):
+    a = nc.load_algebra(_bytecheck_file(generator), mode)
+    assert a.unit[a.pivot] == u_p
+    ref = _sympy_matrix(a.change).inv()
+    assert (_sympy_matrix(a.change_inv) - ref).applyfunc(sympy.expand).is_zero_matrix
+    assert exactla.equal(exactla.matmul(a.change, a.change_inv), exactla.eye_like(a.change))
+
+
+@pytest.mark.parametrize("generator", [gen for gen, *_ in _PIVOT_FILES])
+def test_float_change_inverse_is_lapacks(generator):
+    a = nc.load_algebra(_bytecheck_file(generator), "float")
+    assert a.change_inv.tobytes() == np.linalg.inv(a.change).tobytes()
 
 
 def _unit_witness_by_loop(field, c, u, labels):

@@ -109,8 +109,9 @@ def test_spectral_errors_on_a_corrupted_k_block(monkeypatch, capsys, scalar, deg
     def corrupted(window):
         fresh = window._ops is None
         ops = real(window)
-        if fresh:
-            ops["k"].blocks[degree] = corrupt(ops["k"].blocks[degree])
+        if fresh:   # 1 - k follows k, as the window builds it
+            k = ops["k"].blocks[degree] = corrupt(ops["k"].blocks[degree])
+            ops["one_minus_k"].blocks[degree] = exactla.eye_like(k) - k
         return ops
 
     monkeypatch.setattr(spectral, "operator_matrices", corrupted)
@@ -401,13 +402,14 @@ def test_main_builds_the_parser_once(tmp_path, monkeypatch):
 ])
 def test_unknown_name_is_structured_input_error(tmp_path, capsys, argv, name,
                                                 available):
-    # a model file whose leaf type is the bad name
+    # a model file whose leaf type is the bad name; that error also names its key
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"leaf": {"type": name}, "transversal": [0.0]}))
     assert run([a.format(model=model) for a in argv]) == 1
     payload = json.loads(capsys.readouterr().err)
     assert payload["code"] == "cli/InputError"
-    assert payload["context"] == {"name": name, "available": available}
+    key = {"key": "leaf"} if "{model}" in argv else {}
+    assert payload["context"] == {**key, "name": name, "available": available}
 
 
 # The CLI checks these names itself before they reach the lookup (argparse
@@ -505,6 +507,18 @@ def test_misshapen_gv_component_is_structured_error(tmp_path, capsys, override,
     payload = json.loads(err)
     assert payload["code"] == "cli/InputError"
     assert payload["context"] == {"key": key, "shape": shape}
+
+
+def test_missing_gv_component_is_structured_error(tmp_path, capsys):
+    fields = {c: v.tolist() for c, v in builtin_omega("sin-z", 8).items() if c != "z"}
+    src = tmp_path / "omega.json"
+    src.write_text(json.dumps(fields))
+    assert run(["gv", "--omega", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["code"] == "cli/InputError"
+    assert payload["context"] == {"key": "z"}
 
 
 def test_non_finite_gv_component_is_rejected_before_lapack(tmp_path, capsys,

@@ -37,12 +37,23 @@ def test_rank_and_kernel_exact():
     assert xla.is_zero_matrix(xla.matmul(mat, xla.from_object(ker)))
 
 
-def test_inverse_exact_and_singular():
-    mat = F.array([[2, 1], [1, 1]])
-    inv = xla.inverse(mat)
-    assert np.array_equal(xla.matmul(mat, inv), xla.eye_like(mat))
-    with pytest.raises(ValueError):
-        xla.inverse(F.array([[1, 2], [2, 4]]))
+@pytest.mark.parametrize("scalar", [2, Fraction(1, 3), GaussianRational(1, 2)])
+def test_scaled_arrays_take_no_scalar_operands(scalar):
+    mat = F.array([1, 2])
+    for op in (operator.add, operator.sub, operator.ne):
+        with pytest.raises(TypeError):
+            op(mat, scalar)
+        with pytest.raises(TypeError):
+            op(scalar, mat)
+    assert (mat != 0).tolist() == [True, True]
+    assert (mat != F.array([1, 3])).tolist() == [False, True]
+
+
+def test_object_arrays_are_refused_not_rounded():
+    obj = np.array([[Fraction(1, 3), Fraction(2, 3)]], dtype=object)
+    for fn in (xla.max_abs, xla.is_zero_matrix, xla.rank, lambda m: xla.equal(m, m)):
+        with pytest.raises(TypeError):
+            fn(obj)
 
 
 def _in_image(A, b):
@@ -275,8 +286,8 @@ def test_rref_matches_dense_reference(kinds):
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
-def test_rref_of_inverse_augmented_matrix(gaussian):
-    # inverse() row-reduces [M | I] with an int identity half
+def test_rref_of_identity_augmented_matrix(gaussian):
+    # [M | I] with an int identity half
     rng = np.random.default_rng(16)
     for n in (1, 3, 6):
         mat = _random_exact(rng, (n, n), 0.3, gaussian)
@@ -287,7 +298,6 @@ def test_rref_of_inverse_augmented_matrix(gaussian):
         for i in range(n):
             aug[i, n + i] = 1
         _assert_rref_matches_dense(aug)
-        _assert_same(_dense_rref(aug)[0][:, n:], xla.inverse(xla.from_object(mat)))
 
 
 def test_rref_int_pivots_stay_exact():
@@ -534,13 +544,6 @@ def test_elimination_that_widens_midway_matches_references(monkeypatch, gaussian
         assert coker.den == 1 and len(ref_rows) == coker.shape[0]
         for row, (f, y) in zip(got, ref_rows):
             assert list(row) == [row[f] * v for v in y]
-    mat = xla.from_object(base)
-    before = _parts(mat)
-    inv = xla.inverse(mat)
-    assert _parts(mat) == before
-    _assert_canonical(inv)
-    _assert_values(inv, _from_sympy(_sympy(base, gaussian).inv(), gaussian))
-    _assert_values(inv, _dense_rref(aug)[0][:, 4:])
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
@@ -605,7 +608,7 @@ def test_object_path_past_int64_and_back():
     _assert_canonical(tiny * 0)
     _assert_canonical(xla.matmul(tiny - tiny, tiny))
     _assert_canonical(zero * (2 ** 80))
-    _assert_values((tiny * (2 ** 80)) - 2 ** 10, [[0]])
+    _assert_values((tiny * (2 ** 80)) - F.array([[2 ** 10]]), [[0]])
     # a 0-d result past the bound: the dot product of two vectors
     row = xla.from_object(np.array([2 ** 62, 2 ** 62], dtype=object))
     assert xla.matmul(row, row)[()] == 2 ** 125
@@ -613,9 +616,6 @@ def test_object_path_past_int64_and_back():
     huge = xla.from_object(np.array([[2 ** 62, 3], [5, 2 ** 62 + 1]], dtype=object))
     red, pivots = xla.rref(huge)
     assert pivots == [0, 1] and np.asarray(red).tolist() == [[1, 0], [0, 1]]
-    inv = xla.inverse(huge)
-    _assert_canonical(inv)
-    _assert_values(xla.matmul(huge, inv), xla.eye_like(inv))
 
 
 def test_floats_of_large_entries_round_once():
@@ -729,7 +729,7 @@ def test_equal_covers_both_denominator_cases_and_widths():
     wide = F.array([2 ** 70, 1]) * Fraction(1, 3)
     assert wide.num.dtype == object
     assert xla.equal(wide, (wide + wide) * Fraction(1, 2))
-    assert not xla.equal(wide, wide + Fraction(1, 3))
+    assert not xla.equal(wide, wide + F.array([Fraction(1, 3)] * 2))
     assert not xla.equal(F.array([1, 2]), F.array([[1, 2]]))
 
 
@@ -838,7 +838,7 @@ def test_moves_keep_bound_and_cap():
 # -- package code hands exactla ScaledArrays and complex128 arrays only ------------
 
 _ENTRY_POINTS = ("matmul", "to_complex", "max_abs", "is_zero_matrix", "equal", "rref", "rank",
-                 "inverse", "left_null", "solve_in_image", "eval_poly", "eye_like")
+                 "left_null", "solve_in_image", "eval_poly", "eye_like")
 
 
 @pytest.mark.parametrize("name,mode,n_max", [("z3", "rational", 3), ("m2", "gaussian", 2)])

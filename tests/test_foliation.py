@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nchodge as nc
-from nchodge.errors import BadWeights, LeafTooSmall, ShapeMismatch
+from nchodge.errors import BadWeights, InputError, LeafTooSmall, NCHodgeError, ShapeMismatch
 from nchodge.foliation import (builtin_model, harmonic_basis,
                                intertwiner_ranks, load_model, make_model,
                                model_to_json, phi_vertex_values,
                                witten_complex)
+from test_algebra import _JUNK
 from test_hodge import _counting
 
 
@@ -85,8 +89,7 @@ def test_phi_shape_checked():
 
 def test_random_phi_sweep_stays_flat():
     model = builtin_model("circle-leaves")
-    phi = nc.random_smooth_phi(np.random.default_rng(21), modes=1,
-                               amplitude=0.3)
+    phi = nc.random_smooth_phi(np.random.default_rng(21))
     rep = nc.witten_betti_sweep(model, phi, (0.0, 1.0, 5.0))
     assert rep["passed"]
 
@@ -139,3 +142,58 @@ def test_equal_leaf_functions_share_one_complex_and_row(monkeypatch):
     assert foliation._weighted_betti(deformed, 1e-8).tolist() == [1.0, 2.0, 1.0]
     assert len(bettis) == 1
     assert len(set(map(id, witten_complex(model, "cos-hv", 2.0).complexes))) == 2
+
+
+# -- malformed models end in coded errors that name their key --------------------
+
+_CIRCLE = {"type": "circle", "n": 8}
+
+
+@pytest.mark.parametrize("model,error,key", [
+    ({"leaf": _CIRCLE, "transversal": ["0.5"]}, InputError, "v"),
+    ({"leaf": _CIRCLE, "transversal": [None]}, InputError, "v"),
+    ({"leaf": _CIRCLE, "transversal": [10 ** 400]}, InputError, "v"),
+    ({"leaf": _CIRCLE, "transversal": [math.inf]}, InputError, "v"),
+    ({"leaf": _CIRCLE, "transversal": [{"v": math.nan}]}, InputError, "v"),
+    ({"leaf": _CIRCLE, "transversal": [{"v": 0.0, "weight": [1.0]}]}, BadWeights, "weight"),
+    ({"leaf": _CIRCLE, "transversal": [{"v": 0.0, "weight": True}]}, BadWeights, "weight"),
+    ({"leaf": _CIRCLE, "transversal": [0.0], "metric_scale": "2"}, BadWeights, "metric_scale"),
+    ({"leaf": _CIRCLE, "transversal": [0.0], "metric_scale": math.inf}, BadWeights,
+     "metric_scale"),
+    ({"leaf": {"type": "circle", "n": "8"}, "transversal": [0.0]}, InputError, "leaf"),
+    ({"leaf": {"type": "circle", "n": 8.0}, "transversal": [0.0]}, InputError, "leaf"),
+    ({"leaf": {"type": "torus", "nx": True}, "transversal": [0.0]}, InputError, "leaf"),
+    ({"leaf": {"type": "circle", "n": 10 ** 12}, "transversal": [0.0]}, InputError, "leaf"),
+    ({"leaf": {"type": "torus", "nx": 10 ** 12, "ny": 3}, "transversal": [0.0]}, InputError,
+     "leaf"),
+    ({"leaf": {"type": "circle", "n": 10 ** 400}, "transversal": [0.0]}, InputError, "leaf"),
+    ({"leaf": {"type": "circle", "n": 2}, "transversal": [0.0]}, LeafTooSmall, "leaf"),
+    ({"leaf": _CIRCLE}, BadWeights, "transversal"),
+    ({"leaf": _CIRCLE, "transversal": []}, BadWeights, "transversal"),
+])
+def test_malformed_model_is_a_coded_error_naming_its_key(model, error, key):
+    with pytest.raises(error) as exc:
+        load_model(model)
+    assert exc.value.context["key"] == key
+
+
+_SIZES = st.one_of(st.integers(3, 6), _JUNK)
+_LEAVES = st.one_of(
+    _JUNK, st.fixed_dictionaries({"type": st.sampled_from(["circle", "torus"])},
+                                 optional={"n": _SIZES, "nx": _SIZES, "ny": _SIZES}),
+    st.fixed_dictionaries({"type": _JUNK}))
+_SAMPLES = st.one_of(_JUNK, st.fixed_dictionaries(
+    {}, optional={"v": _JUNK, "weight": st.one_of(_JUNK, st.floats(0.0, 1.0))}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({}, optional={
+    "leaf": _LEAVES, "transversal": st.one_of(_JUNK, st.lists(_SAMPLES, max_size=3)),
+    "metric_scale": st.one_of(_JUNK, st.floats(0.5, 2.0))}))
+def test_load_model_on_generated_dicts_ends_in_keyed_errors(model):
+    """A generated model loads, or fails with a package error naming the key
+    at fault; leaf sizes are small or far past what numpy can allocate."""
+    try:
+        load_model(model)
+    except NCHodgeError as exc:
+        assert "key" in exc.context, exc

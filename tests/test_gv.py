@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nchodge.errors import GridTooCoarse, NotIntegrable, VanishingOmega
+from nchodge.errors import GridTooCoarse, InputError, NotIntegrable, VanishingOmega
 from nchodge.gv import (builtin_omega, connection_form, exterior_derivative,
                         grid, gv_report, spectral_derivative)
 
@@ -12,6 +12,14 @@ def test_spectral_derivative_exact_on_band_limited():
     expect = 2 * np.pi * np.cos(2 * np.pi * xs) \
         - 2 * np.pi * np.sin(4 * np.pi * xs)
     assert np.max(np.abs(spectral_derivative(f, 0) - expect)) < 1e-12
+
+
+def test_missing_component_names_its_key():
+    fields = builtin_omega("dz", 8)
+    del fields["z"]
+    with pytest.raises(InputError) as exc:
+        gv_report(fields)
+    assert exc.value.context == {"key": "z"}
 
 
 def test_vertical_form_trivial():

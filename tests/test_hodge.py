@@ -33,6 +33,53 @@ def test_twisted_circle_alpha_i():
     assert t["det_prime"][0] == pytest.approx(2.0, abs=1e-10)
 
 
+def _block_sum(a, b):
+    """The direct sum as it was assembled by hand: each complex's blocks
+    placed in zero matrices, the one with the lower top padded with
+    zero-dimensional degrees."""
+    top = max(a.top, b.top)
+
+    def dim(cx, k):
+        return cx.dims[k] if k <= cx.top else 0
+
+    def diff(cx, k):
+        return cx.diffs[k] if k < cx.top else np.zeros((dim(cx, k + 1), dim(cx, k)), complex)
+
+    def gram(cx, k):
+        return cx.grams[k] if k <= cx.top else np.zeros((0, 0), complex)
+
+    dims = [dim(a, k) + dim(b, k) for k in range(top + 1)]
+    diffs, grams = [], []
+    for k in range(top):
+        da = diff(a, k)
+        block = np.zeros((dims[k + 1], dims[k]), complex)
+        block[:da.shape[0], :da.shape[1]] = da
+        block[da.shape[0]:, da.shape[1]:] = diff(b, k)
+        diffs.append(block)
+    for k in range(top + 1):
+        ga = gram(a, k)
+        block = np.zeros((dims[k], dims[k]), complex)
+        block[:ga.shape[0], :ga.shape[0]] = ga
+        block[ga.shape[0]:, ga.shape[0]:] = gram(b, k)
+        grams.append(block)
+    return dims, diffs, grams
+
+
+def test_direct_sum_of_unequal_tops_matches_block_assembly():
+    rng = np.random.default_rng(3)
+    tall = next(cx for cx, _ in iter(lambda: nc.random_complex(rng), None) if cx.top == 3)
+    hollow = nc.make_complex((1, 0, 1), [np.zeros((0, 1)), np.zeros((1, 0))],
+                             [2.0, None, 0.5])
+    circle = nc.twisted_circle_complex(5, 1j, gram_scale=2.0)
+    for a, b in [(tall, circle), (circle, tall), (hollow, circle), (circle, hollow),
+                 (tall, hollow)]:
+        got = nc.direct_sum(a, b)
+        dims, diffs, grams = _block_sum(a, b)
+        assert list(got.dims) == dims and got.name == f"{a.name}+{b.name}"
+        for mine, ref in zip(got.diffs + got.grams, diffs + grams, strict=True):
+            assert mine.shape == ref.shape and mine.tobytes() == ref.tobytes()
+
+
 def test_torsion_additive_under_direct_sum():
     a = nc.twisted_circle_complex(8, -1.0)
     b = nc.twisted_circle_complex(5, 1j)

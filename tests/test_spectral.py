@@ -1,7 +1,5 @@
 import dataclasses
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +8,7 @@ import nchodge as nc
 from nchodge import cli, exactla, spectral
 from nchodge.scalars import GaussianRational
 from nchodge.spectral import admissible_roots
+from test_algebra import _bytecheck_file
 from test_forms import _algebra
 
 
@@ -265,11 +264,7 @@ def test_split_of_a_form_past_int64_takes_the_object_path():
 def _m2_gaussian_file():
     """The m2 algebra stored gaussian in the basis (E11, i E12, E21/2, E22)
     that tools/bytecheck.py writes: its P blocks have imaginary parts."""
-    path = Path(__file__).resolve().parent.parent / "tools" / "bytecheck.py"
-    spec = importlib.util.spec_from_file_location("bytecheck", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return nc.load_algebra(module.m2_gaussian())
+    return nc.load_algebra(_bytecheck_file("m2_gaussian"))
 
 
 @pytest.mark.parametrize("name,mode,n_max", [

@@ -39,7 +39,12 @@ fractional parts, ``nc-report --matrices`` in float mode on the same file
 (the conversion of stored gaussian entries to complex128), and
 ``nc-report --scalar rational`` on ``z3`` stored float.  The bundled
 algebra files are all stored rational; these two inputs make the gaussian
-and float parsers run.
+and float parsers run.  Last, ``nc-report --matrices`` and ``spectral`` on
+two algebras whose unit has a pivot coordinate other than 1, which the
+unit-first basis change divides by: the dual numbers stored rational in the
+basis (2, x), pivot coordinate 1/2, at ``--nmax 4``, and ``m2`` stored
+gaussian in the basis (2i E11, E12, E21, E22), pivot coordinate -i/2, at
+``--nmax 3``.
 """
 
 from __future__ import annotations
@@ -66,6 +71,8 @@ TORUS_SCALED = "torus-leaves-scale-2.json"
 OMEGA = "omega-dg.json"
 M2_GAUSSIAN = "m2-gaussian.json"
 Z3_FLOAT = "z3-float.json"
+DUAL_PIVOT = "dual-numbers-pivot.json"
+M2_PIVOT = "m2-gaussian-pivot.json"
 
 COMMANDS = (
     [[cmd, "--algebra", alg, "--nmax", "3"]
@@ -96,6 +103,9 @@ COMMANDS = (
         "--matrices"],
        ["nc-report", "--algebra", Z3_FLOAT, "--nmax", "3", "--scalar", "rational"]]
     + [["selftest", "--seed", "1"]]
+    + [[cmd, "--algebra", alg, "--nmax", nmax, *flags]
+       for alg, nmax in ((DUAL_PIVOT, "4"), (M2_PIVOT, "3"))
+       for cmd, *flags in (("nc-report", "--matrices"), ("spectral",))]
 )
 
 
@@ -163,12 +173,15 @@ def gradient_omega(n):
     return fields
 
 
-def m2_gaussian():
-    """2x2 matrices in the basis f = (E11, i E12, E21/2, E22), each f_a = r_a
-    i**p_a E_a, stored gaussian: f_a f_b = (r_a r_b / r_m) i**(p_a + p_b - p_m)
-    f_m when E_a E_b = E_m."""
+def m2_gaussian(name="m2-gaussian", basis=("E11", "iE12", "E21/2", "E22"),
+                scale=((1, 0), (1, 1), (Fraction(1, 2), 0), (1, 0))):
+    """2x2 matrices in the basis f_a = r_a i**p_a E_a, with ``scale`` the
+    pairs (r_a, p_a), stored gaussian: f_a f_b = (r_a r_b / r_m) i**(p_a + p_b
+    - p_m) f_m when E_a E_b = E_m, and the unit E11 + E22 is f_0 / (r_0
+    i**p_0) + f_3 / (r_3 i**p_3).  The default basis is (E11, i E12, E21/2,
+    E22)."""
     words = [(1, 1), (1, 2), (2, 1), (2, 2)]
-    scale = [(Fraction(1), 0), (Fraction(1), 1), (Fraction(1, 2), 0), (Fraction(1), 0)]
+    scale = [(Fraction(r), p) for r, p in scale]
 
     def entry(r, p):
         re, im = [(r, 0), (0, r), (-r, 0), (0, -r)][p % 4]
@@ -182,9 +195,25 @@ def m2_gaussian():
                 m = words.index((i, l))
                 (ra, pa), (rb, pb), (rm, pm) = scale[a], scale[b], scale[m]
                 mul[a][b][m] = entry(ra * rb / rm, pa + pb - pm)
-    unit = [entry(1, 0), zero, zero, entry(1, 0)]      # E11 + E22 = f0 + f3
-    return {"name": "m2-gaussian", "dim": 4, "basis": ["E11", "iE12", "E21/2", "E22"],
+    unit = [entry(1 / scale[a][0], -scale[a][1]) if a in (0, 3) else zero for a in range(4)]
+    return {"name": name, "dim": 4, "basis": list(basis),
             "scalars": "gaussian", "unit": unit, "mul": mul}
+
+
+def m2_gaussian_pivot():
+    """m2 stored gaussian in the basis (2i E11, E12, E21, E22): the unit's
+    pivot coordinate is -i/2."""
+    return m2_gaussian("m2-gaussian-pivot", ("2iE11", "E12", "E21", "E22"),
+                       ((2, 1), (1, 0), (1, 0), (1, 0)))
+
+
+def dual_numbers_pivot():
+    """k[x]/(x^2) stored rational in the basis f = (2, x): f0 f0 = 2 f0,
+    f0 f1 = f1 f0 = 2 f1, f1 f1 = 0, and the unit is f0 / 2, so its pivot
+    coordinate is 1/2."""
+    return {"name": "dual-numbers-pivot", "dim": 2, "basis": ["2", "x"],
+            "scalars": "rational", "unit": [[1, 2], 0],
+            "mul": [[[2, 0], [0, 2]], [[0, 2], [0, 0]]]}
 
 
 def z3_float():
@@ -241,6 +270,8 @@ def main(argv=None) -> int:
         (work / OMEGA).write_text(json.dumps(gradient_omega(16)))
         (work / M2_GAUSSIAN).write_text(json.dumps(m2_gaussian()))
         (work / Z3_FLOAT).write_text(json.dumps(z3_float()))
+        (work / DUAL_PIVOT).write_text(json.dumps(dual_numbers_pivot()))
+        (work / M2_PIVOT).write_text(json.dumps(m2_gaussian_pivot()))
         trees = [export(args.base, tmp / "base"), export(args.head, tmp / "head")]
         differ = 0
         for argv in COMMANDS:
