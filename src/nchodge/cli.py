@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -151,7 +150,7 @@ def _cmd_nc_report(args):
         key: [{"degree": d, "exact_zero": flag, "max_abs": val}
               for d, flag, val in rows]
         for key, rows in residuals.items()}
-    ok = all(flag or val < 1e-12
+    ok = all(flag if window.field.exact else val < 1e-12
              for rows in residuals.values() for _, flag, val in rows)
     body = {"algebra": algebra.name,
             "scalars": algebra.field.mode,
@@ -179,11 +178,7 @@ def _cmd_nc_report(args):
 def _cmd_spectral(args):
     algebra = _algebra_arg(args.algebra, args.scalar)
     window = build_window(algebra, args.nmax)
-    rep = spectral_report(window,
-                          cluster_tol=args.cluster_tol,
-                          root_tol=args.root_tol,
-                          rank_tol=args.rank_tol,
-                          crt_vs_eig_tol=args.crt_tol)
+    rep = spectral_report(window)
     rows = [{"degree": r["degree"], "dim": r["dim"], "rank_P": r["rank_P"],
              "rank_one_minus_k_squared": r["rank_one_minus_k_squared"],
              "rank_split_ok": r["rank_split_ok"], "crt_vs_eig": r["crt_vs_eig"],
@@ -195,7 +190,7 @@ def _cmd_spectral(args):
 
 def _cmd_hodge(args):
     cx = _complex_arg(args.complex)
-    body = hodge_package(cx, rel_tol=args.rel_tol)
+    body = hodge_package(cx)
     rows = [{"degree": k, "dim": body["dims"][k], "betti": body["betti"][k],
              "det_prime": body["det_prime"][k]}
             for k in range(len(body["dims"]))]
@@ -205,7 +200,7 @@ def _cmd_hodge(args):
 
 def _cmd_torsion(args):
     cx = _complex_arg(args.complex)
-    body = rs_torsion(cx, rel_tol=args.rel_tol)
+    body = rs_torsion(cx)
     body["name"] = cx.name
     body["dims"] = list(cx.dims)
     spectra = laplacian_spectra(cx)
@@ -221,7 +216,7 @@ def _cmd_torsion(args):
 
 def _cmd_cs_partition(args):
     cx = _complex_arg(args.complex)
-    body = abelian_cs_partition(cx, rel_tol=args.rel_tol)
+    body = abelian_cs_partition(cx)
     body["name"] = cx.name
     if args.out:
         print(f"log Z {body['log_Z']:.12g}, Z {body['Z']:.12g}")
@@ -241,7 +236,7 @@ def _cmd_witten_sweep(args):
         raise InputError(f"unknown phi profile {args.phi!r}", name=args.phi,
                          available=sorted(PHI_PROFILES) + ["random"])
     taus = _parse_taus(args.tau)
-    rep = witten_betti_sweep(model, phi, taus, rel_tol=args.rel_tol)
+    rep = witten_betti_sweep(model, phi, taus)
     rep["model_spec"] = model_to_json(model)
     rows = [{"tau": r["tau"], "betti": r["betti"],
              "matches_base": r["matches_base"],
@@ -253,8 +248,7 @@ def _cmd_witten_sweep(args):
 
 
 def _cmd_morse_scan(args):
-    rep = morse_scan(builtin_chart(args.chart), n_h=args.n_h, n_v=args.n_v,
-                     tol=args.tol)
+    rep = morse_scan(builtin_chart(args.chart), n_h=args.n_h, n_v=args.n_v)
     rows = [{"index": f["index"], "h_mean": f["h_mean"], "h_min": f["h_min"],
              "h_max": f["h_max"], "v_first": f["v_first"],
              "v_last": f["v_last"], "count": f["count"]}
@@ -268,8 +262,7 @@ def _cmd_gv(args):
     source = args.omega
     if source not in ("dz", "sin-z", "x-dy"):
         source, _ = _load_json_source(source, "defining form")
-    rep = gv_report(source, n=args.n, derivative=args.derivative,
-                    tol=args.tol, gauge_tol=args.gauge_tol)
+    rep = gv_report(source, n=args.n, derivative=args.derivative)
     rows = [{"omega": rep["omega"], "n": rep["n"], "gv": rep["gv"],
              "integrability_max_abs": rep["integrability_max_abs"],
              "gauge_residual": rep["gauge_residual"], "passed": rep["passed"]}]
@@ -329,11 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectral", help="harmonic projection, Green's "
                        "operator, and the full per-degree invariant report")
     add_algebra_flags(p)
-    p.add_argument("--cluster-tol", type=float, default=1e-8)
-    p.add_argument("--root-tol", type=float, default=1e-6)
-    p.add_argument("--rank-tol", type=float, default=1e-10)
-    p.add_argument("--crt-tol", type=float, default=1e-10,
-                   help="allowed gap between the exact and float projections")
     add_output_flags(p)
     p.set_defaults(handler=_cmd_spectral)
 
@@ -341,21 +329,18 @@ def build_parser() -> argparse.ArgumentParser:
                        "determinants of a finite cochain complex")
     p.add_argument("--complex", required=True, help="complex JSON file "
                    "or bundled name")
-    p.add_argument("--rel-tol", type=float, default=1e-9)
     add_output_flags(p)
     p.set_defaults(handler=_cmd_hodge)
 
     p = sub.add_parser("torsion", help="analytic torsion from the "
                        "Laplacian spectra")
     p.add_argument("--complex", required=True)
-    p.add_argument("--rel-tol", type=float, default=1e-10)
     add_output_flags(p)
     p.set_defaults(handler=_cmd_torsion)
 
     p = sub.add_parser("cs-partition", help="abelian Chern-Simons one-loop "
                        "partition function from degrees 0 and 1")
     p.add_argument("--complex", required=True)
-    p.add_argument("--rel-tol", type=float, default=1e-10)
     add_output_flags(p)
     p.set_defaults(handler=_cmd_cs_partition)
 
@@ -370,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", action="append",
                    help="tau values, repeatable or comma separated "
                         "(default 0,0.5,1,2,5)")
-    p.add_argument("--rel-tol", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=0)
     add_output_flags(p)
     p.set_defaults(handler=_cmd_witten_sweep)
@@ -381,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chart name: %s" % ", ".join(sorted(BUILTIN_CHARTS)))
     p.add_argument("--n-h", type=int, default=256)
     p.add_argument("--n-v", type=int, default=33)
-    p.add_argument("--tol", type=float, default=1e-6)
     add_output_flags(p)
     p.set_defaults(handler=_cmd_morse_scan)
 
@@ -392,9 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=32, help="grid points per axis")
     p.add_argument("--derivative", choices=("spectral", "central"),
                    default="spectral")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="integrability tolerance")
-    p.add_argument("--gauge-tol", type=float, default=1e-6)
     add_output_flags(p)
     p.set_defaults(handler=_cmd_gv)
 
@@ -424,10 +404,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        for key, value in vars(args).items():
-            if (key == "tol" or key.endswith("_tol")) and not (math.isfinite(value) and value >= 0):
-                flag = "--" + key.replace("_", "-")
-                raise InputError(f"{flag} must be finite and >= 0, got {value}", flag=flag)
         report, ok, table = args.handler(args)
         if args.handler is not _cmd_selftest:
             _emit(args, report)

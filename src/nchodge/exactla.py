@@ -60,6 +60,7 @@ from .scalars import GaussianRational
 
 _LIMIT = 2 ** 63        # int64 holds magnitudes below this
 _FLOAT_EXACT = 2 ** 53  # and float64 holds integers below this exactly
+IMAGE_TOL = 1e-10       # relative least squares residual of a float image member
 
 
 def _opt(fn, part, *args):
@@ -465,17 +466,17 @@ def left_null(A) -> ScaledArray:
     return ScaledArray(part(red.num, red.den), _opt(part, red.im, 0))
 
 
-def solve_in_image(A, b, rel_tol: float = 1e-10):
+def solve_in_image(A, b):
     """Return True when every column of the float matrix b lies in the column
-    space of A, to ``rel_tol``; exact callers test ``left_null(A) b = 0``."""
-    if b.size == 0 or is_zero_matrix(b, tol=rel_tol * max(1.0, max_abs(b))):
+    space of A, to ``IMAGE_TOL``; exact callers test ``left_null(A) b = 0``."""
+    if b.size == 0 or is_zero_matrix(b, tol=IMAGE_TOL * max(1.0, max_abs(b))):
         return True
     if A.size == 0:
         return False
     Af, bf = to_complex(A), to_complex(b).reshape(A.shape[0], -1)
     x, *_ = np.linalg.lstsq(Af, bf, rcond=None)
     resid = Af @ x - bf
-    return max_abs(resid) <= rel_tol * max(1.0, max_abs(bf))
+    return max_abs(resid) <= IMAGE_TOL * max(1.0, max_abs(bf))
 
 
 def eval_poly(coeffs, mat):

@@ -39,6 +39,8 @@ from . import exactla
 from .errors import BadWeights, InputError, LeafTooSmall, ShapeMismatch
 from .hodge import CochainComplex, betti_numbers, make_complex
 
+SWEEP_TOL = 1e-8    # near-kernel cut of the sweep's Betti numbers and harmonic bases
+
 
 @dataclass
 class Leaf:
@@ -215,9 +217,11 @@ def load_model(source) -> FoliatedModel:
                if not isinstance(source, dict) or k not in source]
     if missing:
         raise BadWeights("model file needs 'leaf' and 'transversal' entries", key=missing[0])
+    name = source.get("name", "model")
+    if not isinstance(name, str):
+        raise InputError(f"model 'name' is not a string: {name!r}", key="name")
     return make_model(source["leaf"], source["transversal"],
-                      metric_scale=source.get("metric_scale", 1.0),
-                      name=source.get("name", "model"))
+                      metric_scale=source.get("metric_scale", 1.0), name=name)
 
 
 def model_to_json(model: FoliatedModel) -> dict:
@@ -328,21 +332,21 @@ def _per_complex(deformed: DeformedModel, fn) -> list:
     return out
 
 
-def _weighted_betti(deformed: DeformedModel, rel_tol) -> np.ndarray:
+def _weighted_betti(deformed: DeformedModel) -> np.ndarray:
     out = np.zeros(deformed.model.top + 1)
-    rows = _per_complex(deformed, lambda cx, _: betti_numbers(cx, rel_tol))
+    rows = _per_complex(deformed, lambda cx, _: betti_numbers(cx, SWEEP_TOL))
     for betti, w in zip(rows, deformed.model.weights):
         out += w * np.array(betti, dtype=float)
     return out
 
 
-def harmonic_basis(cx: CochainComplex, k, rel_tol=1e-8) -> np.ndarray:
+def harmonic_basis(cx: CochainComplex, k) -> np.ndarray:
     """Basis of Ker Delta_k, orthonormal for the Gram inner product."""
     frame = cx.frame(k)
-    return frame.chol_inv.conj().T @ frame.harmonic_vectors(rel_tol)
+    return frame.chol_inv.conj().T @ frame.harmonic_vectors(SWEEP_TOL)
 
 
-def intertwiner_ranks(deformed: DeformedModel, base, rel_tol=1e-8):
+def intertwiner_ranks(deformed: DeformedModel, base):
     """Per sample and degree: rank of U = Q_tau^H T Q_0 pairing the
     undeformed harmonics ``base`` (harmonic_basis of the leaf, one per
     degree) with the deformed ones through the diagonal conjugating map.
@@ -353,7 +357,7 @@ def intertwiner_ranks(deformed: DeformedModel, base, rel_tol=1e-8):
             if q0.shape[1] == 0:
                 row.append(0)
                 continue
-            qt = harmonic_basis(cx, k, rel_tol)
+            qt = harmonic_basis(cx, k)
             t = np.exp(-deformed.tau * per_deg[k]).reshape(-1, 1)
             pairing = qt.conj().T @ cx.grams[k] @ (t * q0)
             row.append(exactla.rank(pairing, 1e-8))
@@ -362,15 +366,15 @@ def intertwiner_ranks(deformed: DeformedModel, base, rel_tol=1e-8):
     return _per_complex(deformed, ranks)
 
 
-def witten_betti_sweep(model: FoliatedModel, phi, taus, rel_tol=1e-8) -> dict:
+def witten_betti_sweep(model: FoliatedModel, phi, taus) -> dict:
     """Sweep tau; per value report the weighted Betti numbers, whether they
     match tau = 0, the intertwiner ranks, and at tau = 0 bit-identity of
     the deformed differentials with the originals."""
     taus = [float(t) for t in taus]
     leaf = model.leaf.complex
-    base_int = betti_numbers(leaf, rel_tol)
+    base_int = betti_numbers(leaf, SWEEP_TOL)
     base = [float(b) for b in base_int]    # weights sum to 1
-    base_q = [harmonic_basis(leaf, k, rel_tol) for k in range(model.top + 1)]
+    base_q = [harmonic_basis(leaf, k) for k in range(model.top + 1)]
     euler_ranks = leaf.euler_characteristic()
     euler_betti = sum((-1) ** k * b for k, b in enumerate(base))
     rows = []
@@ -384,8 +388,8 @@ def witten_betti_sweep(model: FoliatedModel, phi, taus, rel_tol=1e-8) -> dict:
             # the same complex bit for bit: solve the leaf, whose frames and
             # harmonics the base Betti numbers and base_q already hold
             deformed.complexes = [leaf] * len(deformed.complexes)
-        betti = _weighted_betti(deformed, rel_tol)
-        ranks = intertwiner_ranks(deformed, base_q, rel_tol)
+        betti = _weighted_betti(deformed)
+        ranks = intertwiner_ranks(deformed, base_q)
         matches = bool(np.allclose(betti, base, rtol=0, atol=1e-8))
         ranks_ok = all(tuple(row) == tuple(base_int) for row in ranks)
         ok = matches and ranks_ok and bit_identical

@@ -142,10 +142,10 @@ class GradedOperator:
 class FormsWindow:
     """Degrees ``0..n_max`` of the form algebra over one algebra."""
 
-    def __init__(self, algebra: Algebra, n_max: int, cap=None):
+    def __init__(self, algebra: Algebra, n_max: int):
         if n_max < 1:
             raise DegreeOutOfWindow(f"window needs n_max >= 1, got {n_max}")
-        cap = dimension_cap() if cap is None else int(cap)
+        cap = dimension_cap()
         d = algebra.dim
         dims = [d * (d - 1) ** n for n in range(n_max + 1)]
         worst = max(dims)
@@ -198,8 +198,8 @@ class FormsWindow:
         return Form({0: exactla.matmul(self.algebra.change_inv, self.algebra._check_vec(x))})
 
 
-def build_window(algebra: Algebra, n_max: int, cap=None) -> FormsWindow:
-    return FormsWindow(algebra, n_max, cap=cap)
+def build_window(algebra: Algebra, n_max: int) -> FormsWindow:
+    return FormsWindow(algebra, n_max)
 
 
 def _apply(window, name, form, *, top=None):

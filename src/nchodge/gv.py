@@ -31,6 +31,8 @@ from .errors import GridTooCoarse, InputError, NotIntegrable, VanishingOmega
 
 COMPONENTS = ("x", "y", "z")
 AXIS = {"x": 0, "y": 1, "z": 2}
+INTEGRABILITY_TOL = 1e-8    # largest |omega ^ d omega| that still defines a foliation
+GAUGE_TOL = 1e-6            # largest change of GV under theta -> theta + h omega
 
 
 def grid(n):
@@ -116,7 +118,7 @@ def _distinct_slices(fields):
                  else slice(None) for a in range(bits[0].ndim))
 
 
-def connection_form(omega, derivative="spectral", tol=1e-8):
+def connection_form(omega, derivative="spectral"):
     """Solve d omega = theta ^ omega pointwise (minimal-norm theta).
 
     Raises NotIntegrable when omega ^ d omega is not numerically zero, and
@@ -129,10 +131,10 @@ def connection_form(omega, derivative="spectral", tol=1e-8):
             "the defining 1-form degenerates on the grid", min_norm=min_norm)
     dw = exterior_derivative(omega, derivative)
     max_defect = float(np.max(np.abs(wedge_12(omega, dw))))
-    if max_defect > tol:
+    if max_defect > INTEGRABILITY_TOL:
         raise NotIntegrable(
             "omega ^ d omega does not vanish: the plane field is not a foliation",
-            max_abs=max_defect, tolerance=tol)
+            max_abs=max_defect, tolerance=INTEGRABILITY_TOL)
     shape = w[0].shape
     mats = _coefficient_matrices(*w).reshape(-1, 3, 3)
     # one pseudoinverse per distinct slice: along an axis on which omega is
@@ -150,9 +152,9 @@ def connection_form(omega, derivative="spectral", tol=1e-8):
                    "min_omega_norm": min_norm}
 
 
-def godbillon_vey(omega, derivative="spectral", tol=1e-8):
+def godbillon_vey(omega, derivative="spectral"):
     """The invariant as a grid mean of theta ^ d theta, plus diagnostics."""
-    theta, info = connection_form(omega, derivative, tol)
+    theta, info = connection_form(omega, derivative)
     dtheta = exterior_derivative(theta, derivative)
     gv = float(np.mean(wedge_12(theta, dtheta)))
     # gauge check: theta + h*omega must give the same number
@@ -209,8 +211,7 @@ def _custom_omega(fields):
     return omega
 
 
-def gv_report(name_or_fields, n=32, derivative="spectral", tol=1e-8,
-              gauge_tol=1e-6) -> dict:
+def gv_report(name_or_fields, n=32, derivative="spectral") -> dict:
     if isinstance(name_or_fields, str):
         label = name_or_fields
         omega = builtin_omega(name_or_fields, n)
@@ -220,15 +221,15 @@ def gv_report(name_or_fields, n=32, derivative="spectral", tol=1e-8,
         n = omega["x"].shape[0]
         if n < 8:
             raise GridTooCoarse(f"need at least an 8^3 grid, got {n}^3", n=n)
-    gv, _, info = godbillon_vey(omega, derivative, tol)
-    passed = (info["integrability_max_abs"] <= tol
+    gv, _, info = godbillon_vey(omega, derivative)
+    passed = (info["integrability_max_abs"] <= INTEGRABILITY_TOL
               and info["solve_residual"] <= 1e-6
-              and info["gauge_residual"] <= gauge_tol)
+              and info["gauge_residual"] <= GAUGE_TOL)
     return {"omega": label, "n": int(n), "derivative": derivative,
             "gv": gv,
             "integrability_max_abs": info["integrability_max_abs"],
             "solve_residual": info["solve_residual"],
             "gauge_residual": info["gauge_residual"],
             "min_omega_norm": info["min_omega_norm"],
-            "tolerance": tol,
+            "tolerance": INTEGRABILITY_TOL,
             "passed": bool(passed)}

@@ -36,6 +36,9 @@ from . import exactla
 from .errors import BadGram, NegativeEigenvalue, NotAComplex
 from .scalars import FLOAT, field_for
 
+HODGE_TOL = 1e-9    # near-kernel cut of the hodge report and decompose
+DET_TOL = 1e-10     # near-kernel cut of torsion, the CS partition and zeta_log_det
+
 
 @dataclass(frozen=True)
 class HodgeFrame:
@@ -180,6 +183,9 @@ def load_complex(source) -> CochainComplex:
             source = json.load(fh)
     if not isinstance(source, dict):
         raise NotAComplex(f"expected a mapping, got {type(source).__name__}")
+    stray = [key for key in source if key not in ("dims", "differentials", "gram", "name")]
+    if stray:
+        raise NotAComplex(f"unknown complex key {stray[0]!r}", key=stray[0])
     dims = source.get("dims")     # each n x n complex matrix within numpy's size limit
     if not (isinstance(dims, (list, tuple)) and dims and all(
             type(n) is int and n >= 0 and 16 * n * n <= np.iinfo(np.intp).max for n in dims)):
@@ -273,7 +279,7 @@ def laplacian_spectra(cx: CochainComplex) -> list:
     return [cx.frame(k).eigvals for k in range(cx.top + 1)]
 
 
-def betti_numbers(cx: CochainComplex, rel_tol=1e-9):
+def betti_numbers(cx: CochainComplex, rel_tol=HODGE_TOL):
     """Betti numbers by two routes that must agree: dimension of the
     near-kernel of the Laplacian, and rank--nullity of the differentials."""
     ranks = [exactla.rank(d, rel_tol) for d in cx.diffs]
@@ -293,7 +299,7 @@ def betti_numbers(cx: CochainComplex, rel_tol=1e-9):
     return tuple(out)
 
 
-def decompose(cx: CochainComplex, k, v, rel_tol=1e-9):
+def decompose(cx: CochainComplex, k, v):
     """Hodge decomposition of a cochain v at degree k into
     (harmonic, exact, coexact), orthogonal for the Gram product."""
     v = np.asarray(v, dtype=complex).reshape(-1)
@@ -303,18 +309,18 @@ def decompose(cx: CochainComplex, k, v, rel_tol=1e-9):
     frame = cx.frame(k)
     L = frame.chol
     u = L.conj().T @ v
-    hvecs = frame.harmonic_vectors(rel_tol)
+    hvecs = frame.harmonic_vectors(HODGE_TOL)
     proj_h = hvecs @ (hvecs.conj().T @ u)
     proj_e = np.zeros_like(u)
     if k >= 1 and cx.dims[k - 1]:
         M = L.conj().T @ cx.diffs[k - 1]
-        q = scipy.linalg.orth(M, rcond=rel_tol)
+        q = scipy.linalg.orth(M, rcond=HODGE_TOL)
         proj_e = q @ (q.conj().T @ u)
     proj_c = np.zeros_like(u)
     if k < cx.top and cx.dims[k + 1]:
         lup = cx.frame(k + 1).chol
         N = scipy.linalg.solve_triangular(L, cx.diffs[k].conj().T @ lup, lower=True)
-        q = scipy.linalg.orth(N, rcond=rel_tol)
+        q = scipy.linalg.orth(N, rcond=HODGE_TOL)
         proj_c = q @ (q.conj().T @ u)
     resid = exactla.max_abs(proj_h + proj_e + proj_c - u)
     if resid > 1e-8 * max(1.0, exactla.max_abs(u)):
@@ -338,7 +344,7 @@ def _nonzero_spectrum(eigs, rel_tol):
     return eigs[eigs > rel_tol * scale]
 
 
-def zeta_det(eigs, rel_tol=1e-10) -> float:
+def zeta_det(eigs, rel_tol=DET_TOL) -> float:
     """Regularized determinant: product of the eigenvalues above the
     near-kernel cut.  Empty or all-kernel spectra give 1.  Computed twice
     (plain product and exp of log-sum) and cross-checked."""
@@ -353,18 +359,18 @@ def zeta_det(eigs, rel_tol=1e-10) -> float:
     return via_logs
 
 
-def zeta_log_det(eigs, rel_tol=1e-10) -> float:
-    positive = _nonzero_spectrum(eigs, rel_tol)
+def zeta_log_det(eigs) -> float:
+    positive = _nonzero_spectrum(eigs, DET_TOL)
     return float(np.sum(np.log(positive))) if positive.size else 0.0
 
 
-def rs_torsion(cx: CochainComplex, rel_tol=1e-10) -> dict:
+def rs_torsion(cx: CochainComplex) -> dict:
     """Analytic torsion from the Laplacian spectra:
     log T = (1/2) * sum_k (-1)^k * k * log det' Delta_k."""
     spectra = laplacian_spectra(cx)
-    log_dets = [zeta_log_det(s, rel_tol) for s in spectra]
+    log_dets = [zeta_log_det(s) for s in spectra]
     log_t = 0.5 * sum((-1) ** k * k * ld for k, ld in enumerate(log_dets))
-    dets = [zeta_det(s, rel_tol) for s in spectra]
+    dets = [zeta_det(s) for s in spectra]
     for ld, d in zip(log_dets, dets):
         if not math.isclose(math.exp(ld), d, rel_tol=1e-9):
             raise AssertionError("log-det and det routes disagree")
@@ -373,19 +379,19 @@ def rs_torsion(cx: CochainComplex, rel_tol=1e-10) -> dict:
             "log_det_prime": log_dets,
             "det_prime": dets,
             "zeta_prime_at_zero": log_dets,
-            "betti": list(betti_numbers(cx, max(rel_tol, 1e-10)))}
+            "betti": list(betti_numbers(cx, DET_TOL))}
 
 
-def abelian_cs_partition(cx: CochainComplex, rel_tol=1e-10) -> dict:
+def abelian_cs_partition(cx: CochainComplex) -> dict:
     """One-loop abelian Chern-Simons partition function from the degree-0
     and degree-1 Laplacians: Z = det' Delta_1 ^ (-1/4) * det' Delta_0 ^ (3/4)."""
     if cx.top < 1:
         raise NotAComplex("partition function needs degrees 0 and 1")
     spectra = laplacian_spectra(cx)
-    ld0 = zeta_log_det(spectra[0], rel_tol)
-    ld1 = zeta_log_det(spectra[1], rel_tol)
+    ld0 = zeta_log_det(spectra[0])
+    ld1 = zeta_log_det(spectra[1])
     log_z = -0.25 * ld1 + 0.75 * ld0
-    d0, d1 = zeta_det(spectra[0], rel_tol), zeta_det(spectra[1], rel_tol)
+    d0, d1 = zeta_det(spectra[0]), zeta_det(spectra[1])
     alt = d1 ** -0.25 * d0 ** 0.75
     if not math.isclose(math.exp(log_z), alt, rel_tol=1e-9):
         raise AssertionError("partition function routes disagree")
@@ -393,10 +399,10 @@ def abelian_cs_partition(cx: CochainComplex, rel_tol=1e-10) -> dict:
             "log_det_prime": [ld0, ld1], "det_prime": [d0, d1]}
 
 
-def hodge_package(cx: CochainComplex, rel_tol=1e-9) -> dict:
+def hodge_package(cx: CochainComplex) -> dict:
     """Betti numbers, spectra, determinants, and consistency checks."""
     spectra = laplacian_spectra(cx)
-    betti = betti_numbers(cx, rel_tol)
+    betti = betti_numbers(cx)
     euler_dims = cx.euler_characteristic()
     euler_betti = int(sum((-1) ** k * b for k, b in enumerate(betti)))
     if euler_dims != euler_betti:
@@ -407,7 +413,7 @@ def hodge_package(cx: CochainComplex, rel_tol=1e-9) -> dict:
             "betti": list(betti),
             "euler_characteristic": euler_dims,
             "spectra": [[float(v) for v in s] for s in spectra],
-            "det_prime": [zeta_det(s, max(rel_tol, 1e-10)) for s in spectra],
+            "det_prime": [zeta_det(s, HODGE_TOL) for s in spectra],
             "harmonic_dims": list(betti)}
 
 

@@ -32,6 +32,9 @@ import numpy as np
 
 from .errors import GridTooCoarse, InputError
 
+CRITICAL_TOL = 1e-6     # |phi_h| below this (scaled) makes a root of phi_hh critical
+DEGENERATE_TOL = 1e-5   # |phi_hh| at or below this (scaled) makes it degenerate
+
 
 @dataclass
 class LeafChart:
@@ -139,7 +142,7 @@ def _brackets(g1, g2, periodic):
     return zip(hits.tolist(), on_g1[hits].tolist())
 
 
-def morse_scan(chart: LeafChart, n_h=256, n_v=33, tol=1e-6) -> dict:
+def morse_scan(chart: LeafChart, n_h=256, n_v=33) -> dict:
     """Scan the chart over an (n_h x n_v) grid; see the module docstring for
     what is detected and reported."""
     if n_h < 16:
@@ -184,7 +187,7 @@ def morse_scan(chart: LeafChart, n_h=256, n_v=33, tol=1e-6) -> dict:
                 roots.append(_bisect(lambda x: float(der.d1(x, v)), a, b, xtol=xtol))
             else:
                 r = _bisect(lambda x: float(der.d2(x, v)), a, b, xtol=xtol)
-                if abs(float(der.d1(r, v))) < max(tol, 1e-7) * scale_phi:
+                if abs(float(der.d1(r, v))) < CRITICAL_TOL * scale_phi:
                     roots.append(r)
         merged = []
         for r in sorted(der._wrap(x) for x in roots):
@@ -200,7 +203,7 @@ def morse_scan(chart: LeafChart, n_h=256, n_v=33, tol=1e-6) -> dict:
         points = []
         for r in merged:
             hh = float(der.d2(r, v))
-            if abs(hh) > max(tol, 1e-5) * scale_g2:
+            if abs(hh) > DEGENERATE_TOL * scale_g2:
                 idx = 1 if hh < 0 else 0
                 points.append({"h": float(der._wrap(r)), "kind": "morse",
                                "index": idx, "phi_hh": hh})

@@ -27,10 +27,9 @@ from .hodge import (abelian_cs_partition, betti_numbers, decompose,
                     twisted_circle_complex)
 from .morse import builtin_chart, morse_scan
 from .scalars import FLOAT, RATIONAL
-from .spectral import spectral_report
+from .spectral import CRT_VS_EIG_TOL, spectral_report
 
 ALGEBRA_SUITE = (("dual-numbers", 4), ("two-points", 4), ("m2", 2), ("z3", 4))
-EIG_TOL = 1e-10     # exact P against the float eigenprojection (criterion 3)
 GV_TOL = 1e-6       # GV value, gauge residual and grid doubling (criterion 11)
 
 
@@ -101,7 +100,7 @@ def harmonic_projection_dual_route(config: SelftestConfig) -> dict:
         degrees = suite_report(name, n_max)["degrees"]
         rank_ok = all(row["rank_split_ok"] for row in degrees)
         worst_gap = max((row["crt_vs_eig"] for row in degrees), default=0.0)
-        ok = rank_ok and worst_gap <= EIG_TOL
+        ok = rank_ok and worst_gap <= CRT_VS_EIG_TOL
         rows.append({"algebra": name, "rank_identity": rank_ok,
                      "crt_vs_eig": worst_gap, "ok": ok})
         passed = passed and ok

@@ -54,6 +54,12 @@ from .exactla import (green_crt_poly, harmonic_crt_poly, karoubi_annihilator,
                       matmul, to_complex)
 from .forms import Form, FormsWindow, operator_matrices
 
+CLUSTER_TOL = 1e-8      # |eig - 1| below this is harmonic; up to 100x it is ambiguous
+ROOT_TOL = 1e-6         # each eigenvalue lies this close to an admissible root of unity
+RANK_TOL = 1e-10        # relative singular value cut of the report's float ranks
+CRT_VS_EIG_TOL = 1e-10  # exact P against the independent float eigenprojection
+RESIDUAL_TOL = 1e-10    # float residuals and |L P|; exact windows need exact zeros
+
 
 @dataclass
 class SpectralData:
@@ -89,7 +95,7 @@ def harmonic_projection(window: FormsWindow, degree: int) -> SpectralData:
                 degree=degree, residual=exactla.max_abs(pk))
         P = exactla.eval_poly(harmonic_crt_poly(degree), K)
     else:
-        P = _schur_projection(to_complex(K), 1e-8)
+        P = eigenprojection_float(window, degree)
     tol = 0.0 if exact else 1e-9 * max(1.0, exactla.max_abs(P)) ** 2
     if not exactla.equal(matmul(P, P), P, tol):
         raise AssertionError(f"projection not idempotent at degree {degree}")
@@ -100,30 +106,17 @@ def _eigvals(K: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(K) if K.size else np.array([])
 
 
-def eigenprojection_float(window: FormsWindow, degree: int,
-                          cluster_tol: float = 1e-8, eigs=None) -> np.ndarray:
+def eigenprojection_float(window: FormsWindow, degree: int) -> np.ndarray:
     """Float spectral projector for eigenvalue 1, independent of the exact
-    route: sorted complex Schur form plus a Sylvester solve.  ``eigs`` are
-    the block's eigenvalues when the caller already has them."""
+    route: sorted complex Schur form plus a Sylvester solve.  It is P on
+    float windows and the reference P is compared against on exact ones."""
     K = to_complex(_k_block(window, degree))
-    if eigs is None:
-        eigs = _eigvals(K)
-    gaps = np.abs(eigs - 1.0)
-    ambiguous = (gaps > cluster_tol) & (gaps < 100 * cluster_tol)
-    if np.any(ambiguous):
-        raise NumericalRankAmbiguous(
-            f"eigenvalues sit inside the cluster tolerance band at degree {degree}",
-            degree=degree, values=[complex(v) for v in eigs[ambiguous]])
-    return _schur_projection(K, cluster_tol)
-
-
-def _schur_projection(K: np.ndarray, cluster_tol: float) -> np.ndarray:
     n = K.shape[0]
     if n == 0:
         return np.zeros((0, 0), complex)
     import scipy.linalg  # on first use: the form operators never need scipy
     T, Z, sdim = scipy.linalg.schur(K, output="complex",
-                                    sort=lambda z: abs(z - 1.0) < cluster_tol)
+                                    sort=lambda z: abs(z - 1.0) < CLUSTER_TOL)
     if sdim == 0:
         return np.zeros((n, n), complex)
     if sdim == n:
@@ -249,8 +242,7 @@ def admissible_roots(degree: int) -> np.ndarray:
     return np.array([np.exp(2j * np.pi * a) for a in sorted(angles)])
 
 
-def spectrum_report(window: FormsWindow, degree: int, root_tol: float = 1e-6,
-                    eigs=None):
+def spectrum_report(window: FormsWindow, degree: int, eigs=None):
     """Eigenvalues of the rotation block clustered onto the admissible roots
     of unity, as a list of (root, multiplicity) pairs.  ``eigs`` are the
     block's eigenvalues when the caller already has them."""
@@ -264,7 +256,7 @@ def spectrum_report(window: FormsWindow, degree: int, root_tol: float = 1e-6,
     for lam in eigs:
         dists = np.abs(roots - lam)
         best = int(np.argmin(dists))
-        if dists[best] > root_tol:
+        if dists[best] > ROOT_TOL:
             raise NonUnitRootEigenvalue(
                 f"eigenvalue {lam} at degree {degree} is not near any root of "
                 f"unity of order dividing {degree} or {degree + 1}",
@@ -273,18 +265,18 @@ def spectrum_report(window: FormsWindow, degree: int, root_tol: float = 1e-6,
     return [(complex(r), int(c)) for r, c in zip(roots, counts) if c]
 
 
-def spectral_report(window: FormsWindow, *, cluster_tol=1e-8, root_tol=1e-6,
-                    rank_tol=1e-10, crt_vs_eig_tol=1e-10) -> dict:
+def spectral_report(window: FormsWindow) -> dict:
     """Full per-degree report: spectra, ranks, and residuals of every
     invariant the decomposition is supposed to satisfy.  On exact windows
     rank P is the trace of P (an integer in [0, dim], or AssertionError) and
     rank (1-P) = dim - rank P; rank (1-k)^2 still comes from elimination, so
-    ``rank_split_ok`` compares two routes.  Float windows take SVD ranks."""
+    ``rank_split_ok`` compares two routes.  Float windows take SVD ranks.
+    Exact windows pass only when every residual and L P are exactly zero."""
     ops = operator_matrices(window)
     D, B, K = ops["d"].blocks, ops["b"].blocks, ops["k"].blocks
     n_max = window.n_max
     exact = window.field.exact
-    zero_tol = 0.0 if exact else 1e-10
+    zero_tol = 0.0 if exact else RESIDUAL_TOL
     rows = []
     all_ok = True
     for n in range(n_max):
@@ -300,11 +292,17 @@ def spectral_report(window: FormsWindow, *, cluster_tol=1e-8, root_tol=1e-6,
                 raise AssertionError(f"trace of P is not a rank at degree {n}")
             rank_pp = dim - rank_p
         else:
-            rank_p, rank_pp = exactla.rank(P, rank_tol), exactla.rank(Pp, rank_tol)
-        rank_omk2 = exactla.rank(omk2, rank_tol)
+            rank_p, rank_pp = exactla.rank(P, RANK_TOL), exactla.rank(Pp, RANK_TOL)
+        rank_omk2 = exactla.rank(omk2, RANK_TOL)
 
         eigs = _eigvals(to_complex(K[n]))
-        eig_p = eigenprojection_float(window, n, cluster_tol, eigs)
+        gaps = np.abs(eigs - 1.0)
+        ambiguous = (gaps > CLUSTER_TOL) & (gaps < 100 * CLUSTER_TOL)
+        if np.any(ambiguous):
+            raise NumericalRankAmbiguous(
+                f"eigenvalues sit inside the cluster tolerance band at degree {n}",
+                degree=n, values=[complex(v) for v in eigs[ambiguous]])
+        eig_p = eigenprojection_float(window, n) if exact else P
         crt_vs_eig = exactla.max_abs(to_complex(P) - eig_p)
 
         def res(mat):
@@ -328,7 +326,7 @@ def spectral_report(window: FormsWindow, *, cluster_tol=1e-8, root_tol=1e-6,
             "b_piece_in_image_b": bool(_in_image(window, "b", n + 1, Yc)),
         }
         norm_on_p, min_sing = rescaled_laplacian_check(window, n, rank_pp)
-        spectrum = spectrum_report(window, n, root_tol, eigs)
+        spectrum = spectrum_report(window, n, eigs)
 
         row = {
             "degree": n,
@@ -350,9 +348,9 @@ def spectral_report(window: FormsWindow, *, cluster_tol=1e-8, root_tol=1e-6,
             dP = matmul(D[n - 1], spectral_data(window, n - 1).P)
             bP = matmul(B[n + 1], spectral_data(window, n + 1).P)
             dbP = np.concatenate([to_complex(dP), to_complex(bP)], axis=1)
-            span = exactla.rank(dbP, rank_tol)
+            span = exactla.rank(dbP, RANK_TOL)
             contained = exactla.rank(np.concatenate([to_complex(Pp), dbP], axis=1),
-                                     rank_tol) == rank_pp
+                                     RANK_TOL) == rank_pp
             row["harmonic_complement_as_dP_plus_bP"] = {
                 "span_rank": span,
                 "complement_rank": rank_pp,
@@ -361,10 +359,11 @@ def spectral_report(window: FormsWindow, *, cluster_tol=1e-8, root_tol=1e-6,
             }
         ok = (row["rank_split_ok"]
               and row["harmonic_multiplicity_matches"]
-              and crt_vs_eig <= crt_vs_eig_tol
-              and all(r["max_abs"] <= max(zero_tol, 1e-10) for r in residuals.values())
+              and crt_vs_eig <= CRT_VS_EIG_TOL
+              and all(r["exact_zero"] if exact else r["max_abs"] <= zero_tol
+                      for r in residuals.values())
               and all(membership.values())
-              and norm_on_p <= max(zero_tol, 1e-10)
+              and norm_on_p <= zero_tol
               and (min_sing is None or min_sing > 1e-8))
         row["passed"] = bool(ok)
         all_ok = all_ok and ok

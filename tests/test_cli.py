@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nchodge import cli, exactla, reporting, spectral
+from nchodge import cli, exactla, forms, reporting, spectral
 from nchodge.errors import InputError
 from nchodge.foliation import builtin_model, resolve_phi
 from nchodge.gv import builtin_omega, gv_report
@@ -119,6 +119,50 @@ def test_spectral_errors_on_a_corrupted_k_block(monkeypatch, capsys, scalar, deg
     payload = json.loads(capsys.readouterr().err)
     assert payload["kind"] == "error" and payload["code"] == code
     assert payload["context"]["degree"] == degree
+
+
+TINY = _shift_first(Fraction(1, 10 ** 13))    # far inside every float bound
+
+
+def test_spectral_exact_residual_fails_unless_exactly_zero(monkeypatch, tmp_path):
+    real = spectral.greens_operator
+
+    def shift_after(window, degree):
+        data = real(window, degree)
+        if degree == 1:     # P and G are cached: P no longer commutes with k
+            ks = spectral.operator_matrices(window)["k"].blocks
+            ks[1] = TINY(ks[1])
+        return data
+
+    monkeypatch.setattr(spectral, "greens_operator", shift_after)
+    out = tmp_path / "spectral.json"
+    assert run(["spectral", "--algebra", "z3", "--nmax", "3", "--out", str(out)]) == 2
+    rep = json.loads(out.read_text())
+    commutes = rep["degrees"][1]["residuals"]["P_commutes_k"]
+    assert commutes["exact_zero"] is False and 0 < commutes["max_abs"] < 1e-12
+    assert rep["degrees"][1]["passed"] is False and rep["passed"] is False
+
+
+def test_nc_report_exact_identity_fails_unless_exactly_zero(monkeypatch, tmp_path):
+    real = forms.operator_matrices
+
+    def shifted(window):
+        fresh = window._ops is None
+        ops = real(window)
+        if fresh:
+            ops["k"].blocks[1] = TINY(ops["k"].blocks[1])
+        return ops
+
+    monkeypatch.setattr(forms, "operator_matrices", shifted)
+    out = tmp_path / "nc.json"
+    assert run(["nc-report", "--algebra", "z3", "--nmax", "3", "--out", str(out)]) == 2
+    rep = json.loads(out.read_text())
+    broken = {key for key, rows in rep["identities"].items()
+              if not all(r["exact_zero"] for r in rows)}
+    assert broken == {"kd_commute", "kb_commute", "k_pow_fixes_d", "k_pow_n",
+                      "k_pow_n_plus_one", "cyclic_annihilator"}
+    assert all(r["max_abs"] < 1e-12 for rows in rep["identities"].values() for r in rows)
+    assert rep["passed"] is False
 
 
 def test_witten_sweep_with_taus(tmp_path):
@@ -336,17 +380,6 @@ def test_bad_complex_dims_are_rejected_before_the_differentials(tmp_path, capsys
     assert payload["context"] == {"key": "dims"}
 
 
-def test_non_finite_report_value_is_input_error(capsys):
-    # the tolerance would go into the report, where JSON cannot hold inf;
-    # the flag check rejects it first
-    assert run(["gv", "--omega", "sin-z", "--n", "16", "--tol", "inf"]) == 1
-    streams = capsys.readouterr()
-    assert streams.out == "" and "Traceback" not in streams.err
-    payload = json.loads(streams.err)
-    assert payload["code"] == "cli/InputError"
-    assert "--tol" in payload["message"]
-
-
 CIRCLE = ["--complex", "circle_alpha_-1_N8.json"]
 TOLERANCE_FLAGS = (
     [("spectral", ["--algebra", "z3", "--nmax", "1"], flag)
@@ -358,15 +391,15 @@ TOLERANCE_FLAGS = (
 
 
 @pytest.mark.parametrize("command,args,flag", TOLERANCE_FLAGS)
-def test_non_finite_or_negative_tolerance_is_input_error(command, args, flag, capsys):
-    for value in ("nan", "inf", "-inf", "-1e-9"):
-        assert run([command, *args, f"{flag}={value}"]) == 1, value
-        streams = capsys.readouterr()
-        assert streams.out == "" and "Traceback" not in streams.err
-        payload = json.loads(streams.err)
-        assert payload["code"] == "cli/InputError"
-        assert payload["context"] == {"flag": flag}
-    assert run([command, *args, f"{flag}=0"]) in (0, 2)
+def test_tolerance_flag_is_an_unknown_argument(command, args, flag, capsys):
+    # tolerances are constants of their checks, not settable values
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *args, flag, "1e-9"])
+    assert exc.value.code == 1
+    streams = capsys.readouterr()
+    assert streams.out == "" and "Traceback" not in streams.err
+    assert streams.err.startswith("usage: nchodge")
+    assert f"unrecognized arguments: {flag} 1e-9" in streams.err
 
 
 def test_main_builds_the_parser_once(tmp_path, monkeypatch):

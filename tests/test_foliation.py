@@ -139,7 +139,7 @@ def test_equal_leaf_functions_share_one_complex_and_row(monkeypatch):
     bettis = _counting(monkeypatch, foliation, "betti_numbers")
     assert intertwiner_ranks(deformed, base) == [[1, 2, 1], [1, 2, 1]]
     assert len(bases) == 3
-    assert foliation._weighted_betti(deformed, 1e-8).tolist() == [1.0, 2.0, 1.0]
+    assert foliation._weighted_betti(deformed).tolist() == [1.0, 2.0, 1.0]
     assert len(bettis) == 1
     assert len(set(map(id, witten_complex(model, "cos-hv", 2.0).complexes))) == 2
 
@@ -170,6 +170,7 @@ _CIRCLE = {"type": "circle", "n": 8}
     ({"leaf": {"type": "circle", "n": 2}, "transversal": [0.0]}, LeafTooSmall, "leaf"),
     ({"leaf": _CIRCLE}, BadWeights, "transversal"),
     ({"leaf": _CIRCLE, "transversal": []}, BadWeights, "transversal"),
+    ({"leaf": _CIRCLE, "transversal": [0.0], "name": [1, 2]}, InputError, "name"),
 ])
 def test_malformed_model_is_a_coded_error_naming_its_key(model, error, key):
     with pytest.raises(error) as exc:

@@ -212,6 +212,16 @@ def test_missing_complex_keys_are_named():
         assert exc.value.context == {"key": key}
 
 
+def test_unknown_complex_key_is_named():
+    # a misspelt "gram" must not load with identity Grams
+    data = {"dims": [2, 2], "differentials": [[[1, 0], [0, 1]]], "grams": [2, 2]}
+    with pytest.raises(NotAComplex) as exc:
+        load_complex(data)
+    assert exc.value.context == {"key": "grams"}
+    del data["grams"]
+    assert load_complex(data).dims == (2, 2)
+
+
 def test_complex_file_gram_forms():
     """null is the identity and a number a scale of it, which must be
     positive and finite; a scale that is not ends in BadGram naming the degree."""

@@ -122,6 +122,29 @@ def test_report_takes_k_eigenvalues_once_per_degree(monkeypatch):
     assert calls == [(d, d) for d in w.degree_dims[:3]]
 
 
+@pytest.mark.parametrize("name,n_max", [("two-points", 6), ("z3", 4)])
+def test_float_report_factors_each_degree_once(monkeypatch, name, n_max):
+    import scipy.linalg
+    real_schur, calls = scipy.linalg.schur, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_schur(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    w = nc.build_window(nc.builtin_algebra(name, "float"), n_max)
+    rep = nc.spectral_report(w)
+    # one Schur form per degree above 0 builds P, and P is the report's
+    # float eigenprojection: the degree-0 P is the identity
+    assert len(calls) == n_max - 1
+    assert [row["crt_vs_eig"] for row in rep["degrees"]] == [0.0] * n_max
+    assert rep["passed"]
+    # exact windows still compare P against an independent Schur form per degree
+    calls.clear()
+    assert nc.spectral_report(nc.build_window(nc.builtin_algebra(name), n_max))["passed"]
+    assert calls == [(d, d) for d in w.degree_dims[:n_max]]
+
+
 @pytest.mark.parametrize("name,mode,n_max", [("z3", "rational", 3), ("m2", "gaussian", 2)])
 def test_image_membership_matches_rank_and_rejects(name, mode, n_max):
     w = nc.build_window(nc.builtin_algebra(name, mode), n_max)

@@ -39,12 +39,14 @@ fractional parts, ``nc-report --matrices`` in float mode on the same file
 (the conversion of stored gaussian entries to complex128), and
 ``nc-report --scalar rational`` on ``z3`` stored float.  The bundled
 algebra files are all stored rational; these two inputs make the gaussian
-and float parsers run.  Last, ``nc-report --matrices`` and ``spectral`` on
+and float parsers run.  Then ``nc-report --matrices`` and ``spectral`` on
 two algebras whose unit has a pivot coordinate other than 1, which the
 unit-first basis change divides by: the dual numbers stored rational in the
 basis (2, x), pivot coordinate 1/2, at ``--nmax 4``, and ``m2`` stored
 gaussian in the basis (2i E11, E12, E21, E22), pivot coordinate -i/2, at
-``--nmax 3``.
+``--nmax 3``.  The float ``spectral`` route runs on ``z3`` at ``--nmax 3``,
+on ``two_points`` at ``--nmax 6`` (Schur projections of degrees 1 to 5) and
+on the gaussian-stored ``m2`` at ``--nmax 3``.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ COMMANDS = (
     [[cmd, "--algebra", alg, "--nmax", "3"]
      for alg in ("dual_numbers.json", "m2.json", "two_points.json", "z3.json")
      for cmd in ("nc-report", "spectral")]
-    + [["spectral", "--algebra", "z3.json", "--nmax", "3", "--scalar", "float"]]
+    + [["spectral", "--algebra", alg, "--nmax", nmax, "--scalar", "float"]
+       for alg, nmax in (("z3.json", "3"), ("two_points.json", "6"), (M2_GAUSSIAN, "3"))]
     + [["spectral", "--algebra", alg, "--nmax", "6", "--scalar", mode]
        for alg in ("z3.json", "two_points.json") for mode in ("rational", "gaussian")]
     + [["nc-report", "--algebra", alg, "--nmax", "3", "--scalar", mode, "--matrices"]
