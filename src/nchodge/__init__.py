@@ -9,9 +9,9 @@ from .algebra import (Algebra, BUILTIN_ALGEBRAS, builtin_algebra,
 from .errors import (BadGram, BadWeights, DegreeOutOfWindow, DimMismatch,
                      GridTooCoarse, InputError, LeafTooSmall, NCHodgeError,
                      NegativeEigenvalue, NotAComplex, NotIntegrable,
-                     NumericalRankAmbiguous, PolynomialRelationViolated,
-                     ShapeMismatch, SingularOnComplement, VanishingOmega,
-                     WindowTooLarge)
+                     NumericalRankAmbiguous, OutOfFloatRange,
+                     PolynomialRelationViolated, ShapeMismatch,
+                     SingularOnComplement, VanishingOmega, WindowTooLarge)
 from .foliation import (BUILTIN_MODELS, FoliatedModel, builtin_model,
                         circle_leaf, load_model, make_model, random_smooth_phi,
                         torus_leaf, witten_betti_sweep, witten_complex)
@@ -25,7 +25,7 @@ from .hodge import (CochainComplex, abelian_cs_partition, betti_numbers,
                     twisted_circle_complex, zeta_det, zeta_log_det)
 from .morse import BUILTIN_CHARTS, LeafChart, builtin_chart, morse_scan
 from .scalars import FLOAT, GAUSSIAN, RATIONAL, ScalarField, field_for
-from .selftest import CRITERIA, SelftestConfig, run_all, run_criterion
+from .selftest import CRITERIA, run_all, run_criterion
 from .spectral import (eigenprojection_float, greens_operator,
                        harmonic_projection, hodge_split, spectral_data,
                        spectral_report, spectrum_report)

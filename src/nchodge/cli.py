@@ -33,7 +33,7 @@ from .hodge import (abelian_cs_partition, hodge_package, laplacian_spectra,
                     load_complex, rs_torsion)
 from .morse import BUILTIN_CHARTS, builtin_chart, morse_scan
 from .scalars import MODES, RATIONAL
-from .selftest import SelftestConfig, run_all
+from .selftest import run_all
 from .spectral import spectral_report
 
 
@@ -43,6 +43,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    # argparse hands a subcommand's leftover arguments up to the top-level
+    # parser; reject them here, under the subcommand's own usage line
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return parsed, extras
 
 
 def _bundled(name):
@@ -272,12 +280,7 @@ def _cmd_gv(args):
 
 
 def _cmd_selftest(args):
-    config = SelftestConfig(seed=args.seed,
-                            random_triples=args.triples,
-                            random_complexes=args.complexes,
-                            gv_grid=args.gv_grid,
-                            budget_seconds=args.budget)
-    report, lines, _total = run_all(config)
+    report, lines, _total = run_all(args.seed)
     for line in lines:
         print(line)
     if args.out:
@@ -381,13 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the full invariant suite and "
                        "print a pass/fail table")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--triples", type=int, default=200,
-                   help="random form triples per algebra")
-    p.add_argument("--complexes", type=int, default=50,
-                   help="random complexes for the decomposition check")
-    p.add_argument("--gv-grid", type=int, default=32)
-    p.add_argument("--budget", type=float, default=300.0,
-                   help="time budget in seconds")
     add_output_flags(p)
     p.set_defaults(handler=_cmd_selftest)
 

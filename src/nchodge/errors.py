@@ -86,6 +86,10 @@ class NegativeEigenvalue(NCHodgeError):
     code = "hodge-classical/NegativeEigenvalue"
 
 
+class OutOfFloatRange(NCHodgeError):
+    code = "hodge-classical/OutOfFloatRange"
+
+
 # -- foliation models -------------------------------------------------------
 
 class BadWeights(NCHodgeError):

@@ -118,8 +118,8 @@ class Form:
         return Form({n: v * (c if exactla.is_exact(v) else complex(c))
                      for n, v in self.components.items()})
 
-    def is_zero(self, tol=0.0):
-        return all(exactla.is_zero_matrix(v, tol) for v in self.components.values())
+    def is_zero(self):
+        return all(exactla.is_zero_matrix(v) for v in self.components.values())
 
     def __eq__(self, other):
         if not isinstance(other, Form):

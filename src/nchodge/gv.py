@@ -46,8 +46,8 @@ def _spectral_partials(f):
     f = np.asarray(f, dtype=float)
     fk = np.fft.fftn(f)
 
-    def partial(axis, n=None):
-        n = n or f.shape[axis]
+    def partial(axis):
+        n = f.shape[axis]
         k = np.fft.fftfreq(n, d=1.0 / n)
         if n % 2 == 0:
             k[n // 2] = 0.0          # odd-derivative Nyquist mode is spurious
@@ -57,14 +57,13 @@ def _spectral_partials(f):
     return partial
 
 
-def spectral_derivative(f, axis, n=None):
-    return _spectral_partials(f)(axis, n)
+def spectral_derivative(f, axis):
+    return _spectral_partials(f)(axis)
 
 
-def central_derivative(f, axis, n=None):
+def central_derivative(f, axis):
     f = np.asarray(f, dtype=float)
-    n = n or f.shape[axis]
-    return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) * (n / 2.0)
+    return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) * (f.shape[axis] / 2.0)
 
 
 def _central_partials(f):

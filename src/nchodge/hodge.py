@@ -33,20 +33,25 @@ from pathlib import Path
 import numpy as np
 
 from . import exactla
-from .errors import BadGram, NegativeEigenvalue, NotAComplex
+from .errors import BadGram, NegativeEigenvalue, NotAComplex, OutOfFloatRange
 from .scalars import FLOAT, field_for
 
 HODGE_TOL = 1e-9    # near-kernel cut of the hodge report and decompose
 DET_TOL = 1e-10     # near-kernel cut of torsion, the CS partition and zeta_log_det
 
 
+def _kernel_cut(eigs, rel_tol):
+    """The near-kernel rule: an eigenvalue of ``eigs`` is harmonic when it
+    is below this cut, ``rel_tol * max(1, largest eigenvalue)``."""
+    return rel_tol * max(1.0, float(eigs.max())) if eigs.size else rel_tol
+
+
 @dataclass(frozen=True)
 class HodgeFrame:
-    """Degree-k Cholesky frame: ``G = L L^H`` (``chol``), its inverse, the
-    Laplacian, ``S = L^H Delta L^{-H}`` symmetrized, and the ascending
-    ``eigvalsh`` spectrum of ``S``.  Arrays are read-only."""
+    """Degree-k Cholesky frame: ``G = L L^H`` (``chol``), its inverse,
+    ``S = L^H Delta L^{-H}`` symmetrized, and the ascending ``eigvalsh``
+    spectrum of ``S``.  Arrays are read-only."""
 
-    laplacian: np.ndarray
     chol: np.ndarray
     chol_inv: np.ndarray
     sym: np.ndarray
@@ -59,8 +64,7 @@ class HodgeFrame:
         ``rel_tol`` (every call would run the same ``eigh``)."""
         if rel_tol not in self._harmonic:
             eigs, vecs = np.linalg.eigh(self.sym)
-            scale = max(1.0, float(eigs.max())) if eigs.size else 1.0
-            out = vecs[:, eigs < rel_tol * scale]
+            out = vecs[:, eigs < _kernel_cut(eigs, rel_tol)]
             out.setflags(write=False)
             self._harmonic[rel_tol] = out
         return self._harmonic[rel_tol]
@@ -203,7 +207,10 @@ def load_complex(source) -> CochainComplex:
         grams = [g if g is None or type(g) in (int, float)
                  else _parse_matrix(g, (dims[k], dims[k]), BadGram, "gram", k)
                  for k, g in enumerate(grams)]
-    return make_complex(dims, diffs, grams, name=source.get("name", "complex"))
+    name = source.get("name", "complex")
+    if not isinstance(name, str):
+        raise NotAComplex(f"complex 'name' is not a string: {name!r}", key="name")
+    return make_complex(dims, diffs, grams, name=name)
 
 
 def complex_to_json(cx: CochainComplex) -> dict:
@@ -269,9 +276,9 @@ def _build_frame(cx: CochainComplex, k, lap) -> HodgeFrame:
                           degree=k, residual=herm)
         S = (S + S.conj().T) / 2
         eigs = np.linalg.eigvalsh(S)
-    for arr in (lap, L, linv, S, eigs):
+    for arr in (L, linv, S, eigs):
         arr.setflags(write=False)
-    return HodgeFrame(laplacian=lap, chol=L, chol_inv=linv, sym=S, eigvals=eigs)
+    return HodgeFrame(chol=L, chol_inv=linv, sym=S, eigvals=eigs)
 
 
 def laplacian_spectra(cx: CochainComplex) -> list:
@@ -286,8 +293,7 @@ def betti_numbers(cx: CochainComplex, rel_tol=HODGE_TOL):
     out = []
     for k in range(cx.top + 1):
         eigs = cx.frame(k).eigvals
-        scale = max(1.0, float(eigs.max())) if eigs.size else 1.0
-        harmonic = int(np.sum(eigs < rel_tol * scale))
+        harmonic = int(np.sum(eigs < _kernel_cut(eigs, rel_tol)))
         r_out = ranks[k] if k < cx.top else 0
         r_in = ranks[k - 1] if k >= 1 else 0
         algebraic = cx.dims[k] - r_out - r_in
@@ -332,50 +338,58 @@ def decompose(cx: CochainComplex, k, v):
 
 
 def _nonzero_spectrum(eigs, rel_tol):
-    """Eigenvalues above the near-kernel cut; a negative one is an error."""
+    """Eigenvalues outside the near-kernel; a negative one is an error."""
     eigs = np.asarray(eigs, dtype=float)
-    if eigs.size == 0:
-        return eigs
-    scale = max(1.0, float(eigs.max()))
-    if np.any(eigs < -rel_tol * scale):
+    cut = _kernel_cut(eigs, rel_tol)
+    if np.any(eigs < -cut):
         raise NegativeEigenvalue(
             "Laplacian spectrum has a negative eigenvalue",
-            value=float(eigs.min()), cutoff=-rel_tol * scale)
-    return eigs[eigs > rel_tol * scale]
+            value=float(eigs.min()), cutoff=-cut)
+    return eigs[eigs >= cut]
+
+
+def _in_float_range(quantity, log_value):
+    """``log_value``, unless the exponential of it is past the float range."""
+    if log_value > math.log(sys.float_info.max):
+        raise OutOfFloatRange(f"{quantity} = exp({log_value}) is past the float range",
+                              quantity=quantity, log_value=log_value)
+    return log_value
+
+
+def _log_det(eigs, rel_tol):
+    """(log det', det') of one spectrum: the sum of the logs of the
+    eigenvalues outside the near-kernel, and its exponential, cross-checked
+    against their plain product.  Empty or all-kernel spectra give (0, 1)."""
+    positive = _nonzero_spectrum(eigs, rel_tol)
+    if positive.size == 0:
+        return 0.0, 1.0
+    log_det = float(np.sum(np.log(positive)))
+    det = float(np.exp(_in_float_range("det_prime", log_det)))
+    with np.errstate(over="ignore"):
+        direct = float(np.prod(positive))
+    if not math.isclose(direct, det, rel_tol=1e-9):
+        raise AssertionError(f"determinant routes disagree: {direct} vs {det}")
+    return log_det, det
 
 
 def zeta_det(eigs, rel_tol=DET_TOL) -> float:
-    """Regularized determinant: product of the eigenvalues above the
-    near-kernel cut.  Empty or all-kernel spectra give 1.  Computed twice
-    (plain product and exp of log-sum) and cross-checked."""
-    positive = _nonzero_spectrum(eigs, rel_tol)
-    if positive.size == 0:
-        return 1.0
-    direct = float(np.prod(positive))
-    via_logs = float(np.exp(np.sum(np.log(positive))))
-    if not math.isclose(direct, via_logs, rel_tol=1e-9):
-        raise AssertionError(
-            f"determinant routes disagree: {direct} vs {via_logs}")
-    return via_logs
+    """Regularized determinant: product of the eigenvalues outside the
+    near-kernel.  Empty or all-kernel spectra give 1."""
+    return _log_det(eigs, rel_tol)[1]
 
 
 def zeta_log_det(eigs) -> float:
-    positive = _nonzero_spectrum(eigs, DET_TOL)
-    return float(np.sum(np.log(positive))) if positive.size else 0.0
+    # not over _log_det: the log of a det' past the float range is a float
+    return float(np.sum(np.log(_nonzero_spectrum(eigs, DET_TOL))))
 
 
 def rs_torsion(cx: CochainComplex) -> dict:
     """Analytic torsion from the Laplacian spectra:
     log T = (1/2) * sum_k (-1)^k * k * log det' Delta_k."""
-    spectra = laplacian_spectra(cx)
-    log_dets = [zeta_log_det(s) for s in spectra]
+    log_dets, dets = map(list, zip(*(_log_det(s, DET_TOL) for s in laplacian_spectra(cx))))
     log_t = 0.5 * sum((-1) ** k * k * ld for k, ld in enumerate(log_dets))
-    dets = [zeta_det(s) for s in spectra]
-    for ld, d in zip(log_dets, dets):
-        if not math.isclose(math.exp(ld), d, rel_tol=1e-9):
-            raise AssertionError("log-det and det routes disagree")
     return {"log_torsion": log_t,
-            "torsion": float(math.exp(log_t)),
+            "torsion": math.exp(_in_float_range("torsion", log_t)),
             "log_det_prime": log_dets,
             "det_prime": dets,
             "zeta_prime_at_zero": log_dets,
@@ -387,31 +401,20 @@ def abelian_cs_partition(cx: CochainComplex) -> dict:
     and degree-1 Laplacians: Z = det' Delta_1 ^ (-1/4) * det' Delta_0 ^ (3/4)."""
     if cx.top < 1:
         raise NotAComplex("partition function needs degrees 0 and 1")
-    spectra = laplacian_spectra(cx)
-    ld0 = zeta_log_det(spectra[0])
-    ld1 = zeta_log_det(spectra[1])
+    (ld0, d0), (ld1, d1) = (_log_det(s, DET_TOL) for s in laplacian_spectra(cx)[:2])
     log_z = -0.25 * ld1 + 0.75 * ld0
-    d0, d1 = zeta_det(spectra[0]), zeta_det(spectra[1])
-    alt = d1 ** -0.25 * d0 ** 0.75
-    if not math.isclose(math.exp(log_z), alt, rel_tol=1e-9):
-        raise AssertionError("partition function routes disagree")
-    return {"log_Z": float(log_z), "Z": float(math.exp(log_z)),
+    return {"log_Z": float(log_z), "Z": math.exp(_in_float_range("Z", log_z)),
             "log_det_prime": [ld0, ld1], "det_prime": [d0, d1]}
 
 
 def hodge_package(cx: CochainComplex) -> dict:
-    """Betti numbers, spectra, determinants, and consistency checks."""
+    """Betti numbers, spectra and determinants."""
     spectra = laplacian_spectra(cx)
     betti = betti_numbers(cx)
-    euler_dims = cx.euler_characteristic()
-    euler_betti = int(sum((-1) ** k * b for k, b in enumerate(betti)))
-    if euler_dims != euler_betti:
-        raise AssertionError(
-            f"Euler characteristic mismatch: dims give {euler_dims}, betti give {euler_betti}")
     return {"name": cx.name,
             "dims": list(cx.dims),
             "betti": list(betti),
-            "euler_characteristic": euler_dims,
+            "euler_characteristic": cx.euler_characteristic(),
             "spectra": [[float(v) for v in s] for s in spectra],
             "det_prime": [zeta_det(s, HODGE_TOL) for s in spectra],
             "harmonic_dims": list(betti)}

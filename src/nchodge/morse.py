@@ -111,13 +111,13 @@ class _Derivatives:
         return (self.d1(h, v + self.sv) - self.d1(h, v - self.sv)) / (2 * self.sv)
 
 
-def _bisect(fn, a, b, iters=80, xtol=1e-13):
+def _bisect(fn, a, b, xtol):
     fa, fb = fn(a), fn(b)
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
-    for _ in range(iters):
+    for _ in range(80):
         m = 0.5 * (a + b)
         fm = fn(m)
         if fm == 0.0 or (b - a) < xtol:

@@ -1,7 +1,7 @@
 """The full invariant suite, shared between the test suite and the CLI.
 
-Each criterion function takes a SelftestConfig and returns a details dict
-with a boolean "passed".  run_all executes the numbered list, times it,
+Each criterion function takes the seed and returns a details dict with a
+boolean "passed".  run_all executes the numbered list, times it,
 and assembles a deterministic report (timings go to the caller for
 display, never into the report, so fixed seed means fixed bytes).
 """
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,11 @@ from .scalars import FLOAT, RATIONAL
 from .spectral import CRT_VS_EIG_TOL, spectral_report
 
 ALGEBRA_SUITE = (("dual-numbers", 4), ("two-points", 4), ("m2", 2), ("z3", 4))
-GV_TOL = 1e-6       # GV value, gauge residual and grid doubling (criterion 11)
+RANDOM_TRIPLES = 200    # seeded random form triples per algebra (criterion 6)
+RANDOM_COMPLEXES = 50   # seeded random complexes (criterion 8)
+GV_GRID = 32            # grid points per axis, and twice that (criterion 11)
+GV_TOL = 1e-6           # GV value, gauge residual and grid doubling (criterion 11)
+BUDGET_SECONDS = 300.0  # time budget of the whole suite (criterion 12)
 
 
 @functools.cache
@@ -50,16 +53,7 @@ def suite_report(name, n_max):
     return spectral_report(suite_window(name, n_max, RATIONAL))
 
 
-@dataclass
-class SelftestConfig:
-    seed: int = 0
-    random_triples: int = 200
-    random_complexes: int = 50
-    gv_grid: int = 32
-    budget_seconds: float = 300.0
-
-
-def laplacian_identity(config: SelftestConfig) -> dict:
+def laplacian_identity(seed) -> dict:
     """bd + db equals 1 - k on every window degree below the top."""
     rows, passed = [], True
     for name, n_max in ALGEBRA_SUITE:
@@ -74,7 +68,7 @@ def laplacian_identity(config: SelftestConfig) -> dict:
     return {"passed": passed, "suite": rows}
 
 
-def rotation_polynomial_relations(config: SelftestConfig) -> dict:
+def rotation_polynomial_relations(seed) -> dict:
     """(k^n - 1)(k^{n+1} - 1) = 0 per degree, plus the three power
     identities threading k through d and b."""
     keys = ("cyclic_annihilator", "k_pow_fixes_d", "k_pow_n", "k_pow_n_plus_one")
@@ -92,7 +86,7 @@ def rotation_polynomial_relations(config: SelftestConfig) -> dict:
     return {"passed": passed, "suite": rows}
 
 
-def harmonic_projection_dual_route(config: SelftestConfig) -> dict:
+def harmonic_projection_dual_route(seed) -> dict:
     """rank P + rank (1-k)^2 = dim, exactly, and the exact polynomial
     projection matches an independent float eigensolver."""
     rows, passed = [], True
@@ -115,7 +109,7 @@ _SPLIT_RESIDUALS = ("green_left_inverse", "P_idempotent", "split_partition",
                     "pieces_orthogonal")
 
 
-def green_operator_split(config: SelftestConfig) -> dict:
+def green_operator_split(seed) -> dict:
     """G(bd + db) = 1 - P exactly; Gdb and Gbd are complementary
     idempotents on the complement with images inside Im d and Im b."""
     rows, passed = [], True
@@ -128,7 +122,7 @@ def green_operator_split(config: SelftestConfig) -> dict:
     return {"passed": passed, "suite": rows}
 
 
-def rescaled_laplacian_definiteness(config: SelftestConfig) -> dict:
+def rescaled_laplacian_definiteness(seed) -> dict:
     """The rescaled Laplacian vanishes on the harmonic space and is
     bounded below on the complement."""
     rows, passed = [], True
@@ -155,16 +149,16 @@ def _random_form(w, rng, degree) -> Form:
     return Form({degree: w.field.array(list(int(c) for c in coords))})
 
 
-def random_operator_identities(config: SelftestConfig) -> dict:
+def random_operator_identities(seed) -> dict:
     """Exact checks on seeded random forms: d^2 = b^2 = 0, k commutes
     with d and b, the boundary of a product against a differential is the
     graded commutator, and the form product associates."""
     rows, passed = [], True
     for ai, (name, n_max) in enumerate(ALGEBRA_SUITE):
         w = suite_window(name, n_max, RATIONAL)
-        rng = np.random.default_rng(1000003 * config.seed + 7919 * ai + 11)
+        rng = np.random.default_rng(1000003 * seed + 7919 * ai + 11)
         failures = []
-        for trial in range(config.random_triples):
+        for trial in range(RANDOM_TRIPLES):
             p = int(rng.integers(0, n_max + 1))
             q = int(rng.integers(0, n_max - p + 1))
             r = int(rng.integers(0, n_max - p - q + 1))
@@ -189,13 +183,13 @@ def random_operator_identities(config: SelftestConfig) -> dict:
                 if lhs != rhs:
                     failures.append((trial, "boundary_of_u_da", p))
         ok = not failures
-        rows.append({"algebra": name, "trials": config.random_triples,
+        rows.append({"algebra": name, "trials": RANDOM_TRIPLES,
                      "failures": failures[:5], "ok": ok})
         passed = passed and ok
     return {"passed": passed, "suite": rows}
 
 
-def circle_torsion_and_partition(config: SelftestConfig) -> dict:
+def circle_torsion_and_partition(seed) -> dict:
     """Twisted circle with alpha = -1: det' = 4 in both degrees and
     torsion 1/2, independent of the subdivision; torsion adds over direct
     sums; the degree-(0,1) partition function equals 2 at n = 8."""
@@ -228,14 +222,14 @@ def circle_torsion_and_partition(config: SelftestConfig) -> dict:
     return detail
 
 
-def random_complex_hodge(config: SelftestConfig) -> dict:
+def random_complex_hodge(seed) -> dict:
     """Seeded random complexes: constructed Betti numbers equal both the
     harmonic-kernel count and rank-nullity; decomposition parts are
     Gram-orthogonal and re-sum."""
-    rng = np.random.default_rng(7919 * config.seed + 101)
+    rng = np.random.default_rng(7919 * seed + 101)
     worst_resum, worst_orth = 0.0, 0.0
     betti_ok = True
-    for _ in range(config.random_complexes):
+    for _ in range(RANDOM_COMPLEXES):
         cx, expected = random_complex(rng)
         betti = betti_numbers(cx)      # raises if the two routes disagree
         if betti != expected:
@@ -256,13 +250,13 @@ def random_complex_hodge(config: SelftestConfig) -> dict:
         for x, y in ((h, e), (h, c), (e, c)):
             worst_orth = max(worst_orth, gdot(x, y) / (gnorm(x) * gnorm(y)))
     ok = betti_ok and worst_resum <= 1e-10 and worst_orth <= 1e-10
-    return {"passed": ok, "complexes": config.random_complexes,
+    return {"passed": ok, "complexes": RANDOM_COMPLEXES,
             "betti_routes_agree": betti_ok,
             "worst_resum_residual": worst_resum,
             "worst_orthogonality_residual": worst_orth}
 
 
-def witten_sweep_invariance(config: SelftestConfig) -> dict:
+def witten_sweep_invariance(seed) -> dict:
     """Weighted Betti numbers are flat across the deformation sweep and
     the harmonic pairings have full rank, for both leaf types and both a
     fixed and a random smooth leaf function."""
@@ -273,7 +267,7 @@ def witten_sweep_invariance(config: SelftestConfig) -> dict:
         model = builtin_model(model_name)
         phis = [("cos-h", "cos-h"),
                 ("random-smooth", random_smooth_phi(
-                    np.random.default_rng(31 * config.seed + 13 * mi + 5)))]
+                    np.random.default_rng(31 * seed + 13 * mi + 5)))]
         for phi_name, phi in phis:
             report = witten_betti_sweep(model, phi, taus)
             base_ok = report["base_betti"] == frozen[model_name]
@@ -287,7 +281,7 @@ def witten_sweep_invariance(config: SelftestConfig) -> dict:
     return {"passed": passed, "taus": list(taus), "suite": rows}
 
 
-def morse_scan_classification(config: SelftestConfig) -> dict:
+def morse_scan_classification(seed) -> dict:
     """The cosine chart yields exactly two Morse families at the analytic
     locations; the cubic chart flags exactly the origin as a transversal
     birth-death point."""
@@ -319,11 +313,11 @@ def morse_scan_classification(config: SelftestConfig) -> dict:
             "cubic_events": events, "cubic_ok": bool(cubic_ok)}
 
 
-def godbillon_vey_quadrature(config: SelftestConfig) -> dict:
+def godbillon_vey_quadrature(seed) -> dict:
     """The integrable shipped form gives an invariant that vanishes, is
     gauge invariant, and is stable under grid doubling; the non-integrable
     one is rejected."""
-    n = config.gv_grid
+    n = GV_GRID
     rep = gv_report("sin-z", n)
     rep2 = gv_report("sin-z", 2 * n)
     doubling = abs(rep2["gv"] - rep["gv"])
@@ -344,7 +338,7 @@ def godbillon_vey_quadrature(config: SelftestConfig) -> dict:
             "non_integrable_rejected": rejected}
 
 
-def determinism_and_budget(config: SelftestConfig, elapsed=None) -> dict:
+def determinism_and_budget(seed, elapsed=None) -> dict:
     """Representative reports built twice from scratch with the same seed
     must serialize to identical bytes; the whole suite must fit the time
     budget."""
@@ -354,10 +348,10 @@ def determinism_and_budget(config: SelftestConfig, elapsed=None) -> dict:
             lambda: spectral_report(
                 build_window(builtin_algebra("dual-numbers"), 3)),
             lambda: hodge_package(
-                random_complex(np.random.default_rng(config.seed + 5))[0]),
+                random_complex(np.random.default_rng(seed + 5))[0]),
             lambda: witten_betti_sweep(
                 builtin_model("circle-leaves"),
-                random_smooth_phi(np.random.default_rng(config.seed + 9)),
+                random_smooth_phi(np.random.default_rng(seed + 9)),
                 (0.0, 1.0)),
             lambda: gv_report("sin-z", 16),
             lambda: morse_scan(builtin_chart("cubic-bd"), n_h=64, n_v=9),
@@ -366,10 +360,10 @@ def determinism_and_budget(config: SelftestConfig, elapsed=None) -> dict:
     first = [reporting.json_bytes(fn()) for fn in builders()]
     second = [reporting.json_bytes(fn()) for fn in builders()]
     deterministic = [a == b for a, b in zip(first, second)]
-    within = elapsed is None or elapsed < config.budget_seconds
+    within = elapsed is None or elapsed < BUDGET_SECONDS
     return {"passed": bool(all(deterministic) and within),
             "reports_deterministic": deterministic,
-            "budget_seconds": config.budget_seconds,
+            "budget_seconds": BUDGET_SECONDS,
             "within_budget": bool(within)}
 
 
@@ -424,10 +418,10 @@ CRITERIA = (
 )
 
 
-def run_criterion(number, config: SelftestConfig, elapsed=None) -> dict:
+def run_criterion(number, seed=0, elapsed=None) -> dict:
     num, name, fn = CRITERIA[number - 1]
     try:
-        details = fn(config, elapsed) if num == 12 else fn(config)
+        details = fn(seed, elapsed) if num == 12 else fn(seed)
     except Exception as exc:            # honest red: a crash is a failure
         details = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
     if "error" in details:
@@ -442,15 +436,14 @@ def run_criterion(number, config: SelftestConfig, elapsed=None) -> dict:
             "details": {k: v for k, v in details.items() if k != "passed"}}
 
 
-def run_all(config: SelftestConfig = None):
+def run_all(seed=0):
     """Returns (report dict, table lines with timings, total seconds)."""
-    config = config or SelftestConfig()
     rows, lines = [], []
     start = time.monotonic()
     elapsed_11 = 0.0
     for num, name, _ in CRITERIA:
         t0 = time.monotonic()
-        row = run_criterion(num, config, elapsed=elapsed_11 if num == 12 else None)
+        row = run_criterion(num, seed, elapsed=elapsed_11 if num == 12 else None)
         dt = time.monotonic() - t0
         if num <= 11:
             elapsed_11 = time.monotonic() - start
@@ -462,7 +455,7 @@ def run_all(config: SelftestConfig = None):
     lines.append(f"total: {total:.2f}s, "
                  f"{sum(r['passed'] for r in rows)}/{len(rows)} passed")
     report = reporting.make_report("selftest", {
-        "seed": config.seed,
+        "seed": seed,
         "criteria": rows,
         "passed": all(r["passed"] for r in rows),
     })

@@ -9,16 +9,15 @@ cache in nchodge.selftest, so the whole gate costs about as much as one
 
 import time
 
-from nchodge.selftest import CRITERIA, SelftestConfig, run_criterion
+from nchodge.selftest import CRITERIA, run_criterion
 
-CONFIG = SelftestConfig()
 _DURATIONS = {}
 
 
 def _run(number):
     t0 = time.monotonic()
     elapsed = sum(_DURATIONS.values()) if number == 12 else None
-    row = run_criterion(number, CONFIG, elapsed=elapsed)
+    row = run_criterion(number, elapsed=elapsed)
     _DURATIONS[number] = time.monotonic() - t0
     status = "PASS" if row["passed"] else "FAIL"
     print(f"criterion {number:2d} {row['name']}: {status} -- {row['headline']}")

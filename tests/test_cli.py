@@ -1,12 +1,18 @@
 """End-to-end command line checks: exit codes, report files, determinism."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nchodge import cli, exactla, forms, reporting, spectral
+from nchodge import cli, exactla, forms, reporting, selftest, spectral
 from nchodge.errors import InputError
 from nchodge.foliation import builtin_model, resolve_phi
 from nchodge.gv import builtin_omega, gv_report
@@ -198,9 +204,11 @@ def test_gv_custom_omega_file(tmp_path):
 
 def test_selftest_quick(tmp_path, monkeypatch, capsys):
     written = capture_reports(monkeypatch)
+    monkeypatch.setattr(selftest, "RANDOM_TRIPLES", 5)
+    monkeypatch.setattr(selftest, "RANDOM_COMPLEXES", 3)
+    monkeypatch.setattr(selftest, "GV_GRID", 16)
     out = tmp_path / "self.json"
-    code = run(["selftest", "--triples", "5", "--complexes", "3",
-                "--gv-grid", "16", "--out", str(out)])
+    code = run(["selftest", "--out", str(out)])
     assert code == 0
     table = capsys.readouterr().out
     assert table.count("PASS") == 12
@@ -337,21 +345,24 @@ def test_malformed_algebra_header_is_structured_error(tmp_path, capsys, text, ke
     assert payload["context"]["key"] == key
 
 
-@pytest.mark.parametrize("text,code", [
-    ('{"dims": [null, 2], "differentials": [[[1]]]}', "NotAComplex"),
-    ('{"dims": [1, 1], "differentials": 5}', "NotAComplex"),
-    ('{"dims": [1, 1], "differentials": [5]}', "NotAComplex"),
-    ('{"dims": [1, 1], "differentials": [[[1]]], "gram": 5}', "BadGram"),
-    ('{"dims": [1, 1], "differentials": [[[null]]]}', "NotAComplex"),
-    ('{"dims": [1, 1, 1], "differentials": [[[1e300]], [[1e300]]]}', "NotAComplex"),
+@pytest.mark.parametrize("text,code,key", [
+    ('{"dims": [null, 2], "differentials": [[[1]]]}', "NotAComplex", "dims"),
+    ('{"dims": [1, 1], "differentials": 5}', "NotAComplex", "differentials"),
+    ('{"dims": [1, 1], "differentials": [5]}', "NotAComplex", "differentials"),
+    ('{"dims": [1, 1], "differentials": [[[1]]], "gram": 5}', "BadGram", "gram"),
+    ('{"dims": [1, 1], "differentials": [[[null]]]}', "NotAComplex", "differentials"),
+    ('{"dims": [1, 1, 1], "differentials": [[[1e300]], [[1e300]]]}', "NotAComplex", None),
+    ('{"dims": [1], "differentials": [], "name": [1, 2]}', "NotAComplex", "name"),
 ])
-def test_malformed_complex_is_structured_error(tmp_path, capsys, text, code):
+def test_malformed_complex_is_structured_error(tmp_path, capsys, text, code, key):
     src = tmp_path / "cx.json"
     src.write_text(text)
     assert run(["hodge", "--complex", str(src)]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert json.loads(err)["code"] == "hodge-classical/" + code
+    payload = json.loads(err)
+    assert payload["code"] == "hodge-classical/" + code
+    assert payload["context"].get("key") == key
 
 
 def test_identity_gram_past_memory_is_structured_error(tmp_path, capsys, monkeypatch):
@@ -387,7 +398,9 @@ TOLERANCE_FLAGS = (
     + [(cmd, CIRCLE, "--rel-tol") for cmd in ("hodge", "torsion", "cs-partition")]
     + [("witten-sweep", ["--model", "circle_leaves.json"], "--rel-tol"),
        ("morse-scan", [], "--tol"),
-       ("gv", ["--n", "8"], "--tol"), ("gv", ["--n", "8"], "--gauge-tol")])
+       ("gv", ["--n", "8"], "--tol"), ("gv", ["--n", "8"], "--gauge-tol")]
+    # selftest takes its seed and nothing else
+    + [("selftest", [], flag) for flag in ("--triples", "--complexes", "--gv-grid", "--budget")])
 
 
 @pytest.mark.parametrize("command,args,flag", TOLERANCE_FLAGS)
@@ -398,8 +411,57 @@ def test_tolerance_flag_is_an_unknown_argument(command, args, flag, capsys):
     assert exc.value.code == 1
     streams = capsys.readouterr()
     assert streams.out == "" and "Traceback" not in streams.err
-    assert streams.err.startswith("usage: nchodge")
+    assert streams.err.startswith(f"usage: nchodge {command} ")
     assert f"unrecognized arguments: {flag} 1e-9" in streams.err
+
+
+def _circle(grams):
+    """A 128-site circle with holonomy -1: valid for any positive Grams."""
+    d0 = np.eye(128, k=1) - np.eye(128)
+    d0[127, 0] = -1.0
+    return {"dims": [128, 128], "differentials": [d0.tolist()], "gram": grams}
+
+
+# C^0 = 0 and D_1 = e^-11 times the identity on C^1 = C^2 = C^160: det' Delta_0
+# = 1 and det' Delta_1 = e^-3520, so Z = det' Delta_1^(-1/4) = e^880
+_SMALL_D1 = {"dims": [0, 160, 160],
+             "differentials": [[[]] * 160, (np.exp(-11.0) * np.eye(160)).tolist()]}
+
+
+@pytest.mark.parametrize("command,data,quantity", [
+    # Grams (1e-3, 1): det' = e^885 in both degrees
+    ("hodge", _circle([1e-3, 1]), "det_prime"),
+    ("torsion", _circle([1e-3, 1]), "det_prime"),
+    ("cs-partition", _circle([1e-3, 1]), "det_prime"),
+    # Grams (1, 8e-6): det' = e^-1501 is 0.0, and T = e^750
+    ("torsion", _circle([1, 8e-6]), "torsion"),
+    ("cs-partition", _SMALL_D1, "Z"),
+])
+def test_value_past_the_float_range_is_a_coded_error(tmp_path, capsys, command, data,
+                                                     quantity):
+    src = tmp_path / "cx.json"
+    src.write_text(json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([command, "--complex", str(src)]) == 1
+    assert caught == []
+    streams = capsys.readouterr()
+    assert streams.out == "" and "Traceback" not in streams.err
+    payload = json.loads(streams.err)
+    assert payload["code"] == "hodge-classical/OutOfFloatRange"
+    assert payload["context"]["quantity"] == quantity
+    assert payload["context"]["log_value"] > math.log(sys.float_info.max)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported on first use: a command that needs none starts faster
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    probe = "import sys, nchodge.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_main_builds_the_parser_once(tmp_path, monkeypatch):

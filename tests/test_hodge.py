@@ -122,6 +122,35 @@ def test_betti_routes_on_seeded_complexes():
         assert nc.betti_numbers(cx) == expected
 
 
+def _near_kernel_cases():
+    """Criterion 8's seeded random complexes (drawn as it draws them), the
+    twisted circles of criterion 7 and their direct sum, and both stock
+    leaves."""
+    rng = np.random.default_rng(101)
+    for _ in range(50):
+        cx, _ = nc.random_complex(rng)
+        k = int(rng.integers(0, cx.top + 1))
+        rng.normal(size=cx.dims[k]) + 1j * rng.normal(size=cx.dims[k])
+        yield cx
+    for n, alpha in ((3, -1.0), (8, -1.0), (17, -1.0), (5, 1j)):
+        yield nc.twisted_circle_complex(n, alpha)
+    yield nc.direct_sum(nc.twisted_circle_complex(8, -1.0), nc.twisted_circle_complex(5, 1j))
+    for name in ("circle-leaves", "torus-leaves"):
+        yield nc.builtin_model(name).leaf.complex
+
+
+def test_near_kernel_rule_agrees_across_its_readers():
+    from nchodge.foliation import SWEEP_TOL
+    from nchodge.hodge import DET_TOL, HODGE_TOL, _nonzero_spectrum
+    for cx in _near_kernel_cases():
+        for tol in (HODGE_TOL, DET_TOL, SWEEP_TOL):
+            betti = nc.betti_numbers(cx, tol)
+            for k in range(cx.top + 1):
+                assert betti[k] == cx.frame(k).harmonic_vectors(tol).shape[1]
+                outside = _nonzero_spectrum(cx.frame(k).eigvals, tol).size
+                assert betti[k] + outside == cx.dims[k]
+
+
 def test_decompose_orthogonal_and_resums():
     rng = np.random.default_rng(4)
     cx, _ = nc.random_complex(rng)
