@@ -32,7 +32,7 @@ import numpy as np
 
 from . import exactla
 from .errors import (AssociativityViolation, DimMismatch, NonFiniteEntry,
-                     ShapeMismatch, UnitViolation)
+                     ShapeMismatch, UnitViolation, lookup)
 from .scalars import GAUSSIAN, MODES, RATIONAL, GaussianRational, ScalarField, field_for
 
 
@@ -311,8 +311,4 @@ BUILTIN_ALGEBRAS = {
 
 
 def builtin_algebra(name: str, scalar_mode=RATIONAL) -> Algebra:
-    try:
-        return BUILTIN_ALGEBRAS[name](scalar_mode)
-    except KeyError:
-        raise DimMismatch(f"unknown stock algebra {name!r}; "
-                          f"available: {sorted(BUILTIN_ALGEBRAS)}") from None
+    return lookup(BUILTIN_ALGEBRAS, name, "stock algebra")(scalar_mode)

@@ -24,11 +24,12 @@ import numpy as np
 from . import reporting
 from .algebra import BUILTIN_ALGEBRAS, builtin_algebra, load_algebra
 from .errors import InputError, NCHodgeError
-from .foliation import (BUILTIN_MODELS, PHI_PROFILES, builtin_model,
-                        load_model, model_to_json, random_smooth_phi,
-                        witten_betti_sweep)
-from .forms import build_window, operator_matrices, window_identity_residuals
-from .gv import gv_report
+from .foliation import (BUILTIN_MODELS, DEFAULT_TAUS, PHI_PROFILES,
+                        builtin_model, load_model, model_to_json,
+                        random_smooth_phi, witten_betti_sweep)
+from .forms import (FLOAT_IDENTITY_TOL, build_window, operator_matrices,
+                    window_identity_residuals)
+from .gv import BUILTIN_OMEGAS, DERIVATIVES, gv_report
 from .hodge import (abelian_cs_partition, hodge_package, laplacian_spectra,
                     load_complex, rs_torsion)
 from .morse import BUILTIN_CHARTS, builtin_chart, morse_scan
@@ -114,7 +115,7 @@ def _model_arg(value):
 
 def _parse_taus(values):
     if not values:
-        return (0.0, 0.5, 1.0, 2.0, 5.0)
+        return DEFAULT_TAUS
     taus = []
     for chunk in values:
         for part in str(chunk).split(","):
@@ -158,7 +159,7 @@ def _cmd_nc_report(args):
         key: [{"degree": d, "exact_zero": flag, "max_abs": val}
               for d, flag, val in rows]
         for key, rows in residuals.items()}
-    ok = all(flag if window.field.exact else val < 1e-12
+    ok = all(flag if window.field.exact else val < FLOAT_IDENTITY_TOL
              for rows in residuals.values() for _, flag, val in rows)
     body = {"algebra": algebra.name,
             "scalars": algebra.field.mode,
@@ -268,7 +269,7 @@ def _cmd_morse_scan(args):
 
 def _cmd_gv(args):
     source = args.omega
-    if source not in ("dz", "sin-z", "x-dy"):
+    if source not in BUILTIN_OMEGAS:
         source, _ = _load_json_source(source, "defining form")
     rep = gv_report(source, n=args.n, derivative=args.derivative)
     rows = [{"omega": rep["omega"], "n": rep["n"], "gv": rep["gv"],
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
                         % ", ".join(sorted(PHI_PROFILES)))
     p.add_argument("--tau", action="append",
                    help="tau values, repeatable or comma separated "
-                        "(default 0,0.5,1,2,5)")
+                        "(default %s)" % ",".join(f"{t:g}" for t in DEFAULT_TAUS))
     p.add_argument("--seed", type=int, default=0)
     add_output_flags(p)
     p.set_defaults(handler=_cmd_witten_sweep)
@@ -374,9 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gv", help="Godbillon-Vey quadrature for a "
                        "defining 1-form on the 3-torus grid")
     p.add_argument("--omega", default="sin-z",
-                   help="dz, sin-z, x-dy, or a JSON file with x/y/z fields")
+                   help="%s, or a JSON file with x/y/z fields"
+                        % ", ".join(sorted(BUILTIN_OMEGAS)))
     p.add_argument("--n", type=int, default=32, help="grid points per axis")
-    p.add_argument("--derivative", choices=("spectral", "central"),
+    p.add_argument("--derivative", choices=tuple(DERIVATIVES),
                    default="spectral")
     add_output_flags(p)
     p.set_defaults(handler=_cmd_gv)

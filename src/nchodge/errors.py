@@ -116,6 +116,17 @@ class VanishingOmega(NCHodgeError):
 
 class InputError(NCHodgeError, ValueError):
     # also a ValueError, so callers that catch ValueError around a name
-    # lookup (leaf type, phi profile, model, chart, GV form, derivative)
-    # keep working
+    # lookup (see ``lookup``) keep working
     code = "cli/InputError"
+
+
+def lookup(table, name, what, **context):
+    """``table[name]``.  An unknown or unhashable ``name`` is an InputError
+    whose context holds ``context``, the ``name`` and the sorted
+    ``available`` keys."""
+    try:
+        return table[name]
+    except (KeyError, TypeError):       # TypeError: an unhashable name
+        available = sorted(table)
+        raise InputError(f"unknown {what} {name!r} (choose from {available})",
+                         **context, name=name, available=available) from None

@@ -36,10 +36,11 @@ from pathlib import Path
 import numpy as np
 
 from . import exactla
-from .errors import BadWeights, InputError, LeafTooSmall, ShapeMismatch
+from .errors import BadWeights, InputError, LeafTooSmall, ShapeMismatch, lookup
 from .hodge import CochainComplex, betti_numbers, make_complex
 
 SWEEP_TOL = 1e-8    # near-kernel cut of the sweep's Betti numbers and harmonic bases
+DEFAULT_TAUS = (0.0, 0.5, 1.0, 2.0, 5.0)    # the sweep's tau grid unless one is given
 
 
 @dataclass
@@ -167,12 +168,7 @@ def make_model(leaf_spec, transversal_spec, metric_scale=1.0,
     if not isinstance(transversal_spec, (list, tuple)):
         raise InputError(f"model 'transversal' must be a list, not "
                          f"{type(transversal_spec).__name__}", key="transversal")
-    kind = leaf_spec.get("type")
-    if not isinstance(kind, str) or kind not in _LEAF_BUILDERS:
-        raise InputError(f"unknown leaf type {kind!r} (choose from "
-                         f"{sorted(_LEAF_BUILDERS)})",
-                         key="leaf", name=kind, available=sorted(_LEAF_BUILDERS))
-    leaf = _LEAF_BUILDERS[kind](leaf_spec)
+    leaf = lookup(_LEAF_BUILDERS, leaf_spec.get("type"), "leaf type", key="leaf")(leaf_spec)
     if not transversal_spec:
         raise BadWeights("transversal needs at least one sample", key="transversal")
     vs, ws = [], []
@@ -243,12 +239,7 @@ PHI_PROFILES = {
 def resolve_phi(phi):
     if callable(phi):
         return phi
-    try:
-        return PHI_PROFILES[phi]
-    except KeyError:
-        raise InputError(f"unknown phi profile {phi!r} (choose from "
-                         f"{sorted(PHI_PROFILES)})",
-                         name=phi, available=sorted(PHI_PROFILES)) from None
+    return lookup(PHI_PROFILES, phi, "phi profile")
 
 
 def random_smooth_phi(rng):
@@ -430,9 +421,4 @@ BUILTIN_MODELS = {
 
 
 def builtin_model(name) -> FoliatedModel:
-    try:
-        return BUILTIN_MODELS[name]()
-    except KeyError:
-        raise InputError(f"unknown model {name!r} (choose from "
-                         f"{sorted(BUILTIN_MODELS)})",
-                         name=name, available=sorted(BUILTIN_MODELS)) from None
+    return lookup(BUILTIN_MODELS, name, "model")()

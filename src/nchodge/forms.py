@@ -67,6 +67,7 @@ from .algebra import Algebra
 from .errors import DegreeOutOfWindow, WindowTooLarge
 
 DEFAULT_DIM_CAP = 20000
+FLOAT_IDENTITY_TOL = 1e-12  # float windows: an identity residual below this passes
 _CAP_ENV = "NCHODGE_CAP"
 
 
@@ -134,7 +135,6 @@ class Form:
 class GradedOperator:
     """Degree-homogeneous operator: one matrix block per source degree."""
 
-    name: str
     degree_shift: int
     blocks: dict
 
@@ -343,13 +343,13 @@ def operator_matrices(window: FormsWindow) -> dict:
             l_blocks[n] = lnd
 
     window._ops = {
-        "d": GradedOperator("d", +1, d_blocks),
-        "b": GradedOperator("b", -1, b_blocks),
-        "k": GradedOperator("k", 0, k_blocks),
-        "one_minus_k": GradedOperator("one_minus_k", 0, omk_blocks),
-        "bd": GradedOperator("bd", 0, bd_blocks),
-        "db": GradedOperator("db", 0, db_blocks),
-        "L": GradedOperator("L", 0, l_blocks),
+        "d": GradedOperator(+1, d_blocks),
+        "b": GradedOperator(-1, b_blocks),
+        "k": GradedOperator(0, k_blocks),
+        "one_minus_k": GradedOperator(0, omk_blocks),
+        "bd": GradedOperator(0, bd_blocks),
+        "db": GradedOperator(0, db_blocks),
+        "L": GradedOperator(0, l_blocks),
     }
     return window._ops
 
@@ -359,7 +359,7 @@ def window_identity_residuals(window: FormsWindow) -> dict:
 
     Keys map to lists of (degree, exact_zero, max_abs) triples.  In the exact
     modes every residual must be literally zero; in float mode the caller
-    compares against a tolerance.
+    compares against ``FLOAT_IDENTITY_TOL``.
     """
     ops = operator_matrices(window)
     D, B, K = ops["d"].blocks, ops["b"].blocks, ops["k"].blocks

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridTooCoarse, InputError, NotIntegrable, VanishingOmega
+from .errors import GridTooCoarse, InputError, NotIntegrable, VanishingOmega, lookup
 
 COMPONENTS = ("x", "y", "z")
 AXIS = {"x": 0, "y": 1, "z": 2}
@@ -70,22 +70,13 @@ def _central_partials(f):
     return lambda axis: central_derivative(f, axis)
 
 
-_DERIVATIVES = {"spectral": _spectral_partials, "central": _central_partials}
-
-
-def _partials(name):
-    try:
-        return _DERIVATIVES[name]
-    except KeyError:
-        raise InputError(f"unknown derivative scheme {name!r} (choose from "
-                         f"{sorted(_DERIVATIVES)})",
-                         name=name, available=sorted(_DERIVATIVES)) from None
+DERIVATIVES = {"spectral": _spectral_partials, "central": _central_partials}
 
 
 def exterior_derivative(omega, derivative="spectral"):
     """d of a 1-form: components keyed "xy", "xz", "yz".  Each component
     is prepared once (one FFT when spectral) for both partials it enters."""
-    partials = _partials(derivative)
+    partials = lookup(DERIVATIVES, derivative, "derivative scheme")
     d = {c: partials(omega[c]) for c in COMPONENTS}
     return {a + b: d[b](AXIS[a]) - d[a](AXIS[b])
             for a, b in (("x", "y"), ("x", "z"), ("y", "z"))}
@@ -167,21 +158,22 @@ def godbillon_vey(omega, derivative="spectral"):
     return gv, theta, info
 
 
+# named defining forms, built from the x and z grid coordinates and the
+# zero and one fields
+BUILTIN_OMEGAS = {
+    "dz": lambda xs, zs, zero, one: {"x": zero, "y": zero, "z": one},
+    "sin-z": lambda xs, zs, zero, one: {"x": np.sin(2 * np.pi * zs), "y": zero, "z": one},
+    "x-dy": lambda xs, zs, zero, one: {"x": zero, "y": xs, "z": one},
+}
+
+
 def builtin_omega(name, n):
     """Named defining forms on the n^3 grid."""
     if n < 8:
         raise GridTooCoarse(f"need at least an 8^3 grid, got {n}^3", n=n)
-    xs, ys, zs = grid(n)
-    one = np.ones_like(xs)
-    zero = np.zeros_like(xs)
-    if name == "dz":
-        return {"x": zero, "y": zero, "z": one}
-    if name == "sin-z":
-        return {"x": np.sin(2 * np.pi * zs), "y": zero, "z": one}
-    if name == "x-dy":
-        return {"x": zero, "y": xs, "z": one}
-    raise InputError(f"unknown form {name!r} (choose from ['dz', 'sin-z', 'x-dy'])",
-                     name=name, available=["dz", "sin-z", "x-dy"])
+    build = lookup(BUILTIN_OMEGAS, name, "form")
+    xs, _, zs = grid(n)
+    return build(xs, zs, np.zeros_like(xs), np.ones_like(xs))
 
 
 def _custom_omega(fields):

@@ -37,13 +37,15 @@ from .errors import BadGram, NegativeEigenvalue, NotAComplex, OutOfFloatRange
 from .scalars import FLOAT, field_for
 
 HODGE_TOL = 1e-9    # near-kernel cut of the hodge report and decompose
-DET_TOL = 1e-10     # near-kernel cut of torsion, the CS partition and zeta_log_det
+DET_TOL = 1e-10     # near-kernel cut of torsion and the CS partition
 
 
 def _kernel_cut(eigs, rel_tol):
     """The near-kernel rule: an eigenvalue of ``eigs`` is harmonic when it
-    is below this cut, ``rel_tol * max(1, largest eigenvalue)``."""
-    return rel_tol * max(1.0, float(eigs.max())) if eigs.size else rel_tol
+    is at most this cut, ``rel_tol * max |eigenvalue|``.  The cut scales
+    with the spectrum, as ``exactla.rank``'s does with the singular values,
+    and an all-zero spectrum is all harmonic."""
+    return rel_tol * float(np.abs(eigs).max()) if eigs.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ class HodgeFrame:
         ``rel_tol`` (every call would run the same ``eigh``)."""
         if rel_tol not in self._harmonic:
             eigs, vecs = np.linalg.eigh(self.sym)
-            out = vecs[:, eigs < _kernel_cut(eigs, rel_tol)]
+            out = vecs[:, eigs <= _kernel_cut(eigs, rel_tol)]
             out.setflags(write=False)
             self._harmonic[rel_tol] = out
         return self._harmonic[rel_tol]
@@ -293,7 +295,7 @@ def betti_numbers(cx: CochainComplex, rel_tol=HODGE_TOL):
     out = []
     for k in range(cx.top + 1):
         eigs = cx.frame(k).eigvals
-        harmonic = int(np.sum(eigs < _kernel_cut(eigs, rel_tol)))
+        harmonic = int(np.sum(eigs <= _kernel_cut(eigs, rel_tol)))
         r_out = ranks[k] if k < cx.top else 0
         r_in = ranks[k - 1] if k >= 1 else 0
         algebraic = cx.dims[k] - r_out - r_in
@@ -345,7 +347,7 @@ def _nonzero_spectrum(eigs, rel_tol):
         raise NegativeEigenvalue(
             "Laplacian spectrum has a negative eigenvalue",
             value=float(eigs.min()), cutoff=-cut)
-    return eigs[eigs >= cut]
+    return eigs[eigs > cut]
 
 
 def _in_float_range(quantity, log_value):
@@ -376,11 +378,6 @@ def zeta_det(eigs, rel_tol=DET_TOL) -> float:
     """Regularized determinant: product of the eigenvalues outside the
     near-kernel.  Empty or all-kernel spectra give 1."""
     return _log_det(eigs, rel_tol)[1]
-
-
-def zeta_log_det(eigs) -> float:
-    # not over _log_det: the log of a det' past the float range is a float
-    return float(np.sum(np.log(_nonzero_spectrum(eigs, DET_TOL))))
 
 
 def rs_torsion(cx: CochainComplex) -> dict:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse, InputError
+from .errors import GridTooCoarse, lookup
 
 CRITICAL_TOL = 1e-6     # |phi_h| below this (scaled) makes a root of phi_hh critical
 DEGENERATE_TOL = 1e-5   # |phi_hh| at or below this (scaled) makes it degenerate
@@ -62,12 +62,7 @@ BUILTIN_CHARTS = {
 
 
 def builtin_chart(name) -> LeafChart:
-    try:
-        return BUILTIN_CHARTS[name]
-    except KeyError:
-        raise InputError(f"unknown chart {name!r} (choose from "
-                         f"{sorted(BUILTIN_CHARTS)})",
-                         name=name, available=sorted(BUILTIN_CHARTS)) from None
+    return lookup(BUILTIN_CHARTS, name, "chart")
 
 
 class _Derivatives:

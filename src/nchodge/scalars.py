@@ -203,7 +203,5 @@ _FIELDS = {mode: ScalarField(mode) for mode in MODES}
 
 
 def field_for(mode: str) -> ScalarField:
-    try:
-        return _FIELDS[mode]
-    except (KeyError, TypeError):       # TypeError: an unhashable mode
-        raise ValueError(f"unknown scalar mode {mode!r}; expected one of {MODES}") from None
+    from .errors import lookup
+    return lookup(_FIELDS, mode, "scalar mode")

@@ -15,18 +15,19 @@ import numpy as np
 
 from . import reporting
 from .algebra import builtin_algebra
-from .errors import NotIntegrable
+from .errors import NotIntegrable, lookup
 from .exactla import max_abs
-from .foliation import builtin_model, random_smooth_phi, witten_betti_sweep
-from .forms import (Form, apply_b, apply_d, apply_k, build_window,
-                    multiply_forms, window_identity_residuals)
-from .gv import gv_report
+from .foliation import (DEFAULT_TAUS, builtin_model, random_smooth_phi,
+                        witten_betti_sweep)
+from .forms import (FLOAT_IDENTITY_TOL, Form, apply_b, apply_d, apply_k,
+                    build_window, multiply_forms, window_identity_residuals)
+from .gv import INTEGRABILITY_TOL, gv_report
 from .hodge import (abelian_cs_partition, betti_numbers, decompose,
                     direct_sum, hodge_package, random_complex, rs_torsion,
                     twisted_circle_complex)
 from .morse import builtin_chart, morse_scan
 from .scalars import FLOAT, RATIONAL
-from .spectral import CRT_VS_EIG_TOL, spectral_report
+from .spectral import CRT_VS_EIG_TOL, MIN_SINGULAR_TOL, spectral_report
 
 ALGEBRA_SUITE = (("dual-numbers", 4), ("two-points", 4), ("m2", 2), ("z3", 4))
 RANDOM_TRIPLES = 200    # seeded random form triples per algebra (criterion 6)
@@ -61,7 +62,7 @@ def laplacian_identity(seed) -> dict:
         exact_ok = all(flag for _, flag, _ in res)
         resf = suite_residuals(name, n_max, FLOAT)["laplacian_is_one_minus_k"]
         float_max = max((m for _, _, m in resf), default=0.0)
-        ok = exact_ok and float_max < 1e-12
+        ok = exact_ok and float_max < FLOAT_IDENTITY_TOL
         rows.append({"algebra": name, "n_max": n_max, "exact_zero": exact_ok,
                      "float_residual": float_max, "ok": ok})
         passed = passed and ok
@@ -134,7 +135,7 @@ def rescaled_laplacian_definiteness(seed) -> dict:
             if norm_p != 0.0:
                 ok = False
             if min_sing is not None:
-                if min_sing <= 1e-8:
+                if min_sing <= MIN_SINGULAR_TOL:
                     ok = False
                 min_sing_seen = min_sing if min_sing_seen is None \
                     else min(min_sing_seen, min_sing)
@@ -260,7 +261,7 @@ def witten_sweep_invariance(seed) -> dict:
     """Weighted Betti numbers are flat across the deformation sweep and
     the harmonic pairings have full rank, for both leaf types and both a
     fixed and a random smooth leaf function."""
-    taus = (0.0, 0.5, 1.0, 2.0, 5.0)
+    taus = DEFAULT_TAUS
     frozen = {"circle-leaves": [1.0, 1.0], "torus-leaves": [1.0, 2.0, 1.0]}
     rows, passed = [], True
     for mi, model_name in enumerate(("circle-leaves", "torus-leaves")):
@@ -326,7 +327,7 @@ def godbillon_vey_quadrature(seed) -> dict:
         rejected = False
     except NotIntegrable:
         rejected = True
-    ok = (rep["integrability_max_abs"] < 1e-8
+    ok = (rep["integrability_max_abs"] < INTEGRABILITY_TOL
           and abs(rep["gv"]) <= GV_TOL
           and rep["gauge_residual"] <= GV_TOL
           and doubling <= GV_TOL
@@ -419,7 +420,7 @@ CRITERIA = (
 
 
 def run_criterion(number, seed=0, elapsed=None) -> dict:
-    num, name, fn = CRITERIA[number - 1]
+    num, name, fn = lookup({c[0]: c for c in CRITERIA}, number, "criterion")
     try:
         details = fn(seed, elapsed) if num == 12 else fn(seed)
     except Exception as exc:            # honest red: a crash is a failure

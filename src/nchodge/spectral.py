@@ -59,6 +59,9 @@ ROOT_TOL = 1e-6         # each eigenvalue lies this close to an admissible root 
 RANK_TOL = 1e-10        # relative singular value cut of the report's float ranks
 CRT_VS_EIG_TOL = 1e-10  # exact P against the independent float eigenprojection
 RESIDUAL_TOL = 1e-10    # float residuals and |L P|; exact windows need exact zeros
+FLOAT_CHECK_TOL = 1e-9  # relative: float P^2 = P, G(1-k) = 1-P and the split's re-sum
+UNIT_ROOT_TOL = 1e-9    # a clustered root this close to 1 counts as harmonic
+MIN_SINGULAR_TOL = 1e-8  # L's smallest singular value on the complement must exceed this
 
 
 @dataclass
@@ -96,7 +99,7 @@ def harmonic_projection(window: FormsWindow, degree: int) -> SpectralData:
         P = exactla.eval_poly(harmonic_crt_poly(degree), K)
     else:
         P = eigenprojection_float(window, degree)
-    tol = 0.0 if exact else 1e-9 * max(1.0, exactla.max_abs(P)) ** 2
+    tol = 0.0 if exact else FLOAT_CHECK_TOL * max(1.0, exactla.max_abs(P)) ** 2
     if not exactla.equal(matmul(P, P), P, tol):
         raise AssertionError(f"projection not idempotent at degree {degree}")
     return SpectralData(degree=degree, P=P, P_perp=exactla.eye_like(P) - P)
@@ -147,7 +150,7 @@ def greens_operator(window: FormsWindow, degree: int) -> SpectralData:
     else:
         G = 0 * M       # k is the identity on degree 0
     gm = matmul(G, M)
-    tol = 0.0 if field.exact else 1e-9 * max(1.0, exactla.max_abs(G))
+    tol = 0.0 if field.exact else FLOAT_CHECK_TOL * max(1.0, exactla.max_abs(G))
     if not exactla.equal(gm, data.P_perp, tol):
         raise SingularOnComplement(
             f"Green's operator fails G(1-k) = 1-P at degree {degree}",
@@ -200,7 +203,7 @@ def hodge_split(window: FormsWindow, form: Form, verify: bool = True):
         dpart[n] = dn = matmul(data.X, vec) if n else window.zero_vector(0)
         bpart[n] = bn = matmul(data.Y, vec)
         if verify:
-            tol = 0.0 if exact else 1e-9 * max(1.0, exactla.max_abs(vec))
+            tol = 0.0 if exact else FLOAT_CHECK_TOL * max(1.0, exactla.max_abs(vec))
             if not exactla.equal(harm[n] + dn + bn, vec, tol):
                 raise AssertionError(f"split does not re-sum at degree {n}")
             if n >= 1 and not _in_image(window, "d", n - 1, dn):
@@ -337,7 +340,7 @@ def spectral_report(window: FormsWindow) -> dict:
             "rank_one_minus_k_squared": rank_omk2,
             "rank_split_ok": bool(rank_p + rank_omk2 == dim),
             "harmonic_multiplicity_matches": bool(
-                sum(m for r, m in spectrum if abs(r - 1) < 1e-9) == rank_p),
+                sum(m for r, m in spectrum if abs(r - 1) < UNIT_ROOT_TOL) == rank_p),
             "crt_vs_eig": crt_vs_eig,
             "residuals": residuals,
             "membership": membership,
@@ -364,7 +367,7 @@ def spectral_report(window: FormsWindow) -> dict:
                       for r in residuals.values())
               and all(membership.values())
               and norm_on_p <= zero_tol
-              and (min_sing is None or min_sing > 1e-8))
+              and (min_sing is None or min_sing > MIN_SINGULAR_TOL))
         row["passed"] = bool(ok)
         all_ok = all_ok and ok
         rows.append(row)

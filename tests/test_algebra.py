@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 import nchodge as nc
 from nchodge import exactla
 from nchodge.algebra import _check_unit
-from nchodge.errors import (AssociativityViolation, DimMismatch, NCHodgeError,
-                            ShapeMismatch, UnitViolation)
+from nchodge.errors import (AssociativityViolation, DimMismatch, InputError,
+                            NCHodgeError, ShapeMismatch, UnitViolation)
 from nchodge.scalars import MODES, GaussianRational
 
 
@@ -82,7 +82,7 @@ def test_bad_unit_rejected():
 
 
 def test_unknown_builtin_name():
-    with pytest.raises(DimMismatch):
+    with pytest.raises(InputError):
         nc.builtin_algebra("quaternions")
 
 

@@ -13,9 +13,12 @@ import numpy as np
 import pytest
 
 from nchodge import cli, exactla, forms, reporting, selftest, spectral
+from nchodge.algebra import builtin_algebra
 from nchodge.errors import InputError
 from nchodge.foliation import builtin_model, resolve_phi
 from nchodge.gv import builtin_omega, gv_report
+from nchodge.morse import builtin_chart
+from nchodge.scalars import field_for
 from test_hodge import _refuse_large_eye
 from test_reporting import capture_reports, reference_bytes
 
@@ -453,6 +456,19 @@ def test_value_past_the_float_range_is_a_coded_error(tmp_path, capsys, command, 
     assert payload["context"]["log_value"] > math.log(sys.float_info.max)
 
 
+@pytest.mark.parametrize("data,betti", [
+    ({"dims": [1, 1], "differentials": [[[1e-5]]]}, [0, 0]),
+    (_SMALL_D1, [0, 0, 0]),
+])
+def test_small_differentials_are_not_harmonic(tmp_path, capsys, data, betti):
+    # the near-kernel cut scales with the spectrum: a Laplacian whose
+    # eigenvalues are all small but equal has no harmonic part
+    src = tmp_path / "cx.json"
+    src.write_text(json.dumps(data))
+    assert run(["hodge", "--complex", str(src)]) == 0
+    assert json.loads(capsys.readouterr().out)["betti"] == betti
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is imported on first use: a command that needs none starts faster
     src = str(Path(cli.__file__).parents[1])
@@ -507,15 +523,30 @@ def test_unknown_name_is_structured_input_error(tmp_path, capsys, argv, name,
     assert payload["context"] == {**key, "name": name, "available": available}
 
 
+_ALGEBRAS = ["dual-numbers", "m2", "two-points", "z3"]
+_MODELS = ["circle-leaves", "torus-leaves"]
+_PHIS = ["cos-h", "cos-hv", "zero"]
+
+
 # The CLI checks these names itself before they reach the lookup (argparse
 # choices, builtin names, or a file path), so the lookups are called
 # directly; main emits exactly this report entry for any NCHodgeError.
 @pytest.mark.parametrize("lookup,name,available", [
-    (lambda: builtin_model("bogus"), "bogus", ["circle-leaves", "torus-leaves"]),
-    (lambda: resolve_phi("bogus"), "bogus", ["cos-h", "cos-hv", "zero"]),
+    (lambda: builtin_model("bogus"), "bogus", _MODELS),
+    (lambda: resolve_phi("bogus"), "bogus", _PHIS),
     (lambda: builtin_omega("bogus", 16), "bogus", ["dz", "sin-z", "x-dy"]),
     (lambda: gv_report("dz", n=16, derivative="bogus"), "bogus",
      ["central", "spectral"]),
+    (lambda: builtin_algebra("bogus"), "bogus", _ALGEBRAS),
+    (lambda: builtin_algebra("z3", "decimal"), "decimal", ["float", "gaussian", "rational"]),
+    (lambda: builtin_chart("bogus"), "bogus", ["constant", "cos-h", "cubic-bd"]),
+    (lambda: field_for("decimal"), "decimal", ["float", "gaussian", "rational"]),
+    (lambda: selftest.run_criterion(0), 0, list(range(1, 13))),
+    (lambda: selftest.run_criterion(13), 13, list(range(1, 13))),
+    # unhashable names
+    (lambda: builtin_algebra(["z3"]), ["z3"], _ALGEBRAS),
+    (lambda: builtin_model(["circle-leaves"]), ["circle-leaves"], _MODELS),
+    (lambda: resolve_phi(["cos-h"]), ["cos-h"], _PHIS),
 ])
 def test_unknown_name_lookups_carry_name_and_choices(lookup, name, available):
     with pytest.raises(InputError) as exc:
@@ -523,6 +554,13 @@ def test_unknown_name_lookups_carry_name_and_choices(lookup, name, available):
     entry = exc.value.report_entry()
     assert entry["code"] == "cli/InputError"
     assert entry["context"] == {"name": name, "available": available}
+
+
+def test_unknown_name_errors_are_written_once():
+    # every lookup by name goes through errors.lookup, which alone words the error
+    src = Path(cli.__file__).parent
+    assert [p.name for p in sorted(src.rglob("*.py"))
+            if "choose from" in p.read_text()] == ["errors.py"]
 
 
 @pytest.mark.parametrize("model,key,got", [

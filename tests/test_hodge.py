@@ -151,6 +151,18 @@ def test_near_kernel_rule_agrees_across_its_readers():
                 assert betti[k] + outside == cx.dims[k]
 
 
+def test_betti_numbers_do_not_depend_on_the_scale_of_the_differentials():
+    from nchodge.foliation import SWEEP_TOL
+    from nchodge.hodge import DET_TOL, HODGE_TOL
+    rng = np.random.default_rng(101)
+    for _ in range(8):
+        cx, expected = nc.random_complex(rng)
+        for scale in (1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4):
+            scaled = nc.make_complex(cx.dims, [scale * d for d in cx.diffs], cx.grams)
+            for tol in (HODGE_TOL, DET_TOL, SWEEP_TOL):
+                assert nc.betti_numbers(scaled, tol) == expected, (scale, tol)
+
+
 def test_decompose_orthogonal_and_resums():
     rng = np.random.default_rng(4)
     cx, _ = nc.random_complex(rng)
