@@ -19,9 +19,13 @@ the positive scalings, this is a similarity of complexes: kernels map to
 kernels, so the weighted Betti numbers cannot move with tau.  The sweep
 verifies that, and also exhibits the isomorphism: the diagonal map
 T = diag(e^{-tau phi_(k)}) pairs tau = 0 harmonics with deformed
-harmonics through a full-rank matrix U = Q_tau^H T Q_0.  For each tau
-one deformed leaf complex is built, and solved, per distinct leaf
-function (samples whose phi does not depend on v share it); the tau = 0
+harmonics through a full-rank matrix U = Q_tau^H T Q_0.  Both the Betti
+numbers and the harmonic bases Q read each leaf complex's Hodge frames:
+one ``eigvalsh`` spectrum per degree, cut by one rule at ``SWEEP_TOL``,
+whose near-kernel count is the Betti number and the number of
+eigenvectors a partial eigensolve returns for Q.  For each tau one
+deformed leaf complex is built, and solved, per distinct leaf function
+(samples whose phi does not depend on v share it); the tau = 0
 harmonics are computed once per sweep.  At tau = 0 the deformed
 differentials are still built and checked against the leaf's bit for bit,
 and when they match the leaf complex itself, already solved, stands in.
@@ -284,9 +288,11 @@ def witten_leaf_complex(leaf: Leaf, per_degree, tau) -> CochainComplex:
     cx = leaf.complex
     diffs = []
     for k, d in enumerate(cx.diffs):
-        row = np.exp(-tau * per_degree[k + 1]).reshape(-1, 1)
-        col = np.exp(tau * per_degree[k]).reshape(1, -1)
-        diffs.append(row * d * col)
+        # a scale past the float range is inf; make_complex rejects the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = np.exp(-tau * per_degree[k + 1]).reshape(-1, 1)
+            col = np.exp(tau * per_degree[k]).reshape(1, -1)
+            diffs.append(row * d * col)
     return make_complex(cx.dims, diffs, cx.grams,
                         name=f"{cx.name}@tau={tau}", tol=1e-9)
 

@@ -12,9 +12,14 @@ raw matrix, so spectra are computed after a Cholesky change of frame:
 ``u = L^H v``, and ``S = L^H Delta L^{-H}`` is honestly Hermitian PSD.
 Each complex builds this frame once per degree, on first use, and keeps
 it for as long as the complex lives; every spectral consumer reads it.
-A Gram that is exactly the identity has the known frame ``L = I`` and
-``S = Delta``, and with unit Grams on both ends the adjoint is ``D^H``;
-neither is factored, and the results are the factored ones bit for bit.
+A frame holds one spectrum, the ``eigvalsh`` eigenvalues of ``S``, and
+every reader cuts it by one rule (``_kernel_cut``): the Betti count, the
+determinants, and the harmonic vectors, which a partial eigensolve
+(LAPACK's MRRR driver) computes for the near-kernel eigenvalues only.
+Whether each Gram is exactly the identity is decided once per complex.
+A unit Gram has the known frame ``L = I`` and ``S = Delta``, and with
+unit Grams on both ends the adjoint is ``D^H``; neither is factored, and
+the results are the factored ones bit for bit.
 
 Betti numbers are computed two independent ways (harmonic kernel
 dimension vs rank--nullity of the differentials) and must agree.
@@ -52,7 +57,7 @@ def _kernel_cut(eigs, rel_tol):
 class HodgeFrame:
     """Degree-k Cholesky frame: ``G = L L^H`` (``chol``), its inverse,
     ``S = L^H Delta L^{-H}`` symmetrized, and the ascending ``eigvalsh``
-    spectrum of ``S``.  Arrays are read-only."""
+    spectrum of ``S``, the frame's one spectrum.  Arrays are read-only."""
 
     chol: np.ndarray
     chol_inv: np.ndarray
@@ -60,13 +65,22 @@ class HodgeFrame:
     eigvals: np.ndarray
     _harmonic: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
+    def kernel_dim(self, rel_tol):
+        """How many eigenvalues of the spectrum lie in its near-kernel."""
+        return int(np.sum(self.eigvals <= _kernel_cut(self.eigvals, rel_tol)))
+
     def harmonic_vectors(self, rel_tol):
         """Orthonormal basis (in the symmetric frame) of the near-kernel
-        of ``S``, cut at ``rel_tol`` times the spectral scale; cached per
-        ``rel_tol`` (every call would run the same ``eigh``)."""
+        of ``S``: eigenvectors of its ``kernel_dim(rel_tol)`` smallest
+        eigenvalues, and of no others, from a partial eigensolve; cached
+        per ``rel_tol``."""
         if rel_tol not in self._harmonic:
-            eigs, vecs = np.linalg.eigh(self.sym)
-            out = vecs[:, eigs <= _kernel_cut(eigs, rel_tol)]
+            m = self.kernel_dim(rel_tol)
+            if m:
+                import scipy.linalg
+                out = scipy.linalg.eigh(self.sym, subset_by_index=[0, m - 1])[1]
+            else:
+                out = np.zeros((self.sym.shape[0], 0), complex)
             out.setflags(write=False)
             self._harmonic[rel_tol] = out
         return self._harmonic[rel_tol]
@@ -74,13 +88,15 @@ class HodgeFrame:
 
 @dataclass
 class CochainComplex:
-    """Assumed immutable once built: its Hodge frames are cached on it."""
+    """Assumed immutable once built: its Hodge frames and which of its
+    Grams are the identity are cached on it."""
 
     dims: tuple
     diffs: list          # D_k, k = 0..m-1, shape (dims[k+1], dims[k])
     grams: list          # G_k, k = 0..m, Hermitian positive definite
     name: str = "complex"
     _frames: list = dc_field(default=None, init=False, repr=False, compare=False)
+    _units: tuple = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def top(self):
@@ -95,6 +111,13 @@ class CochainComplex:
             self._frames = [_build_frame(self, j, lap)
                             for j, lap in enumerate(laplacians(self))]
         return self._frames[k]
+
+    def unit_gram(self, k) -> bool:
+        """Whether the degree-k Gram is the identity bit for bit; all
+        degrees are decided on first use."""
+        if self._units is None:
+            self._units = tuple(_is_unit(g) for g in self.grams)
+        return self._units[k]
 
 
 def _is_list_of(value, n):
@@ -160,7 +183,7 @@ def validate_complex(cx: CochainComplex, tol=1e-12):
                 f"composition of differentials {k + 1} after {k} is nonzero",
                 degree=k, residual=residual)
     for k, g in enumerate(cx.grams):
-        if _is_unit(g):
+        if cx.unit_gram(k):
             continue
         herm = exactla.max_abs(g - g.conj().T)
         if herm > tol * max(1.0, exactla.max_abs(g)):
@@ -238,7 +261,7 @@ def adjoints(cx: CochainComplex) -> list:
     """D*_k = G_k^{-1} D_k^H G_{k+1}, one per differential."""
     out = []
     for k, d in enumerate(cx.diffs):
-        if _is_unit(cx.grams[k]) and _is_unit(cx.grams[k + 1]):
+        if cx.unit_gram(k) and cx.unit_gram(k + 1):
             out.append(np.ascontiguousarray(d.conj().T))
             continue
         rhs = d.conj().T @ cx.grams[k + 1]
@@ -263,7 +286,7 @@ def _build_frame(cx: CochainComplex, k, lap) -> HodgeFrame:
     n = cx.dims[k]
     L = linv = S = np.zeros((0, 0), complex)
     eigs = np.zeros(0)
-    if n and _is_unit(cx.grams[k]):
+    if n and cx.unit_gram(k):
         L = linv = np.eye(n, dtype=complex).T    # scipy's Fortran layout
         S = lap
     elif n:
@@ -272,11 +295,12 @@ def _build_frame(cx: CochainComplex, k, lap) -> HodgeFrame:
         linv = scipy.linalg.solve_triangular(L, np.eye(n, dtype=complex), lower=True)
         S = L.conj().T @ lap @ linv.conj().T
     if n:
-        herm = exactla.max_abs(S - S.conj().T)
+        s_h = S.conj().T
+        herm = exactla.max_abs(S - s_h)
         if herm > 1e-8 * max(1.0, exactla.max_abs(S)):
             raise BadGram(f"symmetrized Laplacian at degree {k} is not Hermitian",
                           degree=k, residual=herm)
-        S = (S + S.conj().T) / 2
+        S = (S + s_h) / 2
         eigs = np.linalg.eigvalsh(S)
     for arr in (L, linv, S, eigs):
         arr.setflags(write=False)
@@ -294,8 +318,7 @@ def betti_numbers(cx: CochainComplex, rel_tol=HODGE_TOL):
     ranks = [exactla.rank(d, rel_tol) for d in cx.diffs]
     out = []
     for k in range(cx.top + 1):
-        eigs = cx.frame(k).eigvals
-        harmonic = int(np.sum(eigs <= _kernel_cut(eigs, rel_tol)))
+        harmonic = cx.frame(k).kernel_dim(rel_tol)
         r_out = ranks[k] if k < cx.top else 0
         r_in = ranks[k - 1] if k >= 1 else 0
         algebraic = cx.dims[k] - r_out - r_in

@@ -23,6 +23,8 @@ from itertools import chain
 
 import numpy as np
 
+from .errors import lookup
+
 RATIONAL = "rational"
 GAUSSIAN = "gaussian"
 FLOAT = "float"
@@ -121,9 +123,7 @@ class ScalarField:
     """Conversions for one scalar mode."""
 
     def __init__(self, mode: str):
-        if mode not in MODES:
-            raise ValueError(f"unknown scalar mode {mode!r}; expected one of {MODES}")
-        self.mode = mode
+        self.mode = lookup({m: m for m in MODES}, mode, "scalar mode")
         self.exact = mode != FLOAT
 
     def __repr__(self):
@@ -203,5 +203,4 @@ _FIELDS = {mode: ScalarField(mode) for mode in MODES}
 
 
 def field_for(mode: str) -> ScalarField:
-    from .errors import lookup
     return lookup(_FIELDS, mode, "scalar mode")

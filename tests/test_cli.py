@@ -1,5 +1,7 @@
 """End-to-end command line checks: exit codes, report files, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nchodge import cli, exactla, forms, reporting, selftest, spectral
 from nchodge.algebra import builtin_algebra
@@ -706,3 +709,78 @@ def test_unhandled_exception_is_internal_error(monkeypatch, capsys):
     assert payload["code"] == "cli/InternalError"
     assert payload["context"] == {"exception": "KeyError"}
     assert "lost" in payload["message"]
+
+
+def test_tau_past_the_float_range_is_a_coded_error(capsys):
+    # e^(tau phi) overflows: the deformed differential is not finite
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["witten-sweep", "--model", "circle-leaves", "--tau", "710"]) == 1
+    assert caught == []
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["code"] == "hodge-classical/NotAComplex"
+
+
+# -- argv on generated input ----------------------------------------------------------
+
+_WORDS = st.text(alphabet="0123456789.,+eEinfaxyz_ ", max_size=6)
+_INTS = st.one_of(st.integers(-3, 3).map(str), _WORDS)
+
+
+def _names(*valid):
+    return st.one_of(st.sampled_from(valid), st.sampled_from(["", "bogus", "z3", "cos-h"]),
+                     _WORDS)
+
+
+_FLOATS = st.one_of(st.floats().map(repr), st.sampled_from(["1e308", "-1e308", "nan", "inf"]),
+                    _WORDS)
+
+
+def _option(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _command(name, *options):
+    return st.tuples(*options).map(lambda parts: [name] + [w for p in parts for w in p])
+
+
+_ARGVS = st.one_of(
+    *[_command(cmd, _option("--algebra", _names(*_ALGEBRAS, "two_points.json")),
+               _option("--nmax", _INTS), _option("--scalar", _names("rational", "gaussian", "float")),
+               st.sampled_from([[], ["--matrices"]]))
+      for cmd in ("nc-report", "spectral")],
+    *[_command(cmd, _option("--complex", _names("circle_alpha_-1_N8.json", "m2.json")))
+      for cmd in ("hodge", "torsion", "cs-partition")],
+    _command("witten-sweep", _option("--model", _names(*_MODELS, "circle_leaves.json")),
+             _option("--phi", _names(*_PHIS, "random")),
+             _option("--tau", st.lists(_FLOATS, max_size=2).map(",".join)),
+             _option("--seed", st.one_of(st.integers().map(str), _WORDS))),
+    _command("morse-scan", _option("--chart", _names("constant", "cos-h", "cubic-bd")),
+             _option("--n-h", _INTS), _option("--n-v", _INTS)),
+    _command("gv", _option("--omega", _names("dz", "sin-z", "x-dy")),
+             _option("--n", st.one_of(st.integers(-2, 12).map(str), _WORDS)),
+             _option("--derivative", _names("central", "spectral"))),
+    st.lists(st.one_of(_WORDS, st.sampled_from(["-h", "--nmax", "--tau", "hodge", "gv"])),
+             max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ARGVS)
+def test_generated_argv_ends_in_a_report_or_a_coded_error(argv):
+    """Any argv (selftest and the output flags aside) exits 0, 2 with a
+    report, or 1 with a usage line or a coded error that is not an
+    internal one; never with a traceback or a warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:           # argparse: usage error or --help
+            assert exc.code in (0, 1), argv
+            return
+    assert caught == [], (argv, [str(w.message) for w in caught])
+    if code == 1:
+        assert json.loads(err.getvalue())["code"] != "cli/InternalError", (argv, err.getvalue())
+    else:
+        assert code in (0, 2) and json.loads(out.getvalue())["kind"], argv

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nchodge.errors import GridTooCoarse, InputError, NotIntegrable, VanishingOmega
-from nchodge.gv import (builtin_omega, connection_form, exterior_derivative,
+from nchodge.errors import (GridTooCoarse, InputError, NCHodgeError, NotIntegrable,
+                            VanishingOmega)
+from nchodge.gv import (_custom_omega, builtin_omega, connection_form, exterior_derivative,
                         grid, gv_report, spectral_derivative)
+from test_algebra import _JUNK, _TREES
 
 
 def test_spectral_derivative_exact_on_band_limited():
@@ -175,3 +178,35 @@ def test_spectral_gv_takes_27_transforms(monkeypatch):
     # three exterior derivatives (d omega, d theta, the gauge-shifted
     # d theta), each 3 forward and 6 inverse transforms
     assert len(calls) == 27
+
+
+# -- the defining-form loader on generated input ------------------------------------
+
+def _cubes(n):
+    """n x n x n nested lists of junk, of numbers, or of one repeated number."""
+    def cube(entries):
+        return st.lists(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                 min_size=n, max_size=n), min_size=n, max_size=n)
+    return st.one_of(cube(_JUNK), cube(st.floats()), _JUNK.map(lambda x: [[[x] * n] * n] * n))
+
+
+_OMEGAS = st.one_of(
+    _TREES,
+    st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries({}, optional={
+        c: st.one_of(_cubes(n), _cubes(n + 1), _TREES) for c in "xyzw"})))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_OMEGAS)
+def test_custom_omega_on_generated_fields_ends_in_keyed_errors(fields):
+    """Generated fields load as three finite float grids of one n^3 shape,
+    or fail with a package error naming the component at fault."""
+    try:
+        omega = _custom_omega(fields)
+    except NCHodgeError as exc:
+        assert exc.code == "cli/InputError" and exc.context["key"] in "xyz", exc
+    else:
+        n = omega["x"].shape[0]
+        assert sorted(omega) == ["x", "y", "z"]
+        for f in omega.values():
+            assert f.dtype == float and f.shape == (n, n, n) and np.isfinite(f).all()

@@ -151,6 +151,71 @@ def test_near_kernel_rule_agrees_across_its_readers():
                 assert betti[k] + outside == cx.dims[k]
 
 
+def _harmonic_cases():
+    """Seeded random complexes, both stock leaves, and a torus leaf whose
+    Grams are 2**k * I (factored frames in degrees 1 and 2)."""
+    from nchodge.foliation import make_model
+    rng = np.random.default_rng(101)
+    for _ in range(30):
+        yield nc.random_complex(rng)[0]
+    for name in ("circle-leaves", "torus-leaves"):
+        yield nc.builtin_model(name).leaf.complex
+    yield make_model({"type": "torus", "nx": 6}, [0.0], metric_scale=2.0).leaf.complex
+
+
+def test_harmonic_vectors_span_the_near_kernel_and_nothing_else():
+    from nchodge.foliation import SWEEP_TOL
+    from nchodge.hodge import DET_TOL, HODGE_TOL, _kernel_cut
+    for cx in _harmonic_cases():
+        for tol in (HODGE_TOL, DET_TOL, SWEEP_TOL):
+            betti = nc.betti_numbers(cx, tol)
+            for k in range(cx.top + 1):
+                frame = cx.frame(k)
+                q = frame.harmonic_vectors(tol)
+                assert q.shape == (cx.dims[k], betti[k])
+                assert not q.flags.writeable
+                assert np.linalg.norm(q.conj().T @ q - np.eye(betti[k])) <= 1e-12
+                if betti[k]:
+                    assert np.linalg.norm(frame.sym @ q, 2) <= _kernel_cut(frame.eigvals, tol)
+
+
+def test_acyclic_complex_has_no_harmonic_vectors():
+    from nchodge.hodge import HODGE_TOL
+    cx = nc.twisted_circle_complex(8, -1.0)
+    for k in (0, 1):
+        q = cx.frame(k).harmonic_vectors(HODGE_TOL)
+        assert q.shape == (8, 0) and not q.flags.writeable
+
+
+def test_sweep_and_decompose_run_no_full_eigensolve(monkeypatch):
+    from nchodge.foliation import random_smooth_phi, witten_betti_sweep
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for name in ("circle-leaves", "torus-leaves"):
+        phi = random_smooth_phi(np.random.default_rng(3))
+        assert witten_betti_sweep(nc.builtin_model(name), phi, (0.0, 1.0))["passed"]
+    rng = np.random.default_rng(101)
+    for _ in range(10):
+        cx, _ = nc.random_complex(rng)
+        for k in range(cx.top + 1):
+            v = rng.normal(size=cx.dims[k]) + 1j * rng.normal(size=cx.dims[k])
+            assert np.allclose(sum(nc.decompose(cx, k, v)), v)
+
+
+def test_each_gram_is_tested_for_the_identity_once(monkeypatch):
+    from nchodge import hodge
+    from nchodge.foliation import torus_leaf
+    units = _counting(monkeypatch, hodge, "_is_unit")
+    cx = torus_leaf(8).complex
+    for k in range(cx.top + 1):
+        cx.frame(k)
+    hodge.adjoints(cx)
+    assert len(units) == len(cx.grams) == 3
+
+
 def test_betti_numbers_do_not_depend_on_the_scale_of_the_differentials():
     from nchodge.foliation import SWEEP_TOL
     from nchodge.hodge import DET_TOL, HODGE_TOL

@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nchodge.errors import InputError
 from nchodge.scalars import (FLOAT, GAUSSIAN, MODES, RATIONAL, GaussianRational,
-                             field_for)
+                             ScalarField, field_for)
 
 
 def test_rational_coerce_and_json_roundtrip():
@@ -14,6 +15,15 @@ def test_rational_coerce_and_json_roundtrip():
     assert f.matrix_to_json(f.array([x])) == [[3, 7]]
     mat = f.matrix_from_json([[3, 7], 5, [6.0, -4]], (3,))
     assert [mat[0], mat[1], mat[2]] == [x, Fraction(5), Fraction(-3, 2)]
+
+
+@pytest.mark.parametrize("make", [ScalarField, field_for])
+@pytest.mark.parametrize("mode", ["decimal", ["float"]])
+def test_unknown_scalar_mode_is_a_coded_lookup_error(make, mode):
+    with pytest.raises(InputError) as exc:
+        make(mode)
+    assert exc.value.report_entry()["code"] == "cli/InputError"
+    assert exc.value.context == {"name": mode, "available": sorted(MODES)}
 
 
 def test_gaussian_rational_is_a_value_without_arithmetic():

@@ -9,8 +9,10 @@ repository) and every command runs there in a fresh interpreter, with
 ``PYTHONPATH`` set to that tree's ``src`` and BLAS pinned to one thread.
 Without HEAD the second side is this checkout's working tree.  Commands
 write their report with ``--out``; a command passes when both sides exit
-with the same code and write the same bytes.  The exit status is 0 when
-every command passes and 1 otherwise.
+with the same code and write the same bytes.  For a command that fails,
+the first key path at which the two JSON reports differ is printed with
+both values (for example ``criteria[7].details.worst_resum_residual``).
+The exit status is 0 when every command passes and 1 otherwise.
 
 Float reports are compared bit for bit, so both sides must run on one
 machine: LAPACK results differ between builds and processors.
@@ -249,6 +251,46 @@ def run(tree: Path, argv, work: Path, out: Path):
     return proc.returncode, out.read_bytes() if out.exists() else b""
 
 
+def first_difference(a, b, path=""):
+    """(key path, value in a, value in b) at the first place two parsed JSON
+    values differ, walking objects in key order and arrays by index; None
+    when they are equal.  1 and 1.0 (or True) differ, as their bytes do."""
+    if type(a) is not type(b):
+        return path, a, b
+    if isinstance(a, dict):
+        for key in [*a, *(k for k in b if k not in a)]:
+            sub = f"{path}.{key}" if path else key
+            if key not in a or key not in b:
+                return sub, a.get(key, "<absent>"), b.get(key, "<absent>")
+            found = first_difference(a[key], b[key], sub)
+            if found:
+                return found
+        return None if list(a) == list(b) else (path, list(a), list(b))
+    if isinstance(a, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = first_difference(x, y, f"{path}[{i}]")
+            if found:
+                return found
+        n = min(len(a), len(b))
+        return None if len(a) == len(b) else (
+            f"{path}[{n}]", a[n] if n < len(a) else "<absent>",
+            b[n] if n < len(b) else "<absent>")
+    return None if a == b or (a != a and b != b) else (path, a, b)
+
+
+def describe_difference(a: bytes, b: bytes):
+    """One line naming where two reports differ, or None if they parse to
+    the same JSON and differ only in their bytes' layout."""
+    try:
+        found = first_difference(json.loads(a), json.loads(b))
+    except ValueError:
+        return "not both JSON reports"
+    if found is None:
+        return None
+    path, x, y = found
+    return f"first difference at {path or '(top level)'}: {x!r} vs {y!r}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="git revision to compare against")
@@ -286,6 +328,8 @@ def main(argv=None) -> int:
             print(f"{'same' if same else 'DIFFERS':8} exit {rc_a}/{rc_b} "
                   f"{len(a):>8}/{len(b):<8} bytes  {time.perf_counter() - t0:6.2f}s  "
                   f"{' '.join(argv)}")
+            if a != b:
+                print(f"{'':8} {describe_difference(a, b) or 'same JSON, different layout'}")
         print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} commands wrote "
               f"the same bytes at {args.base} and {args.head or 'the working tree'}")
     return 1 if differ else 0
