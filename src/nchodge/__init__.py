@@ -7,9 +7,9 @@ __version__ = "0.1.0"
 from .algebra import (Algebra, BUILTIN_ALGEBRAS, builtin_algebra,
                       load_algebra, make_algebra)
 from .errors import (BadGram, BadWeights, DegreeOutOfWindow, DimMismatch,
-                     GridTooCoarse, InputError, LeafTooSmall, NCHodgeError,
-                     NegativeEigenvalue, NotAComplex, NotIntegrable,
-                     NumericalRankAmbiguous, OutOfFloatRange,
+                     GridTooCoarse, GridTooLarge, InputError, LeafTooSmall,
+                     NCHodgeError, NegativeEigenvalue, NotAComplex,
+                     NotIntegrable, NumericalRankAmbiguous, OutOfFloatRange,
                      PolynomialRelationViolated, ShapeMismatch,
                      SingularOnComplement, VanishingOmega, WindowTooLarge)
 from .foliation import (BUILTIN_MODELS, FoliatedModel, builtin_model,

@@ -104,6 +104,10 @@ class GridTooCoarse(NCHodgeError):
     code = "tangential/GridTooCoarse"
 
 
+class GridTooLarge(NCHodgeError):
+    code = "tangential/GridTooLarge"
+
+
 class NotIntegrable(NCHodgeError):
     code = "tangential/NotIntegrable"
 

@@ -436,7 +436,12 @@ def rank(mat, rel_tol: float = 1e-10) -> int:
         return 0
     if is_exact(mat):
         return len(rref(mat)[1])
-    s = np.linalg.svd(to_complex(mat), compute_uv=False)
+    return rank_of_singular_values(np.linalg.svd(to_complex(mat), compute_uv=False), rel_tol)
+
+
+def rank_of_singular_values(s, rel_tol: float) -> int:
+    """The numerical rank from descending singular values ``s``: how many
+    exceed ``rel_tol`` times the largest; an all-zero list has rank 0."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rel_tol * s[0]))

@@ -21,12 +21,12 @@ verifies that, and also exhibits the isomorphism: the diagonal map
 T = diag(e^{-tau phi_(k)}) pairs tau = 0 harmonics with deformed
 harmonics through a full-rank matrix U = Q_tau^H T Q_0.  Both the Betti
 numbers and the harmonic bases Q read each leaf complex's Hodge frames:
-one ``eigvalsh`` spectrum per degree, cut by one rule at ``SWEEP_TOL``,
-whose near-kernel count is the Betti number and the number of
-eigenvectors a partial eigensolve returns for Q.  For each tau one
-deformed leaf complex is built, and solved, per distinct leaf function
-(samples whose phi does not depend on v share it); the tau = 0
-harmonics are computed once per sweep.  At tau = 0 the deformed
+one spectrum per degree, from the singular values of the differentials,
+cut by one rule at ``SWEEP_TOL``, whose near-kernel count is the Betti
+number and the number of eigenvectors a partial eigensolve returns for
+Q.  For each tau one deformed leaf complex is built, and solved, per
+distinct leaf function (samples whose phi does not depend on v share
+it); the tau = 0 harmonics are computed once per sweep.  At tau = 0 the deformed
 differentials are still built and checked against the leaf's bit for bit,
 and when they match the leaf complex itself, already solved, stands in.
 """
@@ -288,11 +288,16 @@ def witten_leaf_complex(leaf: Leaf, per_degree, tau) -> CochainComplex:
     cx = leaf.complex
     diffs = []
     for k, d in enumerate(cx.diffs):
-        # a scale past the float range is inf; make_complex rejects the result
+        # the leaf's D is finite, so a non-finite entry is tau's doing: a
+        # scale past the float range (or a NaN tau), or a product of scales
         with np.errstate(over="ignore", invalid="ignore"):
             row = np.exp(-tau * per_degree[k + 1]).reshape(-1, 1)
             col = np.exp(tau * per_degree[k]).reshape(1, -1)
             diffs.append(row * d * col)
+        if not np.all(np.isfinite(diffs[-1])):
+            raise InputError(f"--tau {tau!r}: e^(tau phi) scales leaf differential {k} "
+                             f"past the float range", key="tau",
+                             tau=tau if np.isfinite(tau) else repr(tau))
     return make_complex(cx.dims, diffs, cx.grams,
                         name=f"{cx.name}@tau={tau}", tol=1e-9)
 
@@ -339,8 +344,7 @@ def _weighted_betti(deformed: DeformedModel) -> np.ndarray:
 
 def harmonic_basis(cx: CochainComplex, k) -> np.ndarray:
     """Basis of Ker Delta_k, orthonormal for the Gram inner product."""
-    frame = cx.frame(k)
-    return frame.chol_inv.conj().T @ frame.harmonic_vectors(SWEEP_TOL)
+    return cx.frame(k).chol_inv.conj().T @ cx.harmonic_vectors(k, SWEEP_TOL)
 
 
 def intertwiner_ranks(deformed: DeformedModel, base):

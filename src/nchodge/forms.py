@@ -66,7 +66,8 @@ from . import exactla
 from .algebra import Algebra
 from .errors import DegreeOutOfWindow, WindowTooLarge
 
-DEFAULT_DIM_CAP = 20000
+DEFAULT_DIM_CAP = 1024     # z3 at n_max 8 and m2 at n_max 5 fit; exact reports take seconds
+MAX_N_MAX = 64             # the exact spectral cost grows with the degree even at dim 2
 FLOAT_IDENTITY_TOL = 1e-12  # float windows: an identity residual below this passes
 _CAP_ENV = "NCHODGE_CAP"
 
@@ -145,6 +146,9 @@ class FormsWindow:
     def __init__(self, algebra: Algebra, n_max: int):
         if n_max < 1:
             raise DegreeOutOfWindow(f"window needs n_max >= 1, got {n_max}")
+        if n_max > MAX_N_MAX:
+            raise WindowTooLarge(f"n_max {n_max} exceeds {MAX_N_MAX}",
+                                 n_max=n_max, cap=MAX_N_MAX)
         cap = dimension_cap()
         d = algebra.dim
         dims = [d * (d - 1) ** n for n in range(n_max + 1)]

@@ -25,14 +25,18 @@ level for band-limited fields.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
-from .errors import GridTooCoarse, InputError, NotIntegrable, VanishingOmega, lookup
+from .errors import (GridTooCoarse, GridTooLarge, InputError, NotIntegrable,
+                     VanishingOmega, lookup)
 
 COMPONENTS = ("x", "y", "z")
 AXIS = {"x": 0, "y": 1, "z": 2}
 INTEGRABILITY_TOL = 1e-8    # largest |omega ^ d omega| that still defines a foliation
 GAUGE_TOL = 1e-6            # largest change of GV under theta -> theta + h omega
+MAX_GRID = 128              # points per axis; 128^3 takes about 0.6 GB and 3 s
 
 
 def grid(n):
@@ -167,10 +171,17 @@ BUILTIN_OMEGAS = {
 }
 
 
-def builtin_omega(name, n):
-    """Named defining forms on the n^3 grid."""
+def _check_grid(n):
     if n < 8:
         raise GridTooCoarse(f"need at least an 8^3 grid, got {n}^3", n=n)
+    if n > MAX_GRID:
+        raise GridTooLarge(f"need at most a {MAX_GRID}^3 grid, got {n}^3", n=n,
+                           cap=MAX_GRID)
+
+
+def builtin_omega(name, n):
+    """Named defining forms on the n^3 grid."""
+    _check_grid(n)
     build = lookup(BUILTIN_OMEGAS, name, "form")
     xs, _, zs = grid(n)
     return build(xs, zs, np.zeros_like(xs), np.ones_like(xs))
@@ -179,6 +190,9 @@ def builtin_omega(name, n):
 def _custom_omega(fields):
     """The x/y/z fields as float arrays on one n^3 grid, checked before any
     derivative or LAPACK call sees them."""
+    if not isinstance(fields, Mapping):
+        raise InputError(f"defining form is a {type(fields).__name__}, not a mapping",
+                         key="omega")
     omega = {}
     for c in COMPONENTS:
         try:
@@ -210,8 +224,7 @@ def gv_report(name_or_fields, n=32, derivative="spectral") -> dict:
         label = "custom"
         omega = _custom_omega(name_or_fields)
         n = omega["x"].shape[0]
-        if n < 8:
-            raise GridTooCoarse(f"need at least an 8^3 grid, got {n}^3", n=n)
+        _check_grid(n)
     gv, _, info = godbillon_vey(omega, derivative)
     passed = (info["integrability_max_abs"] <= INTEGRABILITY_TOL
               and info["solve_residual"] <= 1e-6

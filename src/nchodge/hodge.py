@@ -7,24 +7,31 @@ respect to the Gram inner products, ``D*_k = G_k^{-1} D_k^H G_{k+1}``,
 and the Laplacian is ``Delta_k = D*_k D_k + D_{k-1} D*_{k-1}``.
 
 The Laplacian is self-adjoint for the Gram product but not Hermitian as a
-raw matrix, so spectra are computed after a Cholesky change of frame:
-``G = L L^H`` turns the Gram product into the standard one via
-``u = L^H v``, and ``S = L^H Delta L^{-H}`` is honestly Hermitian PSD.
-Each complex builds this frame once per degree, on first use, and keeps
-it for as long as the complex lives; every spectral consumer reads it.
-A frame holds one spectrum, the ``eigvalsh`` eigenvalues of ``S``, and
-every reader cuts it by one rule (``_kernel_cut``): the Betti count, the
-determinants, and the harmonic vectors, which a partial eigensolve
-(LAPACK's MRRR driver) computes for the near-kernel eigenvalues only.
-Whether each Gram is exactly the identity is decided once per complex.
-A unit Gram has the known frame ``L = I`` and ``S = Delta``, and with
-unit Grams on both ends the adjoint is ``D^H``; neither is factored, and
-the results are the factored ones bit for bit.
+raw matrix, so spectra are taken in a Cholesky frame: ``G = L L^H`` turns
+the Gram product into the standard one via ``u = L^H v``, and there
+``S_k = L^H Delta_k L^{-H} = W_k^H W_k + W_{k-1} W_{k-1}^H`` with the
+Gram-weighted differential ``W_k = L_{k+1}^H D_k L_k^{-H}`` (the up/down
+split of Lim, "Hodge Laplacians on graphs", SIAM Review 62, 2020).  So
+the spectrum of degree k is read off one SVD per differential, with no
+tolerance: the ``n_k`` largest of sigma(W_k)^2 and sigma(W_{k-1})^2, each
+padded with zeros to length ``n_k``; its small eigenvalues are as accurate
+as the differentials, where an eigensolve of the formed Laplacian squares
+their condition number.  Each complex builds its frames and singular
+values once, on first use, and every reader cuts a spectrum by one rule
+(``_kernel_cut``): the Betti count, the determinants, and the harmonic
+vectors, which a partial eigensolve (LAPACK's MRRR driver) of ``S``
+computes for the near-kernel only.  ``S`` is formed, once per complex,
+only for the harmonic vectors and the Betti cross-check.  A unit Gram
+(decided once per complex) has the known frame ``L = I``, and with unit
+Grams on both ends ``W_k = D_k`` and the adjoint is ``D^H``; neither is
+factored, and the results are the factored ones bit for bit.
 
-Betti numbers are computed two independent ways (harmonic kernel
-dimension vs rank--nullity of the differentials) and must agree.
-Regularized determinants drop the near-kernel, multiply what is left,
-and are cross-checked against the exp-of-log-sum route.
+Betti numbers are computed by independent routes that must agree:
+rank--nullity of the differentials, the near-kernel count of the spectrum,
+and the number of eigenvalues of ``S`` at or below the cut, counted by
+inertia (Sylvester's law) from one Bunch--Kaufman factorization of
+``S - cut I``.  Regularized determinants drop the near-kernel, multiply
+what is left, and are cross-checked against the exp-of-log-sum route.
 """
 
 from __future__ import annotations
@@ -55,47 +62,34 @@ def _kernel_cut(eigs, rel_tol):
 
 @dataclass(frozen=True)
 class HodgeFrame:
-    """Degree-k Cholesky frame: ``G = L L^H`` (``chol``), its inverse,
-    ``S = L^H Delta L^{-H}`` symmetrized, and the ascending ``eigvalsh``
-    spectrum of ``S``, the frame's one spectrum.  Arrays are read-only."""
+    """Degree-k Cholesky frame: ``G = L L^H`` (``chol``), its inverse, and
+    the ascending spectrum of ``S = L^H Delta L^{-H}`` (``eigvals``), read
+    off the singular values of ``W_k`` and ``W_{k-1}``; the frame's one
+    spectrum.  Arrays are read-only."""
 
     chol: np.ndarray
     chol_inv: np.ndarray
-    sym: np.ndarray
     eigvals: np.ndarray
-    _harmonic: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def kernel_dim(self, rel_tol):
         """How many eigenvalues of the spectrum lie in its near-kernel."""
         return int(np.sum(self.eigvals <= _kernel_cut(self.eigvals, rel_tol)))
 
-    def harmonic_vectors(self, rel_tol):
-        """Orthonormal basis (in the symmetric frame) of the near-kernel
-        of ``S``: eigenvectors of its ``kernel_dim(rel_tol)`` smallest
-        eigenvalues, and of no others, from a partial eigensolve; cached
-        per ``rel_tol``."""
-        if rel_tol not in self._harmonic:
-            m = self.kernel_dim(rel_tol)
-            if m:
-                import scipy.linalg
-                out = scipy.linalg.eigh(self.sym, subset_by_index=[0, m - 1])[1]
-            else:
-                out = np.zeros((self.sym.shape[0], 0), complex)
-            out.setflags(write=False)
-            self._harmonic[rel_tol] = out
-        return self._harmonic[rel_tol]
-
 
 @dataclass
 class CochainComplex:
-    """Assumed immutable once built: its Hodge frames and which of its
-    Grams are the identity are cached on it."""
+    """Assumed immutable once built: its Hodge frames, singular values,
+    symmetrized Laplacians, harmonic vectors and which of its Grams are the
+    identity are cached on it."""
 
     dims: tuple
     diffs: list          # D_k, k = 0..m-1, shape (dims[k+1], dims[k])
     grams: list          # G_k, k = 0..m, Hermitian positive definite
     name: str = "complex"
     _frames: list = dc_field(default=None, init=False, repr=False, compare=False)
+    _singular: list = dc_field(default=None, init=False, repr=False, compare=False)
+    _syms: list = dc_field(default=None, init=False, repr=False, compare=False)
+    _harmonic: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
     _units: tuple = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -106,11 +100,39 @@ class CochainComplex:
         return int(sum((-1) ** k * n for k, n in enumerate(self.dims)))
 
     def frame(self, k) -> HodgeFrame:
-        """The degree-k Hodge frame; all degrees are built on first use."""
+        """The degree-k Hodge frame; all degrees, and the singular values
+        of every ``W_k``, are built on first use."""
         if self._frames is None:
-            self._frames = [_build_frame(self, j, lap)
-                            for j, lap in enumerate(laplacians(self))]
+            self._frames, self._singular = _build_frames(self)
         return self._frames[k]
+
+    def singular_values(self, k) -> np.ndarray:
+        """Descending singular values of ``W_k = L_{k+1}^H D_k L_k^{-H}``."""
+        self.frame(0)
+        return self._singular[k]
+
+    def sym(self, k) -> np.ndarray:
+        """``S_k = L^H Delta_k L^{-H}``, symmetrized after a Hermitian check;
+        all degrees are formed on first use, from one ``laplacians`` call."""
+        if self._syms is None:
+            self._syms = [_symmetrize(self, j, lap) for j, lap in enumerate(laplacians(self))]
+        return self._syms[k]
+
+    def harmonic_vectors(self, k, rel_tol) -> np.ndarray:
+        """Orthonormal basis (in the symmetric frame) of the near-kernel of
+        ``S_k``: eigenvectors of its ``kernel_dim(rel_tol)`` smallest
+        eigenvalues, and of no others, from a partial eigensolve; cached
+        per degree and ``rel_tol``."""
+        if (k, rel_tol) not in self._harmonic:
+            m = self.frame(k).kernel_dim(rel_tol)
+            if m:
+                import scipy.linalg
+                out = scipy.linalg.eigh(self.sym(k), subset_by_index=[0, m - 1])[1]
+            else:
+                out = np.zeros((self.dims[k], 0), complex)
+            out.setflags(write=False)
+            self._harmonic[k, rel_tol] = out
+        return self._harmonic[k, rel_tol]
 
     def unit_gram(self, k) -> bool:
         """Whether the degree-k Gram is the identity bit for bit; all
@@ -282,29 +304,88 @@ def laplacians(cx: CochainComplex) -> list:
     return out
 
 
-def _build_frame(cx: CochainComplex, k, lap) -> HodgeFrame:
+def _cholesky(cx: CochainComplex, k):
+    """(L, L^{-1}) of the degree-k Gram; a unit Gram (every 0 x 0 one among
+    them) is not factored."""
     n = cx.dims[k]
-    L = linv = S = np.zeros((0, 0), complex)
-    eigs = np.zeros(0)
-    if n and cx.unit_gram(k):
-        L = linv = np.eye(n, dtype=complex).T    # scipy's Fortran layout
-        S = lap
-    elif n:
-        import scipy.linalg  # on first use: the form operators never need scipy
-        L = scipy.linalg.cholesky(cx.grams[k], lower=True)
-        linv = scipy.linalg.solve_triangular(L, np.eye(n, dtype=complex), lower=True)
-        S = L.conj().T @ lap @ linv.conj().T
-    if n:
-        s_h = S.conj().T
-        herm = exactla.max_abs(S - s_h)
-        if herm > 1e-8 * max(1.0, exactla.max_abs(S)):
-            raise BadGram(f"symmetrized Laplacian at degree {k} is not Hermitian",
-                          degree=k, residual=herm)
-        S = (S + s_h) / 2
-        eigs = np.linalg.eigvalsh(S)
-    for arr in (L, linv, S, eigs):
-        arr.setflags(write=False)
-    return HodgeFrame(chol=L, chol_inv=linv, sym=S, eigvals=eigs)
+    if cx.unit_gram(k):
+        eye = np.eye(n, dtype=complex).T    # scipy's Fortran layout
+        return eye, eye
+    import scipy.linalg  # on first use: the form operators never need scipy
+    L = scipy.linalg.cholesky(cx.grams[k], lower=True)
+    return L, scipy.linalg.solve_triangular(L, np.eye(n, dtype=complex), lower=True)
+
+
+def _spectrum(s_out, s_in, n):
+    """Ascending spectrum of ``S_k`` from the singular values of ``W_k``
+    (``s_out``) and ``W_{k-1}`` (``s_in``): the n largest of their squares,
+    each list padded with zeros to length n.  No tolerance: the two ranks
+    add up to at most n, so the zeros fill the kernel."""
+    both = np.zeros(2 * n)
+    both[:len(s_out)] = np.square(s_out)
+    both[n:n + len(s_in)] = np.square(s_in)
+    both.sort()
+    return both[n:]
+
+
+def _build_frames(cx: CochainComplex):
+    """Every degree's frame, and the singular values of every ``W_k``: with
+    unit Grams on both ends ``W_k`` is ``D_k``, else it is formed from the
+    Cholesky factors."""
+    factors = [_cholesky(cx, k) for k in range(cx.top + 1)]
+    singular = []
+    for k, d in enumerate(cx.diffs):
+        w = d
+        if not (cx.unit_gram(k) and cx.unit_gram(k + 1)):
+            w = factors[k + 1][0].conj().T @ d @ factors[k][1].conj().T
+        s = np.linalg.svd(w, compute_uv=False) if w.size else np.zeros(0)
+        s.setflags(write=False)
+        singular.append(s)
+    frames = []
+    for k, (L, linv) in enumerate(factors):
+        eigs = _spectrum(singular[k] if k < cx.top else (),
+                         singular[k - 1] if k else (), cx.dims[k])
+        for arr in (L, linv, eigs):
+            arr.setflags(write=False)
+        frames.append(HodgeFrame(chol=L, chol_inv=linv, eigvals=eigs))
+    return frames, singular
+
+
+def _symmetrize(cx: CochainComplex, k, lap):
+    """``S = L^H Delta L^{-H}`` of degree k, checked Hermitian and
+    symmetrized; read-only."""
+    S = lap
+    if not cx.unit_gram(k):
+        frame = cx.frame(k)
+        S = frame.chol.conj().T @ lap @ frame.chol_inv.conj().T
+    s_h = S.conj().T
+    herm = exactla.max_abs(S - s_h)
+    if herm > 1e-8 * max(1.0, exactla.max_abs(S)):
+        raise BadGram(f"symmetrized Laplacian at degree {k} is not Hermitian",
+                      degree=k, residual=herm)
+    S = (S + s_h) / 2
+    S.setflags(write=False)
+    return S
+
+
+def _count_at_most(sym, cut):
+    """How many eigenvalues of the Hermitian ``sym`` are at most ``cut``,
+    by Sylvester's law of inertia: the non-positive pivots of one
+    Bunch--Kaufman factorization ``sym - cut I = P L D L^H P^T`` (LAPACK
+    ``zhetrf``).  A 2x2 pivot block is read by its determinant (negative:
+    one eigenvalue of each sign); an exact zero pivot is at the cut."""
+    n = sym.shape[0]
+    if not n:
+        return 0
+    from scipy.linalg.lapack import zhetrf
+    ldu, ipiv, _ = zhetrf(sym - cut * np.eye(n), lower=1, overwrite_a=1)
+    diag = ldu.diagonal().real
+    pairs = np.flatnonzero(ipiv < 0)[::2]       # first rows of the 2x2 blocks
+    a, c = diag[pairs], diag[pairs + 1]
+    det = a * c - np.abs(ldu[pairs + 1, pairs]) ** 2
+    trace = a + c
+    blocks = np.where(det < 0, 1, np.where(det > 0, 2 * (trace < 0), 1 + (trace <= 0)))
+    return int(np.count_nonzero(diag[ipiv > 0] <= 0) + blocks.sum())
 
 
 def laplacian_spectra(cx: CochainComplex) -> list:
@@ -312,21 +393,32 @@ def laplacian_spectra(cx: CochainComplex) -> list:
     return [cx.frame(k).eigvals for k in range(cx.top + 1)]
 
 
+def _rank(cx: CochainComplex, k, rel_tol):
+    """Numerical rank of D_k: read off the frames' singular values when
+    ``W_k`` is ``D_k`` (unit Grams on both ends), else by its own SVD."""
+    if cx.unit_gram(k) and cx.unit_gram(k + 1):
+        return exactla.rank_of_singular_values(cx.singular_values(k), rel_tol)
+    return exactla.rank(cx.diffs[k], rel_tol)
+
+
 def betti_numbers(cx: CochainComplex, rel_tol=HODGE_TOL):
-    """Betti numbers by two routes that must agree: dimension of the
-    near-kernel of the Laplacian, and rank--nullity of the differentials."""
-    ranks = [exactla.rank(d, rel_tol) for d in cx.diffs]
+    """Betti numbers by routes that must agree: rank--nullity of the
+    differentials, the near-kernel count of each spectrum, and the number
+    of eigenvalues of ``S_k`` at or below the same cut, counted by inertia."""
+    ranks = [_rank(cx, k, rel_tol) for k in range(cx.top)]
     out = []
     for k in range(cx.top + 1):
-        harmonic = cx.frame(k).kernel_dim(rel_tol)
+        frame = cx.frame(k)
+        spectral = frame.kernel_dim(rel_tol)
+        harmonic = _count_at_most(cx.sym(k), _kernel_cut(frame.eigvals, rel_tol))
         r_out = ranks[k] if k < cx.top else 0
         r_in = ranks[k - 1] if k >= 1 else 0
         algebraic = cx.dims[k] - r_out - r_in
-        if harmonic != algebraic:
+        if not harmonic == spectral == algebraic:
             raise AssertionError(
                 f"Betti routes disagree at degree {k}: harmonic kernel {harmonic}, "
-                f"rank-nullity {algebraic}")
-        out.append(harmonic)
+                f"rank-nullity {algebraic}, spectrum {spectral}")
+        out.append(spectral)
     return tuple(out)
 
 
@@ -340,7 +432,7 @@ def decompose(cx: CochainComplex, k, v):
     frame = cx.frame(k)
     L = frame.chol
     u = L.conj().T @ v
-    hvecs = frame.harmonic_vectors(HODGE_TOL)
+    hvecs = cx.harmonic_vectors(k, HODGE_TOL)
     proj_h = hvecs @ (hvecs.conj().T @ u)
     proj_e = np.zeros_like(u)
     if k >= 1 and cx.dims[k - 1]:

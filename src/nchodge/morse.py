@@ -30,10 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse, lookup
+from .errors import GridTooCoarse, GridTooLarge, lookup
 
 CRITICAL_TOL = 1e-6     # |phi_h| below this (scaled) makes a root of phi_hh critical
 DEGENERATE_TOL = 1e-5   # |phi_hh| at or below this (scaled) makes it degenerate
+MAX_N_V = 4096          # transverse slices, scanned one at a time
+MAX_SAMPLES = 1 << 22   # n_h * n_v; a scan at both caps takes about 2 s
 
 
 @dataclass
@@ -144,6 +146,12 @@ def morse_scan(chart: LeafChart, n_h=256, n_v=33) -> dict:
         raise GridTooCoarse(f"need at least 16 leaf samples, got {n_h}", n_h=n_h)
     if n_v < 2:
         raise GridTooCoarse(f"need at least 2 transverse samples, got {n_v}", n_v=n_v)
+    if n_v > MAX_N_V:
+        raise GridTooLarge(f"need at most {MAX_N_V} transverse samples, got {n_v}",
+                           n_v=n_v, cap=MAX_N_V)
+    if n_h * n_v > MAX_SAMPLES:
+        raise GridTooLarge(f"need at most {MAX_SAMPLES} samples, got {n_h} x {n_v}",
+                           n_h=n_h, n_v=n_v, cap=MAX_SAMPLES)
     der = _Derivatives(chart)
     lo, hi = chart.h_range
     span = der.span

@@ -621,6 +621,19 @@ def test_oversized_integer_in_complex_is_structured_error(tmp_path, capsys):
     assert payload["context"] == {"key": "differentials", "degree": 0}
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["gv", "--n", "734"], "tangential/GridTooLarge"),
+    (["morse-scan", "--n-v", "99999"], "tangential/GridTooLarge"),
+    (["spectral", "--algebra", "dual-numbers", "--nmax", "797398"], "nc-forms/WindowTooLarge"),
+    (["nc-report", "--algebra", "m2", "--nmax", "6"], "nc-forms/WindowTooLarge")])
+def test_oversized_request_is_refused_before_the_work(argv, code, capsys):
+    # each of these ran for minutes, or until memory ran out
+    assert run(argv) == 1
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    assert json.loads(streams.err)["code"] == code
+
+
 def _omega_file(tmp_path, **override):
     fields = {c: v.tolist() for c, v in builtin_omega("sin-z", 8).items()}
     fields.update(override)
@@ -712,13 +725,19 @@ def test_unhandled_exception_is_internal_error(monkeypatch, capsys):
 
 
 def test_tau_past_the_float_range_is_a_coded_error(capsys):
-    # e^(tau phi) overflows: the deformed differential is not finite
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run(["witten-sweep", "--model", "circle-leaves", "--tau", "710"]) == 1
-    assert caught == []
-    payload = json.loads(capsys.readouterr().err)
-    assert payload["code"] == "hodge-classical/NotAComplex"
+    # e^(tau phi) overflows, or tau is NaN: the error names tau, not the
+    # differential it made non-finite
+    for tau, value in [("710", 710.0), ("-710", -710.0), ("nan", "nan")]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["witten-sweep", "--model", "circle-leaves", "--tau", tau]) == 1
+        assert caught == []
+        streams = capsys.readouterr()
+        assert streams.out == ""
+        payload = json.loads(streams.err)
+        assert payload["code"] == "cli/InputError"
+        assert payload["context"] == {"key": "tau", "tau": value}
+        assert "--tau" in payload["message"]
 
 
 # -- argv on generated input ----------------------------------------------------------

@@ -17,7 +17,7 @@ import nchodge.forms as nc_forms
 from nchodge import exactla, spectral
 from nchodge.algebra import make_algebra
 from nchodge.errors import DegreeOutOfWindow, WindowTooLarge
-from nchodge.forms import DEFAULT_DIM_CAP, dimension_cap
+from nchodge.forms import DEFAULT_DIM_CAP, MAX_N_MAX, dimension_cap
 from nchodge.scalars import GaussianRational
 from test_exactla import from_qq_i, qq_i
 
@@ -165,6 +165,16 @@ def test_dimension_cap(monkeypatch):
     monkeypatch.setenv("NCHODGE_CAP", "banana")
     with pytest.raises(WindowTooLarge):
         dimension_cap()
+
+
+def test_n_max_cap():
+    # a dim-2 algebra never meets the dimension cap; n_max is capped alone,
+    # and before any degree dimension d (d - 1)^n is computed
+    nc.build_window(nc.builtin_algebra("dual-numbers"), MAX_N_MAX)
+    for name, n_max in [("dual-numbers", MAX_N_MAX + 1), ("z3", 10 ** 6)]:
+        with pytest.raises(WindowTooLarge) as info:
+            nc.build_window(nc.builtin_algebra(name), n_max)
+        assert info.value.context == {"n_max": n_max, "cap": MAX_N_MAX}
 
 
 def test_float_window_residuals_small():

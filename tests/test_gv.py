@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nchodge.errors import (GridTooCoarse, InputError, NCHodgeError, NotIntegrable,
-                            VanishingOmega)
-from nchodge.gv import (_custom_omega, builtin_omega, connection_form, exterior_derivative,
-                        grid, gv_report, spectral_derivative)
+from nchodge.errors import (GridTooCoarse, GridTooLarge, InputError, NCHodgeError,
+                            NotIntegrable, VanishingOmega)
+from nchodge.gv import (MAX_GRID, _custom_omega, builtin_omega, connection_form,
+                        exterior_derivative, grid, gv_report, spectral_derivative)
 from test_algebra import _JUNK, _TREES
 
 
@@ -60,6 +60,13 @@ def test_vanishing_omega_rejected():
 def test_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
         builtin_omega("dz", 4)
+
+
+def test_grid_too_large():
+    # refused before the n^3 arrays are allocated
+    with pytest.raises(GridTooLarge) as info:
+        builtin_omega("dz", MAX_GRID + 1)
+    assert info.value.context == {"n": MAX_GRID + 1, "cap": MAX_GRID}
 
 
 def test_exterior_derivative_of_gradient_vanishes():
@@ -180,6 +187,15 @@ def test_spectral_gv_takes_27_transforms(monkeypatch):
     assert len(calls) == 27
 
 
+@pytest.mark.parametrize("fields,got", [([1.0, 2.0], "list"), ("sin-z", "str"),
+                                        (3.5, "float"), (None, "NoneType")])
+def test_custom_omega_that_is_not_a_mapping_names_the_form(fields, got):
+    with pytest.raises(InputError) as exc:
+        _custom_omega(fields)
+    assert exc.value.context == {"key": "omega"}
+    assert got in str(exc.value) and "component" not in str(exc.value)
+
+
 # -- the defining-form loader on generated input ------------------------------------
 
 def _cubes(n):
@@ -200,11 +216,13 @@ _OMEGAS = st.one_of(
 @given(_OMEGAS)
 def test_custom_omega_on_generated_fields_ends_in_keyed_errors(fields):
     """Generated fields load as three finite float grids of one n^3 shape,
-    or fail with a package error naming the component at fault."""
+    or fail with a package error naming the component at fault, or the
+    form itself when it is not a mapping."""
     try:
         omega = _custom_omega(fields)
     except NCHodgeError as exc:
-        assert exc.code == "cli/InputError" and exc.context["key"] in "xyz", exc
+        keys = ("x", "y", "z") if isinstance(fields, dict) else ("omega",)
+        assert exc.code == "cli/InputError" and exc.context["key"] in keys, exc
     else:
         n = omega["x"].shape[0]
         assert sorted(omega) == ["x", "y", "z"]

@@ -146,7 +146,7 @@ def test_near_kernel_rule_agrees_across_its_readers():
         for tol in (HODGE_TOL, DET_TOL, SWEEP_TOL):
             betti = nc.betti_numbers(cx, tol)
             for k in range(cx.top + 1):
-                assert betti[k] == cx.frame(k).harmonic_vectors(tol).shape[1]
+                assert betti[k] == cx.harmonic_vectors(k, tol).shape[1]
                 outside = _nonzero_spectrum(cx.frame(k).eigvals, tol).size
                 assert betti[k] + outside == cx.dims[k]
 
@@ -171,19 +171,19 @@ def test_harmonic_vectors_span_the_near_kernel_and_nothing_else():
             betti = nc.betti_numbers(cx, tol)
             for k in range(cx.top + 1):
                 frame = cx.frame(k)
-                q = frame.harmonic_vectors(tol)
+                q = cx.harmonic_vectors(k, tol)
                 assert q.shape == (cx.dims[k], betti[k])
                 assert not q.flags.writeable
                 assert np.linalg.norm(q.conj().T @ q - np.eye(betti[k])) <= 1e-12
                 if betti[k]:
-                    assert np.linalg.norm(frame.sym @ q, 2) <= _kernel_cut(frame.eigvals, tol)
+                    assert np.linalg.norm(cx.sym(k) @ q, 2) <= _kernel_cut(frame.eigvals, tol)
 
 
 def test_acyclic_complex_has_no_harmonic_vectors():
     from nchodge.hodge import HODGE_TOL
     cx = nc.twisted_circle_complex(8, -1.0)
     for k in (0, 1):
-        q = cx.frame(k).harmonic_vectors(HODGE_TOL)
+        q = cx.harmonic_vectors(k, HODGE_TOL)
         assert q.shape == (8, 0) and not q.flags.writeable
 
 
@@ -404,22 +404,80 @@ def test_torsion_builds_each_frame_once(monkeypatch):
     laps = _counting(monkeypatch, hodge, "laplacians")
     chols = _counting(monkeypatch, scipy.linalg, "cholesky")
     eigs = _counting(monkeypatch, np.linalg, "eigvalsh")
+    svds = _counting(monkeypatch, np.linalg, "svd")
     nc.rs_torsion(cx)
     nc.laplacian_spectra(cx)
-    assert len(laps) == 1
-    assert len(chols) == len(eigs) == cx.top + 1
+    assert len(laps) == 1                  # S, for the Betti cross-check only
+    assert len(chols) == cx.top + 1
+    assert eigs == []
+    # one SVD per W_k, and the raw-D_k rank of each differential whose
+    # Grams are not both the identity
+    assert len(svds) == 2 * len(cx.diffs)
 
 
 def test_unit_gram_frames_factor_nothing(monkeypatch):
     import scipy.linalg
+    from nchodge import hodge
     cx = nc.twisted_circle_complex(8, -1.0)
     factored = [_counting(monkeypatch, scipy.linalg, name)
                 for name in ("cholesky", "solve_triangular")]
     factored.append(_counting(monkeypatch, np.linalg, "solve"))
+    laps = _counting(monkeypatch, hodge, "laplacians")
     eigs = _counting(monkeypatch, np.linalg, "eigvalsh")
+    svds = _counting(monkeypatch, np.linalg, "svd")
     nc.rs_torsion(cx)
     assert factored == [[], [], []]
-    assert len(eigs) == cx.top + 1
+    assert eigs == [] and len(laps) <= 1
+    assert len(svds) == len(cx.diffs)      # W_k = D_k: the rank reads the same SVD
+
+
+def test_cs_partition_forms_no_laplacian(monkeypatch, tmp_path):
+    from nchodge import cli, hodge
+    laps = _counting(monkeypatch, hodge, "laplacians")
+    adjs = _counting(monkeypatch, hodge, "adjoints")
+    svds = _counting(monkeypatch, np.linalg, "svd")
+    factored = tmp_path / "circle.json"
+    factored.write_text(json.dumps(complex_to_json(
+        nc.twisted_circle_complex(16, 1j, gram_scale=2.0))))
+    out = tmp_path / "z.json"
+    for name in ("circle_alpha_-1_N8.json", str(factored)):
+        assert cli.main(["cs-partition", "--complex", name, "--out", str(out)]) == 0
+    cx = nc.twisted_circle_complex(8, -1.0, gram_scale=2.0)
+    nc.abelian_cs_partition(cx)
+    assert laps == adjs == []
+    assert len(svds) == 3
+    assert cx._syms is None
+
+
+def test_no_eigvalsh_in_the_float_classical_commands(monkeypatch, tmp_path):
+    from nchodge import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    out = tmp_path / "report.json"
+    runs = [[cmd, "--complex", "circle_alpha_-1_N8.json"]
+            for cmd in ("hodge", "torsion", "cs-partition")]
+    runs += [["witten-sweep", "--model", model] for model in ("circle-leaves", "torus-leaves")]
+    for argv in runs:
+        assert cli.main([*argv, "--out", str(out)]) == 0, argv
+
+
+def test_spectra_match_the_eigenvalues_of_the_symmetrized_laplacian():
+    # Forming S_k sums up to n_k products per entry, and a backward-stable
+    # eigensolver perturbs S_k by O(n_k eps |S_k|); by Weyl's inequality
+    # each eigenvalue moves by at most that perturbation's norm.  The worst
+    # of these cases is 2.9 n_k eps lambda_max, so 16 leaves a margin.
+    eps = np.finfo(float).eps
+    cases = [cx for _, cx in _frame_cases()] + list(_harmonic_cases())
+    for cx in cases:
+        for k, n in enumerate(cx.dims):
+            spectrum = cx.frame(k).eigvals
+            assert spectrum.shape == (n,) and np.all(np.diff(spectrum) >= 0)
+            if n:
+                bound = 16 * n * eps * spectrum[-1]
+                assert np.max(np.abs(np.linalg.eigvalsh(cx.sym(k)) - spectrum)) <= bound, k
 
 
 def test_identity_grams_skip_the_gram_checks(monkeypatch):
@@ -453,12 +511,19 @@ def test_is_unit_is_the_bitwise_identity():
 
 def _reference_frames(cx):
     """(sym, eigvals) per degree by the factored route: adjoints through
-    np.linalg.solve, Cholesky frames through scipy."""
+    np.linalg.solve, Cholesky frames through scipy, and the spectrum the
+    n largest of the squared singular values of W_k = L_{k+1}^H D_k L_k^{-H}
+    and W_{k-1}, each padded with zeros to length n."""
     import scipy.linalg
     adj = []
     for k, d in enumerate(cx.diffs):
         rhs = d.conj().T @ cx.grams[k + 1]
         adj.append(np.linalg.solve(cx.grams[k], rhs) if cx.dims[k] else rhs)
+    chol = [scipy.linalg.cholesky(g, lower=True) for g in cx.grams]
+    linv = [scipy.linalg.solve_triangular(L, np.eye(n, dtype=complex), lower=True)
+            for L, n in zip(chol, cx.dims)]
+    squares = [np.linalg.svd(chol[k + 1].conj().T @ d @ linv[k].conj().T,
+                             compute_uv=False) ** 2 for k, d in enumerate(cx.diffs)]
     out = []
     for k, n in enumerate(cx.dims):
         lap = np.zeros((n, n), dtype=complex)
@@ -466,11 +531,11 @@ def _reference_frames(cx):
             lap += adj[k] @ cx.diffs[k]
         if k >= 1:
             lap += cx.diffs[k - 1] @ adj[k - 1]
-        L = scipy.linalg.cholesky(cx.grams[k], lower=True)
-        linv = scipy.linalg.solve_triangular(L, np.eye(n, dtype=complex), lower=True)
-        S = L.conj().T @ lap @ linv.conj().T
+        S = chol[k].conj().T @ lap @ linv[k].conj().T
         S = (S + S.conj().T) / 2
-        out.append((S, np.linalg.eigvalsh(S)))
+        both = [np.pad(squares[j], (0, n - len(squares[j]))) for j in (k, k - 1)
+                if 0 <= j < cx.top]
+        out.append((S, np.sort(np.concatenate([np.zeros(n), *both]))[-n:]))
     return out
 
 
@@ -492,7 +557,7 @@ def _frame_cases():
 def test_unit_gram_frames_are_bitwise_the_factored_ones(name, cx):
     for k, (sym, eigvals) in enumerate(_reference_frames(cx)):
         frame = cx.frame(k)
-        assert np.array_equal(frame.sym.view(np.uint64), sym.view(np.uint64)), k
+        assert np.array_equal(cx.sym(k).view(np.uint64), sym.view(np.uint64)), k
         assert np.array_equal(frame.eigvals.view(np.uint64), eigvals.view(np.uint64)), k
 
 
@@ -500,11 +565,18 @@ def test_frames_do_not_outlive_their_complex():
     import gc
     import weakref
     cx = nc.twisted_circle_complex(8, -1.0)
+    nc.betti_numbers(cx)                   # frames, singular values and S
+    cx.harmonic_vectors(0, 1e-9)
     ref = weakref.ref(cx.frame(0))
     assert not ref().eigvals.flags.writeable
-    del cx
+    assert not cx.singular_values(0).flags.writeable and not cx.sym(0).flags.writeable
     gc.collect()
-    assert ref() is None
+    gc.disable()                           # freed by reference counts alone: no cycle
+    try:
+        del cx
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- the complex loader's matrix parse: ScalarField.matrix_from_json, float mode --

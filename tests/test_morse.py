@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nchodge.errors import GridTooCoarse
-from nchodge.morse import _brackets, builtin_chart, morse_scan
+from nchodge.errors import GridTooCoarse, GridTooLarge
+from nchodge.morse import MAX_N_V, MAX_SAMPLES, _brackets, builtin_chart, morse_scan
 
 
 def test_cosine_chart_two_families():
@@ -48,6 +48,17 @@ def test_grid_too_coarse():
         morse_scan(builtin_chart("cos-h"), n_h=8)
     with pytest.raises(GridTooCoarse):
         morse_scan(builtin_chart("cos-h"), n_v=1)
+
+
+def test_grid_too_large():
+    # refused before any slice is scanned: n_v slices run one at a time, and
+    # n_h * n_v bounds the samples
+    with pytest.raises(GridTooLarge) as info:
+        morse_scan(builtin_chart("cos-h"), n_v=MAX_N_V + 1)
+    assert info.value.context == {"n_v": MAX_N_V + 1, "cap": MAX_N_V}
+    with pytest.raises(GridTooLarge) as info:
+        morse_scan(builtin_chart("cos-h"), n_h=MAX_SAMPLES // 2 + 1, n_v=2)
+    assert info.value.context["cap"] == MAX_SAMPLES
 
 
 def test_unknown_chart():

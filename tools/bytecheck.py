@@ -11,7 +11,9 @@ Without HEAD the second side is this checkout's working tree.  Commands
 write their report with ``--out``; a command passes when both sides exit
 with the same code and write the same bytes.  For a command that fails,
 the first key path at which the two JSON reports differ is printed with
-both values (for example ``criteria[7].details.worst_resum_residual``).
+both values (for example ``criteria[7].details.worst_resum_residual``),
+and the largest relative difference |x - y| / max(|x|, |y|) over the float
+leaves the two reports hold at the same key path, with that path.
 The exit status is 0 when every command passes and 1 otherwise.
 
 Float reports are compared bit for bit, so both sides must run on one
@@ -278,17 +280,43 @@ def first_difference(a, b, path=""):
     return None if a == b or (a != a and b != b) else (path, a, b)
 
 
+def largest_relative_difference(a, b, path=""):
+    """(|x - y| / max(|x|, |y|), key path) over the float leaves that two
+    parsed JSON values hold at the same place, the largest first met; None
+    when they share no float leaf.  Equal leaves count as 0."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        pairs = [(a[k], b[k], f"{path}.{k}" if path else k) for k in a if k in b]
+    elif isinstance(a, list) and isinstance(b, list):
+        pairs = [(x, y, f"{path}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
+    elif type(a) is float and type(b) is float:
+        scale = max(abs(a), abs(b))
+        return (0.0 if a == b else abs(a - b) / scale if scale else math.inf), path
+    else:
+        return None
+    found = [f for f in (largest_relative_difference(x, y, p) for x, y, p in pairs) if f]
+    return max(found, key=lambda f: f[0], default=None)
+
+
 def describe_difference(a: bytes, b: bytes):
-    """One line naming where two reports differ, or None if they parse to
-    the same JSON and differ only in their bytes' layout."""
+    """Lines naming where two reports differ first and where their float
+    leaves differ most, or None if they parse to the same JSON and differ
+    only in their bytes' layout."""
     try:
-        found = first_difference(json.loads(a), json.loads(b))
+        x, y = json.loads(a), json.loads(b)
     except ValueError:
         return "not both JSON reports"
+    found = first_difference(x, y)
     if found is None:
         return None
-    path, x, y = found
-    return f"first difference at {path or '(top level)'}: {x!r} vs {y!r}"
+    path, u, v = found
+    lines = [f"first difference at {path or '(top level)'}: {u!r} vs {v!r}"]
+    largest = largest_relative_difference(x, y)
+    if largest is None or largest[0] == 0.0:
+        lines.append("no float leaf differs")
+    else:
+        lines.append(f"largest relative float difference {largest[0]:.3g} "
+                     f"at {largest[1] or '(top level)'}")
+    return f"\n{'':8} ".join(lines)
 
 
 def main(argv=None) -> int:
