@@ -8,7 +8,7 @@ from .algebra import (Algebra, BUILTIN_ALGEBRAS, builtin_algebra,
                       load_algebra, make_algebra)
 from .errors import (BadGram, BadWeights, DegreeOutOfWindow, DimMismatch,
                      GridTooCoarse, GridTooLarge, InputError, LeafTooSmall,
-                     NCHodgeError, NegativeEigenvalue, NotAComplex,
+                     NCHodgeError, NotAComplex,
                      NotIntegrable, NumericalRankAmbiguous, OutOfFloatRange,
                      PolynomialRelationViolated, ShapeMismatch,
                      SingularOnComplement, VanishingOmega, WindowTooLarge)
@@ -22,7 +22,7 @@ from .gv import godbillon_vey, gv_report
 from .hodge import (CochainComplex, abelian_cs_partition, betti_numbers,
                     decompose, direct_sum, hodge_package, laplacian_spectra,
                     load_complex, make_complex, random_complex, rs_torsion,
-                    twisted_circle_complex, zeta_det)
+                    twisted_circle_complex)
 from .morse import BUILTIN_CHARTS, LeafChart, builtin_chart, morse_scan
 from .scalars import FLOAT, GAUSSIAN, RATIONAL, ScalarField, field_for
 from .selftest import CRITERIA, run_all, run_criterion

@@ -7,6 +7,8 @@ reports can identify failures without parsing messages, plus an optional
 
 from __future__ import annotations
 
+import math
+
 
 class NCHodgeError(Exception):
     """Base class for all package errors."""
@@ -18,7 +20,9 @@ class NCHodgeError(Exception):
         self.context = context
 
     def report_entry(self) -> dict:
-        ctx = {k: v for k, v in self.context.items()}
+        # JSON has no inf or nan: a non-finite float is written as its repr
+        ctx = {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+               for k, v in self.context.items()}
         return {"code": self.code, "message": str(self), "context": ctx}
 
 
@@ -80,10 +84,6 @@ class NotAComplex(NCHodgeError):
 
 class BadGram(NCHodgeError):
     code = "hodge-classical/BadGram"
-
-
-class NegativeEigenvalue(NCHodgeError):
-    code = "hodge-classical/NegativeEigenvalue"
 
 
 class OutOfFloatRange(NCHodgeError):

@@ -479,7 +479,7 @@ def solve_in_image(A, b):
     if A.size == 0:
         return False
     Af, bf = to_complex(A), to_complex(b).reshape(A.shape[0], -1)
-    x, *_ = np.linalg.lstsq(Af, bf, rcond=None)
+    x, *_ = np.linalg.lstsq(Af, bf, None)      # cutoff eps * max(shape) on numpy 1 and 2
     resid = Af @ x - bf
     return max_abs(resid) <= IMAGE_TOL * max(1.0, max_abs(bf))
 

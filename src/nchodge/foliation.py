@@ -21,14 +21,14 @@ verifies that, and also exhibits the isomorphism: the diagonal map
 T = diag(e^{-tau phi_(k)}) pairs tau = 0 harmonics with deformed
 harmonics through a full-rank matrix U = Q_tau^H T Q_0.  Both the Betti
 numbers and the harmonic bases Q read each leaf complex's Hodge frames:
-one spectrum per degree, from the singular values of the differentials,
-cut by one rule at ``SWEEP_TOL``, whose near-kernel count is the Betti
-number and the number of eigenvectors a partial eigensolve returns for
-Q.  For each tau one deformed leaf complex is built, and solved, per
-distinct leaf function (samples whose phi does not depend on v share
-it); the tau = 0 harmonics are computed once per sweep.  At tau = 0 the deformed
-differentials are still built and checked against the leaf's bit for bit,
-and when they match the leaf complex itself, already solved, stands in.
+one rank per differential, from its singular values at ``SWEEP_TOL``,
+whose rank--nullity count is the Betti number and the number of
+eigenvectors a partial eigensolve returns for Q.  For each tau one
+deformed leaf complex is built, and solved, per distinct leaf function
+(samples whose phi does not depend on v share it); the tau = 0 harmonics
+are computed once per sweep.  At tau = 0 the deformed differentials are
+still built and checked against the leaf's bit for bit, and when they
+match the leaf complex itself, already solved, stands in.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from . import exactla
 from .errors import BadWeights, InputError, LeafTooSmall, ShapeMismatch, lookup
 from .hodge import CochainComplex, betti_numbers, make_complex
 
-SWEEP_TOL = 1e-8    # near-kernel cut of the sweep's Betti numbers and harmonic bases
+SWEEP_TOL = 1e-8    # relative rank cut of the sweep's Betti numbers and harmonic bases
 DEFAULT_TAUS = (0.0, 0.5, 1.0, 2.0, 5.0)    # the sweep's tau grid unless one is given
 
 
@@ -296,8 +296,7 @@ def witten_leaf_complex(leaf: Leaf, per_degree, tau) -> CochainComplex:
             diffs.append(row * d * col)
         if not np.all(np.isfinite(diffs[-1])):
             raise InputError(f"--tau {tau!r}: e^(tau phi) scales leaf differential {k} "
-                             f"past the float range", key="tau",
-                             tau=tau if np.isfinite(tau) else repr(tau))
+                             f"past the float range", key="tau", tau=tau)
     return make_complex(cx.dims, diffs, cx.grams,
                         name=f"{cx.name}@tau={tau}", tol=1e-9)
 

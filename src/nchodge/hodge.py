@@ -17,21 +17,21 @@ tolerance: the ``n_k`` largest of sigma(W_k)^2 and sigma(W_{k-1})^2, each
 padded with zeros to length ``n_k``; its small eigenvalues are as accurate
 as the differentials, where an eigensolve of the formed Laplacian squares
 their condition number.  Each complex builds its frames and singular
-values once, on first use, and every reader cuts a spectrum by one rule
-(``_kernel_cut``): the Betti count, the determinants, and the harmonic
-vectors, which a partial eigensolve (LAPACK's MRRR driver) of ``S``
-computes for the near-kernel only.  ``S`` is formed, once per complex,
-only for the harmonic vectors and the Betti cross-check.  A unit Gram
-(decided once per complex) has the known frame ``L = I``, and with unit
-Grams on both ends ``W_k = D_k`` and the adjoint is ``D^H``; neither is
-factored, and the results are the factored ones bit for bit.
+values once, on first use.  A unit Gram (decided once per complex) has the
+known frame ``L = I``, and with unit Grams on both ends ``W_k = D_k`` and
+the adjoint is ``D^H``; neither is factored, and the results are the
+factored ones bit for bit.
 
-Betti numbers are computed by independent routes that must agree:
-rank--nullity of the differentials, the near-kernel count of the spectrum,
-and the number of eigenvalues of ``S`` at or below the cut, counted by
-inertia (Sylvester's law) from one Bunch--Kaufman factorization of
-``S - cut I``.  Regularized determinants drop the near-kernel, multiply
-what is left, and are cross-checked against the exp-of-log-sum route.
+One rule decides the near-kernel: ``r_k``, the numerical rank of ``W_k``
+(Golub and Van Loan, *Matrix Computations*).  Its rank--nullity count
+``b_k = n_k - r_k - r_{k-1}`` is the Betti number, the number of smallest
+eigenvalues a regularized determinant drops, and the number of harmonic
+vectors a partial eigensolve (LAPACK's MRRR driver) of ``S`` returns;
+``decompose`` keeps ``r_{k-1}`` and ``r_k`` singular vectors.  ``S`` is
+formed only for the harmonic vectors and for one of the two Betti
+cross-checks, which disagree only on a real defect: the rank of each raw
+``D_k`` that is not ``W_k``, and the eigenvalues of ``S`` counted by
+inertia (Sylvester's law).
 """
 
 from __future__ import annotations
@@ -45,19 +45,12 @@ from pathlib import Path
 import numpy as np
 
 from . import exactla
-from .errors import BadGram, NegativeEigenvalue, NotAComplex, OutOfFloatRange
+from .errors import BadGram, NotAComplex, OutOfFloatRange
 from .scalars import FLOAT, field_for
 
-HODGE_TOL = 1e-9    # near-kernel cut of the hodge report and decompose
-DET_TOL = 1e-10     # near-kernel cut of torsion and the CS partition
-
-
-def _kernel_cut(eigs, rel_tol):
-    """The near-kernel rule: an eigenvalue of ``eigs`` is harmonic when it
-    is at most this cut, ``rel_tol * max |eigenvalue|``.  The cut scales
-    with the spectrum, as ``exactla.rank``'s does with the singular values,
-    and an all-zero spectrum is all harmonic."""
-    return rel_tol * float(np.abs(eigs).max()) if eigs.size else 0.0
+# relative rank cuts sigma > tol * sigma_max of each W_k
+HODGE_TOL = 1e-9    # for the hodge report and decompose
+DET_TOL = 1e-10     # for torsion and the CS partition
 
 
 @dataclass(frozen=True)
@@ -70,10 +63,6 @@ class HodgeFrame:
     chol: np.ndarray
     chol_inv: np.ndarray
     eigvals: np.ndarray
-
-    def kernel_dim(self, rel_tol):
-        """How many eigenvalues of the spectrum lie in its near-kernel."""
-        return int(np.sum(self.eigvals <= _kernel_cut(self.eigvals, rel_tol)))
 
 
 @dataclass
@@ -120,11 +109,11 @@ class CochainComplex:
 
     def harmonic_vectors(self, k, rel_tol) -> np.ndarray:
         """Orthonormal basis (in the symmetric frame) of the near-kernel of
-        ``S_k``: eigenvectors of its ``kernel_dim(rel_tol)`` smallest
-        eigenvalues, and of no others, from a partial eigensolve; cached
-        per degree and ``rel_tol``."""
+        ``S_k``: eigenvectors of its ``b_k`` smallest eigenvalues, and of
+        no others, from a partial eigensolve; cached per degree and
+        ``rel_tol``."""
         if (k, rel_tol) not in self._harmonic:
-            m = self.frame(k).kernel_dim(rel_tol)
+            m = _harmonic_dims(self, rel_tol)[k]
             if m:
                 import scipy.linalg
                 out = scipy.linalg.eigh(self.sym(k), subset_by_index=[0, m - 1])[1]
@@ -207,7 +196,8 @@ def validate_complex(cx: CochainComplex, tol=1e-12):
     for k, g in enumerate(cx.grams):
         if cx.unit_gram(k):
             continue
-        herm = exactla.max_abs(g - g.conj().T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            herm = exactla.max_abs(g - g.conj().T)
         if herm > tol * max(1.0, exactla.max_abs(g)):
             raise BadGram(f"Gram at degree {k} is not Hermitian", degree=k, residual=herm)
         if g.shape[0]:
@@ -331,14 +321,22 @@ def _spectrum(s_out, s_in, n):
 def _build_frames(cx: CochainComplex):
     """Every degree's frame, and the singular values of every ``W_k``: with
     unit Grams on both ends ``W_k`` is ``D_k``, else it is formed from the
-    Cholesky factors."""
+    Cholesky factors.  A squared singular value must be a float."""
     factors = [_cholesky(cx, k) for k in range(cx.top + 1)]
     singular = []
     for k, d in enumerate(cx.diffs):
         w = d
         if not (cx.unit_gram(k) and cx.unit_gram(k + 1)):
-            w = factors[k + 1][0].conj().T @ d @ factors[k][1].conj().T
-        s = np.linalg.svd(w, compute_uv=False) if w.size else np.zeros(0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = factors[k + 1][0].conj().T @ d @ factors[k][1].conj().T
+        s = np.zeros(0)
+        if w.size and np.isfinite(w).all():
+            s = np.linalg.svd(w, compute_uv=False)
+        # D is finite: a W entry (and so sigma_max) past the float range is inf or nan
+        top = float(s[0]) if s.size else math.inf if w.size else 0.0
+        if math.isinf(top * top):
+            raise OutOfFloatRange(f"eigenvalue sigma_max(W_{k})^2 is past the float range",
+                                  quantity="eigenvalue", degree=k, log_value=2 * math.log(top))
         s.setflags(write=False)
         singular.append(s)
     frames = []
@@ -393,57 +391,70 @@ def laplacian_spectra(cx: CochainComplex) -> list:
     return [cx.frame(k).eigvals for k in range(cx.top + 1)]
 
 
-def _rank(cx: CochainComplex, k, rel_tol):
-    """Numerical rank of D_k: read off the frames' singular values when
-    ``W_k`` is ``D_k`` (unit Grams on both ends), else by its own SVD."""
-    if cx.unit_gram(k) and cx.unit_gram(k + 1):
-        return exactla.rank_of_singular_values(cx.singular_values(k), rel_tol)
-    return exactla.rank(cx.diffs[k], rel_tol)
+def _ranks(cx: CochainComplex, rel_tol):
+    """``[0, r_0, ..., r_{m-1}, 0]``, the numerical rank of each ``W_k`` (the
+    one near-kernel rule), padded so that r_{k-1} and r_k sit at k and k + 1."""
+    return [0, *(exactla.rank_of_singular_values(cx.singular_values(k), rel_tol)
+                 for k in range(cx.top)), 0]
+
+
+def _harmonic_dims(cx: CochainComplex, rel_tol):
+    """``b_k = n_k - r_k - r_{k-1}`` per degree."""
+    ranks = _ranks(cx, rel_tol)
+    return tuple(n - ranks[k] - ranks[k + 1] for k, n in enumerate(cx.dims))
 
 
 def betti_numbers(cx: CochainComplex, rel_tol=HODGE_TOL):
-    """Betti numbers by routes that must agree: rank--nullity of the
-    differentials, the near-kernel count of each spectrum, and the number
-    of eigenvalues of ``S_k`` at or below the same cut, counted by inertia."""
-    ranks = [_rank(cx, k, rel_tol) for k in range(cx.top)]
-    out = []
-    for k in range(cx.top + 1):
-        frame = cx.frame(k)
-        spectral = frame.kernel_dim(rel_tol)
-        harmonic = _count_at_most(cx.sym(k), _kernel_cut(frame.eigvals, rel_tol))
-        r_out = ranks[k] if k < cx.top else 0
-        r_in = ranks[k - 1] if k >= 1 else 0
-        algebraic = cx.dims[k] - r_out - r_in
-        if not harmonic == spectral == algebraic:
-            raise AssertionError(
-                f"Betti routes disagree at degree {k}: harmonic kernel {harmonic}, "
-                f"rank-nullity {algebraic}, spectrum {spectral}")
-        out.append(spectral)
-    return tuple(out)
+    """``b_k`` from the ranks of the ``W_k``, checked against the rank of
+    each raw ``D_k`` that is not ``W_k``, and against the eigenvalues of the
+    formed ``S_k`` at or below the midpoint of the gap between its b_k-th
+    and next eigenvalue, counted by inertia.  Forming ``S_k`` moves its
+    eigenvalues by up to ``16 n_k eps lambda_max`` (the bound the spectra
+    test states), so ``S_k`` cannot resolve a smaller gap, which the
+    singular values still can: there the check does not run."""
+    ranks = _ranks(cx, rel_tol)
+    for k, d in enumerate(cx.diffs):
+        if cx.unit_gram(k) and cx.unit_gram(k + 1):
+            continue                                # W_k is D_k
+        plain = exactla.rank(d, rel_tol)
+        if plain != ranks[k + 1]:
+            raise AssertionError(f"Betti routes disagree at differential {k}: "
+                                 f"rank {ranks[k + 1]} of W, {plain} of D")
+    betti = _harmonic_dims(cx, rel_tol)
+    for k, (n, b) in enumerate(zip(cx.dims, betti)):
+        eigs = cx.frame(k).eigvals
+        low = eigs[b - 1] if b else 0.0
+        if b < n and eigs[b] - low > 16 * n * np.finfo(float).eps * eigs[-1]:
+            harmonic = _count_at_most(cx.sym(k), (low + eigs[b]) / 2)
+            if harmonic != b:
+                raise AssertionError(f"Betti routes disagree at degree {k}: "
+                                     f"rank-nullity {b}, harmonic kernel {harmonic}")
+    return betti
 
 
 def decompose(cx: CochainComplex, k, v):
     """Hodge decomposition of a cochain v at degree k into
-    (harmonic, exact, coexact), orthogonal for the Gram product."""
+    (harmonic, exact, coexact), orthogonal for the Gram product; the exact
+    and coexact pieces are spanned by the first r_{k-1} left singular
+    vectors of ``L^H D_{k-1}`` and the first r_k of ``W_k^H``."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.shape[0] != cx.dims[k]:
         raise NotAComplex(f"cochain length {v.shape[0]} != dim {cx.dims[k]} at degree {k}")
     import scipy.linalg
-    frame = cx.frame(k)
-    L = frame.chol
+    ranks = _ranks(cx, HODGE_TOL)
+    L = cx.frame(k).chol
     u = L.conj().T @ v
     hvecs = cx.harmonic_vectors(k, HODGE_TOL)
     proj_h = hvecs @ (hvecs.conj().T @ u)
     proj_e = np.zeros_like(u)
-    if k >= 1 and cx.dims[k - 1]:
-        M = L.conj().T @ cx.diffs[k - 1]
-        q = scipy.linalg.orth(M, rcond=HODGE_TOL)
+    if ranks[k]:
+        q = scipy.linalg.svd(L.conj().T @ cx.diffs[k - 1], full_matrices=False)[0][:, :ranks[k]]
         proj_e = q @ (q.conj().T @ u)
     proj_c = np.zeros_like(u)
-    if k < cx.top and cx.dims[k + 1]:
-        lup = cx.frame(k + 1).chol
-        N = scipy.linalg.solve_triangular(L, cx.diffs[k].conj().T @ lup, lower=True)
-        q = scipy.linalg.orth(N, rcond=HODGE_TOL)
+    if ranks[k + 1]:
+        N = scipy.linalg.solve_triangular(L, cx.diffs[k].conj().T @ cx.frame(k + 1).chol,
+                                          lower=True)
+        q = scipy.linalg.svd(N, full_matrices=False)[0][:, :ranks[k + 1]]
         proj_c = q @ (q.conj().T @ u)
     resid = exactla.max_abs(proj_h + proj_e + proj_c - u)
     if resid > 1e-8 * max(1.0, exactla.max_abs(u)):
@@ -454,17 +465,6 @@ def decompose(cx: CochainComplex, k, v):
     return linvh @ proj_h, linvh @ proj_e, linvh @ proj_c
 
 
-def _nonzero_spectrum(eigs, rel_tol):
-    """Eigenvalues outside the near-kernel; a negative one is an error."""
-    eigs = np.asarray(eigs, dtype=float)
-    cut = _kernel_cut(eigs, rel_tol)
-    if np.any(eigs < -cut):
-        raise NegativeEigenvalue(
-            "Laplacian spectrum has a negative eigenvalue",
-            value=float(eigs.min()), cutoff=-cut)
-    return eigs[eigs > cut]
-
-
 def _in_float_range(quantity, log_value):
     """``log_value``, unless the exponential of it is past the float range."""
     if log_value > math.log(sys.float_info.max):
@@ -473,11 +473,12 @@ def _in_float_range(quantity, log_value):
     return log_value
 
 
-def _log_det(eigs, rel_tol):
-    """(log det', det') of one spectrum: the sum of the logs of the
-    eigenvalues outside the near-kernel, and its exponential, cross-checked
-    against their plain product.  Empty or all-kernel spectra give (0, 1)."""
-    positive = _nonzero_spectrum(eigs, rel_tol)
+def _log_det(eigs, harmonic):
+    """(log det', det') of one ascending spectrum: the sum of the logs of
+    the eigenvalues above its ``harmonic`` smallest, and its exponential,
+    cross-checked against their plain product.  Empty or all-harmonic
+    spectra give (0, 1)."""
+    positive = eigs[harmonic:]
     if positive.size == 0:
         return 0.0, 1.0
     log_det = float(np.sum(np.log(positive)))
@@ -489,23 +490,18 @@ def _log_det(eigs, rel_tol):
     return log_det, det
 
 
-def zeta_det(eigs, rel_tol=DET_TOL) -> float:
-    """Regularized determinant: product of the eigenvalues outside the
-    near-kernel.  Empty or all-kernel spectra give 1."""
-    return _log_det(eigs, rel_tol)[1]
-
-
 def rs_torsion(cx: CochainComplex) -> dict:
     """Analytic torsion from the Laplacian spectra:
     log T = (1/2) * sum_k (-1)^k * k * log det' Delta_k."""
-    log_dets, dets = map(list, zip(*(_log_det(s, DET_TOL) for s in laplacian_spectra(cx))))
+    betti = betti_numbers(cx, DET_TOL)
+    log_dets, dets = map(list, zip(*map(_log_det, laplacian_spectra(cx), betti)))
     log_t = 0.5 * sum((-1) ** k * k * ld for k, ld in enumerate(log_dets))
     return {"log_torsion": log_t,
             "torsion": math.exp(_in_float_range("torsion", log_t)),
             "log_det_prime": log_dets,
             "det_prime": dets,
             "zeta_prime_at_zero": log_dets,
-            "betti": list(betti_numbers(cx, DET_TOL))}
+            "betti": list(betti)}
 
 
 def abelian_cs_partition(cx: CochainComplex) -> dict:
@@ -513,7 +509,8 @@ def abelian_cs_partition(cx: CochainComplex) -> dict:
     and degree-1 Laplacians: Z = det' Delta_1 ^ (-1/4) * det' Delta_0 ^ (3/4)."""
     if cx.top < 1:
         raise NotAComplex("partition function needs degrees 0 and 1")
-    (ld0, d0), (ld1, d1) = (_log_det(s, DET_TOL) for s in laplacian_spectra(cx)[:2])
+    betti = _harmonic_dims(cx, DET_TOL)
+    (ld0, d0), (ld1, d1) = map(_log_det, laplacian_spectra(cx)[:2], betti)
     log_z = -0.25 * ld1 + 0.75 * ld0
     return {"log_Z": float(log_z), "Z": math.exp(_in_float_range("Z", log_z)),
             "log_det_prime": [ld0, ld1], "det_prime": [d0, d1]}
@@ -528,7 +525,7 @@ def hodge_package(cx: CochainComplex) -> dict:
             "betti": list(betti),
             "euler_characteristic": cx.euler_characteristic(),
             "spectra": [[float(v) for v in s] for s in spectra],
-            "det_prime": [zeta_det(s, HODGE_TOL) for s in spectra],
+            "det_prime": [_log_det(s, b)[1] for s, b in zip(spectra, betti)],
             "harmonic_dims": list(betti)}
 
 

@@ -433,6 +433,9 @@ def _circle(grams):
 _SMALL_D1 = {"dims": [0, 160, 160],
              "differentials": [[[]] * 160, (np.exp(-11.0) * np.eye(160)).tolist()]}
 
+# sigma = 1e200: sigma^2 is past the float range, 2 log sigma is not
+_HUGE_SIGMA = {"dims": [2, 2], "differentials": [[[1e200, 0], [0, 1]]]}
+
 
 @pytest.mark.parametrize("command,data,quantity", [
     # Grams (1e-3, 1): det' = e^885 in both degrees
@@ -442,6 +445,9 @@ _SMALL_D1 = {"dims": [0, 160, 160],
     # Grams (1, 8e-6): det' = e^-1501 is 0.0, and T = e^750
     ("torsion", _circle([1, 8e-6]), "torsion"),
     ("cs-partition", _SMALL_D1, "Z"),
+    ("hodge", _HUGE_SIGMA, "eigenvalue"),
+    ("torsion", _HUGE_SIGMA, "eigenvalue"),
+    ("cs-partition", _HUGE_SIGMA, "eigenvalue"),
 ])
 def test_value_past_the_float_range_is_a_coded_error(tmp_path, capsys, command, data,
                                                      quantity):
@@ -456,20 +462,59 @@ def test_value_past_the_float_range_is_a_coded_error(tmp_path, capsys, command, 
     payload = json.loads(streams.err)
     assert payload["code"] == "hodge-classical/OutOfFloatRange"
     assert payload["context"]["quantity"] == quantity
+    assert math.isfinite(payload["context"]["log_value"])
     assert payload["context"]["log_value"] > math.log(sys.float_info.max)
+
+
+def test_gram_with_an_overflowing_asymmetry_is_a_coded_error(tmp_path, capsys):
+    # g - g^H overflows to inf, which the payload writes as a string
+    src = tmp_path / "cx.json"
+    src.write_text(json.dumps({"dims": [2, 1], "differentials": [[[0, 0]]],
+                               "gram": [[[1, 1e308], [-1e308, 1]], None]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["hodge", "--complex", str(src)]) == 1
+    assert caught == []
+    streams = capsys.readouterr()
+    assert streams.out == "" and "Traceback" not in streams.err
+    payload = json.loads(streams.err)
+    assert payload["code"] == "hodge-classical/BadGram"
+    assert payload["context"] == {"degree": 0, "residual": "inf"}
+
+
+def _diag(*sigma):
+    return {"dims": [len(sigma)] * 2, "differentials": [np.diag(sigma).tolist()]}
 
 
 @pytest.mark.parametrize("data,betti", [
     ({"dims": [1, 1], "differentials": [[[1e-5]]]}, [0, 0]),
     (_SMALL_D1, [0, 0, 0]),
+    # sigma / sigma_max between tol and sqrt(tol): rank, though sigma^2 is not
+    # above tol times the largest eigenvalue
+    (_diag(1, 1e-6), [0, 0]),
+    # Delta_1 mixes a unit D_0 with a large D_1; each rank is cut against its
+    # own differential
+    ({"dims": [1, 2, 1], "differentials": [[[1], [0]], [[0, 1e6]]]}, [0, 0, 0]),
+    # sigma^2 = 1e-16 is closer to 0 than the formed Laplacian can resolve,
+    # so only the rank decides
+    (_diag(1, 1e-8), [0, 0]),
 ])
 def test_small_differentials_are_not_harmonic(tmp_path, capsys, data, betti):
-    # the near-kernel cut scales with the spectrum: a Laplacian whose
-    # eigenvalues are all small but equal has no harmonic part
+    # each differential's rank is cut against its own largest singular
+    # value, so no small but nonzero singular value is harmonic
     src = tmp_path / "cx.json"
     src.write_text(json.dumps(data))
-    assert run(["hodge", "--complex", str(src)]) == 0
-    assert json.loads(capsys.readouterr().out)["betti"] == betti
+    for command in ("hodge", "torsion"):
+        assert run([command, "--complex", str(src)]) == 0
+        assert json.loads(capsys.readouterr().out)["betti"] == betti
+
+
+def test_cs_partition_keeps_a_small_singular_value(tmp_path, capsys):
+    src = tmp_path / "cx.json"
+    src.write_text(json.dumps(_diag(1, 1e-6)))
+    assert run(["cs-partition", "--complex", str(src)]) == 0
+    assert json.loads(capsys.readouterr().out)["det_prime"] == pytest.approx([1e-12] * 2,
+                                                                            rel=1e-12)
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,6 +1,7 @@
 """Classical finite-complex side: Betti numbers, torsion, determinants."""
 
 import copy
+import itertools
 import json
 import math
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nchodge as nc
-from nchodge.errors import BadGram, NCHodgeError, NegativeEigenvalue, NotAComplex
+from nchodge.errors import BadGram, NCHodgeError, NotAComplex
 from nchodge.hodge import complex_to_json, load_complex
 from nchodge.scalars import FLOAT, field_for
 from test_algebra import _SCALARS, _TREES
@@ -139,16 +140,38 @@ def _near_kernel_cases():
         yield nc.builtin_model(name).leaf.complex
 
 
-def test_near_kernel_rule_agrees_across_its_readers():
+def _tolerances():
     from nchodge.foliation import SWEEP_TOL
-    from nchodge.hodge import DET_TOL, HODGE_TOL, _nonzero_spectrum
+    from nchodge.hodge import DET_TOL, HODGE_TOL
+    return HODGE_TOL, DET_TOL, SWEEP_TOL
+
+
+def _padded_ranks(cx, tol):
+    """[0, r_0, ..., r_{m-1}, 0]: the rank of each W_k by the one rule, so
+    r_{k-1} and r_k sit at k and k + 1."""
+    from nchodge.exactla import rank_of_singular_values
+    return [0, *(rank_of_singular_values(cx.singular_values(k), tol)
+                 for k in range(cx.top)), 0]
+
+
+def test_near_kernel_rule_agrees_across_its_readers():
+    # one rank per W_k sizes the Betti number, the harmonic vectors and the
+    # eigenvalues that det' drops: the b_k smallest, all of them positive
+    from nchodge.hodge import _log_det
     for cx in _near_kernel_cases():
-        for tol in (HODGE_TOL, DET_TOL, SWEEP_TOL):
+        for tol in _tolerances():
             betti = nc.betti_numbers(cx, tol)
-            for k in range(cx.top + 1):
+            ranks = _padded_ranks(cx, tol)
+            for k, n in enumerate(cx.dims):
+                assert betti[k] == n - ranks[k] - ranks[k + 1]
                 assert betti[k] == cx.harmonic_vectors(k, tol).shape[1]
-                outside = _nonzero_spectrum(cx.frame(k).eigvals, tol).size
-                assert betti[k] + outside == cx.dims[k]
+                kept = cx.frame(k).eigvals[betti[k]:]
+                assert kept.size == ranks[k] + ranks[k + 1] and np.all(kept > 0)
+        report = nc.hodge_package(cx)
+        torsion = nc.rs_torsion(cx)
+        for k, eigs in enumerate(nc.laplacian_spectra(cx)):
+            assert report["det_prime"][k] == _log_det(eigs, report["betti"][k])[1]
+            assert torsion["det_prime"][k] == _log_det(eigs, torsion["betti"][k])[1]
 
 
 def _harmonic_cases():
@@ -164,19 +187,24 @@ def _harmonic_cases():
 
 
 def test_harmonic_vectors_span_the_near_kernel_and_nothing_else():
-    from nchodge.foliation import SWEEP_TOL
-    from nchodge.hodge import DET_TOL, HODGE_TOL, _kernel_cut
+    # the b_k smallest eigenvalues of the spectrum are at most tol^2 lambda_max
+    # (the largest squared singular value the rank drops, or 0); forming S
+    # and eigensolving it add O(n eps lambda_max), which 32 n eps bounds
+    # with the margin of the spectra test
+    eps = np.finfo(float).eps
     for cx in _harmonic_cases():
-        for tol in (HODGE_TOL, DET_TOL, SWEEP_TOL):
+        for tol in _tolerances():
             betti = nc.betti_numbers(cx, tol)
-            for k in range(cx.top + 1):
-                frame = cx.frame(k)
+            for k, n in enumerate(cx.dims):
+                eigs = cx.frame(k).eigvals
                 q = cx.harmonic_vectors(k, tol)
-                assert q.shape == (cx.dims[k], betti[k])
+                assert q.shape == (n, betti[k])
                 assert not q.flags.writeable
                 assert np.linalg.norm(q.conj().T @ q - np.eye(betti[k])) <= 1e-12
                 if betti[k]:
-                    assert np.linalg.norm(cx.sym(k) @ q, 2) <= _kernel_cut(frame.eigvals, tol)
+                    assert eigs[betti[k] - 1] <= tol ** 2 * eigs[-1]
+                    bound = eigs[betti[k] - 1] + 32 * n * eps * eigs[-1]
+                    assert np.linalg.norm(cx.sym(k) @ q, 2) <= bound
 
 
 def test_acyclic_complex_has_no_harmonic_vectors():
@@ -217,15 +245,33 @@ def test_each_gram_is_tested_for_the_identity_once(monkeypatch):
 
 
 def test_betti_numbers_do_not_depend_on_the_scale_of_the_differentials():
-    from nchodge.foliation import SWEEP_TOL
-    from nchodge.hodge import DET_TOL, HODGE_TOL
     rng = np.random.default_rng(101)
     for _ in range(8):
         cx, expected = nc.random_complex(rng)
         for scale in (1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4):
             scaled = nc.make_complex(cx.dims, [scale * d for d in cx.diffs], cx.grams)
-            for tol in (HODGE_TOL, DET_TOL, SWEEP_TOL):
+            for tol in _tolerances():
                 assert nc.betti_numbers(scaled, tol) == expected, (scale, tol)
+
+
+def test_betti_numbers_do_not_depend_on_the_scale_of_each_differential():
+    # each differential scaled by its own factor is still a complex with the
+    # same Betti numbers; a Laplacian mixes two differentials, so a cut
+    # against the larger one would call the smaller one's image harmonic.
+    # The complexes: criterion 8's generator, 50 draws, two or more
+    # differentials
+    rng = np.random.default_rng(101)
+    cases = 0
+    for cx, expected in (nc.random_complex(rng) for _ in range(50)):
+        if cx.top < 2:
+            continue
+        for scales in itertools.product((1e-3, 1.0, 1e3), repeat=cx.top):
+            scaled = nc.make_complex(cx.dims, [s * d for s, d in zip(scales, cx.diffs)],
+                                     cx.grams)
+            for tol in _tolerances():
+                assert nc.betti_numbers(scaled, tol) == expected, (scales, tol)
+                cases += 1
+    assert cases == 1701
 
 
 def test_decompose_orthogonal_and_resums():
@@ -365,12 +411,37 @@ def test_identity_gram_past_memory_is_not_a_complex(monkeypatch, gram):
     assert exc.value.context == {"key": "dims", "degree": 1}
 
 
-def test_zeta_det_guards():
-    assert nc.zeta_det(np.zeros(4)) == 1.0
-    assert nc.zeta_det(np.array([])) == 1.0
-    assert nc.zeta_det(np.array([2.0, 3.0])) == pytest.approx(6.0)
-    with pytest.raises(NegativeEigenvalue):
-        nc.zeta_det(np.array([-1.0, 2.0]))
+def test_det_prime_guards():
+    # det' drops the b_k smallest eigenvalues: an empty or all-harmonic
+    # degree gives 1, and the spectrum is of squares, so never negative
+    from nchodge.hodge import _log_det
+    assert _log_det(np.zeros(4), 4) == (0.0, 1.0)
+    assert _log_det(np.zeros(0), 0) == (0.0, 1.0)
+    assert _log_det(np.array([0.0, 2.0, 3.0]), 1)[1] == pytest.approx(6.0)
+    for cx, betti, det in [
+            (nc.make_complex((2, 2), [np.zeros((2, 2))]), [2, 2], [1.0, 1.0]),
+            (nc.make_complex((0, 3, 3), [np.zeros((3, 0)), np.eye(3)]), [0, 0, 0],
+             [1.0, 1.0, 1.0]),
+            (nc.make_complex((2, 2), [np.diag([2.0 ** 0.5, 3.0 ** 0.5])]), [0, 0],
+             [6.0, 6.0])]:
+        report = nc.hodge_package(cx)
+        assert report["betti"] == betti and all(min(s, default=0) >= 0 for s in report["spectra"])
+        assert report["det_prime"] == pytest.approx(det)
+        assert nc.rs_torsion(cx)["det_prime"] == pytest.approx(det)
+        assert nc.abelian_cs_partition(cx)["det_prime"] == pytest.approx(det[:2])
+
+
+def test_gram_weighted_differential_past_the_float_range_is_a_coded_error():
+    # W_0 = 1e150 * 1e300 * 1e150 overflows, so sigma_max^2 has no finite
+    # log; the CLI test covers a finite one
+    import warnings
+    from nchodge.errors import OutOfFloatRange
+    data = {"dims": [1, 1], "differentials": [[[1e300]]], "gram": [1e-300, 1e300]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfFloatRange) as exc:
+            nc.laplacian_spectra(load_complex(data))
+    assert exc.value.context == {"quantity": "eigenvalue", "degree": 0, "log_value": math.inf}
 
 
 def test_complex_json_roundtrip(tmp_path):

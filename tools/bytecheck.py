@@ -32,7 +32,11 @@ and, on inputs written to the temporary directory, ``hodge``/``torsion``/
 64-site one with Grams (2, 1/2), whose frames take the factored route, on a
 32-site one with dense Hermitian Grams stored as [re, im] matrices, and on
 a real 5x4 torus stored as bare numbers with Grams (null, 2, 1/2) (the two
-layouts the float parser converts in one call),
+layouts the float parser converts in one call), on diag(1, 1e-6), whose
+small singular value is rank though its square is below the cut of a
+squared spectrum, on the 1-2-1 complex D_0 = (1, 0)^T, D_1 = (0, 1e6),
+whose degree-1 Laplacian mixes differentials of very different sizes, and
+on diag(1e200, 1), whose squared singular value is past the float range,
 ``witten-sweep --phi cos-hv`` on ``circle_leaves.json`` and on a
 torus-leaves model with metric scale 2 (cos-hv varies along the
 transversal, so every sample builds its own complex), ``gv`` on a
@@ -73,6 +77,9 @@ CIRCLE = "circle-256.json"
 CIRCLE_GRAM = "circle-64-gram.json"
 CIRCLE_HERMITIAN = "circle-32-hermitian.json"
 TORUS_REAL = "torus-5x4-real.json"
+CUT_SMALL = "cut-diag-1e-6.json"
+CUT_MIXED = "cut-1-2-1.json"
+HUGE_SIGMA = "sigma-1e200.json"
 TORUS_SCALED = "torus-leaves-scale-2.json"
 OMEGA = "omega-dg.json"
 M2_GAUSSIAN = "m2-gaussian.json"
@@ -92,7 +99,7 @@ COMMANDS = (
        for alg in ("m2.json", "z3.json") for mode in ("gaussian", "float")]
     + [[cmd, "--complex", cx]
        for cx in ("circle_alpha_-1_N8.json", CIRCLE, CIRCLE_GRAM, CIRCLE_HERMITIAN,
-                  TORUS_REAL)
+                  TORUS_REAL, CUT_SMALL, CUT_MIXED, HUGE_SIGMA)
        for cmd in ("hodge", "torsion", "cs-partition")]
     + [["witten-sweep", "--model", model, "--phi", phi]
        for model in ("circle_leaves.json", "torus_leaves.json")
@@ -336,6 +343,11 @@ def main(argv=None) -> int:
         hermitian["gram"] = [hermitian_gram(32, 0.3), hermitian_gram(32, 0.7)]
         (work / CIRCLE_HERMITIAN).write_text(json.dumps(hermitian))
         (work / TORUS_REAL).write_text(json.dumps(torus_json(5, 4)))
+        for name, dims, diffs in (
+                (CUT_SMALL, [2, 2], [[[1, 0], [0, 1e-6]]]),
+                (CUT_MIXED, [1, 2, 1], [[[1], [0]], [[0, 1e6]]]),
+                (HUGE_SIGMA, [2, 2], [[[1e200, 0], [0, 1]]])):
+            (work / name).write_text(json.dumps({"dims": dims, "differentials": diffs}))
         (work / TORUS_SCALED).write_text(json.dumps({
             "name": "torus-leaves-scale-2", "leaf": {"type": "torus", "nx": 8, "ny": 8},
             "transversal": [{"v": 0.0, "weight": 0.3}, {"v": 0.5, "weight": 0.7}],
