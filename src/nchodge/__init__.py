@@ -7,8 +7,8 @@ __version__ = "0.1.0"
 from .algebra import (Algebra, BUILTIN_ALGEBRAS, builtin_algebra,
                       load_algebra, make_algebra)
 from .errors import (BadGram, BadWeights, DegreeOutOfWindow, DimMismatch,
-                     GridTooCoarse, GridTooLarge, InputError, LeafTooSmall,
-                     NCHodgeError, NotAComplex,
+                     GridTooCoarse, GridTooLarge, InputError, LeafTooLarge,
+                     LeafTooSmall, NCHodgeError, NotAComplex,
                      NotIntegrable, NumericalRankAmbiguous, OutOfFloatRange,
                      PolynomialRelationViolated, ShapeMismatch,
                      SingularOnComplement, VanishingOmega, WindowTooLarge)

@@ -30,8 +30,8 @@ from .foliation import (BUILTIN_MODELS, DEFAULT_TAUS, PHI_PROFILES,
 from .forms import (FLOAT_IDENTITY_TOL, build_window, operator_matrices,
                     window_identity_residuals)
 from .gv import BUILTIN_OMEGAS, DERIVATIVES, gv_report
-from .hodge import (abelian_cs_partition, hodge_package, laplacian_spectra,
-                    load_complex, rs_torsion)
+from .hodge import (abelian_cs_partition, complex_source, hodge_package,
+                    laplacian_spectra, load_complex, rs_torsion)
 from .morse import BUILTIN_CHARTS, builtin_chart, morse_scan
 from .scalars import MODES, RATIONAL
 from .selftest import run_all
@@ -70,23 +70,33 @@ def _bundled_names():
     return sorted(p.name for p in root.iterdir() if p.name.endswith(".json"))
 
 
-def _load_json_source(value, what):
-    """Resolve a CLI file argument: real path first, then bundled data.
-    The JSON top level must be an object."""
+def _source_text(value, what):
+    """The text and stem of a CLI file argument: real path first, then
+    bundled data."""
     path = Path(value)
     if path.is_file():
-        data, stem = json.loads(path.read_text()), path.stem
-    else:
-        found = _bundled(value)
-        if found is None:
-            raise InputError(
-                f"cannot find {what} {value!r}: neither a file nor bundled data",
-                available=_bundled_names())
-        data, stem = json.loads(found.read_text()), Path(found.name).stem
+        return path.read_text(), path.stem
+    found = _bundled(value)
+    if found is None:
+        raise InputError(
+            f"cannot find {what} {value!r}: neither a file nor bundled data",
+            available=_bundled_names())
+    return found.read_text(), Path(found.name).stem
+
+
+def _json_object(data, value, what):
+    """``data``, which must be a JSON object."""
     if not isinstance(data, dict):
         raise InputError(f"{what} {value!r} must hold a JSON object, "
                          f"not {type(data).__name__}")
-    return data, stem
+    return data
+
+
+def _load_json_source(value, what):
+    """Resolve and parse a CLI file argument, whose JSON top level must be an
+    object."""
+    text, stem = _source_text(value, what)
+    return _json_object(json.loads(text), value, what), stem
 
 
 def _algebra_arg(value, scalar_mode):
@@ -100,7 +110,9 @@ def _algebra_arg(value, scalar_mode):
 
 
 def _complex_arg(value):
-    data, stem = _load_json_source(value, "complex")
+    # as _load_json_source, with the float matrices read in bulk when proven safe
+    text, stem = _source_text(value, "complex")
+    data = _json_object(complex_source(text), value, "complex")
     data.setdefault("name", stem)
     return load_complex(data)
 

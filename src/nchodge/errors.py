@@ -100,6 +100,8 @@ class LeafTooSmall(NCHodgeError):
     code = "tangential/LeafTooSmall"
 
 
+
+
 class GridTooCoarse(NCHodgeError):
     code = "tangential/GridTooCoarse"
 
@@ -122,6 +124,11 @@ class InputError(NCHodgeError, ValueError):
     # also a ValueError, so callers that catch ValueError around a name
     # lookup (see ``lookup``) keep working
     code = "cli/InputError"
+
+
+class LeafTooLarge(InputError):
+    # an InputError too, as the allocation failure it forestalls used to be
+    code = "tangential/LeafTooLarge"
 
 
 def lookup(table, name, what, **context):

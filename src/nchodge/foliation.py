@@ -40,11 +40,15 @@ from pathlib import Path
 import numpy as np
 
 from . import exactla
-from .errors import BadWeights, InputError, LeafTooSmall, ShapeMismatch, lookup
+from .errors import (BadWeights, InputError, LeafTooLarge, LeafTooSmall, ShapeMismatch,
+                     lookup)
 from .hodge import CochainComplex, betti_numbers, make_complex
 
 SWEEP_TOL = 1e-8    # relative rank cut of the sweep's Betti numbers and harmonic bases
 DEFAULT_TAUS = (0.0, 0.5, 1.0, 2.0, 5.0)    # the sweep's tau grid unless one is given
+# entries of a leaf's largest dense differential: 256 MB of complex128, a
+# 4096-site circle or a 53 x 53 torus
+MAX_LEAF_ENTRIES = 2 ** 24
 
 
 @dataclass
@@ -78,10 +82,20 @@ def _zeros(shape):
                          key="leaf") from None
 
 
+def _dense_cap(entries, **context):
+    """A coded error, raised before anything is allocated, when a leaf's
+    largest dense differential has more than ``MAX_LEAF_ENTRIES`` entries."""
+    if entries > MAX_LEAF_ENTRIES:
+        raise LeafTooLarge(f"leaf differential of {entries} dense entries is past the cap "
+                           f"of {MAX_LEAF_ENTRIES}", key="leaf", cap=MAX_LEAF_ENTRIES,
+                           **context)
+
+
 def circle_leaf(n) -> Leaf:
     """Cycle graph on n sites: D0 is the forward difference; Betti (1, 1)."""
     if n < 3:
         raise LeafTooSmall(f"circle leaf needs at least 3 sites, got {n}", key="leaf", sites=n)
+    _dense_cap(n * n, sites=n)
     d0 = _zeros((n, n))
     for j in range(n):
         d0[j, (j + 1) % n] = 1.0
@@ -101,6 +115,7 @@ def torus_leaf(nx, ny=None) -> Leaf:
         raise LeafTooSmall(f"torus leaf needs at least 3 sites per axis, got {nx}x{ny}",
                            key="leaf", nx=nx, ny=ny)
     nv = nx * ny
+    _dense_cap(2 * nv * nv, nx=nx, ny=ny)
     ne = 2 * nv
 
     def v(i, j):

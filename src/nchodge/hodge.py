@@ -46,7 +46,7 @@ import numpy as np
 
 from . import exactla
 from .errors import BadGram, NotAComplex, OutOfFloatRange
-from .scalars import FLOAT, field_for
+from .scalars import FLOAT, field_for, float_span
 
 # relative rank cuts sigma > tol * sigma_max of each W_k
 HODGE_TOL = 1e-9    # for the hodge report and decompose
@@ -210,26 +210,94 @@ def validate_complex(cx: CochainComplex, tol=1e-12):
 
 def _parse_matrix(node, shape, error, key, k):
     """Matrix ``k`` under ``key``; a parse failure is ``error`` naming both."""
+    if type(node) is np.ndarray and node.shape == shape:    # read by complex_source
+        return node
     try:
         return field_for(FLOAT).matrix_from_json(node, shape)
     except TypeError as exc:
         raise error(f"{key}[{k}]: {exc}", key=key, degree=k) from None
 
 
+def _valid_dims(dims):
+    # one or more, each n x n complex matrix within numpy's size limit
+    return isinstance(dims, (list, tuple)) and dims and all(
+        type(n) is int and n >= 0 and 16 * n * n <= np.iinfo(np.intp).max for n in dims)
+
+
+def _bulk_source(text):
+    """``json.loads(text)`` of a complex file's text with every matrix under
+    ``differentials`` and ``gram`` already a complex128 array, each read from
+    its own span of the text by ``scalars.float_span``, so without a Python
+    list per entry; None when the reader cannot prove that ``load_complex``
+    would read the same from the full parse.
+
+    A matrix is an array two brackets deep.  Each is cut out of the text
+    and replaced by a placeholder string, and the small rest is parsed by
+    ``json``.  The reader declines on text that is not ASCII (a BOM among
+    it), holds an escape or more than one brace, or has a bracket or brace
+    inside a string; on dims that ``load_complex`` rejects; on a matrix
+    that no differentials or gram slot claims (one under a duplicate key,
+    say); and on any matrix that ``float_span`` declines."""
+    if not text.isascii() or "\\" in text or text.count("{") != 1:
+        return None
+    raw = text.encode("ascii")
+    strings = b'"'.join(raw.split(b'"')[1::2])
+    if any(c in strings for c in (b"[", b"]", b"{", b"}")):
+        return None
+    chars = np.frombuffer(raw, np.uint8)
+    at = np.flatnonzero((chars == ord("[")) | (chars == ord("]")))
+    opens = chars[at] == ord("[")
+    depth = np.cumsum(np.where(opens, 1, -1))
+    if depth.size and (depth.min() < 0 or depth[-1]):
+        return None
+    pieces, spans, last = [], [], 0
+    for i, (start, end) in enumerate(zip(at[opens & (depth == 2)].tolist(),
+                                         (at[~opens & (depth == 1)] + 1).tolist())):
+        pieces += [text[last:start], f'"\\u0000{i}"']
+        spans.append(raw[start:end])
+        last = end
+    pieces.append(text[last:])
+    try:
+        source = json.loads("".join(pieces))
+    except ValueError:
+        return None
+    dims = source.get("dims") if type(source) is dict else None
+    if not _valid_dims(dims):
+        return None
+    claimed = 0
+    for key, up in (("differentials", 1), ("gram", 0)):     # shape (dims[k + up], dims[k])
+        nodes = source.get(key)
+        for k, node in enumerate(nodes if type(nodes) is list else ()):
+            if type(node) is str and node[:1] == "\0":
+                mat = float_span(spans[int(node[1:])], (dims[k + up], dims[k])) \
+                    if k + up < len(dims) else None
+                if mat is None:
+                    return None
+                nodes[k] = mat
+                claimed += 1
+    return source if claimed == len(spans) else None
+
+
+def complex_source(text):
+    """``json.loads(text)`` for the text of a complex file, with the float
+    matrices read in bulk where ``_bulk_source`` proves that gives what
+    ``load_complex`` reads from the full parse."""
+    source = _bulk_source(text)
+    return json.loads(text) if source is None else source
+
+
 def load_complex(source) -> CochainComplex:
     """Read a complex from a dict or a JSON file path; a Gram entry is null
     (identity), a number (scale * identity) or a matrix of float scalars."""
     if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            source = json.load(fh)
+        source = complex_source(Path(source).read_text())
     if not isinstance(source, dict):
         raise NotAComplex(f"expected a mapping, got {type(source).__name__}")
     stray = [key for key in source if key not in ("dims", "differentials", "gram", "name")]
     if stray:
         raise NotAComplex(f"unknown complex key {stray[0]!r}", key=stray[0])
-    dims = source.get("dims")     # each n x n complex matrix within numpy's size limit
-    if not (isinstance(dims, (list, tuple)) and dims and all(
-            type(n) is int and n >= 0 and 16 * n * n <= np.iinfo(np.intp).max for n in dims)):
+    dims = source.get("dims")
+    if not _valid_dims(dims):
         raise NotAComplex(f"dims must list one or more non-negative integers: {dims!r}", key="dims")
     m = len(dims) - 1
     raw_diffs = source.get("differentials")

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nchodge as nc
-from nchodge.errors import BadWeights, InputError, LeafTooSmall, NCHodgeError, ShapeMismatch
-from nchodge.foliation import (builtin_model, harmonic_basis,
+from nchodge import foliation
+from nchodge.errors import (BadWeights, InputError, LeafTooLarge, LeafTooSmall, NCHodgeError,
+                            ShapeMismatch)
+from nchodge.foliation import (MAX_LEAF_ENTRIES, builtin_model, harmonic_basis,
                                intertwiner_ranks, load_model, make_model,
                                model_to_json, phi_vertex_values,
                                witten_complex)
@@ -26,6 +28,31 @@ def test_leaf_too_small():
         make_model({"type": "circle", "n": 2}, [0.0])
     with pytest.raises(LeafTooSmall):
         make_model({"type": "torus", "nx": 2, "ny": 8}, [0.0])
+
+
+@pytest.mark.parametrize("leaf, context", [
+    ({"type": "circle", "n": 30000}, {"sites": 30000}),        # a dense 14 GB differential
+    ({"type": "circle", "n": 4097}, {"sites": 4097}),
+    ({"type": "torus", "nx": 60}, {"nx": 60, "ny": 60}),
+    ({"type": "torus", "nx": 3, "ny": 10 ** 9}, {"nx": 3, "ny": 10 ** 9}),
+])
+def test_leaf_past_the_dense_cap_is_refused_before_allocation(monkeypatch, leaf, context):
+    def refuse(shape):
+        raise AssertionError(f"allocated a leaf differential of shape {shape}")
+    monkeypatch.setattr(foliation, "_zeros", refuse)
+    with pytest.raises(LeafTooLarge) as info:
+        load_model({"leaf": leaf, "transversal": [0.0]})
+    entry = info.value.report_entry()
+    assert entry["code"] == "tangential/LeafTooLarge"
+    assert entry["context"] == {"key": "leaf", "cap": MAX_LEAF_ENTRIES, **context}
+
+
+def test_leaf_at_the_dense_cap_is_built():
+    # the 4096-site circle's 256 MB differential is not built here: check the
+    # counts the cap reads at its edge, and that a circle under it builds
+    assert 4096 ** 2 == MAX_LEAF_ENTRIES < 4097 ** 2
+    assert 2 * (53 * 53) ** 2 <= MAX_LEAF_ENTRIES < 2 * (54 * 54) ** 2
+    assert nc.betti_numbers(make_model({"type": "circle", "n": 64}, [0.0]).leaf.complex) == (1, 1)
 
 
 def test_weights_must_normalize():

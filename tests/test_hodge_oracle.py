@@ -160,3 +160,72 @@ def test_twisted_circles_match_the_closed_form(n, alpha):
     assert torsion["log_torsion"] == pytest.approx(-math.log(gap), abs=CIRCLE_RTOL)
     assert nc.abelian_cs_partition(cx)["log_Z"] == pytest.approx(math.log(gap),
                                                                    abs=CIRCLE_RTOL)
+
+
+def exact_projection(m, gram):
+    """M (M^H G M)^-1 M^H G, the projection onto the column space of ``m``
+    that is orthogonal for the Gram product ``gram``, with M a basis of
+    that space taken from the pivot columns of ``m``."""
+    n = m.shape[0]
+    _, pivots = m.rref()
+    if not pivots:
+        return DomainMatrix.zeros((n, n), QQ_I)
+    basis = m.extract(list(range(n)), list(pivots))
+    adjoint = _adjoint(basis)
+    return basis * (adjoint * gram * basis).inv() * adjoint * gram
+
+
+# The harmonic piece comes from an eigensolve of the formed S_k, so by
+# Davis--Kahan its error is about n eps lambda_max / lambda_min, with lambda
+# the nonzero eigenvalues sigma^2 of W_{k-1} and W_k; the exact and
+# coexact pieces, from SVDs, err by the square root of that.  Going back
+# from the Cholesky frame multiplies by at most kappa(L_k) = kappa(G_k)^1/2.
+# Over seeds 0-999, both kinds, every degree, the error relative to max|v|
+# was at most 12 times n eps (sigma_max / sigma_min)^2 kappa(L_k), and at
+# most 4.5e-9 in absolute terms (seed 634, gaussian, degree 0).  The draws
+# are fixed: one draw in about 1,400 (seed 381, gaussian) ends in
+# decompose's own re-sum check, pinned below as an expected failure.
+DECOMPOSE_FACTOR = 100
+
+
+def _decompose_errors(seed, gaussian):
+    """Per degree and piece, (where, max |decompose - exact projection|,
+    tolerance)."""
+    rng = np.random.default_rng(seed)
+    dims, diffs, grams = integer_complex(rng, gaussian)
+    cx = nc.make_complex(dims, [_to_float(d) for d in diffs], [_to_float(g) for g in grams])
+    ranks = nc.hodge._ranks(cx, HODGE_TOL)
+    for k, n in enumerate(dims):
+        v = _exact(*(rng.integers(-3, 4, size=(n, 1)) for _ in range(2)))
+        zero = DomainMatrix.zeros((n, 1), QQ_I)
+        exact = exact_projection(diffs[k - 1], grams[k]) * v if k else zero
+        # onto the image of the adjoint D*_k = G_k^-1 D_k^H G_{k+1}
+        coexact = exact_projection(grams[k].inv() * _adjoint(diffs[k]) * grams[k + 1],
+                                   grams[k]) * v if k < cx.top else zero
+        want = [_to_float(p).reshape(-1) for p in (v - exact - coexact, exact, coexact)]
+        sigma = np.concatenate([cx.singular_values(j)[:ranks[j + 1]]
+                                for j in (k - 1, k) if 0 <= j < cx.top])
+        spread = (sigma.max() / sigma.min()) ** 2 if sigma.size else 1.0
+        scale = np.abs(_to_float(v)).max()
+        tol = DECOMPOSE_FACTOR * n * np.finfo(float).eps * spread \
+            * math.sqrt(np.linalg.cond(cx.grams[k])) * scale
+        for piece, got, expected in zip(("harmonic", "exact", "coexact"),
+                                        nc.decompose(cx, k, _to_float(v).reshape(-1)), want):
+            yield (k, piece), np.abs(got - expected).max(), tol
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+@example(13, True)
+@example(634, True)     # the largest error of seeds 0-999
+def test_decompose_matches_the_exact_projections(seed, gaussian):
+    for where, error, tol in _decompose_errors(seed, gaussian):
+        assert error <= tol, where
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="the harmonic vectors of the formed S_0 miss by about 7e-7, "
+                          "and decompose's re-sum check (1e-8) fires on a valid complex")
+def test_decompose_on_a_draw_whose_pieces_do_not_re_sum():
+    for where, error, tol in _decompose_errors(381, True):
+        assert error <= tol, where

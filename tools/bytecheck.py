@@ -32,7 +32,11 @@ and, on inputs written to the temporary directory, ``hodge``/``torsion``/
 64-site one with Grams (2, 1/2), whose frames take the factored route, on a
 32-site one with dense Hermitian Grams stored as [re, im] matrices, and on
 a real 5x4 torus stored as bare numbers with Grams (null, 2, 1/2) (the two
-layouts the float parser converts in one call), on diag(1, 1e-6), whose
+layouts the float parser converts in one call), on the 256-site circle
+pretty-printed with indent 2 and CRLF line endings and on a 32-site one
+with real tridiagonal Grams stored as bare numbers (both read by the bulk
+matrix reader), on a 64-site one whose name holds a ``[`` (which the bulk
+reader declines, so the full parse reads it), on diag(1, 1e-6), whose
 small singular value is rank though its square is below the cut of a
 squared spectrum, on the 1-2-1 complex D_0 = (1, 0)^T, D_1 = (0, 1e6),
 whose degree-1 Laplacian mixes differentials of very different sizes, and
@@ -77,6 +81,9 @@ CIRCLE = "circle-256.json"
 CIRCLE_GRAM = "circle-64-gram.json"
 CIRCLE_HERMITIAN = "circle-32-hermitian.json"
 TORUS_REAL = "torus-5x4-real.json"
+CIRCLE_PRETTY = "circle-256-pretty-crlf.json"
+CIRCLE_REAL_GRAM = "circle-32-real-gram.json"
+CIRCLE_BRACKET_NAME = "circle-64-bracket-name.json"
 CUT_SMALL = "cut-diag-1e-6.json"
 CUT_MIXED = "cut-1-2-1.json"
 HUGE_SIGMA = "sigma-1e200.json"
@@ -99,7 +106,8 @@ COMMANDS = (
        for alg in ("m2.json", "z3.json") for mode in ("gaussian", "float")]
     + [[cmd, "--complex", cx]
        for cx in ("circle_alpha_-1_N8.json", CIRCLE, CIRCLE_GRAM, CIRCLE_HERMITIAN,
-                  TORUS_REAL, CUT_SMALL, CUT_MIXED, HUGE_SIGMA)
+                  TORUS_REAL, CUT_SMALL, CUT_MIXED, HUGE_SIGMA, CIRCLE_PRETTY,
+                  CIRCLE_REAL_GRAM, CIRCLE_BRACKET_NAME)
        for cmd in ("hodge", "torsion", "cs-partition")]
     + [["witten-sweep", "--model", model, "--phi", phi]
        for model in ("circle_leaves.json", "torus_leaves.json")
@@ -146,6 +154,13 @@ def hermitian_gram(n, phase):
         z = cmath.exp(1j * phase * (j + 1)) / 2
         gram[j][j + 1], gram[j + 1][j] = [z.real, z.imag], [z.real, -z.imag]
     return gram
+
+
+def real_gram(n, off):
+    """Tridiagonal n x n Gram as bare numbers: 2 on the diagonal and ``off``
+    next to it; positive definite for |off| < 1."""
+    return [[2.0 if i == j else off if abs(i - j) == 1 else 0.0 for j in range(n)]
+            for i in range(n)]
 
 
 def torus_json(nx, ny):
@@ -343,6 +358,14 @@ def main(argv=None) -> int:
         hermitian["gram"] = [hermitian_gram(32, 0.3), hermitian_gram(32, 0.7)]
         (work / CIRCLE_HERMITIAN).write_text(json.dumps(hermitian))
         (work / TORUS_REAL).write_text(json.dumps(torus_json(5, 4)))
+        (work / CIRCLE_PRETTY).write_bytes(json.dumps(
+            circle_json(256, cmath.exp(0.7j)), indent=2).replace("\n", "\r\n").encode())
+        real = circle_json(32, cmath.exp(0.7j))
+        real["gram"] = [real_gram(32, 0.5), real_gram(32, -0.25)]
+        (work / CIRCLE_REAL_GRAM).write_text(json.dumps(real))
+        named = circle_json(64, cmath.exp(0.7j))
+        named["name"] = "circle[64]"
+        (work / CIRCLE_BRACKET_NAME).write_text(json.dumps(named))
         for name, dims, diffs in (
                 (CUT_SMALL, [2, 2], [[[1, 0], [0, 1e-6]]]),
                 (CUT_MIXED, [1, 2, 1], [[[1], [0]], [[0, 1e6]]]),
