@@ -36,9 +36,10 @@ elimination of ``A^T``, and ``b`` lies in Im A exactly when ``Y b = 0``.
 A caller that tests many vectors against one fixed ``A`` keeps ``Y`` and
 eliminates once.
 
-Float matrices are ``complex128`` and go to numpy and LAPACK; every helper
-takes a ScaledArray or a complex128 array and dispatches on which, and
-:func:`to_complex` refuses an object array instead of rounding it.  Exact
+Float matrices are ``complex128`` (``float64`` for a real Hodge complex)
+and go to numpy and LAPACK; every helper takes a ScaledArray or a float
+array and dispatches on which, and :func:`to_complex` refuses an object
+array instead of rounding it.  Exact
 matrices enter at the field edge only: ``ScalarField.matrix_from_json``
 parses JSON pairs (:func:`from_pairs`), ``ScalarField.array`` converts raw
 scalars (:func:`from_object`); ``np.asarray`` reads one out as objects.
@@ -337,13 +338,22 @@ def to_complex(mat) -> np.ndarray:
     return out
 
 
+def _float_array(mat) -> np.ndarray:
+    """A float64 array as it is, so that it keeps the real LAPACK drivers;
+    anything else through :func:`to_complex`."""
+    if type(mat) is np.ndarray and mat.dtype == np.float64:
+        return mat
+    return to_complex(mat)
+
+
 def max_abs(mat) -> float:
     if mat.size == 0:
         return 0.0
     if is_exact(mat) and mat.im is None:
         return mat.bound / mat.den      # Python int division: correctly rounded
-    # np.abs, not abs(complex): their hypot can differ in the last bit
-    return float(np.max(np.abs(to_complex(mat))))
+    # np.abs, not abs(complex): their hypot can differ in the last bit.  Of a
+    # real x, np.abs is hypot(x, 0) = |x|, so float64 needs no complex copy
+    return float(np.max(np.abs(_float_array(mat))))
 
 
 def is_zero_matrix(mat, tol: float = 0.0) -> bool:
@@ -436,7 +446,8 @@ def rank(mat, rel_tol: float = 1e-10) -> int:
         return 0
     if is_exact(mat):
         return len(rref(mat)[1])
-    return rank_of_singular_values(np.linalg.svd(to_complex(mat), compute_uv=False), rel_tol)
+    return rank_of_singular_values(np.linalg.svd(_float_array(mat), compute_uv=False),
+                                   rel_tol)
 
 
 def rank_of_singular_values(s, rel_tol: float) -> int:

@@ -46,8 +46,8 @@ from .hodge import CochainComplex, betti_numbers, make_complex
 
 SWEEP_TOL = 1e-8    # relative rank cut of the sweep's Betti numbers and harmonic bases
 DEFAULT_TAUS = (0.0, 0.5, 1.0, 2.0, 5.0)    # the sweep's tau grid unless one is given
-# entries of a leaf's largest dense differential: 256 MB of complex128, a
-# 4096-site circle or a 53 x 53 torus
+# entries of a leaf's largest dense differential: 128 MB of float64 (a leaf
+# is real), a 4096-site circle or a 53 x 53 torus
 MAX_LEAF_ENTRIES = 2 ** 24
 
 
@@ -76,7 +76,7 @@ class FoliatedModel:
 def _zeros(shape):
     """A leaf differential's zeros, or a coded error naming the leaf."""
     try:
-        return np.zeros(shape, complex)
+        return np.zeros(shape)
     except (MemoryError, ValueError) as exc:
         raise InputError(f"leaf differential of shape {shape} cannot be allocated: {exc}",
                          key="leaf") from None
@@ -217,7 +217,7 @@ def make_model(leaf_spec, transversal_spec, metric_scale=1.0,
                          key="metric_scale")
     if scale != 1.0:
         cx = leaf.complex
-        grams = [scale ** k * np.eye(cx.dims[k], dtype=complex)
+        grams = [scale ** k * np.eye(cx.dims[k])
                  for k in range(cx.top + 1)]
         leaf.complex = make_complex(cx.dims, cx.diffs, grams, name=cx.name)
     return FoliatedModel(leaf=leaf, transversal=np.array(vs, dtype=float),

@@ -32,6 +32,13 @@ formed only for the harmonic vectors and for one of the two Betti
 cross-checks, which disagree only on a real defect: the rank of each raw
 ``D_k`` that is not ``W_k``, and the eigenvalues of ``S`` counted by
 inertia (Sylvester's law).
+
+A complex stores all its matrices in one dtype: float64 when no
+differential and no Gram has a nonzero imaginary entry, else complex128.
+Every step dispatches on it, so a real complex (a real leaf and its Witten
+deformations among them) runs the real LAPACK drivers throughout: the SVD,
+the Cholesky frames, the inertia count by ``L D L^T`` in place of
+``L D L^H``, and the partial eigensolve.
 """
 
 from __future__ import annotations
@@ -118,7 +125,7 @@ class CochainComplex:
                 import scipy.linalg
                 out = scipy.linalg.eigh(self.sym(k), subset_by_index=[0, m - 1])[1]
             else:
-                out = np.zeros((self.dims[k], 0), complex)
+                out = np.zeros((self.dims[k], 0), self.grams[k].dtype)
             out.setflags(write=False)
             self._harmonic[k, rel_tol] = out
         return self._harmonic[k, rel_tol]
@@ -135,9 +142,21 @@ def _is_list_of(value, n):
     return isinstance(value, (list, tuple)) and len(value) == n
 
 
+def _float_matrix(m):
+    """``m`` as a float64 array when no entry has a nonzero imaginary part
+    (a -0.0 one counts as zero), else as complex128."""
+    m = np.asarray(m)
+    if m.dtype.kind in "biuf":
+        return m.astype(float, copy=False)
+    m = m.astype(complex, copy=False)
+    return m if m.imag.any() else np.ascontiguousarray(m.real)
+
+
 def make_complex(dims, diffs, grams=None, name="complex", tol=1e-12) -> CochainComplex:
     """Validate and pack a complex.  ``grams`` entries may be matrices,
-    positive scalars (meaning scale * identity), or None (identity)."""
+    positive scalars (meaning scale * identity), or None (identity).  All
+    matrices are stored float64 when no entry of any is imaginary (a -0.0
+    imaginary part counts as zero), else all complex128."""
     dims = tuple(int(n) for n in dims)
     if not dims or any(n < 0 for n in dims):
         raise NotAComplex(f"bad dimension list {dims}")
@@ -146,14 +165,14 @@ def make_complex(dims, diffs, grams=None, name="complex", tol=1e-12) -> CochainC
         raise NotAComplex(f"expected {m} differentials for {m + 1} degrees, got {len(diffs)}")
     mats = []
     for k, d in enumerate(diffs):
-        d = np.asarray(d, dtype=complex)
+        d = _float_matrix(d)
         if d.shape != (dims[k + 1], dims[k]):
             raise NotAComplex(f"differential {k} has shape {d.shape}, expected "
                               f"{(dims[k + 1], dims[k])}", degree=k)
         if not np.all(np.isfinite(d)):
             raise NotAComplex(f"differential {k} has non-finite entries", degree=k)
         mats.append(d)
-    gs = []
+    gs = []     # a matrix, or the scale of an identity Gram
     if grams is None:
         grams = [None] * (m + 1)
     if len(grams) != m + 1:
@@ -164,18 +183,26 @@ def make_complex(dims, diffs, grams=None, name="complex", tol=1e-12) -> CochainC
             # abs first: float() of an int past the float range raises
             if g is not None and not (abs(g) <= sys.float_info.max and float(np.real(g)) > 0):
                 raise BadGram(f"Gram scale {k} must be positive and finite, got {g}", degree=k)
-            try:
-                eye = np.eye(n, dtype=complex)
-            except MemoryError:
-                raise NotAComplex(f"no memory for a {n} x {n} Gram", key="dims", degree=k) from None
-            g = eye if g is None else np.multiply(eye, float(np.real(g)), out=eye)
-        else:
-            g = np.asarray(g, dtype=complex)
-            if g.shape != (n, n):
-                raise BadGram(f"Gram {k} has shape {g.shape}, expected {(n, n)}", degree=k)
+            gs.append(1.0 if g is None else float(np.real(g)))
+            continue
+        g = _float_matrix(g)
+        if g.shape != (n, n):
+            raise BadGram(f"Gram {k} has shape {g.shape}, expected {(n, n)}", degree=k)
         if not np.all(np.isfinite(g)):
             raise BadGram(f"Gram at degree {k} has non-finite entries", degree=k)
         gs.append(g)
+    dtype = complex if any(np.iscomplexobj(g) for g in mats + gs) else float
+    mats = [d.astype(dtype, copy=False) for d in mats]
+    for k, g in enumerate(gs):
+        if not np.isscalar(g):
+            gs[k] = g.astype(dtype, copy=False)
+            continue
+        try:
+            eye = np.eye(dims[k], dtype=dtype)
+        except MemoryError:
+            raise NotAComplex(f"no memory for a {dims[k]} x {dims[k]} Gram",
+                              key="dims", degree=k) from None
+        gs[k] = np.multiply(eye, g, out=eye)
     cx = CochainComplex(dims=dims, diffs=mats, grams=gs, name=str(name))
     validate_complex(cx, tol)
     return cx
@@ -332,9 +359,10 @@ def _is_unit(g):
     """True when the Gram is the identity bit for bit (no -0.0 entries):
     exactly n nonzero 64-bit words, the n real diagonal ones equal to 1.0."""
     n = g.shape[0]
-    bits = np.ascontiguousarray(g).view(np.uint64)      # (n, 2n): re, im interleaved
+    step = 2 if np.iscomplexobj(g) else 1
+    bits = np.ascontiguousarray(g).view(np.uint64)      # complex: (n, 2n), re, im interleaved
     diag = np.arange(n)
-    return int(np.count_nonzero(bits)) == n and bool(np.all(bits[diag, 2 * diag] == _ONE_BITS))
+    return int(np.count_nonzero(bits)) == n and bool(np.all(bits[diag, step * diag] == _ONE_BITS))
 
 
 def adjoints(cx: CochainComplex) -> list:
@@ -353,7 +381,7 @@ def laplacians(cx: CochainComplex) -> list:
     adj = adjoints(cx)
     out = []
     for k in range(cx.top + 1):
-        lap = np.zeros((cx.dims[k], cx.dims[k]), dtype=complex)
+        lap = np.zeros((cx.dims[k], cx.dims[k]), dtype=cx.grams[k].dtype)
         if k < cx.top:
             lap += adj[k] @ cx.diffs[k]
         if k >= 1:
@@ -365,13 +393,13 @@ def laplacians(cx: CochainComplex) -> list:
 def _cholesky(cx: CochainComplex, k):
     """(L, L^{-1}) of the degree-k Gram; a unit Gram (every 0 x 0 one among
     them) is not factored."""
-    n = cx.dims[k]
+    n, dtype = cx.dims[k], cx.grams[k].dtype
     if cx.unit_gram(k):
-        eye = np.eye(n, dtype=complex).T    # scipy's Fortran layout
+        eye = np.eye(n, dtype=dtype).T      # scipy's Fortran layout
         return eye, eye
     import scipy.linalg  # on first use: the form operators never need scipy
     L = scipy.linalg.cholesky(cx.grams[k], lower=True)
-    return L, scipy.linalg.solve_triangular(L, np.eye(n, dtype=complex), lower=True)
+    return L, scipy.linalg.solve_triangular(L, np.eye(n, dtype=dtype), lower=True)
 
 
 def _spectrum(s_out, s_in, n):
@@ -438,13 +466,15 @@ def _count_at_most(sym, cut):
     """How many eigenvalues of the Hermitian ``sym`` are at most ``cut``,
     by Sylvester's law of inertia: the non-positive pivots of one
     Bunch--Kaufman factorization ``sym - cut I = P L D L^H P^T`` (LAPACK
-    ``zhetrf``).  A 2x2 pivot block is read by its determinant (negative:
-    one eigenvalue of each sign); an exact zero pivot is at the cut."""
+    ``zhetrf``), or ``P L D L^T P^T`` for a real ``sym`` (``dsytrf``).  A
+    2x2 pivot block is read by its determinant (negative: one eigenvalue of
+    each sign); an exact zero pivot is at the cut."""
     n = sym.shape[0]
     if not n:
         return 0
-    from scipy.linalg.lapack import zhetrf
-    ldu, ipiv, _ = zhetrf(sym - cut * np.eye(n), lower=1, overwrite_a=1)
+    from scipy.linalg.lapack import dsytrf, zhetrf
+    factor = zhetrf if np.iscomplexobj(sym) else dsytrf
+    ldu, ipiv, _ = factor(sym - cut * np.eye(n), lower=1, overwrite_a=1)
     diag = ldu.diagonal().real
     pairs = np.flatnonzero(ipiv < 0)[::2]       # first rows of the 2x2 blocks
     a, c = diag[pairs], diag[pairs + 1]
@@ -461,9 +491,19 @@ def laplacian_spectra(cx: CochainComplex) -> list:
 
 def _ranks(cx: CochainComplex, rel_tol):
     """``[0, r_0, ..., r_{m-1}, 0]``, the numerical rank of each ``W_k`` (the
-    one near-kernel rule), padded so that r_{k-1} and r_k sit at k and k + 1."""
-    return [0, *(exactla.rank_of_singular_values(cx.singular_values(k), rel_tol)
-                 for k in range(cx.top)), 0]
+    one near-kernel rule), padded so that r_{k-1} and r_k sit at k and k + 1.
+    The square of a kept singular value must be a float: one that underflows
+    to 0 would be a kept eigenvalue of 0."""
+    ranks = [0]
+    for k in range(cx.top):
+        s = cx.singular_values(k)
+        r = exactla.rank_of_singular_values(s, rel_tol)
+        low = float(s[r - 1]) if r else 1.0
+        if low * low == 0.0:
+            raise OutOfFloatRange(f"eigenvalue sigma_{r}(W_{k})^2 underflows to 0",
+                                  quantity="eigenvalue", degree=k, log_value=2 * math.log(low))
+        ranks.append(r)
+    return ranks + [0]
 
 
 def _harmonic_dims(cx: CochainComplex, rel_tol):

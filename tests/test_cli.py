@@ -466,6 +466,25 @@ def test_value_past_the_float_range_is_a_coded_error(tmp_path, capsys, command, 
     assert payload["context"]["log_value"] > math.log(sys.float_info.max)
 
 
+@pytest.mark.parametrize("command", ["hodge", "torsion", "cs-partition"])
+def test_rank_kept_singular_value_whose_square_underflows_is_a_coded_error(
+        tmp_path, capsys, command):
+    # sigma = 1e-300 is the largest, so rank 1; sigma^2 is 0.0 in floating point
+    src = tmp_path / "cx.json"
+    src.write_text(json.dumps({"dims": [1, 1], "differentials": [[[1e-300]]]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([command, "--complex", str(src), "--out", str(tmp_path / "r.json")]) == 1
+    assert caught == []
+    streams = capsys.readouterr()
+    assert streams.out == "" and "Traceback" not in streams.err
+    payload = json.loads(streams.err)
+    assert payload["code"] == "hodge-classical/OutOfFloatRange"
+    assert payload["context"] == {"quantity": "eigenvalue", "degree": 0,
+                                  "log_value": pytest.approx(2 * math.log(1e-300))}
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_gram_with_an_overflowing_asymmetry_is_a_coded_error(tmp_path, capsys):
     # g - g^H overflows to inf, which the payload writes as a string
     src = tmp_path / "cx.json"

@@ -575,29 +575,69 @@ def test_is_unit_is_the_bitwise_identity():
         cases.append(np.eye(n, dtype=complex) * complex(1.0, -0.0))
         cases.append(rng.normal(size=(n, n)) + 0j)
     cases.append(np.eye(6, dtype=complex)[::2, ::2])                  # non-contiguous view
+    # the same Grams stored float64, as a real complex stores them
+    cases += [g.real.copy(order="K") for g in cases if not g.imag.any()]
+    cases.append(np.eye(6)[::2, ::2])
     for g in cases:
-        want = g.tobytes() == np.eye(g.shape[0], dtype=complex).tobytes()
+        want = g.tobytes() == np.eye(g.shape[0], dtype=g.dtype).tobytes()
         assert _is_unit(g) is want, g
 
 
+def _negative_zero_imaginary(m):
+    """``m`` as complex128 with every imaginary part -0.0."""
+    out = np.array(m, dtype=complex)
+    out.imag = -0.0
+    return out
+
+
+def test_a_complex_is_stored_float64_unless_an_entry_is_imaginary():
+    d0 = [[-1.0, 1.0], [1.0, -1.0]]
+    gram = [[2.0, 0.5], [0.5, 2.0]]
+    hermitian = [[2.0, 0.5j], [-0.5j, 2.0]]
+    for diffs, grams, dtype in [
+            ([d0], None, np.float64),
+            ([np.array(d0, dtype=int)], [2, gram], np.float64),
+            # a -0.0 imaginary part counts as zero
+            ([_negative_zero_imaginary(d0)], [None, _negative_zero_imaginary(gram)],
+             np.float64),
+            # one imaginary entry anywhere makes every matrix complex
+            ([d0], [None, hermitian], np.complex128),
+            ([np.array(d0) + 1e-300j], [3.0, gram], np.complex128)]:
+        cx = nc.make_complex((2, 2), diffs, grams)
+        for m in cx.diffs + cx.grams:
+            assert m.dtype == dtype and m.flags.c_contiguous
+        assert np.array_equal(cx.diffs[0], np.array(diffs[0]).real
+                              if dtype == np.float64 else diffs[0])
+        assert nc.betti_numbers(cx) == (1, 1)
+        for k in (0, 1):
+            for m in (cx.frame(k).chol, cx.frame(k).chol_inv, cx.sym(k),
+                      cx.harmonic_vectors(k, 1e-9)):
+                assert m.dtype == dtype
+    # holonomy -1: real and acyclic, so no harmonic vectors, of the real dtype
+    empty = nc.twisted_circle_complex(4, -1.0).harmonic_vectors(0, 1e-9)
+    assert empty.shape == (4, 0) and empty.dtype == np.float64
+
+
 def _reference_frames(cx):
-    """(sym, eigvals) per degree by the factored route: adjoints through
-    np.linalg.solve, Cholesky frames through scipy, and the spectrum the
-    n largest of the squared singular values of W_k = L_{k+1}^H D_k L_k^{-H}
-    and W_{k-1}, each padded with zeros to length n."""
+    """(sym, eigvals) per degree by the factored route, in the complex's
+    own dtype: adjoints through np.linalg.solve, Cholesky frames through
+    scipy, and the spectrum the n largest of the squared singular values of
+    W_k = L_{k+1}^H D_k L_k^{-H} and W_{k-1}, each padded with zeros to
+    length n."""
     import scipy.linalg
+    dtype = cx.grams[0].dtype
     adj = []
     for k, d in enumerate(cx.diffs):
         rhs = d.conj().T @ cx.grams[k + 1]
         adj.append(np.linalg.solve(cx.grams[k], rhs) if cx.dims[k] else rhs)
     chol = [scipy.linalg.cholesky(g, lower=True) for g in cx.grams]
-    linv = [scipy.linalg.solve_triangular(L, np.eye(n, dtype=complex), lower=True)
+    linv = [scipy.linalg.solve_triangular(L, np.eye(n, dtype=dtype), lower=True)
             for L, n in zip(chol, cx.dims)]
     squares = [np.linalg.svd(chol[k + 1].conj().T @ d @ linv[k].conj().T,
                              compute_uv=False) ** 2 for k, d in enumerate(cx.diffs)]
     out = []
     for k, n in enumerate(cx.dims):
-        lap = np.zeros((n, n), dtype=complex)
+        lap = np.zeros((n, n), dtype=dtype)
         if k < cx.top:
             lap += adj[k] @ cx.diffs[k]
         if k >= 1:

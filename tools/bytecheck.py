@@ -41,6 +41,12 @@ small singular value is rank though its square is below the cut of a
 squared spectrum, on the 1-2-1 complex D_0 = (1, 0)^T, D_1 = (0, 1e6),
 whose degree-1 Laplacian mixes differentials of very different sizes, and
 on diag(1e200, 1), whose squared singular value is past the float range,
+on the 1 x 1 complex D_0 = (1e-300), whose one singular value is rank but
+whose square underflows to 0, on a 256-site circle with holonomy -1 (a real
+complex, stored float64 at the size the benchmark runs), on a real 32-site
+circle with dense real Kac-Murdock-Szego Grams rho^|i-j| (the real
+factored Cholesky), and on a real 32-site circle whose degree-0 Gram is
+Hermitian with imaginary entries (so the whole complex stays complex128),
 ``witten-sweep --phi cos-hv`` on ``circle_leaves.json`` and on a
 torus-leaves model with metric scale 2 (cos-hv varies along the
 transversal, so every sample builds its own complex), ``gv`` on a
@@ -87,6 +93,10 @@ CIRCLE_BRACKET_NAME = "circle-64-bracket-name.json"
 CUT_SMALL = "cut-diag-1e-6.json"
 CUT_MIXED = "cut-1-2-1.json"
 HUGE_SIGMA = "sigma-1e200.json"
+TINY_SIGMA = "sigma-1e-300.json"
+CIRCLE_REAL = "circle-256-real.json"
+CIRCLE_REAL_DENSE = "circle-32-real-dense-gram.json"
+CIRCLE_REAL_HERMITIAN = "circle-32-real-hermitian-gram.json"
 TORUS_SCALED = "torus-leaves-scale-2.json"
 OMEGA = "omega-dg.json"
 M2_GAUSSIAN = "m2-gaussian.json"
@@ -107,7 +117,8 @@ COMMANDS = (
     + [[cmd, "--complex", cx]
        for cx in ("circle_alpha_-1_N8.json", CIRCLE, CIRCLE_GRAM, CIRCLE_HERMITIAN,
                   TORUS_REAL, CUT_SMALL, CUT_MIXED, HUGE_SIGMA, CIRCLE_PRETTY,
-                  CIRCLE_REAL_GRAM, CIRCLE_BRACKET_NAME)
+                  CIRCLE_REAL_GRAM, CIRCLE_BRACKET_NAME, TINY_SIGMA, CIRCLE_REAL,
+                  CIRCLE_REAL_DENSE, CIRCLE_REAL_HERMITIAN)
        for cmd in ("hodge", "torsion", "cs-partition")]
     + [["witten-sweep", "--model", model, "--phi", phi]
        for model in ("circle_leaves.json", "torus_leaves.json")
@@ -161,6 +172,12 @@ def real_gram(n, off):
     next to it; positive definite for |off| < 1."""
     return [[2.0 if i == j else off if abs(i - j) == 1 else 0.0 for j in range(n)]
             for i in range(n)]
+
+
+def kms_gram(n, rho):
+    """The dense n x n Kac-Murdock-Szego matrix rho^|i - j| as bare numbers;
+    positive definite for |rho| < 1."""
+    return [[rho ** abs(i - j) for j in range(n)] for i in range(n)]
 
 
 def torus_json(nx, ny):
@@ -363,13 +380,21 @@ def main(argv=None) -> int:
         real = circle_json(32, cmath.exp(0.7j))
         real["gram"] = [real_gram(32, 0.5), real_gram(32, -0.25)]
         (work / CIRCLE_REAL_GRAM).write_text(json.dumps(real))
+        (work / CIRCLE_REAL).write_text(json.dumps(circle_json(256, -1.0 + 0j)))
+        dense = circle_json(32, -1.0 + 0j)
+        dense["gram"] = [kms_gram(32, 0.5), kms_gram(32, -0.3)]
+        (work / CIRCLE_REAL_DENSE).write_text(json.dumps(dense))
+        mixed = circle_json(32, -1.0 + 0j)
+        mixed["gram"] = [hermitian_gram(32, 0.3), 1.0]
+        (work / CIRCLE_REAL_HERMITIAN).write_text(json.dumps(mixed))
         named = circle_json(64, cmath.exp(0.7j))
         named["name"] = "circle[64]"
         (work / CIRCLE_BRACKET_NAME).write_text(json.dumps(named))
         for name, dims, diffs in (
                 (CUT_SMALL, [2, 2], [[[1, 0], [0, 1e-6]]]),
                 (CUT_MIXED, [1, 2, 1], [[[1], [0]], [[0, 1e6]]]),
-                (HUGE_SIGMA, [2, 2], [[[1e200, 0], [0, 1]]])):
+                (HUGE_SIGMA, [2, 2], [[[1e200, 0], [0, 1]]]),
+                (TINY_SIGMA, [1, 1], [[[1e-300]]])):
             (work / name).write_text(json.dumps({"dims": dims, "differentials": diffs}))
         (work / TORUS_SCALED).write_text(json.dumps({
             "name": "torus-leaves-scale-2", "leaf": {"type": "torus", "nx": 8, "ny": 8},
