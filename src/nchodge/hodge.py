@@ -264,13 +264,12 @@ def _bulk_source(text):
     it), holds an escape or more than one brace, or has a bracket or brace
     inside a string; on dims that ``load_complex`` rejects; on a matrix
     that no differentials or gram slot claims (one under a duplicate key,
-    say); and on any matrix that ``float_span`` declines."""
-    if not text.isascii() or "\\" in text or text.count("{") != 1:
+    say); and on any matrix that ``float_span`` declines.  The strings and
+    braces are looked for in the rest alone: ``float_span`` declines a
+    matrix that holds a quote or a brace."""
+    if not text.isascii() or "\\" in text:
         return None
     raw = text.encode("ascii")
-    strings = b'"'.join(raw.split(b'"')[1::2])
-    if any(c in strings for c in (b"[", b"]", b"{", b"}")):
-        return None
     chars = np.frombuffer(raw, np.uint8)
     at = np.flatnonzero((chars == ord("[")) | (chars == ord("]")))
     opens = chars[at] == ord("[")
@@ -284,8 +283,12 @@ def _bulk_source(text):
         spans.append(raw[start:end])
         last = end
     pieces.append(text[last:])
+    rest = "".join(pieces)
+    strings = '"'.join(rest.split('"')[1::2])
+    if rest.count("{") != 1 or any(c in strings for c in "[]{}"):
+        return None
     try:
-        source = json.loads("".join(pieces))
+        source = json.loads(rest)
     except ValueError:
         return None
     dims = source.get("dims") if type(source) is dict else None
@@ -574,9 +577,13 @@ def decompose(cx: CochainComplex, k, v):
 
 
 def _in_float_range(quantity, log_value):
-    """``log_value``, unless the exponential of it is past the float range."""
+    """``log_value``, unless the exponential of it is past the float range
+    or underflows to 0."""
     if log_value > math.log(sys.float_info.max):
         raise OutOfFloatRange(f"{quantity} = exp({log_value}) is past the float range",
+                              quantity=quantity, log_value=log_value)
+    if math.exp(log_value) == 0.0:
+        raise OutOfFloatRange(f"{quantity} = exp({log_value}) underflows to 0",
                               quantity=quantity, log_value=log_value)
     return log_value
 

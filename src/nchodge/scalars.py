@@ -114,24 +114,37 @@ def _float_leaves(leaves):
     flat = list(chain.from_iterable(leaves)) if pairs else leaves
     if not set(map(type, flat)) <= {int, float}:
         return None
-    return _complex128(flat, pairs)
+    values = _float64(flat)
+    return None if values is None else _complex128(values, pairs)
 
 
-def _complex128(flat, pairs):
-    """JSON ints and floats, read as [re, im] pairs or as real numbers, as
-    complex128; None for an int past the float range."""
+def _float64(numbers):
+    """JSON ints and floats as float64; None for an int past the float range."""
     try:
-        arr = np.frombuffer(array("d", flat), float)
+        return np.frombuffer(array("d", numbers), float)
     except OverflowError:
         return None
-    return arr.view(complex) if pairs else arr.astype(complex)
+
+
+def _complex128(values, pairs):
+    """float64 values, read as [re, im] pairs or as real numbers, as complex128."""
+    return values.view(complex) if pairs else values.astype(complex)
 
 
 # -- JSON text of a float matrix, read without a Python list per entry -----
 
 _NUMBER_CHARS = b"0123456789+-.eE"
 _JSON_SPACE = b" \t\n\r"
-_MARK_NUMBERS = bytes.maketrans(_NUMBER_CHARS, b"N" * len(_NUMBER_CHARS))
+# an N in the text itself is no number: it becomes ?
+_MARK_NUMBERS = bytes.maketrans(_NUMBER_CHARS + b"N", b"N" * len(_NUMBER_CHARS) + b"?")
+# JSON skips a space faster than translate deletes a bracket
+_BRACKETS_AS_SPACES = bytes.maketrans(b"[]", b"  ")
+# the signed zeros, whose values need no parse, by length 1-4 ("-0" is the
+# JSON int 0, so only "-0.0" is -0.0), each as the little-endian word of its
+# bytes under the mask of its length; lengths 0 and past 4 match nothing
+_ZERO_MASK = np.array([0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF, 0], np.uint32)
+_ZERO_WORD = np.array([1, *(int.from_bytes(z, "little") for z in (b"0", b"-0", b"0.0", b"-0.0")),
+                       1], np.uint32)
 
 
 def _skeleton_length(shape, leaf_length):
@@ -149,21 +162,98 @@ def _skeleton(shape, leaf):
     return leaf
 
 
+def _runs(mask):
+    """The number of runs of Trues in ``mask``."""
+    return np.count_nonzero(mask[1:] > mask[:-1]) + int(mask[:1].sum())
+
+
+def _short_run(number):
+    """Whether the mask ``number`` has a run of at most four Trues, as every
+    signed-zero token has: it has more runs than runs of five or more."""
+    runs = _runs(number)
+    # five[i]: a run of five or more covers i to i + 4
+    five = np.logical_and(number[:-4], number[1:-3])
+    for k in range(2, 5):
+        np.logical_and(five, number[k:len(number) - 4 + k], out=five)
+    return runs > np.count_nonzero(five[1:] > number[:-5]) + int(five[:1].sum())
+
+
+def _json_floats(text):
+    """The comma-separated JSON numbers ``text`` as float64 through one
+    ``json.loads``, or None if it does not parse or an int is past the float range."""
+    try:
+        numbers = json.loads(b"[%s]" % text)
+    except ValueError:
+        return None
+    return _float64(numbers)
+
+
+def _flat_floats(span, slots):
+    """The ``slots`` numbers of ``span``, a float tensor's text whose
+    brackets and commas are proven, as float64 by the run proof and the zero
+    rule of ``float_span``; None if they are not ``slots`` JSON numbers."""
+    compact = span.translate(None, b"[]" + _JSON_SPACE)
+    chars = np.frombuffer(compact, np.uint8)
+    commas = np.flatnonzero(chars == ord(","))
+    if commas.size != slots - 1:
+        return None
+    bounds = np.empty(slots + 1, np.int32 if len(compact) <= np.iinfo(np.int32).max else np.intp)
+    bounds[0], bounds[1:-1], bounds[-1] = -1, commas, len(compact)
+    del commas
+    lengths = np.diff(bounds) - 1
+    if not lengths.all() \
+            or _runs(np.frombuffer(span.translate(_MARK_NUMBERS), np.uint8) == ord("N")) != slots:
+        return None
+    # each token's first four bytes, from a view of the text one byte apart;
+    # take() gathers twice as fast as [] here
+    words = np.ndarray(len(compact), "<u4", compact + bytes(3), strides=(1,)).take(bounds[:-1] + 1)
+    width = np.minimum(lengths, 5)
+    zero = (words & _ZERO_MASK.take(width)) == _ZERO_WORD.take(width)
+    del words, width
+    if not zero.any():
+        return _json_floats(compact)
+    values = np.zeros(slots)
+    values[zero & (lengths == 4)] = -0.0
+    other = ~zero
+    if other.any():
+        # the other tokens, each with the comma after it, one run of tokens
+        # alike at a time
+        cuts = np.flatnonzero(other[1:] != other[:-1]) + 1
+        cuts = np.concatenate(([0], cuts, [slots]))
+        keep = np.repeat(other.take(cuts[:-1]), np.diff(bounds.take(cuts)))[:-1]
+        parsed = _json_floats(chars[keep].tobytes().removesuffix(b","))
+        if parsed is None or parsed.size != np.count_nonzero(other):
+            return None
+        values[other] = parsed
+    return values
+
+
 def float_span(span: bytes, shape):
     """The JSON text ``span`` of a float tensor of ``shape`` as complex128,
     bit for bit what ``matrix_from_json`` gives on ``json.loads(span)``, or
     None when the text cannot be proven to be such a tensor.
 
     Every entry must be a number, or every entry an [re, im] pair of
-    numbers.  The shape is proven by C loops over the bytes alone: the span
-    holds only number characters, brackets, commas and JSON whitespace; with
+    numbers.  The shape is proven by C loops over the bytes alone: with
     each number character marked N and whitespace deleted, no number follows
-    a ``]`` or precedes a ``[``; without the N marks, the brackets and
-    commas are those of ``shape``.  The values come from one ``json.loads``
-    of the bracket-free text, so from the parser ``json.loads(span)`` uses,
-    and their count must match the shape."""
-    if span.translate(None, _NUMBER_CHARS + b"[]," + _JSON_SPACE):
-        return None
+    a ``]`` or precedes a ``[``; without the N marks, only the brackets and
+    commas of ``shape`` are left, so the span held nothing but those, number
+    characters and JSON whitespace.
+
+    When some run of N is four long or shorter, a signed zero may be among
+    the entries, and the tokens are the comma-separated pieces of the span
+    with its brackets and whitespace deleted.  The run proof: with
+    whitespace kept, the N marks form exactly one run per slot, and no token
+    is empty, so no token held whitespace inside it (``1 2``), which the
+    deletion would hide.  The zero rule: a token spelt ``0``, ``-0``,
+    ``0.0`` or ``-0.0`` is set to what ``json.loads`` gives it, -0.0 for
+    ``-0.0`` and +0.0 for the others (``-0`` is the JSON int 0), without a
+    parse; every other token, other spellings of zero such as ``0.00``
+    among them, goes in order into one ``json.loads``, and their count must
+    match.  When no run is that short, no entry is a signed zero, and the
+    values come from one ``json.loads`` of the span with its brackets made
+    spaces and its whitespace kept.  Either way every parsed value comes
+    from the parser ``json.loads(span)`` uses."""
     marked = span.translate(_MARK_NUMBERS, _JSON_SPACE)
     # one numpy pass per test: `b"]N" in marked` took ten times as long
     chars = np.frombuffer(marked, np.uint8)
@@ -182,14 +272,15 @@ def float_span(span: bytes, shape):
         return None
     if skeleton != _skeleton(seen, leaf):
         return None
-    try:
-        flat = json.loads(b"[%s]" % span.translate(None, b"[]"))
-    except ValueError:
+    slots = math.prod(shape) * (2 if pairs else 1)
+    # fewer than five number characters a slot: some run is short
+    short = len(marked) - len(skeleton) < 5 * slots or _short_run(number)
+    del marked, chars, number
+    flat = _flat_floats(span, slots) if short \
+        else _json_floats(span.translate(_BRACKETS_AS_SPACES))
+    if flat is None or flat.size != slots:
         return None
-    if len(flat) != math.prod(shape) * (2 if pairs else 1):
-        return None
-    arr = _complex128(flat, pairs)
-    return None if arr is None else arr.reshape(shape)
+    return _complex128(flat, pairs).reshape(shape)
 
 
 class ScalarField:

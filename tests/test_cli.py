@@ -428,13 +428,26 @@ def _circle(grams):
     return {"dims": [128, 128], "differentials": [d0.tolist()], "gram": grams}
 
 
-# C^0 = 0 and D_1 = e^-11 times the identity on C^1 = C^2 = C^160: det' Delta_0
-# = 1 and det' Delta_1 = e^-3520, so Z = det' Delta_1^(-1/4) = e^880
-_SMALL_D1 = {"dims": [0, 160, 160],
-             "differentials": [[[]] * 160, (np.exp(-11.0) * np.eye(160)).tolist()]}
+def _small_d1(n):
+    """C^0 = 0 and D_1 = e^-11 times the identity on C^1 = C^2 = C^n:
+    det' Delta_0 = 1 and det' Delta_1 = e^(-22 n)."""
+    return {"dims": [0, n, n],
+            "differentials": [[[]] * n, (np.exp(-11.0) * np.eye(n)).tolist()]}
+
+
+# det' Delta_1 = e^-3520 is 0.0 (Z = det' Delta_1^(-1/4) would be e^880)
+_SMALL_D1 = _small_d1(160)
 
 # sigma = 1e200: sigma^2 is past the float range, 2 log sigma is not
 _HUGE_SIGMA = {"dims": [2, 2], "differentials": [[[1e200, 0], [0, 1]]]}
+
+# dims (0, 2, 4, 2), D_1 = e^175 and D_2 = e^-180 on two coordinates each:
+# log det' = (700, -20, -720) in degrees 1-3, each in the float range, but
+# log T = (700 + 720) / 2 = 710 is not
+_TORSION_PAST_RANGE = {"dims": [0, 2, 4, 2], "differentials": [
+    [[]] * 2,
+    (np.exp(175.0) * np.eye(4, 2)).tolist(),
+    (np.exp(-180.0) * np.eye(2, 4, k=2)).tolist()]}
 
 
 @pytest.mark.parametrize("command,data,quantity", [
@@ -442,9 +455,7 @@ _HUGE_SIGMA = {"dims": [2, 2], "differentials": [[[1e200, 0], [0, 1]]]}
     ("hodge", _circle([1e-3, 1]), "det_prime"),
     ("torsion", _circle([1e-3, 1]), "det_prime"),
     ("cs-partition", _circle([1e-3, 1]), "det_prime"),
-    # Grams (1, 8e-6): det' = e^-1501 is 0.0, and T = e^750
-    ("torsion", _circle([1, 8e-6]), "torsion"),
-    ("cs-partition", _SMALL_D1, "Z"),
+    ("torsion", _TORSION_PAST_RANGE, "torsion"),
     ("hodge", _HUGE_SIGMA, "eigenvalue"),
     ("torsion", _HUGE_SIGMA, "eigenvalue"),
     ("cs-partition", _HUGE_SIGMA, "eigenvalue"),
@@ -464,6 +475,32 @@ def test_value_past_the_float_range_is_a_coded_error(tmp_path, capsys, command, 
     assert payload["context"]["quantity"] == quantity
     assert math.isfinite(payload["context"]["log_value"])
     assert payload["context"]["log_value"] > math.log(sys.float_info.max)
+
+
+@pytest.mark.parametrize("command,data,log_value", [
+    # Grams (1, 8e-6): det' = e^-1501 in both degrees, 0.0 in floating point
+    ("hodge", _circle([1, 8e-6]), -1500.83),
+    ("torsion", _circle([1, 8e-6]), -1500.83),
+    ("cs-partition", _circle([1, 8e-6]), -1500.83),
+    ("cs-partition", _SMALL_D1, -3520.0),
+])
+def test_det_prime_that_underflows_to_zero_is_a_coded_error(tmp_path, capsys, command, data,
+                                                            log_value):
+    src = tmp_path / "cx.json"
+    src.write_text(json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([command, "--complex", str(src), "--out", str(tmp_path / "r.json")]) == 1
+    assert caught == []
+    streams = capsys.readouterr()
+    assert streams.out == "" and "Traceback" not in streams.err
+    payload = json.loads(streams.err)
+    assert payload["code"] == "hodge-classical/OutOfFloatRange"
+    assert payload["context"] == {"quantity": "det_prime",
+                                  "log_value": pytest.approx(log_value, abs=0.01)}
+    assert math.exp(payload["context"]["log_value"]) == 0.0
+    assert "underflows to 0" in payload["message"]
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("command", ["hodge", "torsion", "cs-partition"])
@@ -507,7 +544,8 @@ def _diag(*sigma):
 
 @pytest.mark.parametrize("data,betti", [
     ({"dims": [1, 1], "differentials": [[[1e-5]]]}, [0, 0]),
-    (_SMALL_D1, [0, 0, 0]),
+    # det' Delta_1 = e^-352, in the float range
+    (_small_d1(16), [0, 0, 0]),
     # sigma / sigma_max between tol and sqrt(tol): rank, though sigma^2 is not
     # above tol times the largest eigenvalue
     (_diag(1, 1e-6), [0, 0]),

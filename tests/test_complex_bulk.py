@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nchodge import cli, hodge
-from nchodge.scalars import float_span
+from nchodge.scalars import field_for, float_span
 
 _BUNDLED_CIRCLE = Path(hodge.__file__).parent / "data" / "circle_alpha_-1_N8.json"
 
@@ -27,6 +27,9 @@ _VALUES = st.one_of(st.integers(-3, 3),
 _NAMES = ["cx", "a[b", "a]b", "a{b", 'a"b', "café", "a\\b"]
 _BAD_NUMBERS = ["01", "+1", "1.", ".5", "1e", "--1", "NaN", "Infinity", "-Infinity",
                 "1e400", "true", "null", "[1]"]
+# the four spellings the bulk reader sets, zeros it parses, and near-zeros
+# that the full parse rejects
+_ZERO_TOKENS = ["0", "-0", "0.0", "-0.0", "0.00", "-0.0e0", "00", "-00", "0 .0", "- 0"]
 
 
 def _matrix(draw, rows, cols, pairs, values=_VALUES):
@@ -75,7 +78,7 @@ def _dumps(draw, data):
 
 def _mutate(draw, text, data):
     """``text`` unchanged, or with one drawn defect or oddity."""
-    how = draw(st.sampled_from(["none", "drop", "double", "space", "number", "bom",
+    how = draw(st.sampled_from(["none", "drop", "double", "space", "number", "zero", "bom",
                                 "duplicate", "trailing"]))
     if how in ("drop", "double"):
         at = [i for i, c in enumerate(text) if c in ",[]"]
@@ -87,11 +90,12 @@ def _mutate(draw, text, data):
         if at:
             i = at[draw(st.integers(0, len(at) - 1))]
             return text[:i] + " " + text[i:]
-    elif how == "number":
+    elif how in ("number", "zero"):
         found = list(re.finditer(r"-?\d+(\.\d+)?([eE][-+]?\d+)?", text))
         if found:
             m = found[draw(st.integers(0, len(found) - 1))]
-            return text[:m.start()] + draw(st.sampled_from(_BAD_NUMBERS)) + text[m.end():]
+            token = draw(st.sampled_from(_BAD_NUMBERS if how == "number" else _ZERO_TOKENS))
+            return text[:m.start()] + token + text[m.end():]
     elif how == "bom":
         return "\ufeff" + text
     elif how == "duplicate":
@@ -177,10 +181,57 @@ def test_the_bulk_reader_reads_what_the_full_parse_reads(text):
     '{"dims": [1, 1], "differentials": [[[1]]], "name": [[1]]}',         # one as the name
     '{"dims": [1, 1], "differentials": [[[01]]]}',
     '{"dims": [1, 1], "differentials": [[[1 2]]]}',
+    *('{"dims": [2, 2], "differentials": [[[0, -0.0], [%s, 0.0]]]}' % token
+      for token in ("00", "-00", "0 .0", "- 0")),                          # not zeros
     '{"dims": [1, 1], "differentials": [[[1]]]} x',                       # trailing junk
 ])
 def test_the_bulk_reader_declines_what_it_cannot_prove(text):
     assert hodge._bulk_source(text) is None
+
+
+def _span(nested, layout, token):
+    """The JSON text of ``nested`` in ``layout`` with every "Z" written ``token``."""
+    text = {"compact": lambda: json.dumps(nested, separators=(",", ":")),
+            "default": lambda: json.dumps(nested),
+            "indent-2-crlf": lambda: json.dumps(nested, indent=2).replace("\n", "\r\n")}[layout]()
+    return text.replace('"Z"', token).encode()
+
+
+# one matrix per entry form, the spelling among other zeros and numbers,
+# and an all-zero one
+_ZERO_MATRICES = {
+    "numbers": ([["Z", 1.5, "Z"], [-2, "Z", "Z"]], (2, 3)),
+    "pairs": ([[["Z", "Z"], [1.5, "Z"]], [["Z", -2], ["Z", 1e-300]]], (2, 2)),
+    "all-zero": ([["Z", "Z"], ["Z", "Z"]], (2, 2)),
+}
+
+
+@pytest.mark.parametrize("layout", ["compact", "default", "indent-2-crlf"])
+@pytest.mark.parametrize("form", sorted(_ZERO_MATRICES))
+@pytest.mark.parametrize("token", ["0", "-0", "0.0", "-0.0", "0.00", "-0.0e0"])
+def test_float_span_gives_the_full_parse_bits_for_every_zero_spelling(token, form, layout):
+    nested, shape = _ZERO_MATRICES[form]
+    span = _span(nested, layout, token)
+    got = float_span(span, shape)
+    want = field_for("float").matrix_from_json(json.loads(span), shape)
+    assert got is not None
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
+
+@pytest.mark.parametrize("layout", ["compact", "default", "indent-2-crlf"])
+@pytest.mark.parametrize("form", sorted(_ZERO_MATRICES))
+@pytest.mark.parametrize("token", ["00", "-00", "0 .0", "- 0"])
+def test_float_span_declines_what_the_full_parse_rejects_among_zeros(token, form, layout):
+    nested, shape = _ZERO_MATRICES[form]
+    span = _span(nested, layout, token)
+    with pytest.raises(ValueError):
+        json.loads(span)
+    assert float_span(span, shape) is None
+    # one such token among set zeros
+    nested = json.loads(_span(nested, "default", "0"))
+    text = json.dumps(nested).replace("0", token, 1).encode()
+    assert float_span(text, shape) is None, text
 
 
 def test_float_span_reads_both_forms_and_checks_the_brackets():

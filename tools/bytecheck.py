@@ -1,5 +1,5 @@
-"""Compare the report bytes of a fixed list of nchodge commands at two
-git revisions.
+"""Compare the report and stderr bytes of a fixed list of nchodge commands
+at two git revisions.
 
     python tools/bytecheck.py BASE [HEAD]
 
@@ -9,12 +9,16 @@ repository) and every command runs there in a fresh interpreter, with
 ``PYTHONPATH`` set to that tree's ``src`` and BLAS pinned to one thread.
 Without HEAD the second side is this checkout's working tree.  Commands
 write their report with ``--out``; a command passes when both sides exit
-with the same code and write the same bytes.  For a command that fails,
-the first key path at which the two JSON reports differ is printed with
-both values (for example ``criteria[7].details.worst_resum_residual``),
-and the largest relative difference |x - y| / max(|x|, |y|) over the float
-leaves the two reports hold at the same key path, with that path.
-The exit status is 0 when every command passes and 1 otherwise.
+with the same code, write the same report bytes and the same stderr
+bytes (so a failing command must fail with the same error JSON: code,
+message and context), and, on exit 0, write nothing to stderr.  For a
+command that fails, the first key path at which the two JSON reports
+differ is printed with both values (for example
+``criteria[7].details.worst_resum_residual``), and the largest relative
+difference |x - y| / max(|x|, |y|) over the float leaves the two reports
+hold at the same key path, with that path; the same is printed for the
+two stderr texts when they differ.  The exit status is 0 when every
+command passes and 1 otherwise.
 
 Float reports are compared bit for bit, so both sides must run on one
 machine: LAPACK results differ between builds and processors.
@@ -47,6 +51,13 @@ complex, stored float64 at the size the benchmark runs), on a real 32-site
 circle with dense real Kac-Murdock-Szego Grams rho^|i-j| (the real
 factored Cholesky), and on a real 32-site circle whose degree-0 Gram is
 Hermitian with imaginary entries (so the whole complex stays complex128),
+on the 256-site twisted circle with its zero entries written ``0``,
+``-0``, ``0.0`` and ``-0.0`` in turn (the signed zeros the bulk reader
+sets without a parse), on the same circle with one zero written ``0.00``
+(a zero token the reader must parse, not set), and on a 128-site circle
+with holonomy -1 and Grams (1, 8e-6), whose det' in both degrees is
+e^-1501, which underflows to 0, so that ``hodge``, ``torsion`` and
+``cs-partition`` end in ``hodge-classical/OutOfFloatRange`` on it,
 ``witten-sweep --phi cos-hv`` on ``circle_leaves.json`` and on a
 torus-leaves model with metric scale 2 (cos-hv varies along the
 transversal, so every sample builds its own complex), ``gv`` on a
@@ -97,6 +108,9 @@ TINY_SIGMA = "sigma-1e-300.json"
 CIRCLE_REAL = "circle-256-real.json"
 CIRCLE_REAL_DENSE = "circle-32-real-dense-gram.json"
 CIRCLE_REAL_HERMITIAN = "circle-32-real-hermitian-gram.json"
+CIRCLE_ZERO_SPELLINGS = "circle-256-zero-spellings.json"
+CIRCLE_ZERO_PARSED = "circle-256-one-zero-parsed.json"
+CIRCLE_UNDERFLOW = "circle-128-det-underflow.json"
 TORUS_SCALED = "torus-leaves-scale-2.json"
 OMEGA = "omega-dg.json"
 M2_GAUSSIAN = "m2-gaussian.json"
@@ -118,7 +132,8 @@ COMMANDS = (
        for cx in ("circle_alpha_-1_N8.json", CIRCLE, CIRCLE_GRAM, CIRCLE_HERMITIAN,
                   TORUS_REAL, CUT_SMALL, CUT_MIXED, HUGE_SIGMA, CIRCLE_PRETTY,
                   CIRCLE_REAL_GRAM, CIRCLE_BRACKET_NAME, TINY_SIGMA, CIRCLE_REAL,
-                  CIRCLE_REAL_DENSE, CIRCLE_REAL_HERMITIAN)
+                  CIRCLE_REAL_DENSE, CIRCLE_REAL_HERMITIAN, CIRCLE_ZERO_SPELLINGS,
+                  CIRCLE_ZERO_PARSED, CIRCLE_UNDERFLOW)
        for cmd in ("hodge", "torsion", "cs-partition")]
     + [["witten-sweep", "--model", model, "--phi", phi]
        for model in ("circle_leaves.json", "torus_leaves.json")
@@ -152,6 +167,21 @@ def circle_json(n, alpha, gram=(1.0, 1.0)):
     d0[n - 1][0] = [alpha.real, alpha.imag]
     return {"name": f"circle-{n}", "dims": [n, n], "differentials": [d0],
             "gram": list(gram)}
+
+
+def dumps_zeros_as(data, zeros):
+    """``json.dumps(data)`` with each zero number written as the next of
+    the iterator ``zeros`` and every other number as ``json.dumps`` writes it."""
+    def encode(node):
+        if isinstance(node, list):
+            return "[" + ", ".join(map(encode, node)) + "]"
+        if isinstance(node, dict):
+            return "{" + ", ".join(f"{json.dumps(k)}: {encode(v)}" for k, v in node.items()) + "}"
+        if type(node) in (int, float) and node == 0:
+            return next(zeros)
+        return json.dumps(node)
+
+    return encode(data)
 
 
 def hermitian_gram(n, phase):
@@ -283,13 +313,14 @@ def export(rev, dest: Path):
 
 
 def run(tree: Path, argv, work: Path, out: Path):
+    """(exit code, report bytes, stderr bytes) of one command."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out.unlink(missing_ok=True)
     proc = subprocess.run([sys.executable, "-m", "nchodge.cli", *argv,
                            "--out", str(out)],
                           cwd=work, env=env, capture_output=True)
-    return proc.returncode, out.read_bytes() if out.exists() else b""
+    return proc.returncode, out.read_bytes() if out.exists() else b"", proc.stderr
 
 
 def first_difference(a, b, path=""):
@@ -387,6 +418,13 @@ def main(argv=None) -> int:
         mixed = circle_json(32, -1.0 + 0j)
         mixed["gram"] = [hermitian_gram(32, 0.3), 1.0]
         (work / CIRCLE_REAL_HERMITIAN).write_text(json.dumps(mixed))
+        spelt = circle_json(256, cmath.exp(0.7j))
+        (work / CIRCLE_ZERO_SPELLINGS).write_text(
+            dumps_zeros_as(spelt, itertools.cycle(["0", "-0", "0.0", "-0.0"])))
+        (work / CIRCLE_ZERO_PARSED).write_text(
+            dumps_zeros_as(spelt, itertools.chain(["0.00"], itertools.repeat("0.0"))))
+        (work / CIRCLE_UNDERFLOW).write_text(
+            json.dumps(circle_json(128, -1.0 + 0j, gram=(1.0, 8e-6))))
         named = circle_json(64, cmath.exp(0.7j))
         named["name"] = "circle[64]"
         (work / CIRCLE_BRACKET_NAME).write_text(json.dumps(named))
@@ -409,15 +447,19 @@ def main(argv=None) -> int:
         differ = 0
         for argv in COMMANDS:
             t0 = time.perf_counter()
-            (rc_a, a), (rc_b, b) = (run(tree, argv, work, work / "report.json")
-                                    for tree in trees)
-            same = rc_a == rc_b and a == b
+            (rc_a, a, err_a), (rc_b, b, err_b) = (run(tree, argv, work, work / "report.json")
+                                                  for tree in trees)
+            same = rc_a == rc_b and a == b and err_a == err_b and (rc_a or not err_a)
             differ += not same
             print(f"{'same' if same else 'DIFFERS':8} exit {rc_a}/{rc_b} "
                   f"{len(a):>8}/{len(b):<8} bytes  {time.perf_counter() - t0:6.2f}s  "
                   f"{' '.join(argv)}")
             if a != b:
                 print(f"{'':8} {describe_difference(a, b) or 'same JSON, different layout'}")
+            if err_a != err_b:
+                print(f"{'':8} stderr: {describe_difference(err_a, err_b) or 'same JSON, different layout'}")
+            elif err_a and not rc_a:
+                print(f"{'':8} stderr on exit 0: {err_a[:200]!r}")
         print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} commands wrote "
               f"the same bytes at {args.base} and {args.head or 'the working tree'}")
     return 1 if differ else 0
