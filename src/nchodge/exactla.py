@@ -44,8 +44,8 @@ matrices enter at the field edge only: ``ScalarField.matrix_from_json``
 parses JSON pairs (:func:`from_pairs`), ``ScalarField.array`` converts raw
 scalars (:func:`from_object`); ``np.asarray`` reads one out as objects.
 
-Also hosts the closed-form Karoubi CRT polynomials (Fraction coefficients,
-low to high) that give P and G as polynomials in k.
+Also hosts the closed-form Karoubi CRT polynomials that give P and G as
+polynomials in k, built as integer numerators over one denominator each.
 """
 
 from __future__ import annotations
@@ -522,27 +522,14 @@ def eval_poly(coeffs, mat):
 # In degree n the rotation k satisfies ann(k) = 0 with ann = (x^n - 1)(x^(n+1) - 1)
 # = (x-1)^2 q, q = S_n S_(n+1) and S_m = 1 + x + ... + x^(m-1).  The spectral
 # projection onto Ker (1-k)^2 is P = r(k) and the Green's operator G = s(k) for
-# the unique r, s of degree <= 2n below (Chinese remainder theorem mod (x-1)^2 q).
-# All three depend on the degree alone; they are formed once per process and
-# shared, so they are returned as tuples of Fractions, low to high.
+# the unique r, s of degree <= 2n below (Chinese remainder theorem mod (x-1)^2 q),
+# built in Python ints over the denominators 2n(n+1) and 2n^2(n+1)^2.  All three
+# depend on the degree alone; they are formed once per process and shared, so
+# they are returned as tuples of Fractions, low to high.
 
 def _mul(p, q):
-    """Product of two coefficient sequences (np.convolve on Fraction objects)."""
-    return np.convolve(np.array(p, dtype=object), np.array(q, dtype=object))
-
-
-def _mod_ann(p, n):
-    """p reduced mod the degree-n annihilator (x^(2n+1) = x^(n+1) + x^n - 1),
-    trailing zeros trimmed."""
-    p = list(p)
-    for i in range(len(p) - 1, 2 * n, -1):
-        c = p.pop()
-        p[i - n] += c
-        p[i - n - 1] += c
-        p[i - 2 * n - 1] -= c
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+    """Product of two integer coefficient sequences (np.convolve on Python ints)."""
+    return np.convolve(np.array(p, dtype=object), np.array(q, dtype=object)).tolist()
 
 
 @functools.cache
@@ -561,11 +548,12 @@ def harmonic_crt_poly(n: int):
     """r = q ((2n+1) - (2n-1) x) / (2n(n+1)): r = 1 mod (x-1)**2, as q(1) =
     n(n+1) and q'(1)/q(1) = (2n-1)/2, and r = 0 mod q.  Evaluating r at the
     rotation operator yields the spectral projection onto the generalized
-    eigenspace of eigenvalue 1 -- exactly, over the rationals."""
+    eigenspace of eigenvalue 1 -- exactly, over the rationals.  q is the
+    integer trapezoid q_j = min(j+1, n, 2n-j), j < 2n."""
     if n < 1:
         raise ValueError("harmonic projector polynomial needs degree >= 1")
-    lin = [Fraction(2 * n + 1, 2 * n * (n + 1)), Fraction(1 - 2 * n, 2 * n * (n + 1))]
-    return tuple(_mul(_mul([Fraction(1)] * n, [Fraction(1)] * (n + 1)), lin))
+    return tuple(Fraction(c, 2 * n * (n + 1)) for c in _mul(
+        [min(j + 1, n, 2 * n - j) for j in range(2 * n)], [2 * n + 1, 1 - 2 * n]))
 
 
 @functools.cache
@@ -575,13 +563,19 @@ def green_crt_poly(n: int):
     so u (1-x) = 1 mod q: s = 0 mod (x-1)**2 and s*(1-x) = 1 - r modulo ann,
     and s*r = 0 modulo it, so G = s(k) inverts 1-k on the complement of
     P = r(k) and vanishes on Im(P): the Green's operator, exactly, with no
-    matrix inverse."""
-    one_minus_r = -np.array(harmonic_crt_poly(n), dtype=object)
-    one_minus_r[0] += 1
-
-    def t(m):
-        return [Fraction(-j, m) for j in range(m)]
-
-    u = (np.append(_mul(t(n), [Fraction(1)] * (n + 1)), Fraction(0))
-         - np.insert(_mul(t(n + 1), [Fraction(1)] * n), 0, Fraction(0)))
-    return tuple(_mod_ann(_mul(one_minus_r, u), n))
+    matrix inverse.  In integers: 2n(n+1) (1-r) times n(n+1) u, whose
+    t-parts are -(n+1) j and -n j, over 2n**2 (n+1)**2."""
+    m = n * (n + 1)
+    one_minus_r = [-c.numerator * (2 * m // c.denominator) for c in harmonic_crt_poly(n)]
+    one_minus_r[0] += 2 * m
+    u = [a - b for a, b in zip(_mul(range(0, -n, -1), [n + 1] * (n + 1)) + [0],
+                               [0] + _mul(range(0, -n - 1, -1), [n] * n))]
+    p = _mul(one_minus_r, u)
+    for i in range(len(p) - 1, 2 * n, -1):     # mod ann: x^(2n+1) = x^(n+1) + x^n - 1
+        c = p.pop()
+        p[i - n] += c
+        p[i - n - 1] += c
+        p[i - 2 * n - 1] -= c
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(Fraction(c, 2 * m * m) for c in p)

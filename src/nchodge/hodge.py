@@ -591,17 +591,20 @@ def _in_float_range(quantity, log_value):
 def _log_det(eigs, harmonic):
     """(log det', det') of one ascending spectrum: the sum of the logs of
     the eigenvalues above its ``harmonic`` smallest, and its exponential,
-    cross-checked against their plain product.  Empty or all-harmonic
-    spectra give (0, 1)."""
+    checked in the log domain against their product, whose binary exponent
+    is carried apart.  Empty or all-harmonic spectra give (0, 1)."""
     positive = eigs[harmonic:]
     if positive.size == 0:
         return 0.0, 1.0
     log_det = float(np.sum(np.log(positive)))
     det = float(np.exp(_in_float_range("det_prime", log_det)))
-    with np.errstate(over="ignore"):
-        direct = float(np.prod(positive))
-    if not math.isclose(direct, det, rel_tol=1e-9):
-        raise AssertionError(f"determinant routes disagree: {direct} vs {det}")
+    mants, exps = np.frexp(positive)    # 1/2 <= mants < 1: 512 of them multiply to a normal
+    mant, exp2 = 1.0, int(exps.sum())
+    for i in range(0, mants.size, 512):
+        mant, e = math.frexp(mant * float(np.prod(mants[i:i + 512])))
+        exp2 += e
+    if abs(math.log(mant) + exp2 * math.log(2.0) - log_det) > 1e-9:
+        raise AssertionError(f"determinant routes disagree: {mant} * 2**{exp2} vs e**{log_det}")
     return log_det, det
 
 

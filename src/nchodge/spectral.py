@@ -39,6 +39,9 @@ block are one integer product.  Float windows solve least
 squares per test (``exactla.solve_in_image``).  The rescaled
 Laplacian ``L = b(Nd) + (Nd)b`` vanishes on the harmonic space and is
 invertible on the complement, which is what makes the split well posed.
+
+:func:`spectral_report` writes ``P_idempotent`` and ``green_left_inverse`` from
+the residuals the checks formed (``SpectralData.checks``), the rest afresh.
 """
 
 from __future__ import annotations
@@ -67,11 +70,13 @@ MIN_SINGULAR_TOL = 1e-8  # L's smallest singular value on the complement must ex
 @dataclass
 class SpectralData:
     """One degree's ``P``, ``P_perp = 1 - P``, ``G`` and the split projectors
-    ``X = (G db) P_perp`` and ``Y = (G bd) P_perp``: ``v = P v + X v + Y v``."""
+    ``X = (G db) P_perp`` and ``Y = (G bd) P_perp``: ``v = P v + X v + Y v``;
+    ``checks`` holds the report rows of the residuals its checks formed."""
 
     degree: int
     P: np.ndarray
     P_perp: np.ndarray
+    checks: dict
     G: np.ndarray = None
     X: np.ndarray = None
     Y: np.ndarray = None
@@ -79,6 +84,15 @@ class SpectralData:
 
 def _k_block(window, degree):
     return operator_matrices(window)["k"].blocks[degree]
+
+
+def _residual(mat) -> dict:
+    """The report row of a residual: whether it is exactly zero, its largest |entry|."""
+    return {"exact_zero": bool(exactla.is_zero_matrix(mat)), "max_abs": exactla.max_abs(mat)}
+
+
+def _holds(row, exact, tol) -> bool:
+    return row["exact_zero"] if exact else row["max_abs"] <= tol
 
 
 def harmonic_projection(window: FormsWindow, degree: int) -> SpectralData:
@@ -100,9 +114,10 @@ def harmonic_projection(window: FormsWindow, degree: int) -> SpectralData:
     else:
         P = eigenprojection_float(window, degree)
     tol = 0.0 if exact else FLOAT_CHECK_TOL * max(1.0, exactla.max_abs(P)) ** 2
-    if not exactla.equal(matmul(P, P), P, tol):
+    row = _residual(matmul(P, P) - P)
+    if not _holds(row, exact, tol):
         raise AssertionError(f"projection not idempotent at degree {degree}")
-    return SpectralData(degree=degree, P=P, P_perp=exactla.eye_like(P) - P)
+    return SpectralData(degree, P, exactla.eye_like(P) - P, {"P_idempotent": row})
 
 
 def _eigvals(K: np.ndarray) -> np.ndarray:
@@ -149,12 +164,12 @@ def greens_operator(window: FormsWindow, degree: int) -> SpectralData:
         G = exactla.eval_poly(green_crt_poly(degree), _k_block(window, degree))
     else:
         G = 0 * M       # k is the identity on degree 0
-    gm = matmul(G, M)
     tol = 0.0 if field.exact else FLOAT_CHECK_TOL * max(1.0, exactla.max_abs(G))
-    if not exactla.equal(gm, data.P_perp, tol):
+    row = data.checks["green_left_inverse"] = _residual(matmul(G, M) - data.P_perp)
+    if not _holds(row, field.exact, tol):
         raise SingularOnComplement(
             f"Green's operator fails G(1-k) = 1-P at degree {degree}",
-            degree=degree, residual=exactla.max_abs(gm - data.P_perp))
+            degree=degree, residual=row["max_abs"])
     data.G = G
     data.X = matmul(matmul(G, ops["db"].blocks[degree]), data.P_perp) if degree \
         else exactla.eye_like(data.P_perp) * 0
@@ -226,9 +241,7 @@ def rescaled_laplacian_check(window: FormsWindow, degree: int, rank_perp: int):
     norm_on_p = exactla.max_abs(matmul(L, data.P))
     if rank_perp == 0:
         return norm_on_p, None
-    pf = to_complex(data.P_perp)
-    u, s, _ = np.linalg.svd(pf)
-    basis = u[:, :rank_perp]
+    basis = np.linalg.svd(to_complex(data.P_perp))[0][:, :rank_perp]
     restricted = basis.conj().T @ to_complex(L) @ basis
     return norm_on_p, float(np.linalg.svd(restricted, compute_uv=False).min())
 
@@ -236,12 +249,7 @@ def rescaled_laplacian_check(window: FormsWindow, degree: int, rank_perp: int):
 def admissible_roots(degree: int) -> np.ndarray:
     """Roots of unity of order dividing degree or degree + 1 (dedup, sorted by
     angle).  Degree 0 only admits 1."""
-    if degree == 0:
-        return np.array([1.0 + 0.0j])
-    angles = set()
-    for order in (degree, degree + 1):
-        for j in range(order):
-            angles.add(round(j / order, 12) % 1.0)
+    angles = {round(j / m, 12) % 1.0 for m in (degree, degree + 1) for j in range(m)}
     return np.array([np.exp(2j * np.pi * a) for a in sorted(angles)])
 
 
@@ -308,21 +316,16 @@ def spectral_report(window: FormsWindow) -> dict:
         eig_p = eigenprojection_float(window, n) if exact else P
         crt_vs_eig = exactla.max_abs(to_complex(P) - eig_p)
 
-        def res(mat):
-            return {"exact_zero": bool(exactla.is_zero_matrix(mat)),
-                    "max_abs": exactla.max_abs(mat)}
-
-        residuals = {
-            "P_idempotent": res(matmul(P, P) - P),
-            "P_commutes_k": res(matmul(P, K[n]) - matmul(K[n], P)),
-            "harmonic_kernel": res(matmul(omk2, P)),
-            "green_on_harmonic": res(matmul(G, P)),
-            "green_left_inverse": res(matmul(G, omk) - Pp),
-            "green_right_inverse": res(matmul(omk, G) - Pp),
-            "split_partition": res(Xc + Yc - Pp),
-            "d_piece_idempotent": res(matmul(Xc, Xc) - Xc),
-            "b_piece_idempotent": res(matmul(Yc, Yc) - Yc),
-            "pieces_orthogonal": res(matmul(Xc, Yc)),
+        residuals = {   # P_idempotent and green_left_inverse, as the checks formed them
+            **data.checks,
+            "P_commutes_k": _residual(matmul(P, K[n]) - matmul(K[n], P)),
+            "harmonic_kernel": _residual(matmul(omk2, P)),
+            "green_on_harmonic": _residual(matmul(G, P)),
+            "green_right_inverse": _residual(matmul(omk, G) - Pp),
+            "split_partition": _residual(Xc + Yc - Pp),
+            "d_piece_idempotent": _residual(matmul(Xc, Xc) - Xc),
+            "b_piece_idempotent": _residual(matmul(Yc, Yc) - Yc),
+            "pieces_orthogonal": _residual(matmul(Xc, Yc)),
         }
         membership = {
             "d_piece_in_image_d": bool(n == 0 or _in_image(window, "d", n - 1, Xc)),
@@ -363,8 +366,7 @@ def spectral_report(window: FormsWindow) -> dict:
         ok = (row["rank_split_ok"]
               and row["harmonic_multiplicity_matches"]
               and crt_vs_eig <= CRT_VS_EIG_TOL
-              and all(r["exact_zero"] if exact else r["max_abs"] <= zero_tol
-                      for r in residuals.values())
+              and all(_holds(r, exact, zero_tol) for r in residuals.values())
               and all(membership.values())
               and norm_on_p <= zero_tol
               and (min_sing is None or min_sing > MIN_SINGULAR_TOL))

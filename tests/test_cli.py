@@ -449,6 +449,42 @@ _TORSION_PAST_RANGE = {"dims": [0, 2, 4, 2], "differentials": [
     (np.exp(175.0) * np.eye(4, 2)).tolist(),
     (np.exp(-180.0) * np.eye(2, 4, k=2)).tolist()]}
 
+# dims (1, 4, 3), D_0 = e^354.5 on one coordinate and D_1 = e^a on the other
+# three: log det' = (709, 709 + 6a, 6a).  The ascending product of Delta_1's
+# spectrum passes e^(6a) before its e^709 eigenvalue, which underflows for
+# either a below
+_LOG_DET_PRODUCT = {"dims": [1, 4, 3], "differentials": [
+    (np.exp(354.5) * np.eye(4, 1)).tolist(), (np.exp(-180.0) * np.eye(3, 4, k=1)).tolist()]}
+# a = -239.83: det' Delta_1 = e^-730 is subnormal, and log Z = 714.2 is past
+# the float range
+_Z_PAST_RANGE = {"dims": [1, 4, 3], "differentials": [
+    (np.exp(354.5) * np.eye(4, 1)).tolist(), (np.exp(-239.83) * np.eye(3, 4, k=1)).tolist()]}
+
+# dims (1, 4, 4, 1), D_0 and D_2 = e^100 on one coordinate, D_1 = e^-150 on
+# three: log det' = (200, -700, -700, 200), log T = -650 and log Z = 325 are
+# all in range, though the ascending products in degrees 1 and 2 pass e^-900
+_PRODUCT_UNDERFLOWS = {"dims": [1, 4, 4, 1], "differentials": [
+    (np.exp(100.0) * np.eye(4, 1)).tolist(), (np.exp(-150.0) * np.eye(4, 4, k=1)).tolist(),
+    (np.exp(100.0) * np.eye(1, 4, k=3)).tolist()]}
+
+
+@pytest.mark.parametrize("command,data,key,log_value", [
+    ("hodge", _PRODUCT_UNDERFLOWS, "det_prime", [200.0, -700.0, -700.0, 200.0]),
+    ("torsion", _PRODUCT_UNDERFLOWS, "log_torsion", -650.0),
+    ("cs-partition", _PRODUCT_UNDERFLOWS, "log_Z", 325.0),
+    ("cs-partition", _LOG_DET_PRODUCT, "log_Z", 624.5),
+])
+def test_det_prime_in_range_whose_running_product_underflows_passes(tmp_path, capsys, command,
+                                                                    data, key, log_value):
+    src, out = tmp_path / "cx.json", tmp_path / "r.json"
+    src.write_text(json.dumps(data))
+    assert run([command, "--complex", str(src), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    value = json.loads(out.read_text())[key]
+    if key == "det_prime":
+        value = [math.log(v) for v in value]
+    assert value == pytest.approx(log_value, abs=1e-9)
+
 
 @pytest.mark.parametrize("command,data,quantity", [
     # Grams (1e-3, 1): det' = e^885 in both degrees
@@ -459,6 +495,7 @@ _TORSION_PAST_RANGE = {"dims": [0, 2, 4, 2], "differentials": [
     ("hodge", _HUGE_SIGMA, "eigenvalue"),
     ("torsion", _HUGE_SIGMA, "eigenvalue"),
     ("cs-partition", _HUGE_SIGMA, "eigenvalue"),
+    ("cs-partition", _Z_PAST_RANGE, "Z"),
 ])
 def test_value_past_the_float_range_is_a_coded_error(tmp_path, capsys, command, data,
                                                      quantity):
@@ -483,6 +520,9 @@ def test_value_past_the_float_range_is_a_coded_error(tmp_path, capsys, command, 
     ("torsion", _circle([1, 8e-6]), -1500.83),
     ("cs-partition", _circle([1, 8e-6]), -1500.83),
     ("cs-partition", _SMALL_D1, -3520.0),
+    # det' Delta_2 = e^-1080; degree 1, e^-371, is in range
+    ("hodge", _LOG_DET_PRODUCT, -1080.0),
+    ("torsion", _LOG_DET_PRODUCT, -1080.0),
 ])
 def test_det_prime_that_underflows_to_zero_is_a_coded_error(tmp_path, capsys, command, data,
                                                             log_value):

@@ -359,6 +359,46 @@ def test_harmonic_crt_poly_properties(n):
     assert xla.harmonic_crt_poly(n)[-1] != 0 and xla.green_crt_poly(n)[-1] != 0
 
 
+def _fraction_mul(p, q):
+    return np.convolve(np.array(p, dtype=object), np.array(q, dtype=object))
+
+
+def _fraction_mod_ann(p, n):
+    p = list(p)
+    for i in range(len(p) - 1, 2 * n, -1):
+        c = p.pop()
+        p[i - n] += c
+        p[i - n - 1] += c
+        p[i - 2 * n - 1] -= c
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _fraction_crt_polys(n):
+    """Reference r and s built by np.convolve on Fraction object arrays, the
+    construction the integer numerators replaced."""
+    lin = [Fraction(2 * n + 1, 2 * n * (n + 1)), Fraction(1 - 2 * n, 2 * n * (n + 1))]
+    r = tuple(_fraction_mul(_fraction_mul([Fraction(1)] * n, [Fraction(1)] * (n + 1)), lin))
+    one_minus_r = -np.array(r, dtype=object)
+    one_minus_r[0] += 1
+
+    def t(m):
+        return [Fraction(-j, m) for j in range(m)]
+
+    u = (np.append(_fraction_mul(t(n), [Fraction(1)] * (n + 1)), Fraction(0))
+         - np.insert(_fraction_mul(t(n + 1), [Fraction(1)] * n), 0, Fraction(0)))
+    return r, tuple(_fraction_mod_ann(_fraction_mul(one_minus_r, u), n))
+
+
+def test_crt_polys_equal_the_fraction_construction():
+    for n in range(1, 65):
+        r, s = _fraction_crt_polys(n)
+        assert xla.harmonic_crt_poly(n) == r and xla.green_crt_poly(n) == s
+        assert all(type(c) is Fraction for c in (*r, *s, *xla.harmonic_crt_poly(n),
+                                                 *xla.green_crt_poly(n)))
+
+
 @pytest.mark.parametrize("fn", [xla.karoubi_annihilator, xla.harmonic_crt_poly,
                                 xla.green_crt_poly])
 def test_crt_polys_need_positive_degree(fn):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import nchodge as nc
 from nchodge.errors import BadGram, NCHodgeError, NotAComplex
-from nchodge.hodge import complex_to_json, load_complex
+from nchodge.hodge import _log_det, complex_to_json, load_complex
 from nchodge.scalars import FLOAT, field_for
 from test_algebra import _SCALARS, _TREES
 
@@ -866,3 +866,16 @@ def test_load_complex_on_generated_files_ends_in_coded_errors(data):
         load_complex(data)
     except NCHodgeError as exc:
         assert exc.code.startswith("hodge-classical/"), exc.code
+
+
+@pytest.mark.parametrize("eigs,log_det", [
+    # det' = 1e-315 is subnormal
+    ([1e-200, 1e-200, 1e85], -315 * math.log(10)),
+    # 1000 eigenvalues e^-1, then e^300: the plain product passes e^-1000,
+    # and the mantissas take two chunks
+    ([math.exp(-1.0)] * 1000 + [math.exp(300.0)], -700.0),
+])
+def test_log_det_checks_products_whose_running_value_leaves_the_normal_range(eigs, log_det):
+    value, det = _log_det(np.array(eigs), 0)
+    assert value == pytest.approx(log_det, abs=1e-9)
+    assert det == pytest.approx(math.exp(log_det), rel=1e-6) and det > 0

@@ -308,6 +308,25 @@ def test_projection_ranks_read_off_the_trace_match_elimination(name, mode, n_max
         assert any(spectral.spectral_data(w, n).P.im is not None for n in range(n_max))
 
 
+@pytest.mark.parametrize("name,n_max", [("z3", 4), ("two-points", 5)])
+@pytest.mark.parametrize("mode", ["rational", "gaussian", "float"])
+def test_report_rows_carried_from_the_checks_equal_fresh_residuals(name, n_max, mode):
+    """The P_idempotent and green_left_inverse rows are the residuals that
+    harmonic_projection and greens_operator formed for their checks; formed
+    afresh from the window's cached data, they read the same."""
+    w = nc.build_window(nc.builtin_algebra(name, mode), n_max)
+    report = spectral.spectral_report(w)
+    one_minus_k = nc.operator_matrices(w)["one_minus_k"].blocks
+    for row in report["degrees"]:
+        data = spectral.spectral_data(w, row["degree"])
+        fresh = {"P_idempotent": exactla.matmul(data.P, data.P) - data.P,
+                 "green_left_inverse":
+                     exactla.matmul(data.G, one_minus_k[row["degree"]]) - data.P_perp}
+        for key, mat in fresh.items():
+            assert row["residuals"][key] == {"exact_zero": bool(exactla.is_zero_matrix(mat)),
+                                             "max_abs": exactla.max_abs(mat)}
+
+
 def _not_ranks(n):
     """n x n exact matrices whose trace is no rank: a half, an imaginary
     part, a trace past n and a negative one."""

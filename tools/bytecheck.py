@@ -29,7 +29,9 @@ blocks, where a wrong slot order would show), ``spectral`` on ``z3`` at
 ``--nmax 6`` in the rational and gaussian modes (P and G from the CRT
 polynomials of degrees 1 to 5), ``spectral`` on ``two_points`` at
 ``--nmax 6`` in the same two modes (the Im d and Im b membership tests on
-degrees up to 5, against the cached left null bases), ``gv`` on the builtin
+degrees up to 5, against the cached left null bases), ``spectral`` on
+``dual_numbers`` at ``--nmax 32`` in the same two modes (P and G from the
+CRT polynomials of degrees 1 to 31), ``gv`` on the builtin
 ``sin-z`` and ``dz`` forms with both derivatives, ``selftest --seed 1``,
 and, on inputs written to the temporary directory, ``hodge``/``torsion``/
 ``cs-partition`` on a 256-site twisted circle with unit Grams, on a
@@ -126,6 +128,8 @@ COMMANDS = (
        for alg, nmax in (("z3.json", "3"), ("two_points.json", "6"), (M2_GAUSSIAN, "3"))]
     + [["spectral", "--algebra", alg, "--nmax", "6", "--scalar", mode]
        for alg in ("z3.json", "two_points.json") for mode in ("rational", "gaussian")]
+    + [["spectral", "--algebra", "dual_numbers.json", "--nmax", "32", "--scalar", mode]
+       for mode in ("rational", "gaussian")]
     + [["nc-report", "--algebra", alg, "--nmax", "3", "--scalar", mode, "--matrices"]
        for alg in ("m2.json", "z3.json") for mode in ("gaussian", "float")]
     + [[cmd, "--complex", cx]
