@@ -91,61 +91,50 @@ def _dense_cap(entries, **context):
                            **context)
 
 
+def _difference(n):
+    """The forward difference of the n-site cycle, ``f[j + 1] - f[j]``."""
+    eye = _zeros((n, n))
+    np.fill_diagonal(eye, 1.0)
+    return np.roll(eye, 1, 1) - eye
+
+
 def circle_leaf(n) -> Leaf:
     """Cycle graph on n sites: D0 is the forward difference; Betti (1, 1)."""
     if n < 3:
         raise LeafTooSmall(f"circle leaf needs at least 3 sites, got {n}", key="leaf", sites=n)
     _dense_cap(n * n, sites=n)
-    d0 = _zeros((n, n))
-    for j in range(n):
-        d0[j, (j + 1) % n] = 1.0
-        d0[j, j] -= 1.0
-    cx = make_complex((n, n), [d0], name=f"circle({n})")
-    verts = (np.arange(n) / n).reshape(-1, 1)
-    edges = np.array([[j, (j + 1) % n] for j in range(n)])
-    return Leaf(complex=cx, vertex_points=verts,
-                cell_vertices=[np.arange(n).reshape(-1, 1), edges],
+    cx = make_complex((n, n), [_difference(n)], name=f"circle({n})")
+    sites = np.arange(n)
+    edges = np.stack([sites, np.roll(sites, -1)], axis=1)
+    return Leaf(complex=cx, vertex_points=(sites / n).reshape(-1, 1),
+                cell_vertices=[sites.reshape(-1, 1), edges],
                 kind="circle", meta={"n": n})
 
 
 def torus_leaf(nx, ny=None) -> Leaf:
-    """Periodic nx-by-ny grid with square faces; Betti (1, 2, 1)."""
+    """Periodic nx-by-ny grid with square faces; Betti (1, 2, 1).  Vertex
+    (i, j) is ``i * ny + j``; x-edges, then y-edges, and faces are numbered
+    by their first vertex, so with C the cycle difference (``_difference``)
+    ``D0 = [C_x (x) I; I (x) C_y]`` and ``D1 = [-I (x) C_y, C_x (x) I]``."""
     ny = nx if ny is None else ny
     if nx < 3 or ny < 3:
         raise LeafTooSmall(f"torus leaf needs at least 3 sites per axis, got {nx}x{ny}",
                            key="leaf", nx=nx, ny=ny)
     nv = nx * ny
     _dense_cap(2 * nv * nv, nx=nx, ny=ny)
-    ne = 2 * nv
-
-    def v(i, j):
-        return (i % nx) * ny + (j % ny)
-
-    d0 = _zeros((ne, nv))
-    edge_verts = np.zeros((ne, 2), dtype=int)
-    for i in range(nx):
-        for j in range(ny):
-            ex, ey = v(i, j), nv + v(i, j)
-            d0[ex, v(i + 1, j)] += 1.0
-            d0[ex, v(i, j)] -= 1.0
-            d0[ey, v(i, j + 1)] += 1.0
-            d0[ey, v(i, j)] -= 1.0
-            edge_verts[ex] = (v(i, j), v(i + 1, j))
-            edge_verts[ey] = (v(i, j), v(i, j + 1))
-    d1 = _zeros((nv, ne))
-    face_verts = np.zeros((nv, 4), dtype=int)
-    for i in range(nx):
-        for j in range(ny):
-            f = v(i, j)
-            d1[f, v(i, j)] += 1.0                 # x-edge at (i, j)
-            d1[f, nv + v(i + 1, j)] += 1.0        # y-edge at (i+1, j)
-            d1[f, v(i, j + 1)] -= 1.0             # x-edge at (i, j+1)
-            d1[f, nv + v(i, j)] -= 1.0            # y-edge at (i, j)
-            face_verts[f] = (v(i, j), v(i + 1, j), v(i, j + 1), v(i + 1, j + 1))
-    cx = make_complex((nv, ne, nv), [d0, d1], name=f"torus({nx}x{ny})")
-    verts = np.array([[i / nx, j / ny] for i in range(nx) for j in range(ny)])
+    d0 = np.vstack([np.kron(_difference(nx), np.eye(ny)),
+                    np.kron(np.eye(nx), _difference(ny))])
+    d1 = np.hstack([-d0[nv:], d0[:nv]])
+    for d in (d0, d1):
+        d += 0.0        # turns the -0.0 entries of kron and of the negation into 0.0
+    cx = make_complex((nv, 2 * nv, nv), [d0, d1], name=f"torus({nx}x{ny})")
+    grid = np.arange(nv).reshape(nx, ny)
+    right, up = np.roll(grid, -1, 0), np.roll(grid, -1, 1)
+    edge_verts = np.stack([[grid, grid], [right, up]], -1).reshape(-1, 2)
+    face_verts = np.stack([grid, right, up, np.roll(right, -1, 1)], -1).reshape(-1, 4)
+    verts = (np.stack(np.divmod(grid, ny), -1) / (nx, ny)).reshape(-1, 2)
     return Leaf(complex=cx, vertex_points=verts,
-                cell_vertices=[np.arange(nv).reshape(-1, 1), edge_verts, face_verts],
+                cell_vertices=[grid.reshape(-1, 1), edge_verts, face_verts],
                 kind="torus", meta={"nx": nx, "ny": ny})
 
 

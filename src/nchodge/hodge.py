@@ -27,11 +27,11 @@ One rule decides the near-kernel: ``r_k``, the numerical rank of ``W_k``
 ``b_k = n_k - r_k - r_{k-1}`` is the Betti number, the number of smallest
 eigenvalues a regularized determinant drops, and the number of harmonic
 vectors a partial eigensolve (LAPACK's MRRR driver) of ``S`` returns;
-``decompose`` keeps ``r_{k-1}`` and ``r_k`` singular vectors.  ``S`` is
-formed only for the harmonic vectors and for one of the two Betti
-cross-checks, which disagree only on a real defect: the rank of each raw
-``D_k`` that is not ``W_k``, and the eigenvalues of ``S`` counted by
-inertia (Sylvester's law).
+``decompose`` keeps ``r_{k-1}`` and ``r_k`` singular vectors and no
+eigenvector.  ``S`` is formed only for the harmonic vectors and for one of
+the two Betti cross-checks, which disagree only on a real defect: the rank
+of each raw ``D_k`` that is not ``W_k``, and the eigenvalues of ``S``
+counted by inertia (Sylvester's law).
 
 A complex stores all its matrices in one dtype: float64 when no
 differential and no Gram has a nonzero imaginary entry, else complex128.
@@ -417,17 +417,22 @@ def _spectrum(s_out, s_in, n):
     return both[n:]
 
 
+def _weighted(cx: CochainComplex, k, chol_out, chol_inv_in):
+    """``W_k = L_{k+1}^H D_k L_k^{-H}``, or ``D_k`` itself with unit Grams on
+    both ends."""
+    if cx.unit_gram(k) and cx.unit_gram(k + 1):
+        return cx.diffs[k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return chol_out.conj().T @ cx.diffs[k] @ chol_inv_in.conj().T
+
+
 def _build_frames(cx: CochainComplex):
-    """Every degree's frame, and the singular values of every ``W_k``: with
-    unit Grams on both ends ``W_k`` is ``D_k``, else it is formed from the
-    Cholesky factors.  A squared singular value must be a float."""
+    """Every degree's frame, and the singular values of every ``W_k``.  A
+    squared singular value must be a float."""
     factors = [_cholesky(cx, k) for k in range(cx.top + 1)]
     singular = []
-    for k, d in enumerate(cx.diffs):
-        w = d
-        if not (cx.unit_gram(k) and cx.unit_gram(k + 1)):
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = factors[k + 1][0].conj().T @ d @ factors[k][1].conj().T
+    for k in range(cx.top):
+        w = _weighted(cx, k, factors[k + 1][0], factors[k][1])
         s = np.zeros(0)
         if w.size and np.isfinite(w).all():
             s = np.linalg.svd(w, compute_uv=False)
@@ -545,35 +550,38 @@ def betti_numbers(cx: CochainComplex, rel_tol=HODGE_TOL):
 
 def decompose(cx: CochainComplex, k, v):
     """Hodge decomposition of a cochain v at degree k into
-    (harmonic, exact, coexact), orthogonal for the Gram product; the exact
-    and coexact pieces are spanned by the first r_{k-1} left singular
-    vectors of ``L^H D_{k-1}`` and the first r_k of ``W_k^H``."""
+    (harmonic, exact, coexact), orthogonal for the Gram product.  In the
+    frame ``u = L^H v`` they are the projections onto the first r_{k-1} left
+    singular vectors of ``W_{k-1}``, the first r_k right ones of ``W_k``,
+    and the rest, which the rank rule lets ``W_k`` and ``W_{k-1}^H`` take to
+    at most ``HODGE_TOL sigma_max |u|``: checked, twice that for rounding."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.shape[0] != cx.dims[k]:
         raise NotAComplex(f"cochain length {v.shape[0]} != dim {cx.dims[k]} at degree {k}")
-    import scipy.linalg
     ranks = _ranks(cx, HODGE_TOL)
-    L = cx.frame(k).chol
-    u = L.conj().T @ v
-    hvecs = cx.harmonic_vectors(k, HODGE_TOL)
-    proj_h = hvecs @ (hvecs.conj().T @ u)
-    proj_e = np.zeros_like(u)
-    if ranks[k]:
-        q = scipy.linalg.svd(L.conj().T @ cx.diffs[k - 1], full_matrices=False)[0][:, :ranks[k]]
-        proj_e = q @ (q.conj().T @ u)
-    proj_c = np.zeros_like(u)
-    if ranks[k + 1]:
-        N = scipy.linalg.solve_triangular(L, cx.diffs[k].conj().T @ cx.frame(k + 1).chol,
-                                          lower=True)
-        q = scipy.linalg.svd(N, full_matrices=False)[0][:, :ranks[k + 1]]
-        proj_c = q @ (q.conj().T @ u)
-    resid = exactla.max_abs(proj_h + proj_e + proj_c - u)
-    if resid > 1e-8 * max(1.0, exactla.max_abs(u)):
-        raise AssertionError(f"Hodge pieces do not re-sum at degree {k} (residual {resid})")
-    # not frame.chol_inv: the two inverses differ in the last bits, and the
-    # selftest report prints residuals of these pieces
-    linvh = np.linalg.inv(L.conj().T)
-    return linvh @ proj_h, linvh @ proj_e, linvh @ proj_c
+    frame = cx.frame(k)
+    u = frame.chol.conj().T @ v
+    exact, coexact, checks = np.zeros_like(u), np.zeros_like(u), []
+    if k:
+        w = _weighted(cx, k - 1, frame.chol, cx.frame(k - 1).chol_inv)
+        if ranks[k]:
+            q = np.linalg.svd(w, full_matrices=False)[0][:, :ranks[k]]
+            exact = q @ (q.conj().T @ u)
+        checks.append((k - 1, w.conj().T))
+    if k < cx.top:
+        w = _weighted(cx, k, cx.frame(k + 1).chol, frame.chol_inv)
+        if ranks[k + 1]:
+            q = np.linalg.svd(w, full_matrices=False)[2][:ranks[k + 1]].conj().T
+            coexact = q @ (q.conj().T @ u)
+        checks.append((k, w))
+    harmonic = u - exact - coexact
+    for j, w in checks:
+        resid = float(np.linalg.norm(w @ harmonic))
+        if w.size and resid > 2 * HODGE_TOL * cx.singular_values(j)[0] * np.linalg.norm(u):
+            raise AssertionError(f"harmonic piece at degree {k} is not annihilated by "
+                                 f"W_{j} (residual {resid})")
+    linvh = frame.chol_inv.conj().T
+    return linvh @ harmonic, linvh @ exact, linvh @ coexact
 
 
 def _in_float_range(quantity, log_value):

@@ -23,6 +23,70 @@ def test_leaf_betti_numbers():
     assert nc.betti_numbers(torus.leaf.complex) == (1, 2, 1)
 
 
+def _loop_circle(n):
+    """(D0, edge vertices) of the n-site cycle, built entry by entry."""
+    d0 = np.zeros((n, n))
+    for j in range(n):
+        d0[j, (j + 1) % n] = 1.0
+        d0[j, j] -= 1.0
+    return [d0], [np.arange(n).reshape(-1, 1), np.array([[j, (j + 1) % n] for j in range(n)])]
+
+
+def _loop_torus(nx, ny):
+    """(D0, D1), (vertex, edge, face vertices) and the vertex points of the
+    periodic nx x ny grid, built entry by entry."""
+    nv = nx * ny
+
+    def v(i, j):
+        return (i % nx) * ny + (j % ny)
+
+    d0 = np.zeros((2 * nv, nv))
+    edge_verts = np.zeros((2 * nv, 2), dtype=int)
+    for i in range(nx):
+        for j in range(ny):
+            ex, ey = v(i, j), nv + v(i, j)
+            d0[ex, v(i + 1, j)] += 1.0
+            d0[ex, v(i, j)] -= 1.0
+            d0[ey, v(i, j + 1)] += 1.0
+            d0[ey, v(i, j)] -= 1.0
+            edge_verts[ex] = (v(i, j), v(i + 1, j))
+            edge_verts[ey] = (v(i, j), v(i, j + 1))
+    d1 = np.zeros((nv, 2 * nv))
+    face_verts = np.zeros((nv, 4), dtype=int)
+    for i in range(nx):
+        for j in range(ny):
+            f = v(i, j)
+            d1[f, v(i, j)] += 1.0                 # x-edge at (i, j)
+            d1[f, nv + v(i + 1, j)] += 1.0        # y-edge at (i+1, j)
+            d1[f, v(i, j + 1)] -= 1.0             # x-edge at (i, j+1)
+            d1[f, nv + v(i, j)] -= 1.0            # y-edge at (i, j)
+            face_verts[f] = (v(i, j), v(i + 1, j), v(i, j + 1), v(i + 1, j + 1))
+    verts = np.array([[i / nx, j / ny] for i in range(nx) for j in range(ny)])
+    return [d0, d1], [np.arange(nv).reshape(-1, 1), edge_verts, face_verts], verts
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 17])
+def test_circle_leaf_is_the_loop_built_one_bit_for_bit(n):
+    leaf = foliation.circle_leaf(n)
+    diffs, cells = _loop_circle(n)
+    for got, want in zip(leaf.complex.diffs + leaf.cell_vertices, diffs + cells, strict=True):
+        assert _same_bytes(got, want)
+
+
+@pytest.mark.parametrize("nx, ny", [(3, 3), (5, 4), (8, 8), (16, 12), (3, 7)])
+def test_torus_leaf_is_the_loop_built_one_bit_for_bit(nx, ny):
+    # a non-square grid tells the two Kronecker axes apart
+    leaf = foliation.torus_leaf(nx, ny)
+    diffs, cells, verts = _loop_torus(nx, ny)
+    for got, want in zip(leaf.complex.diffs + leaf.cell_vertices + [leaf.vertex_points],
+                         diffs + cells + [verts], strict=True):
+        assert _same_bytes(got, want)
+
+
 def test_leaf_too_small():
     with pytest.raises(LeafTooSmall):
         make_model({"type": "circle", "n": 2}, [0.0])

@@ -225,6 +225,9 @@ def test_sweep_and_decompose_run_no_full_eigensolve(monkeypatch):
     for name in ("circle-leaves", "torus-leaves"):
         phi = random_smooth_phi(np.random.default_rng(3))
         assert witten_betti_sweep(nc.builtin_model(name), phi, (0.0, 1.0))["passed"]
+    # decompose takes every piece from singular vectors: no eigensolve at all
+    import scipy.linalg
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
     rng = np.random.default_rng(101)
     for _ in range(10):
         cx, _ = nc.random_complex(rng)
@@ -272,6 +275,40 @@ def test_betti_numbers_do_not_depend_on_the_scale_of_each_differential():
                 assert nc.betti_numbers(scaled, tol) == expected, (scales, tol)
                 cases += 1
     assert cases == 1701
+
+
+@pytest.mark.parametrize("small", [1e-10, 9e-10])
+def test_decompose_leaves_a_singular_value_under_the_cut_harmonic(small):
+    # sigma = small is under HODGE_TOL sigma_max, so e_2 is harmonic, and
+    # |W h| = small is within the check's 2 HODGE_TOL sigma_max |u|
+    cx = nc.make_complex((2, 2), [np.diag([1.0, small])])
+    h, e, c = nc.decompose(cx, 0, [1.0, 1.0])
+    assert np.array_equal(h, [0, 1]) and np.array_equal(c, [1, 0]) and not e.any()
+
+
+def test_decompose_refuses_a_rank_one_too_small(monkeypatch):
+    # a singular vector of W_j that the rank drops, with sigma far above the
+    # cut, leaves its component in the harmonic piece at degrees j and j + 1
+    from nchodge import hodge
+    from nchodge.hodge import HODGE_TOL
+    rng = np.random.default_rng(101)
+    cases = 0
+    for _ in range(20):
+        cx, _ = nc.random_complex(rng)
+        ranks = hodge._ranks(cx, HODGE_TOL)
+        for j in range(cx.top):
+            if not ranks[j + 1]:
+                continue
+            low = list(ranks)
+            low[j + 1] -= 1
+            monkeypatch.setattr(hodge, "_ranks", lambda cx, tol, low=low: low)
+            for k in (j, j + 1):
+                v = rng.normal(size=cx.dims[k]) + 1j * rng.normal(size=cx.dims[k])
+                with pytest.raises(AssertionError, match=f"not annihilated by W_{j} "):
+                    nc.decompose(cx, k, v)
+                cases += 1
+            monkeypatch.undo()
+    assert cases == 54
 
 
 def test_decompose_orthogonal_and_resums():

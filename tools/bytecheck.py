@@ -60,10 +60,11 @@ sets without a parse), on the same circle with one zero written ``0.00``
 with holonomy -1 and Grams (1, 8e-6), whose det' in both degrees is
 e^-1501, which underflows to 0, so that ``hodge``, ``torsion`` and
 ``cs-partition`` end in ``hodge-classical/OutOfFloatRange`` on it,
-``witten-sweep --phi cos-hv`` on ``circle_leaves.json`` and on a
+``witten-sweep --phi cos-hv`` on ``circle_leaves.json``, on a
 torus-leaves model with metric scale 2 (cos-hv varies along the
-transversal, so every sample builds its own complex), ``gv`` on a
-gradient form that is constant along no grid axis, ``nc-report
+transversal, so every sample builds its own complex) and on a 5x7 torus
+model (a grid that is not square, where swapped Kronecker axes would
+show), ``gv`` on a gradient form that is constant along no grid axis, ``nc-report
 --matrices`` and ``spectral`` in gaussian mode on ``m2`` stored gaussian
 in the basis (E11, i E12, E21/2, E22), whose constants have imaginary and
 fractional parts, ``nc-report --matrices`` in float mode on the same file
@@ -114,6 +115,7 @@ CIRCLE_ZERO_SPELLINGS = "circle-256-zero-spellings.json"
 CIRCLE_ZERO_PARSED = "circle-256-one-zero-parsed.json"
 CIRCLE_UNDERFLOW = "circle-128-det-underflow.json"
 TORUS_SCALED = "torus-leaves-scale-2.json"
+TORUS_OBLONG = "torus-leaves-5x7.json"
 OMEGA = "omega-dg.json"
 M2_GAUSSIAN = "m2-gaussian.json"
 Z3_FLOAT = "z3-float.json"
@@ -143,7 +145,7 @@ COMMANDS = (
        for model in ("circle_leaves.json", "torus_leaves.json")
        for phi in ("cos-h", "random")]
     + [["witten-sweep", "--model", model, "--phi", "cos-hv"]
-       for model in ("circle_leaves.json", TORUS_SCALED)]
+       for model in ("circle_leaves.json", TORUS_SCALED, TORUS_OBLONG)]
     + [["morse-scan", "--chart", chart] for chart in ("cos-h", "cubic-bd")]
     + [["gv", "--omega", omega, "--n", "32", "--derivative", derivative]
        for omega in ("sin-z", "dz") for derivative in ("spectral", "central")]
@@ -442,6 +444,9 @@ def main(argv=None) -> int:
             "name": "torus-leaves-scale-2", "leaf": {"type": "torus", "nx": 8, "ny": 8},
             "transversal": [{"v": 0.0, "weight": 0.3}, {"v": 0.5, "weight": 0.7}],
             "metric_scale": 2.0}))
+        (work / TORUS_OBLONG).write_text(json.dumps({
+            "name": "torus-leaves-5x7", "leaf": {"type": "torus", "nx": 5, "ny": 7},
+            "transversal": [{"v": 0.0, "weight": 0.3}, {"v": 0.5, "weight": 0.7}]}))
         (work / OMEGA).write_text(json.dumps(gradient_omega(16)))
         (work / M2_GAUSSIAN).write_text(json.dumps(m2_gaussian()))
         (work / Z3_FLOAT).write_text(json.dumps(z3_float()))
